@@ -7,10 +7,13 @@ ordering, cumulative ACKs, RNR NAKs, timeout retransmission).
 Two interchangeable transports share the engine:
 
 * LoopbackFabric: an in-process discrete-event queue driven by a virtual
-  clock. Fully deterministic for a given seed and schedule; this is where
-  fault injection and frame traces live.
+  clock. Fully deterministic for a given seed and schedule.
 * SocketFabric: one listening stream socket per attached port, LIDs
   resolved to host/port pairs from a static config file, real time.
+
+Both share one per-frame path (drop filter, fault profile, frame trace)
+and one retransmit timer (per-QP deadlines armed through ``schedule``);
+a transport supplies only ``now_ms``, ``schedule`` and ``_deliver``.
 
 Engine callbacks (on_data / on_ack / on_timeout_tick) run serialized
 under the world lock shared with the verbs objects; user code never runs
@@ -28,7 +31,7 @@ import time
 import traceback
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .verbs import (
     CompletionEntry,
@@ -174,8 +177,9 @@ class Endpoint:
             self.fabric.on_rnr_nak(qp, frame)
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
+    """One frame the engine emitted; a tuple, so cheap per frame."""
+
     t: float
     src_lid: Optional[int]
     dst_lid: int
@@ -195,6 +199,10 @@ class Fabric:
         self.next_lid = 1
         self.retransmit_window = 64  # frames replayed per go-back-N burst
         self.drop_filter: Optional[Callable[[Frame], bool]] = None
+        # extra wire delay of a duplicate copy and of a reordered frame
+        self.dup_extra_ms = 0.5
+        self.reorder_extra_ms = 2.5
+        self.trace: list[TraceEvent] = []
         self._rng = random.Random(self.faults.seed)
         self._registry = registry
         self._lock = registry.lock if registry is not None else threading.RLock()
@@ -266,10 +274,29 @@ class Fabric:
         raise NotImplementedError
 
     def _deliver(self, src: Optional[Endpoint], dlid: int, frame: Frame) -> None:
+        """Send each copy ``_wire_copies`` plans, after its extra delay."""
         raise NotImplementedError
 
+    # -- retransmit timer ----------------------------------------------------
+
     def _arm_tick(self, qp: QueuePair) -> None:
-        """Transports with a periodic ticker need no per-send timer."""
+        """Schedule one timeout tick at the head's deadline, unless one is
+        already pending; the tick re-arms itself while frames stay unacked."""
+        snd = qp.sender
+        if snd is None or not snd.unacked or snd.tick_pending:
+            return
+        deadline = max(snd.unacked[0].sent_at +
+                       self.timing.timeout(qp.attrs.timeout),
+                       snd.paused_until) + TICK_EPS_MS
+        snd.tick_pending = True
+        self.schedule(deadline - self.now_ms(), lambda: self._tick_fired(qp))
+
+    def _tick_fired(self, qp: QueuePair) -> None:
+        snd = qp.sender
+        if snd is not None:
+            snd.tick_pending = False
+        self.on_timeout_tick(qp, self.now_ms())
+        self._arm_tick(qp)
 
     # -- send side ---------------------------------------------------------
 
@@ -413,8 +440,9 @@ class Fabric:
             snd.unacked.clear()
         wqe = entry.wqe
         if wqe is not None:
-            if wqe in qp.send_queue:
-                qp.send_queue.remove(wqe)
+            # errors complete whether the send was signaled or not
+            head = qp.send_queue.popleft()
+            assert head is wqe, "RC send failed out of order"
             qp.send_cq._push(CompletionEntry(wqe.wr_id, status, WcOpcode.SEND))
         qp.enter_error()
 
@@ -476,7 +504,7 @@ class Fabric:
         self._emit(qp, Frame(FrameKind.RNR_NAK, qp.attrs.dest_qp_num, psn,
                              rnr_delay_hint=qp.attrs.min_rnr_timer))
 
-    # -- fault plan ------------------------------------------------------------
+    # -- fault plan and trace -------------------------------------------------
 
     def _plan_faults(self) -> tuple[bool, bool, bool]:
         if not self.faults.active:
@@ -485,6 +513,36 @@ class Fabric:
         return (r.random() < self.faults.drop_probability,
                 r.random() < self.faults.duplicate_probability,
                 r.random() < self.faults.reorder_probability)
+
+    def _wire_copies(self, src: Optional[Endpoint], dlid: int, frame: Frame,
+                     routed: bool, injected: bool = False) -> tuple:
+        """Trace one frame and return the extra delay of each copy the
+        wire carries: none if it is unroutable or dropped, one if sent,
+        two if duplicated. Reorder adds reorder_extra_ms, a duplicate
+        dup_extra_ms more; an injected frame bypasses all faults.
+        """
+        if injected:
+            statuses, delays = ("injected",), ((0.0,) if routed else ())
+        elif not routed:
+            statuses, delays = ("unrouted",), ()
+        elif self.drop_filter is not None and self.drop_filter(frame):
+            statuses, delays = ("dropped",), ()
+        else:
+            dropped, dup, reorder = self._plan_faults()
+            if dropped:
+                statuses, delays = ("dropped",), ()
+            else:
+                delay = self.reorder_extra_ms if reorder else 0.0
+                if dup:
+                    statuses = ("sent", "dup")
+                    delays = (delay, delay + self.dup_extra_ms)
+                else:
+                    statuses, delays = ("sent",), (delay,)
+        now = self.now_ms()
+        src_lid = src.lid if src is not None else None
+        for status in statuses:
+            self.trace.append(TraceEvent(now, src_lid, dlid, frame, status))
+        return delays
 
 
 class LoopbackFabric(Fabric):
@@ -511,7 +569,6 @@ class LoopbackFabric(Fabric):
         self.dup_extra_ms = hop_latency_ms / 2
         self.reorder_extra_ms = hop_latency_ms * 2.5
         self.auto_drain = auto_drain
-        self.trace: list[TraceEvent] = []
         self._now = 0.0
         self._heap: list = []
         self._seq = itertools.count()
@@ -603,59 +660,19 @@ class LoopbackFabric(Fabric):
     # -- delivery -----------------------------------------------------------
 
     def _deliver(self, src: Optional[Endpoint], dlid: int, frame: Frame) -> None:
-        src_lid = src.lid if src is not None else None
         ep = self.routing.get(dlid)
-        if ep is None:
-            self.trace.append(TraceEvent(self._now, src_lid, dlid, frame,
-                                         "unrouted"))
-            return
-        if self.drop_filter is not None and self.drop_filter(frame):
-            self.trace.append(TraceEvent(self._now, src_lid, dlid, frame,
-                                         "dropped"))
-            return
-        dropped, dup, reorder = self._plan_faults()
-        if dropped:
-            self.trace.append(TraceEvent(self._now, src_lid, dlid, frame,
-                                         "dropped"))
-            return
-        delay = self.hop_latency_ms
-        if reorder:
-            delay += self.reorder_extra_ms
-        self.trace.append(TraceEvent(self._now, src_lid, dlid, frame, "sent"))
-        self.schedule(delay, lambda: ep.dispatch(frame))
-        if dup:
-            self.trace.append(TraceEvent(self._now, src_lid, dlid, frame,
-                                         "dup"))
-            self.schedule(delay + self.dup_extra_ms,
+        for extra in self._wire_copies(src, dlid, frame, ep is not None):
+            self.schedule(self.hop_latency_ms + extra,
                           lambda: ep.dispatch(frame))
 
     def inject(self, dlid: int, frame: Frame, delay_ms: float = 0.0) -> None:
         """Deliver a raw frame, bypassing faults (replay/test harness)."""
         with self._lock:
-            self.trace.append(TraceEvent(self._now, None, dlid, frame,
-                                         "injected"))
             ep = self.routing.get(dlid)
-            if ep is None:
-                return
-            self.schedule(delay_ms + self.hop_latency_ms,
-                          lambda: ep.dispatch(frame))
-
-    def _arm_tick(self, qp: QueuePair) -> None:
-        snd = qp.sender
-        if snd is None or not snd.unacked or snd.tick_pending:
-            return
-        deadline = max(snd.unacked[0].sent_at +
-                       self.timing.timeout(qp.attrs.timeout),
-                       snd.paused_until) + TICK_EPS_MS
-        snd.tick_pending = True
-        self.schedule_at(deadline, lambda: self._tick_fired(qp))
-
-    def _tick_fired(self, qp: QueuePair) -> None:
-        snd = qp.sender
-        if snd is not None:
-            snd.tick_pending = False
-        self.on_timeout_tick(qp, self._now)
-        self._arm_tick(qp)
+            if self._wire_copies(None, dlid, frame, ep is not None,
+                                 injected=True):
+                self.schedule(delay_ms + self.hop_latency_ms,
+                              lambda: ep.dispatch(frame))
 
 
 # -- socket transport ---------------------------------------------------------
@@ -821,24 +838,19 @@ class _Writer:
                 pass
 
 
-class _Stash:
-    __slots__ = ("data", "t")
-
-    def __init__(self, data: bytes, t: float):
-        self.data = data
-        self.t = t
-
-
 class SocketFabric(Fabric):
     """Stream-socket transport: one listener per attached port.
 
     LIDs come from the static config; an attach claims the first entry
     whose address it can bind. Frames are written one per record in the
-    codec layout; a ticker thread drives retransmission timers.
+    codec layout. Faults and the frame trace work as on loopback: a
+    reordered or duplicated copy is written after its extra delay, and
+    every frame the engine emits lands in ``trace``. A ticker thread
+    runs the timer heap behind ``schedule``, which holds the delayed
+    copies and the per-QP retransmit deadlines.
     """
 
     TICK_S = 0.005
-    STASH_FLUSH_MS = 25.0
 
     def __init__(self, config: FabricConfig, faults=None, timing=None,
                  registry=None):
@@ -853,7 +865,6 @@ class SocketFabric(Fabric):
         self._threads: list[threading.Thread] = []
         self._timers: list = []
         self._timer_seq = itertools.count()
-        self._reorder_stash: dict[int, _Stash] = {}
         self._ticker: Optional[threading.Thread] = None
 
     def now_ms(self) -> float:
@@ -905,6 +916,11 @@ class SocketFabric(Fabric):
         self._stop.set()
         for lsock in self._listeners.values():
             try:
+                # close() alone leaves a thread blocked in accept() asleep
+                lsock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+            try:
                 lsock.close()
             except OSError:
                 pass
@@ -927,26 +943,13 @@ class SocketFabric(Fabric):
 
     def _deliver(self, src: Optional[Endpoint], dlid: int, frame: Frame) -> None:
         writer = self._writer_for(dlid)
-        if writer is None:
-            return
-        if self.drop_filter is not None and self.drop_filter(frame):
-            return
-        data = encode_frame(frame)
-        dropped, dup, reorder = self._plan_faults()
-        if dropped:
-            return
-        pending = self._reorder_stash.pop(dlid, None)
-        out = []
-        if reorder and pending is None and not dup:
-            self._reorder_stash[dlid] = _Stash(data, self.now_ms())
-        else:
-            out.append(data)
-        if pending is not None:
-            out.append(pending.data)
-        if dup:
-            out.append(data)
-        for item in out:
-            writer.send(item)
+        copies = self._wire_copies(src, dlid, frame, writer is not None)
+        data = encode_frame(frame) if copies else b""
+        for extra in copies:
+            if extra:
+                self.schedule(extra, lambda: writer.send(data))
+            else:
+                writer.send(data)
 
     def _accept_loop(self, lsock: socket.socket, ep: Endpoint) -> None:
         while not self._stop.is_set():
@@ -991,12 +994,3 @@ class SocketFabric(Fabric):
                         fn()
                     except Exception:
                         traceback.print_exc()
-                for dlid, stash in list(self._reorder_stash.items()):
-                    if now - stash.t > self.STASH_FLUSH_MS:
-                        del self._reorder_stash[dlid]
-                        writer = self._writer_for(dlid)
-                        if writer is not None:
-                            writer.send(stash.data)
-                for ep in list(self.routing.values()):
-                    for qp in list(ep.qpn_map.values()):
-                        self.on_timeout_tick(qp, now)

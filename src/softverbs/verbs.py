@@ -248,13 +248,12 @@ class PostedRecv:
 
 
 class PostedSend:
-    """A send WQE in flight; the payload is snapshotted at post time."""
+    """A send WQE in flight; its payload went to the fabric at post time."""
 
-    __slots__ = ("wr_id", "payload", "signaled")
+    __slots__ = ("wr_id", "signaled")
 
-    def __init__(self, wr_id: int, payload: bytes, signaled: bool):
+    def __init__(self, wr_id: int, signaled: bool):
         self.wr_id = wr_id
-        self.payload = payload
         self.signaled = signaled
 
 
@@ -736,13 +735,11 @@ class QueuePair:
             self._flush_queues()
 
     def _bind_to_fabric(self) -> None:
+        # on a port not attached anywhere the QP still transitions; it
+        # just has no wire until an attach happens
         endpoint = self.context._attachments.get(self.attrs.port_num)
         if endpoint is not None:
             endpoint.fabric.bind_qp(self, endpoint)
-        elif self._endpoint is None:
-            # port not attached anywhere: the QP still transitions, it
-            # just has no wire until an attach happens
-            pass
 
     def _unbind_from_fabric(self) -> None:
         if self._endpoint is not None:
@@ -834,7 +831,7 @@ class QueuePair:
                     node.sg_list, self.caps.max_send_sge, index)
                 payload = b"".join(mr.read(addr, length)
                                    for mr, addr, length in slots)
-                wqe = PostedSend(node.wr_id, payload,
+                wqe = PostedSend(node.wr_id,
                                  bool(node.flags & SendFlags.SIGNALED))
                 self.send_queue.append(wqe)
                 self.fabric.transmit_message(self, payload, wqe=wqe)
@@ -842,11 +839,16 @@ class QueuePair:
                 index += 1
 
     def complete_send(self, wqe: PostedSend) -> None:
-        """Called by the fabric when the last frame of a send is acked."""
-        if wqe in self.send_queue:
-            self.send_queue.remove(wqe)
-        self.send_cq._push(CompletionEntry(
-            wqe.wr_id, WcStatus.SUCCESS, WcOpcode.SEND))
+        """Called by the fabric when the last frame of a send is acked.
+
+        RC completes sends in post order, so the WQE is the queue's head.
+        Only a signaled send reports its success with a CQE.
+        """
+        head = self.send_queue.popleft()
+        assert head is wqe, "RC send completed out of order"
+        if wqe.signaled:
+            self.send_cq._push(CompletionEntry(
+                wqe.wr_id, WcStatus.SUCCESS, WcOpcode.SEND))
 
     def destroy(self) -> None:
         with self.context.lock:

@@ -365,6 +365,16 @@ class TestReliability:
         assert [wc.wr_id for wc in send] == \
             [1000 + i for i in range(len(payloads))]
 
+    def test_dup_and_reorder_frame_count_is_pinned(self):
+        # seeded loopback runs are deterministic down to the frame count
+        profile = FaultProfile(0.0, 0.1, 0.1, seed=1)
+        fabric, a, b, payloads = self._blast(1, n_msgs=200, size=4096,
+                                             mtu=1024, profile=profile)
+        recv = b.cq.poll(len(payloads) + 1)
+        assert [wc.wr_id for wc in recv] == list(range(len(payloads)))
+        data = sum(1 for e in fabric.trace if e.frame.kind is FrameKind.DATA)
+        assert data == 6767
+
     def test_identical_seed_identical_trace(self):
         def signature(fabric):
             return [(round(e.t, 9), e.src_lid, e.dst_lid, e.frame.kind,

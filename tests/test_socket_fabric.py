@@ -1,26 +1,49 @@
+import random
+import threading
 import time
 
 import pytest
 
 from conftest import Node, connect_pair, free_port
-from softverbs.fabric import FabricConfig, FabricConfigEntry, SocketFabric
+from softverbs.fabric import (
+    FabricConfig,
+    FabricConfigEntry,
+    FaultProfile,
+    SocketFabric,
+    TimingTables,
+)
 from softverbs.verbs import DeviceRegistry, VerbsError, WcStatus
+from softverbs.wire import FrameKind
+
+FAST_TIMEOUT = TimingTables({14: 50.0})  # retransmit after 50 ms, not 500
 
 
 @pytest.fixture
-def two_fabrics():
-    config = FabricConfig(entries=[
-        FabricConfigEntry(1, "127.0.0.1", free_port()),
-        FabricConfigEntry(2, "127.0.0.1", free_port()),
-    ])
-    regs = DeviceRegistry(), DeviceRegistry()
-    fabrics = []
-    for reg in regs:
-        reg.add_device("hca0")
-        fabrics.append(SocketFabric(config, registry=reg))
-    yield regs, fabrics
-    for fabric in fabrics:
+def make_fabrics():
+    """Build two SocketFabrics on one config; all are closed at teardown."""
+    made = []
+
+    def make(**kwargs):
+        config = FabricConfig(entries=[
+            FabricConfigEntry(1, "127.0.0.1", free_port()),
+            FabricConfigEntry(2, "127.0.0.1", free_port()),
+        ])
+        regs = DeviceRegistry(), DeviceRegistry()
+        fabrics = []
+        for reg in regs:
+            reg.add_device("hca0")
+            fabrics.append(SocketFabric(config, registry=reg, **kwargs))
+        made.extend(fabrics)
+        return regs, fabrics
+
+    yield make
+    for fabric in made:
         fabric.close()
+
+
+@pytest.fixture
+def two_fabrics(make_fabrics):
+    return make_fabrics()
 
 
 def wait_for(cq, n, timeout=10.0):
@@ -82,3 +105,78 @@ def test_faults_from_config_are_adopted():
     fabric = SocketFabric(cfg)
     assert fabric.faults.drop_probability == 0.3
     fabric.close()
+
+
+def test_close_stops_every_fabric_thread(two_fabrics):
+    before = set(threading.enumerate())
+    (reg_a, reg_b), fabrics = two_fabrics
+    a = Node(reg_a, fabrics[0])
+    b = Node(reg_b, fabrics[1])
+    connect_pair(a, b)
+    b.post_recv(1)
+    a.post_send(2, b"bye")
+    assert len(wait_for(b.cq, 1)) == 1
+    assert len(wait_for(a.cq, 1)) == 1
+    for fabric in fabrics:
+        fabric.close()
+
+    def left():
+        return [t.name for t in set(threading.enumerate()) - before
+                if t.name.startswith("fabric-") and t.is_alive()]
+
+    deadline = time.monotonic() + 1.0
+    while left() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert left() == []
+
+
+def test_exactly_once_in_order_under_faults(make_fabrics):
+    n_msgs, size = 40, 2048
+    (reg_a, reg_b), fabrics = make_fabrics(
+        faults=FaultProfile(0.1, 0.1, 0.1, seed=3), timing=FAST_TIMEOUT)
+    a, b = (Node(reg, fabric, size=n_msgs * size, max_send_wr=n_msgs,
+                 max_recv_wr=n_msgs, cq_capacity=n_msgs + 1)
+            for reg, fabric in ((reg_a, fabrics[0]), (reg_b, fabrics[1])))
+    connect_pair(a, b)
+    rng = random.Random(3)
+    payloads = [rng.randbytes(size) for _ in range(n_msgs)]
+    for i in range(n_msgs):
+        b.post_recv(i, off=i * size, length=size)
+    for i, payload in enumerate(payloads):
+        a.post_send(1000 + i, payload, off=i * size)
+    recv = wait_for(b.cq, n_msgs, timeout=30.0)
+    send = wait_for(a.cq, n_msgs, timeout=30.0)
+    assert [wc.wr_id for wc in recv] == list(range(n_msgs))
+    assert [wc.wr_id for wc in send] == [1000 + i for i in range(n_msgs)]
+    assert all(wc.status is WcStatus.SUCCESS for wc in recv + send)
+    for i, payload in enumerate(payloads):
+        assert b.read(i * size, size) == payload
+    statuses = {e.status for fabric in fabrics for e in fabric.trace}
+    assert {"sent", "dropped", "dup"} <= statuses
+
+
+def test_single_drop_recovers_on_the_deadline_timer(make_fabrics):
+    (reg_a, reg_b), fabrics = make_fabrics(timing=FAST_TIMEOUT)
+    a = Node(reg_a, fabrics[0])
+    b = Node(reg_b, fabrics[1])
+    connect_pair(a, b)
+    b.post_recv(1)
+    dropped = []
+
+    def drop_once(frame):
+        if frame.kind is FrameKind.DATA and not dropped:
+            dropped.append(frame)
+            return True
+        return False
+
+    fabrics[0].drop_filter = drop_once
+    posted_at = fabrics[0].now_ms()
+    a.post_send(2, b"retry me" * 64)
+    assert [wc.status for wc in wait_for(b.cq, 1)] == [WcStatus.SUCCESS]
+    assert [wc.status for wc in wait_for(a.cq, 1)] == [WcStatus.SUCCESS]
+    copies = [e for e in fabrics[0].trace if e.frame.kind is FrameKind.DATA]
+    # a slow ack may draw more copies, each after a further deadline
+    assert [e.status for e in copies[:2]] == ["dropped", "sent"]
+    assert all(e.status == "sent" for e in copies[1:])
+    # the first copy went out when the head's 50 ms deadline passed
+    assert copies[1].t - posted_at >= 50.0

@@ -4,12 +4,14 @@ import time
 import pytest
 
 from conftest import Node, connect_pair, to_init
+from softverbs.wire import FrameKind
 from softverbs.verbs import (
     BadWorkRequestError,
     CompletionQueueError,
     QpState,
     ReceiveWorkRequest,
     ScatterGatherElement,
+    SendFlags,
     SendWorkRequest,
     VerbsError,
     WcOpcode,
@@ -111,6 +113,36 @@ class TestPostSend:
         assert send_wc.opcode is WcOpcode.SEND
         recv_wc, = b.cq.poll(2)
         assert recv_wc.wr_id == 42 and recv_wc.byte_len == 4096
+
+    def _post_unsignaled(self, node, wr_id, data):
+        node.buf.data[:len(data)] = data
+        node.qp.post_send(SendWorkRequest(
+            wr_id, [node.sge(0, len(data))], flags=SendFlags(0)))
+
+    def test_unsignaled_send_succeeds_without_cqe(self, pair, fabric):
+        a, b = pair
+        b.post_recv(1)
+        b.post_recv(2, off=4096, length=4096)
+        self._post_unsignaled(a, 7, b"quiet" * 100)
+        fabric.run_until_idle()
+        assert a.cq.poll(2) == []
+        assert not a.qp.send_queue
+        recv_wc, = b.cq.poll(2)
+        assert recv_wc.wr_id == 1 and recv_wc.status is WcStatus.SUCCESS
+        a.post_send(8, b"loud")
+        fabric.run_until_idle()
+        send_wc, = a.cq.poll(2)
+        assert send_wc.wr_id == 8 and send_wc.status is WcStatus.SUCCESS
+        assert [wc.wr_id for wc in b.cq.poll(2)] == [2]
+
+    def test_unsignaled_send_still_reports_failure(self, pair, fabric):
+        a, b = pair
+        b.post_recv(1)
+        fabric.drop_filter = lambda f: f.kind is FrameKind.DATA
+        self._post_unsignaled(a, 7, b"lost")
+        fabric.run_until_idle()
+        wc, = a.cq.poll(2)
+        assert wc.wr_id == 7 and wc.status is WcStatus.RETRY_EXCEEDED
 
     def test_rejected_on_init_qp(self, registry, fabric):
         node = Node(registry, fabric)
