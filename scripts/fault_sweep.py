@@ -10,15 +10,14 @@ deterministic for a given seed.
 import argparse
 import random
 import sys
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from softverbs.fabric import FaultProfile, LoopbackFabric
+from softverbs.testbed import Node, connect_pair
 from softverbs.verbs import DeviceRegistry, WcStatus
 from softverbs.wire import FrameKind
-
-sys.path.insert(0, "tests")
-from conftest import Node, connect_pair  # reuse the two-node scaffolding
 
 
 def run_batch(drop, dup, reorder, seed, n_msgs, size, mtu):

@@ -44,7 +44,7 @@ def main():
     minimum = 2 * args.iters * -(-args.size // args.mtu)
     print(f"\nwire: {by_kind[FrameKind.DATA]} DATA "
           f"(minimum {minimum}), {by_kind[FrameKind.ACK]} ACK, "
-          f"{by_kind[FrameKind.RNR_NAK]} RNR_NAK")
+          f"{by_kind[FrameKind.NAK]} NAK, {by_kind[FrameKind.RNR_NAK]} RNR_NAK")
     print(f"dispositions: {dict(by_status)}")
 
 

@@ -4,6 +4,14 @@ The fabric plays subnet manager (LID assignment), switch (routing by
 destination LID), and HCA transport engine (MTU segmentation, PSN
 ordering, cumulative ACKs, RNR NAKs, timeout retransmission).
 
+Loss recovery is NAK-driven, after the IBTA RC PSN sequence error: a
+receiver holds frames that arrive ahead of the expected PSN (up to
+``HOLD_PSNS`` ahead) and sends one NAK per gap; the sender resends just
+the NAK'd frame. Once the gap fills, the held frames are accepted in
+order under one cumulative ACK. The retransmit timeout (a go-back-N
+burst from the head) remains the fallback when a NAK or its resend is
+lost.
+
 Two interchangeable transports share the engine:
 
 * LoopbackFabric: an in-process discrete-event queue driven by a virtual
@@ -56,6 +64,9 @@ from .wire import (
 
 SERIAL_HALF = 1 << 23
 TICK_EPS_MS = 0.25
+# a receiver holds out-of-order frames this many PSNs past expected_psn
+# at most; frames further ahead are discarded and left to retransmission
+HOLD_PSNS = 1024
 
 
 def psn_add(psn: int, n: int) -> int:
@@ -149,12 +160,18 @@ class SenderState:
 
 
 class ReceiverState:
-    __slots__ = ("expected_psn", "reassembly", "msg_active")
+    """Per-QP inbound sequence: frames held ahead of a gap, by PSN, and
+    the expected PSN the last NAK named (one NAK per gap)."""
+
+    __slots__ = ("expected_psn", "reassembly", "msg_active", "held",
+                 "nak_psn")
 
     def __init__(self, expected_psn: int):
         self.expected_psn = expected_psn
         self.reassembly = bytearray()
         self.msg_active = False
+        self.held: dict[int, Frame] = {}
+        self.nak_psn: Optional[int] = None
 
 
 @dataclass
@@ -173,6 +190,8 @@ class Endpoint:
             self.fabric.on_data(qp, frame)
         elif frame.kind == FrameKind.ACK:
             self.fabric.on_ack(qp, frame)
+        elif frame.kind == FrameKind.NAK:
+            self.fabric.on_nak(qp, frame)
         else:
             self.fabric.on_rnr_nak(qp, frame)
 
@@ -344,19 +363,14 @@ class Fabric:
         """Cumulative ack: retire every unacked entry with psn <= frame.psn.
 
         Progress that exposes an already-stale head (frames the receiver
-        discarded while waiting for a retransmission) resumes the go-back
-        replay immediately instead of waiting out another timeout.
+        could not hold while waiting for a retransmission) resumes the
+        go-back replay immediately instead of waiting out another timeout.
         """
         with self._lock:
             snd = qp.sender
             if snd is None:
                 return
-            progressed = False
-            while snd.unacked and psn_le(snd.unacked[0].psn, frame.psn):
-                entry = snd.unacked.popleft()
-                progressed = True
-                if entry.last and entry.wqe is not None:
-                    qp.complete_send(entry.wqe)
+            progressed = self._retire_through(qp, frame.psn)
             if snd.unacked:
                 now = self.now_ms()
                 if progressed and now >= snd.paused_until and \
@@ -365,11 +379,57 @@ class Fabric:
                     self._retransmit_burst(qp, now)
                 self._arm_tick(qp)
 
-    def on_rnr_nak(self, qp: QueuePair, frame: Frame) -> None:
-        """Receiver had no buffer: pause, then retransmit from the head."""
+    def _retire_through(self, qp: QueuePair, psn: int) -> bool:
+        """Retire every unacked entry with psn <= ``psn``, completing the
+        sends whose last frame goes; True if any entry went."""
+        unacked = qp.sender.unacked
+        progressed = False
+        while unacked and psn_le(unacked[0].psn, psn):
+            entry = unacked.popleft()
+            progressed = True
+            if entry.last and entry.wqe is not None:
+                qp.complete_send(entry.wqe)
+        return progressed
+
+    def on_nak(self, qp: QueuePair, frame: Frame) -> None:
+        """PSN sequence error: the receiver holds later frames and still
+        waits for ``frame.psn``.
+
+        Everything before that PSN arrived (an implicit ACK); the waited-for
+        frame is resent at once, alone, and charged to the head's retry
+        budget as a timeout would be. A NAK for a PSN no longer at the
+        head is stale and ignored, and so is one during an RNR pause,
+        whose resume resends the head anyway.
+        """
         with self._lock:
             snd = qp.sender
-            if snd is None or not snd.unacked or qp.state is not QpState.RTS:
+            if snd is None or qp.state is not QpState.RTS:
+                return
+            self._retire_through(qp, psn_add(frame.psn, -1))
+            if not snd.unacked or snd.unacked[0].psn != frame.psn:
+                return
+            head = snd.unacked[0]
+            if self.now_ms() < snd.paused_until:
+                return
+            if head.retries_used >= qp.attrs.retry_cnt:
+                self._fail_send(qp, head, WcStatus.RETRY_EXCEEDED)
+                return
+            head.retries_used += 1
+            self._transmit_entry(qp, head)
+            self._arm_tick(qp)
+
+    def on_rnr_nak(self, qp: QueuePair, frame: Frame) -> None:
+        """Receiver had no buffer: pause, then retransmit from the head.
+
+        Like a NAK, an RNR NAK acknowledges everything before its PSN; a
+        receiver that drains held frames may send it ahead of the ACK.
+        """
+        with self._lock:
+            snd = qp.sender
+            if snd is None or qp.state is not QpState.RTS:
+                return
+            self._retire_through(qp, psn_add(frame.psn, -1))
+            if not snd.unacked:
                 return
             head = snd.unacked[0]
             if head.psn != frame.psn:
@@ -453,9 +513,12 @@ class Fabric:
 
         RESET/INIT (and ERR) QPs silently drop. Stale PSNs are re-acked
         and discarded so replays from an old connection never complete
-        twice; future PSNs are discarded and left to retransmission. An
+        twice. A future PSN less than ``HOLD_PSNS`` ahead is held, and
+        the first one held for a gap draws a NAK for the expected PSN;
+        one further ahead is discarded and left to retransmission. An
         in-order message start with an empty receive queue draws an
-        RNR NAK and does not advance the expected PSN.
+        RNR NAK and does not advance the expected PSN. An in-order frame
+        that fills a gap releases the held frames behind it, in order.
         """
         with self._lock:
             if qp.state in (QpState.RESET, QpState.INIT, QpState.ERR):
@@ -467,38 +530,77 @@ class Fabric:
             if frame.psn != expected:
                 if psn_before(frame.psn, expected):
                     self._send_ack(qp, frame.psn)
+                elif (frame.psn - expected) & PSN_MASK < HOLD_PSNS:
+                    rcv.held[frame.psn] = frame
+                    if rcv.nak_psn != expected:
+                        self._send_nak(qp, rcv)
                 return
-            starts = frame.seg in (SegMark.ONLY, SegMark.FIRST)
-            ends = frame.seg in (SegMark.ONLY, SegMark.LAST)
-            if starts:
-                if not qp.recv_queue:
-                    self._send_rnr_nak(qp, frame.psn)
-                    return
-                rcv.reassembly = bytearray()
-                rcv.msg_active = True
-            elif not rcv.msg_active:
-                # continuation without a start: stray frame, ignore
+            if not self._accept(qp, rcv, frame):
                 return
-            rcv.reassembly += frame.payload
-            rcv.expected_psn = psn_add(expected, 1)
-            self._send_ack(qp, frame.psn)
-            if ends:
-                rcv.msg_active = False
-                message = bytes(rcv.reassembly)
-                rcv.reassembly = bytearray()
-                wqe = qp.recv_queue.popleft()
-                if len(message) > wqe.capacity:
-                    qp.recv_cq._push(CompletionEntry(
-                        wqe.wr_id, WcStatus.LOCAL_PROTECTION_ERROR,
-                        WcOpcode.RECV, len(message)))
-                    qp.enter_error()
-                    return
-                wqe.scatter(message)
+            if rcv.held:
+                self._drain_held(qp, rcv)
+            else:
+                self._send_ack(qp, frame.psn)
+
+    def _accept(self, qp: QueuePair, rcv: ReceiverState,
+                frame: Frame) -> bool:
+        """Take the frame at the expected PSN into the message it belongs
+        to; False if it is refused (RNR NAK) or stray, leaving the
+        expected PSN where it was."""
+        starts = frame.seg in (SegMark.ONLY, SegMark.FIRST)
+        ends = frame.seg in (SegMark.ONLY, SegMark.LAST)
+        if starts:
+            if not qp.recv_queue:
+                self._send_rnr_nak(qp, frame.psn)
+                return False
+            rcv.reassembly = bytearray()
+            rcv.msg_active = True
+        elif not rcv.msg_active:
+            # continuation without a start: stray frame, ignore
+            return False
+        rcv.reassembly += frame.payload
+        rcv.expected_psn = psn_add(frame.psn, 1)
+        if ends:
+            rcv.msg_active = False
+            message = bytes(rcv.reassembly)
+            rcv.reassembly = bytearray()
+            wqe = qp.recv_queue.popleft()
+            if len(message) > wqe.capacity:
                 qp.recv_cq._push(CompletionEntry(
-                    wqe.wr_id, WcStatus.SUCCESS, WcOpcode.RECV, len(message)))
+                    wqe.wr_id, WcStatus.LOCAL_PROTECTION_ERROR,
+                    WcOpcode.RECV, len(message)))
+                qp.enter_error()
+                return True
+            wqe.scatter(message)
+            qp.recv_cq._push(CompletionEntry(
+                wqe.wr_id, WcStatus.SUCCESS, WcOpcode.RECV, len(message)))
+        return True
+
+    def _drain_held(self, qp: QueuePair, rcv: ReceiverState) -> None:
+        """Accept the held frames that now continue the sequence, ack them
+        all at once, and NAK the next gap if frames beyond it are held.
+
+        A held frame refused with an RNR NAK leaves the gap to the
+        sender's RNR pause, so it draws no NAK.
+        """
+        held = rcv.held
+        accepted = True
+        while accepted and qp.state is not QpState.ERR:
+            frame = held.pop(rcv.expected_psn, None)
+            if frame is None:
+                break
+            accepted = self._accept(qp, rcv, frame)
+        self._send_ack(qp, psn_add(rcv.expected_psn, -1))
+        if accepted and held and qp.state is not QpState.ERR:
+            self._send_nak(qp, rcv)
 
     def _send_ack(self, qp: QueuePair, psn: int) -> None:
         self._emit(qp, Frame(FrameKind.ACK, qp.attrs.dest_qp_num, psn))
+
+    def _send_nak(self, qp: QueuePair, rcv: ReceiverState) -> None:
+        rcv.nak_psn = rcv.expected_psn
+        self._emit(qp, Frame(FrameKind.NAK, qp.attrs.dest_qp_num,
+                             rcv.expected_psn))
 
     def _send_rnr_nak(self, qp: QueuePair, psn: int) -> None:
         self._emit(qp, Frame(FrameKind.RNR_NAK, qp.attrs.dest_qp_num, psn,
@@ -861,6 +963,7 @@ class SocketFabric(Fabric):
         self._entry_by_lid = {e.lid: e for e in config.entries}
         self._stop = threading.Event()
         self._listeners: dict[int, socket.socket] = {}
+        self._conns: set[socket.socket] = set()  # accepted, one per reader
         self._writers: dict[int, _Writer] = {}
         self._threads: list[threading.Thread] = []
         self._timers: list = []
@@ -924,12 +1027,26 @@ class SocketFabric(Fabric):
                 lsock.close()
             except OSError:
                 pass
+        with self._lock:
+            conns, self._conns = self._conns, set()
+        for conn in conns:
+            try:
+                # wakes the reader blocked in recv(); it closes the socket
+                conn.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
         for writer in self._writers.values():
             writer.close()
         if self._ticker is not None:
             self._ticker.join(timeout=2)
 
     # -- wire ----------------------------------------------------------------
+
+    def bind_qp(self, qp: QueuePair, endpoint: Endpoint) -> None:
+        """Also start the writer towards the peer's LID, now that the QP
+        knows it, rather than on the first frame's path."""
+        super().bind_qp(qp, endpoint)
+        self._writer_for(qp.attrs.ah.dlid)
 
     def _writer_for(self, dlid: int) -> Optional[_Writer]:
         writer = self._writers.get(dlid)
@@ -958,6 +1075,11 @@ class SocketFabric(Fabric):
             except OSError:
                 return
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            with self._lock:
+                if self._stop.is_set():
+                    conn.close()
+                    return
+                self._conns.add(conn)
             t = threading.Thread(target=self._reader_loop, args=(conn, ep),
                                  name="fabric-reader", daemon=True)
             t.start()
@@ -979,6 +1101,8 @@ class SocketFabric(Fabric):
         except (OSError, ValueError):
             return
         finally:
+            with self._lock:
+                self._conns.discard(conn)
             try:
                 conn.close()
             except OSError:

@@ -4,13 +4,17 @@ Every unit on the wire is one frame, encoded big-endian:
 
     offset  size  field
     0       2     magic 0x5642
-    2       1     kind (DATA=0, ACK=1, RNR_NAK=2)
+    2       1     kind (DATA=0, ACK=1, RNR_NAK=2, NAK=3)
     3       1     segment marker (ONLY=0, FIRST=1, MIDDLE=2, LAST=3)
     4       3     destination QPN
     7       3     PSN
     10      4     payload length; for RNR_NAK the low byte carries the
-                  receiver's retry-delay hint and no payload follows
+                  receiver's retry-delay hint and no payload follows;
+                  0 for ACK and NAK
     14      ...   payload (DATA only)
+
+A NAK is the PSN sequence error: its PSN is the one the receiver still
+waits for while it holds later frames.
 
 The stream transport sends one frame per record; the header is
 self-delimiting because it carries the payload length.
@@ -36,6 +40,7 @@ class FrameKind(IntEnum):
     DATA = 0
     ACK = 1
     RNR_NAK = 2
+    NAK = 3
 
 
 class SegMark(IntEnum):
@@ -69,7 +74,8 @@ class Frame:
 
 def encode_frame(frame: Frame, mtu: int = MAX_PAYLOAD) -> bytes:
     """Serialize a frame; rejects payloads beyond the negotiated MTU."""
-    if frame.kind not in (FrameKind.DATA, FrameKind.ACK, FrameKind.RNR_NAK):
+    if frame.kind not in (FrameKind.DATA, FrameKind.ACK, FrameKind.RNR_NAK,
+                          FrameKind.NAK):
         raise FrameEncodeError(f"unknown frame kind {frame.kind!r}")
     if not 0 <= frame.dest_qpn <= QPN_MASK:
         raise FrameEncodeError(f"qpn {frame.dest_qpn:#x} out of 24-bit range")

@@ -1,3 +1,4 @@
+import collections
 import random
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import Node, connect_pair, run_until, to_init
 from softverbs.fabric import (
+    HOLD_PSNS,
     FabricConfigError,
     FaultProfile,
     LoopbackFabric,
@@ -24,6 +26,24 @@ from softverbs.verbs import (
 from softverbs.wire import Frame, FrameKind, SegMark
 
 PSN_MOD = 1 << 24
+
+
+def drop_first_copy(*psns):
+    """A drop filter that loses the first DATA copy of each given PSN."""
+    pending = set(psns)
+
+    def drop(frame):
+        if frame.kind is FrameKind.DATA and frame.psn in pending:
+            pending.discard(frame.psn)
+            return True
+        return False
+
+    return drop
+
+
+def frames_of(fabric, kind, status="sent"):
+    return [e.frame for e in fabric.trace
+            if e.frame.kind is kind and e.status == status]
 
 
 class TestPsnArithmetic:
@@ -264,6 +284,125 @@ class TestRnr:
                        if e.frame.kind is FrameKind.DATA]
         assert len(retransmits) == 1 + 3  # original plus one per budget unit
 
+    def test_rnr_nak_during_drain_acks_what_precedes_it(self, registry,
+                                                        fabric):
+        a = Node(registry, fabric)
+        b = Node(registry, fabric)
+        connect_pair(a, b)
+        fabric.drop_filter = drop_first_copy(100)
+        b.post_recv(1)
+        for i in range(3):
+            a.post_send(10 + i, bytes([i]) * 100, off=i * 100)  # 100..102
+        fabric.advance(20)
+        b.post_recv(2, off=100)
+        b.post_recv(3, off=200)
+        got = []
+        run_until(fabric, lambda: got.extend(a.cq.poll(4)) or len(got) == 3)
+        # the drain refuses PSN 101 with an RNR NAK ahead of the ACK for
+        # 100; the sender must still pause, not wait out a timeout
+        assert fabric.now_ms() < 100
+        assert [(wc.wr_id, wc.status) for wc in got] == \
+            [(i, WcStatus.SUCCESS) for i in (10, 11, 12)]
+        assert [wc.wr_id for wc in b.cq.poll(4)] == [1, 2, 3]
+
+
+class TestNak:
+    def test_reordered_frame_draws_one_nak_and_one_resend(self, pair,
+                                                          fabric):
+        a, b = pair
+        b.post_recv(1)
+        late = []
+
+        def hold_back(frame):
+            if frame.kind is FrameKind.DATA and frame.psn == 101 \
+                    and not late:
+                late.append(frame)
+                return True
+            return False
+
+        fabric.drop_filter = hold_back
+        payload = bytes(range(256)) * 16  # PSNs 100..103 at mtu 1024
+        a.post_send(2, payload)
+        # the held-back copy still arrives, after the rest of the message
+        fabric.inject(b.lid, late[0], delay_ms=5.0)
+        fabric.run_until_idle()
+        naks = frames_of(fabric, FrameKind.NAK)
+        assert [f.psn for f in naks] == [101]
+        assert [f.psn for f in frames_of(fabric, FrameKind.DATA)] == \
+            [100, 102, 103, 101]
+        wc, = b.cq.poll(2)
+        assert wc.status is WcStatus.SUCCESS and wc.byte_len == len(payload)
+        assert b.read(0, len(payload)) == payload
+        assert [wc.status for wc in a.cq.poll(2)] == [WcStatus.SUCCESS]
+        assert not b.qp.receiver.held
+
+    def test_held_frames_drain_in_order_across_psn_wrap(self, registry,
+                                                       fabric):
+        a = Node(registry, fabric)
+        b = Node(registry, fabric)
+        connect_pair(a, b, psn_a=0xFFFFFE)
+        b.post_recv(1)
+        fabric.drop_filter = drop_first_copy(0xFFFFFE)
+        payload = random.Random(5).randbytes(4096)  # 0xFFFFFE .. 0x000001
+        a.post_send(2, payload)
+        fabric.run_until_idle()
+        assert [f.psn for f in frames_of(fabric, FrameKind.NAK)] == \
+            [0xFFFFFE]
+        # the three held frames and the resend go under one cumulative ACK
+        ack, = [e for e in fabric.trace if e.frame.kind is FrameKind.ACK]
+        assert ack.frame.psn == 1
+        assert ack.t < 10  # no timeout was needed
+        wc, = b.cq.poll(2)
+        assert wc.status is WcStatus.SUCCESS
+        assert b.read(0, len(payload)) == payload
+        assert b.qp.receiver.expected_psn == 2
+        assert [wc.status for wc in a.cq.poll(2)] == [WcStatus.SUCCESS]
+
+    def test_frame_beyond_hold_bound_discarded_and_recovered(self, registry,
+                                                             fabric):
+        n_frames, mtu = HOLD_PSNS + 40, 256
+        size = n_frames * mtu
+        a = Node(registry, fabric, size=size)
+        b = Node(registry, fabric, size=size)
+        connect_pair(a, b, mtu=mtu)
+        b.post_recv(1)
+        fabric.drop_filter = drop_first_copy(100)
+        payload = random.Random(6).randbytes(size)
+        a.post_send(2, payload)
+        fabric.run_until_idle()
+        sent = collections.Counter(
+            f.psn for f in frames_of(fabric, FrameKind.DATA))
+        # PSN 100 + HOLD_PSNS - 1 was held; 100 + HOLD_PSNS was not
+        assert sent[100 + HOLD_PSNS - 1] == 1
+        assert sent[100 + HOLD_PSNS] == 2
+        wc, = b.cq.poll(2)
+        assert wc.status is WcStatus.SUCCESS and wc.byte_len == size
+        assert b.read(0, size) == payload
+        assert [wc.status for wc in a.cq.poll(2)] == [WcStatus.SUCCESS]
+
+    def test_stale_nak_is_ignored(self, pair, fabric):
+        a, b = pair
+        b.post_recv(1)
+        a.post_send(2, bytes(4096))  # PSNs 100..103
+        fabric.on_ack(a.qp, Frame(FrameKind.ACK, b.qp.qpn, 101))
+        sent_before = len(fabric.trace)
+        for psn in (100, 101):
+            fabric.on_nak(a.qp, Frame(FrameKind.NAK, a.qp.qpn, psn))
+        assert len(fabric.trace) == sent_before  # nothing resent
+        assert [e.psn for e in a.qp.sender.unacked] == [102, 103]
+        assert all(e.retries_used == 0 for e in a.qp.sender.unacked)
+        assert a.cq.poll(1) == []
+
+    def test_nak_retires_what_comes_before_it(self, pair, fabric):
+        a, b = pair
+        b.post_recv(1)
+        a.post_send(2, bytes(4096))  # PSNs 100..103
+        fabric.on_nak(a.qp, Frame(FrameKind.NAK, a.qp.qpn, 102))
+        head, *_ = a.qp.sender.unacked
+        assert [e.psn for e in a.qp.sender.unacked] == [102, 103]
+        assert head.retries_used == 1
+        assert fabric.trace[-1].frame.psn == 102  # resent at once
+
 
 class TestRetry:
     def test_targeted_drop_exhausts_exactly_retry_cnt(self, registry, fabric):
@@ -373,7 +512,7 @@ class TestReliability:
         recv = b.cq.poll(len(payloads) + 1)
         assert [wc.wr_id for wc in recv] == list(range(len(payloads)))
         data = sum(1 for e in fabric.trace if e.frame.kind is FrameKind.DATA)
-        assert data == 6767
+        assert data == 970
 
     def test_identical_seed_identical_trace(self):
         def signature(fabric):

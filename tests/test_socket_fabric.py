@@ -13,7 +13,14 @@ from softverbs.fabric import (
     TimingTables,
 )
 from softverbs.verbs import DeviceRegistry, VerbsError, WcStatus
-from softverbs.wire import FrameKind
+from softverbs.wire import (
+    HEADER_LEN,
+    Frame,
+    FrameKind,
+    decode_frame,
+    encode_frame,
+    frame_body_length,
+)
 
 FAST_TIMEOUT = TimingTables({14: 50.0})  # retransmit after 50 ms, not 500
 
@@ -180,3 +187,69 @@ def test_single_drop_recovers_on_the_deadline_timer(make_fabrics):
     assert all(e.status == "sent" for e in copies[1:])
     # the first copy went out when the head's 50 ms deadline passed
     assert copies[1].t - posted_at >= 50.0
+
+
+def test_nak_frame_round_trips_through_the_stream_codec():
+    frame = Frame(FrameKind.NAK, 0x12345, 0xFFFFFE)
+    data = encode_frame(frame)
+    assert len(data) == HEADER_LEN
+    assert frame_body_length(data[:HEADER_LEN]) == 0
+    assert decode_frame(data) == frame
+
+
+def test_lost_frame_recovers_by_nak_before_the_deadline(make_fabrics):
+    (reg_a, reg_b), fabrics = make_fabrics()  # 500 ms retransmit timeout
+    a = Node(reg_a, fabrics[0])
+    b = Node(reg_b, fabrics[1])
+    connect_pair(a, b)
+    b.post_recv(1)
+    dropped = []
+
+    def drop_first(frame):
+        if frame.kind is FrameKind.DATA and not dropped:
+            dropped.append(frame)
+            return True
+        return False
+
+    fabrics[0].drop_filter = drop_first
+    payload = bytes(range(256)) * 8  # PSNs 100 and 101 at mtu 1024
+    posted_at = fabrics[0].now_ms()
+    a.post_send(2, payload)
+    assert [wc.status for wc in wait_for(b.cq, 1)] == [WcStatus.SUCCESS]
+    assert [wc.status for wc in wait_for(a.cq, 1)] == [WcStatus.SUCCESS]
+    assert b.read(0, len(payload)) == payload
+    naks = [e for e in fabrics[1].trace if e.frame.kind is FrameKind.NAK]
+    assert [e.frame.psn for e in naks] == [100]
+    resend = [e for e in fabrics[0].trace if e.frame.kind is FrameKind.DATA
+              and e.frame.psn == 100 and e.status == "sent"][0]
+    assert resend.t - posted_at < 250.0
+
+
+def test_close_stops_its_readers_while_the_peer_stays_open(two_fabrics):
+    (reg_a, reg_b), (fab_a, fab_b) = two_fabrics
+    a = Node(reg_a, fab_a)
+    b = Node(reg_b, fab_b)
+    connect_pair(a, b)
+    b.post_recv(1)
+    a.post_send(2, b"hello")
+    assert len(wait_for(b.cq, 1)) == 1
+    assert len(wait_for(a.cq, 1)) == 1
+    # fab_b now runs a reader for fab_a's connection; fab_a stays open
+    assert any(t.name == "fabric-reader" for t in fab_b._threads)
+    fab_b.close()
+    deadline = time.monotonic() + 1.0
+    while any(t.is_alive() for t in fab_b._threads) and \
+            time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert [t.name for t in fab_b._threads if t.is_alive()] == []
+
+
+def test_writer_to_the_peer_starts_when_the_qp_is_connected(two_fabrics):
+    (reg_a, reg_b), (fab_a, fab_b) = two_fabrics
+    a = Node(reg_a, fab_a)
+    b = Node(reg_b, fab_b)
+    assert not fab_a._writers
+    connect_pair(a, b)
+    assert set(fab_a._writers) == {b.lid}
+    assert set(fab_b._writers) == {a.lid}
+    assert fab_a._writers[b.lid].thread.is_alive()
