@@ -10,8 +10,9 @@ Handy for poking at the emulator without two terminals:
 import argparse
 import collections
 import sys
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from softverbs.fabric import parse_faults_spec
 from softverbs.pingpong import PingpongConfig, run_loopback_pair
@@ -25,15 +26,14 @@ def main():
     parser.add_argument("--rx-depth", type=int, default=500)
     parser.add_argument("--mtu", type=int, default=1024)
     parser.add_argument("--events", action="store_true")
-    parser.add_argument("--oob-port", type=int, default=18515)
     parser.add_argument("--faults", default=None)
     parser.add_argument("--seed", type=int, default=None)
     args = parser.parse_args()
 
     faults = parse_faults_spec(args.faults) if args.faults else None
-    cfg = PingpongConfig(oob_port=args.oob_port, iters=args.iters,
-                         size=args.size, rx_depth=args.rx_depth,
-                         mtu=args.mtu, use_event=args.events)
+    cfg = PingpongConfig(iters=args.iters, size=args.size,
+                         rx_depth=args.rx_depth, mtu=args.mtu,
+                         use_event=args.events)
     server, client, fabric = run_loopback_pair(cfg, faults=faults,
                                                seed=args.seed)
     print(server.report)

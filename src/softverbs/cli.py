@@ -1,10 +1,10 @@
 """Command-line front end for the pingpong benchmark.
 
-With the default loopback fabric, one process runs both roles over the
-in-process transport and prints the server's report followed by the
-client's. With ``--fabric socket``, each invocation is one role of a
-normal two-process run: start the server (no host argument) first, then
-the client with the server's hostname.
+With the default loopback fabric, one process runs both roles on one
+thread over the in-process transport and prints the server's report
+followed by the client's. With ``--fabric socket``, each invocation is
+one role of a normal two-process run: start the server (no host
+argument) first, then the client with the server's hostname.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="connect to this host (client role); "
                         "omit to run as the server")
     p.add_argument("-p", "--port", type=int, default=DEFAULT_PORT,
-                   help="out-of-band exchange TCP port (default 18515)")
+                   help="out-of-band port for --fabric socket (default 18515)")
     p.add_argument("-i", "--ib-port", type=int, default=1,
                    help="port of the emulated HCA (default 1)")
     p.add_argument("-s", "--size", type=int, default=4096,

@@ -296,6 +296,9 @@ class Fabric:
         """Send each copy ``_wire_copies`` plans, after its extra delay."""
         raise NotImplementedError
 
+    def close(self) -> None:
+        """Stop the transport's threads and sockets, if it has any."""
+
     # -- retransmit timer ----------------------------------------------------
 
     def _arm_tick(self, qp: QueuePair) -> None:
@@ -653,16 +656,15 @@ class LoopbackFabric(Fabric):
     Frames become events on a heap ordered by (virtual time, sequence).
     Tests pump the clock explicitly with step / advance / run_until_idle.
 
-    With auto_drain=True (the live mode used by the CLI and the threaded
-    runner) scheduling drains the cascade inline, but only out to a short
-    delivery horizon; jumps across real timer gaps (retransmit timeouts,
-    RNR delays) are taken by a pacer thread at real-time pace, so a peer
-    thread blocked on the world lock always gets to act between retries
-    instead of watching a whole retry budget burn inside one drain.
+    With auto_drain=True (the live mode the loopback pingpong pair uses)
+    scheduling drains the cascade inline, but only out to a short
+    delivery horizon; a jump across a timer gap (retransmit timeout, RNR
+    delay) is taken with ``jump`` once both roles wait, so each role gets
+    to act between retries instead of watching a whole retry budget burn
+    inside one drain.
     """
 
     INLINE_HORIZON_MS = 8.0
-    PACER_SLEEP_S = 0.001
 
     def __init__(self, faults=None, timing=None, registry=None,
                  hop_latency_ms: float = 1.0, auto_drain: bool = False):
@@ -675,8 +677,6 @@ class LoopbackFabric(Fabric):
         self._heap: list = []
         self._seq = itertools.count()
         self._draining = False
-        self._pacer: Optional[threading.Thread] = None
-        self._pacer_stop = threading.Event()
 
     def now_ms(self) -> float:
         return self._now
@@ -687,11 +687,8 @@ class LoopbackFabric(Fabric):
     def schedule_at(self, t: float, fn: Callable[[], None]) -> None:
         with self._lock:
             heapq.heappush(self._heap, (t, next(self._seq), fn))
-            if self.auto_drain:
-                if self._pacer is None:
-                    self._start_pacer()
-                if not self._draining:
-                    self._drain(self._now + self.INLINE_HORIZON_MS)
+            if self.auto_drain and not self._draining:
+                self._drain(self._now + self.INLINE_HORIZON_MS)
 
     def _drain(self, limit: float, max_events: int = 5_000_000) -> int:
         n = 0
@@ -707,21 +704,6 @@ class LoopbackFabric(Fabric):
         finally:
             self._draining = False
         return n
-
-    def _start_pacer(self) -> None:
-        self._pacer_stop.clear()
-        self._pacer = threading.Thread(target=self._pacer_loop,
-                                       name="loopback-pacer", daemon=True)
-        self._pacer.start()
-
-    def _pacer_loop(self) -> None:
-        while not self._pacer_stop.wait(self.PACER_SLEEP_S):
-            with self._lock:
-                if self._draining or not self._heap:
-                    continue
-                # one timer jump per wakeup, then its delivery cascade
-                self._now = max(self._now, self._heap[0][0])
-                self._drain(self._now + self.INLINE_HORIZON_MS)
 
     # -- clock pumping ----------------------------------------------------
 
@@ -753,11 +735,16 @@ class LoopbackFabric(Fabric):
                 fn()
             self._now = target
 
-    def close(self) -> None:
-        if self._pacer is not None:
-            self._pacer_stop.set()
-            self._pacer.join(timeout=5)
-            self._pacer = None
+    def jump(self) -> bool:
+        """Move the clock to the next event and drain out to the horizon
+        from there (not ``step``, whose callbacks would start a nested
+        inline drain); False if nothing is scheduled."""
+        with self._lock:
+            if not self._heap:
+                return False
+            self._now = max(self._now, self._heap[0][0])
+            self._drain(self._now + self.INLINE_HORIZON_MS)
+            return True
 
     # -- delivery -----------------------------------------------------------
 

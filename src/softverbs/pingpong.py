@@ -1,9 +1,9 @@
 """The pingpong benchmark: resource setup, connect, send/recv loop, report.
 
-Two processes (or two threads on the loopback fabric) bounce a fixed-size
-message back and forth. The client owns the first send; each side posts
-a window of receives up front and reposts when the pool runs low, so the
-peer never catches an empty receive queue.
+Two processes (or, on the loopback fabric, two roles taking turns on one
+thread) bounce a fixed-size message back and forth. The client owns the
+first send; each side posts a window of receives up front and reposts
+when the pool runs low, so the peer never catches an empty receive queue.
 """
 
 from __future__ import annotations
@@ -12,10 +12,11 @@ import ipaddress
 import random
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from . import verbs
+from .fabric import LoopbackFabric
 from .oob import DEFAULT_PORT, Destination, exchange_as_client, exchange_as_server
 from .verbs import (
     AccessFlags,
@@ -197,13 +198,14 @@ def _validate_first_recv(ctx: PingpongContext, byte_len: int) -> None:
         raise PingpongError("first message payload is corrupt")
 
 
-def run_loop(ctx: PingpongContext, cfg: PingpongConfig,
-             abort: Optional[threading.Event] = None) -> RunStats:
-    """The send/recv loop with flow-control accounting.
+def _exchanges(ctx: PingpongContext, cfg: PingpongConfig):
+    """The send/recv loop with flow-control accounting, as a generator.
 
-    Polls (or sleeps on the channel in event mode) for up to two
-    completions at a time, reposts receives when the pool would drop to
-    one, and posts the next send once both outstanding kinds completed.
+    Polls for up to two completions at a time, reposts receives when the
+    pool would drop to one, and posts the next send once both
+    outstanding kinds completed. Where it would block it yields what it
+    waits on: the channel in event mode (resumed with the event's CQ),
+    the CQ otherwise.
     """
     iters = cfg.iters
     scnt = rcnt = 0
@@ -220,11 +222,7 @@ def run_loop(ctx: PingpongContext, cfg: PingpongConfig,
         ctx.pending = RECV_WRID
     while rcnt < iters or scnt < iters:
         if cfg.use_event:
-            cq = ctx.channel.get_event(timeout=10.0)
-            if cq is None:
-                if abort is not None and abort.is_set():
-                    raise PingpongError("aborted while waiting for CQ event")
-                continue
+            cq = yield ctx.channel
             num_cq_events += 1
             if num_cq_events >= ctx.rx_depth:
                 cq.ack_events(num_cq_events)
@@ -237,9 +235,7 @@ def run_loop(ctx: PingpongContext, cfg: PingpongConfig,
                 raise PingpongError(f"poll CQ failed: {exc}") from exc
             if wcs or cfg.use_event:
                 break
-            if abort is not None and abort.is_set():
-                raise PingpongError("aborted while polling")
-            ctx.cq.wait_for_completion(timeout=0.25)
+            yield ctx.cq
         for wc in wcs:
             if wc.status is not WcStatus.SUCCESS:
                 raise PingpongError(
@@ -279,6 +275,26 @@ def run_loop(ctx: PingpongContext, cfg: PingpongConfig,
                     iters=iters)
 
 
+def run_loop(ctx: PingpongContext, cfg: PingpongConfig,
+             abort: Optional[threading.Event] = None) -> RunStats:
+    """Drive ``_exchanges`` to the end, blocking on what it waits on;
+    raise once ``abort`` is set while it waits."""
+    loop = _exchanges(ctx, cfg)
+    try:
+        waiting = next(loop)
+        while True:
+            if abort is not None and abort.is_set():
+                raise PingpongError("aborted while waiting for completions")
+            if cfg.use_event:
+                cq = waiting.get_event(timeout=10.0)
+                if cq is not None:
+                    waiting = loop.send(cq)
+            elif waiting.wait_for_completion(timeout=0.25):
+                waiting = loop.send(waiting)
+    except StopIteration as done:
+        return done.value
+
+
 def format_gid(gid: bytes) -> str:
     return ipaddress.IPv6Address(gid).compressed
 
@@ -311,12 +327,10 @@ class NodeResult:
     ctx: PingpongContext
 
 
-def run_node(cfg: PingpongConfig, registry: verbs.DeviceRegistry, fabric,
-             rng: Optional[random.Random] = None,
-             oob_ready: Optional[threading.Event] = None,
-             abort: Optional[threading.Event] = None) -> NodeResult:
-    """One pingpong process: init, attach, exchange, connect, loop, report."""
-    rng = rng or random.Random()
+def open_node(cfg: PingpongConfig, registry: verbs.DeviceRegistry, fabric,
+              rng: random.Random) -> tuple[PingpongContext, Destination]:
+    """The set-up half of a pingpong process: init, attach, post the
+    receives and pick a PSN. Returns the context and its destination."""
     ctx = init_context(registry, cfg)
     fabric.attach(ctx.context, cfg.ib_port)
     ctx.routs = post_receives(ctx, ctx.rx_depth)
@@ -335,11 +349,20 @@ def run_node(cfg: PingpongConfig, registry: verbs.DeviceRegistry, fabric,
     my_psn = rng.getrandbits(32) & 0xFFFFFF
     my_dest = Destination(lid=ctx.portinfo.lid, qpn=ctx.qp.qpn, psn=my_psn,
                           gid=gid)
+    return ctx, my_dest
+
+
+def run_node(cfg: PingpongConfig, registry: verbs.DeviceRegistry, fabric,
+             rng: Optional[random.Random] = None,
+             oob_ready: Optional[threading.Event] = None,
+             abort: Optional[threading.Event] = None) -> NodeResult:
+    """One pingpong process: set up, exchange, connect, loop, report."""
+    ctx, my_dest = open_node(cfg, registry, fabric, rng or random.Random())
     if cfg.is_server:
         rem_dest = exchange_as_server(cfg.oob_port, my_dest, ready=oob_ready)
     else:
         rem_dest = exchange_as_client(cfg.server_host, cfg.oob_port, my_dest)
-    connect_ctx(ctx, my_psn, rem_dest, cfg)
+    connect_ctx(ctx, my_dest.psn, rem_dest, cfg)
     stats = run_loop(ctx, cfg, abort=abort)
     return NodeResult(stats, my_dest, rem_dest,
                       report(stats, my_dest, rem_dest), ctx)
@@ -357,65 +380,55 @@ def cleanup_node(result: NodeResult) -> None:
     ctx.context.close()
 
 
-def run_loopback_pair(base: PingpongConfig, faults=None, timing=None,
-                      hop_latency_ms: float = 1.0, seed: Optional[int] = None,
-                      join_timeout: float = 120.0):
-    """Run both pingpong roles in one process over a loopback fabric.
+def _wake_value(waiting):
+    """What a role waiting on ``waiting`` resumes with: the CQ of the
+    channel's event, or the CQ once it has an entry; None while blocked."""
+    if isinstance(waiting, verbs.CompletionChannel):
+        return waiting.get_event(timeout=0) if waiting.pending else None
+    if waiting.entries or waiting.state is verbs.CqState.ERROR:
+        return waiting
+    return None
 
-    Returns (server NodeResult, client NodeResult, fabric). The fabric's
-    pump thread drains the virtual clock while the two role threads block
-    in their poll loops; the out-of-band exchange runs over localhost.
+
+def run_loopback_pair(base: PingpongConfig, faults=None,
+                      seed: Optional[int] = None):
+    """Run both pingpong roles on the calling thread over a loopback fabric.
+
+    Returns (server NodeResult, client NodeResult, fabric). Each role is
+    connected straight to the other's destination; their ``_exchanges``
+    loops take turns, each resumed once what it waits on is ready, and
+    when both wait the virtual clock jumps to the next event. The run is
+    deterministic for a given seed and fault profile.
     """
-    from dataclasses import replace
-
-    from .fabric import LoopbackFabric
-    from .verbs import DeviceRegistry
-
-    registry = DeviceRegistry()
+    registry = verbs.DeviceRegistry()
     registry.add_device("hca0")
-    fabric = LoopbackFabric(faults=faults, timing=timing, registry=registry,
-                            hop_latency_ms=hop_latency_ms, auto_drain=True)
-    server_cfg = replace(base, server_host=None)
-    client_cfg = replace(base, server_host="127.0.0.1")
-    rng = random.Random(seed) if seed is not None else random.Random()
-    rngs = {"server": random.Random(rng.getrandbits(64)),
-            "client": random.Random(rng.getrandbits(64))}
-    oob_ready = threading.Event()
-    abort = threading.Event()
-    results: dict[str, NodeResult] = {}
-    errors: dict[str, BaseException] = {}
-
-    def run_role(role: str, cfg: PingpongConfig):
-        try:
-            results[role] = run_node(
-                cfg, registry, fabric, rng=rngs[role],
-                oob_ready=oob_ready if role == "server" else None,
-                abort=abort)
-        except BaseException as exc:  # surfaced to the caller below
-            errors[role] = exc
-            abort.set()
-
-    server = threading.Thread(target=run_role, args=("server", server_cfg),
-                              name="pingpong-server")
-    server.start()
-    if not oob_ready.wait(timeout=15.0) and "server" not in errors:
-        abort.set()
-    client = threading.Thread(target=run_role, args=("client", client_cfg),
-                              name="pingpong-client")
-    client.start()
-    server.join(timeout=join_timeout)
-    client.join(timeout=join_timeout)
-    if server.is_alive() or client.is_alive():
-        abort.set()
-        server.join(timeout=5)
-        client.join(timeout=5)
-    fabric.close()  # the world is idle; stop the pacer thread
-    if errors:
-        # surface the root cause, not a secondary abort on the peer side
-        primary = [e for e in errors.values()
-                   if "aborted while" not in str(e)]
-        raise (primary or list(errors.values()))[0]
-    for role in ("server", "client"):
-        if role not in results:
-            raise PingpongError(f"{role} never finished")
-    return results["server"], results["client"], fabric
+    fabric = LoopbackFabric(faults=faults, registry=registry, auto_drain=True)
+    cfgs = [replace(base, server_host=host) for host in (None, "127.0.0.1")]
+    rng = random.Random(seed)
+    ctxs, mine = zip(*(open_node(cfg, registry, fabric,
+                                 random.Random(rng.getrandbits(64)))
+                       for cfg in cfgs))
+    theirs = mine[::-1]
+    for cfg, ctx, me, peer in zip(cfgs, ctxs, mine, theirs):
+        connect_ctx(ctx, me.psn, peer, cfg)
+    loops = [_exchanges(ctx, cfg) for ctx, cfg in zip(ctxs, cfgs)]
+    waits = [next(loop) for loop in loops]
+    stats = {}
+    while len(stats) < len(loops):
+        resumed = False
+        for i, loop in enumerate(loops):
+            value = None if i in stats else _wake_value(waits[i])
+            if value is None:
+                continue
+            resumed = True
+            try:
+                waits[i] = loop.send(value)
+            except StopIteration as done:
+                stats[i] = done.value
+        if not resumed and not fabric.jump():
+            raise PingpongError(
+                "both roles wait for completions and nothing is scheduled")
+    server, client = (NodeResult(stats[i], mine[i], theirs[i],
+                                 report(stats[i], mine[i], theirs[i]), ctxs[i])
+                      for i in range(2))
+    return server, client, fabric

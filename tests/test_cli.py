@@ -1,4 +1,8 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 from conftest import free_port
 from softverbs.cli import build_parser, main
@@ -64,3 +68,18 @@ class TestSocketCli:
         rc = main(["--fabric", "socket",
                    "--fabric-config", str(tmp_path / "missing.conf")])
         assert rc == 1
+
+
+class TestLoopbackScript:
+    def test_runs_from_another_directory(self, tmp_path):
+        script = Path(__file__).resolve().parents[1] / "scripts" / \
+            "run_pingpong_loopback.py"
+        # the script must find the package on its own
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        out = subprocess.run(
+            [sys.executable, str(script), "--iters", "5", "--size", "64",
+             "--faults", "drop=0.1 seed=7"],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+            timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert re.search(r"^wire: \d+ DATA \(minimum 10\)", out.stdout, re.M)

@@ -1,8 +1,10 @@
 import re
+import socket
+import threading
+from collections import Counter
 
 import pytest
 
-from conftest import free_port
 from softverbs.fabric import FaultProfile, LoopbackFabric
 from softverbs.oob import Destination
 from softverbs.pingpong import (
@@ -128,8 +130,7 @@ class TestConnectCtx:
 class TestRunLoop:
     def test_minimal_single_iteration(self):
         server, client, fabric = run_loopback_pair(
-            PingpongConfig(oob_port=free_port(), iters=1, rx_depth=4,
-                           size=64), seed=3)
+            PingpongConfig(iters=1, rx_depth=4, size=64), seed=3)
         for result in (server, client):
             assert result.ctx.rcnt == 1
             assert result.ctx.scnt == 1
@@ -141,8 +142,7 @@ class TestRunLoop:
         assert bytes(client.ctx.buf.data) == b"\x7b" * 64
 
     def test_counters_and_bytes_at_modest_scale(self):
-        cfg = PingpongConfig(oob_port=free_port(), iters=40, rx_depth=8,
-                             size=512)
+        cfg = PingpongConfig(iters=40, rx_depth=8, size=512)
         server, client, fabric = run_loopback_pair(cfg, seed=5)
         for result in (server, client):
             assert result.ctx.rcnt == 40 and result.ctx.scnt == 40
@@ -163,11 +163,9 @@ class TestRunLoop:
         assert starts[0] != starts[1]
 
     def test_fault_profile_same_counters_more_frames(self):
-        cfg = PingpongConfig(oob_port=free_port(), iters=30, rx_depth=8,
-                             size=2048)
+        cfg = PingpongConfig(iters=30, rx_depth=8, size=2048)
         clean_server, _, clean_fabric = run_loopback_pair(cfg, seed=11)
-        cfg2 = PingpongConfig(oob_port=free_port(), iters=30, rx_depth=8,
-                              size=2048)
+        cfg2 = PingpongConfig(iters=30, rx_depth=8, size=2048)
         faulty_server, faulty_client, faulty_fabric = run_loopback_pair(
             cfg2, faults=FaultProfile(drop_probability=0.2, seed=1234),
             seed=11)
@@ -178,10 +176,8 @@ class TestRunLoop:
         assert faulty_frames > clean_frames
 
     def test_event_mode_matches_polling_mode(self):
-        polling = PingpongConfig(oob_port=free_port(), iters=25, rx_depth=6,
-                                 size=256)
-        events = PingpongConfig(oob_port=free_port(), iters=25, rx_depth=6,
-                                size=256, use_event=True)
+        polling = PingpongConfig(iters=25, rx_depth=6, size=256)
+        events = PingpongConfig(iters=25, rx_depth=6, size=256, use_event=True)
         ps, pc, pf = run_loopback_pair(polling, seed=21)
         es, ec, ef = run_loopback_pair(events, seed=21)
         # identical final counters, hence identical Success-CQE multisets
@@ -189,20 +185,66 @@ class TestRunLoop:
             (25, 25)
         assert (pc.ctx.rcnt, pc.ctx.scnt) == (ec.ctx.rcnt, ec.ctx.scnt) == \
             (25, 25)
-        # both modes move the same messages (a rare connect-race
-        # retransmission may add the odd extra frame)
+        # both modes move the same messages, none of them twice
         count_data = lambda f: len([e for e in f.trace
                                     if e.frame.kind is FrameKind.DATA])
-        assert count_data(pf) >= 2 * 25 and count_data(ef) >= 2 * 25
+        assert count_data(pf) == count_data(ef) == 2 * 25
         # all events acknowledged before teardown
         assert es.ctx.cq.unacked_events == 0
         assert ec.ctx.cq.unacked_events == 0
 
 
+class TestLoopbackPair:
+    def test_starts_no_thread_and_opens_no_socket(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the loopback pair must stay in-thread")
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        monkeypatch.setattr(socket, "socket", refuse)
+        monkeypatch.setattr(socket, "create_connection", refuse)
+        server, client, _ = run_loopback_pair(
+            PingpongConfig(iters=20, rx_depth=8, size=256), seed=9)
+        assert server.ctx.rcnt == client.ctx.rcnt == 20
+
+    def test_seeded_faulty_run_is_deterministic(self):
+        def trace():
+            cfg = PingpongConfig(iters=50, rx_depth=8, size=2048)
+            _, _, fabric = run_loopback_pair(
+                cfg, faults=FaultProfile(0.1, 0.05, 0.05, seed=7), seed=3)
+            return [(e.t, e.src_lid, e.frame.kind, e.frame.psn, e.status)
+                    for e in fabric.trace]
+        first = trace()
+        assert {"dropped", "dup"} <= {status for *_, status in first}
+        assert trace() == first
+
+    def test_lossless_round_trip_costs_four_hops(self):
+        server, client, fabric = run_loopback_pair(
+            PingpongConfig(iters=200, size=64), seed=1)
+        kinds = Counter(e.frame.kind for e in fabric.trace)
+        assert kinds[FrameKind.DATA] == 400
+        assert kinds[FrameKind.NAK] == kinds[FrameKind.RNR_NAK] == 0
+        # 64 B is one frame per message
+        starts = [e.t for e in fabric.trace
+                  if e.src_lid == client.my_dest.lid and
+                  e.frame.kind is FrameKind.DATA]
+        gaps = {b - a for a, b in zip(starts, starts[1:])}
+        assert gaps == {4 * fabric.hop_latency_ms}
+
+    def test_stalled_pair_fails_at_once(self, monkeypatch):
+        # frames vanish and no retransmit timer is armed: nothing can
+        # ever complete, and nothing is left on the virtual clock
+        monkeypatch.setattr(LoopbackFabric, "_deliver",
+                            lambda self, src, dlid, frame: None)
+        monkeypatch.setattr(LoopbackFabric, "_arm_tick",
+                            lambda self, qp: None)
+        with pytest.raises(PingpongError, match="nothing is scheduled"):
+            run_loopback_pair(PingpongConfig(iters=3, rx_depth=4, size=64),
+                              seed=1)
+
+
 class TestFlowControl:
     def test_repost_fires_at_one_and_restores_depth(self):
         rx_depth, iters = 5, 23
-        cfg = PingpongConfig(oob_port=free_port(), iters=iters,
+        cfg = PingpongConfig(iters=iters,
                              rx_depth=rx_depth, size=128)
         server, client, _ = run_loopback_pair(cfg, seed=31)
         # oracle: replay the counter arithmetic
@@ -220,15 +262,13 @@ class TestFlowControl:
             assert result.ctx.min_routs >= 1
 
     def test_rx_depth_one_still_alternates(self):
-        cfg = PingpongConfig(oob_port=free_port(), iters=10, rx_depth=1,
-                             size=64)
+        cfg = PingpongConfig(iters=10, rx_depth=1, size=64)
         server, client, _ = run_loopback_pair(cfg, seed=41)
         assert server.ctx.rcnt == client.ctx.rcnt == 10
         assert server.ctx.min_routs >= 1
 
     def test_gid_index_goes_on_the_wire(self):
-        cfg = PingpongConfig(oob_port=free_port(), iters=2, rx_depth=2,
-                             size=64, gid_index=0)
+        cfg = PingpongConfig(iters=2, rx_depth=2, size=64, gid_index=0)
         server, client, _ = run_loopback_pair(cfg, seed=43)
         assert server.my_dest.gid[:2] == b"\xfe\x80"
         assert server.rem_dest.gid == client.my_dest.gid
