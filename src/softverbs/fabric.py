@@ -17,27 +17,34 @@ Two interchangeable transports share the engine:
 * LoopbackFabric: an in-process discrete-event queue driven by a virtual
   clock. Fully deterministic for a given seed and schedule.
 * SocketFabric: one listening stream socket per attached port, LIDs
-  resolved to host/port pairs from a static config file, real time.
+  resolved to host/port pairs from a static config file, real time. It
+  starts no thread: the thread that blocks in a verbs wait moves it.
 
 Both share one per-frame path (drop filter, fault profile, frame trace)
 and one retransmit timer (per-QP deadlines armed through ``schedule``);
-a transport supplies only ``now_ms``, ``schedule`` and ``_deliver``.
+a transport supplies ``now_ms``, ``schedule`` and ``_deliver``, and
+``wait_until``, the blocking wait of the verbs objects.
 
 Engine callbacks (on_data / on_ack / on_timeout_tick) run serialized
-under the world lock shared with the verbs objects; user code never runs
-on the fabric's execution context.
+under the world lock shared with the verbs objects, on the caller's
+thread: the one that pumps the loopback clock, or on sockets the one
+waiting in ``wait_for_completion`` or ``get_event``, which gets any
+exception they raise. User code never runs inside them.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import random
+import select
 import socket
 import threading
 import time
-import traceback
+import weakref
 from collections import deque
+from contextlib import suppress
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
@@ -45,6 +52,7 @@ from .verbs import (
     CompletionEntry,
     DeviceContext,
     PortState,
+    Progress,
     QpState,
     QueuePair,
     VerbsError,
@@ -53,6 +61,7 @@ from .verbs import (
 )
 from .wire import (
     Frame,
+    FrameDecodeError,
     FrameKind,
     PSN_MASK,
     SegMark,
@@ -206,8 +215,11 @@ class TraceEvent(NamedTuple):
     status: str  # sent | dup | dropped | unrouted | injected
 
 
-class Fabric:
-    """Transport-independent engine; subclasses supply clock and delivery."""
+class Fabric(Progress):
+    """Transport-independent engine; subclasses supply clock and delivery.
+
+    The verbs waits go through its ``Progress`` methods; the loopback
+    clock is pumped by its own driver, so the base ones only wait."""
 
     def __init__(self, faults: FaultProfile | None = None,
                  timing: TimingTables | None = None,
@@ -222,6 +234,9 @@ class Fabric:
         self.dup_extra_ms = 0.5
         self.reorder_extra_ms = 2.5
         self.trace: list[TraceEvent] = []
+        # the heap behind schedule: (time, sequence, callback)
+        self._timers: list = []
+        self._seq = itertools.count()
         self._rng = random.Random(self.faults.seed)
         self._registry = registry
         self._lock = registry.lock if registry is not None else threading.RLock()
@@ -297,7 +312,7 @@ class Fabric:
         raise NotImplementedError
 
     def close(self) -> None:
-        """Stop the transport's threads and sockets, if it has any."""
+        """Release the transport's sockets, if it has any."""
 
     # -- retransmit timer ----------------------------------------------------
 
@@ -674,8 +689,6 @@ class LoopbackFabric(Fabric):
         self.reorder_extra_ms = hop_latency_ms * 2.5
         self.auto_drain = auto_drain
         self._now = 0.0
-        self._heap: list = []
-        self._seq = itertools.count()
         self._draining = False
 
     def now_ms(self) -> float:
@@ -686,7 +699,7 @@ class LoopbackFabric(Fabric):
 
     def schedule_at(self, t: float, fn: Callable[[], None]) -> None:
         with self._lock:
-            heapq.heappush(self._heap, (t, next(self._seq), fn))
+            heapq.heappush(self._timers, (t, next(self._seq), fn))
             if self.auto_drain and not self._draining:
                 self._drain(self._now + self.INLINE_HORIZON_MS)
 
@@ -694,8 +707,8 @@ class LoopbackFabric(Fabric):
         n = 0
         self._draining = True
         try:
-            while self._heap and self._heap[0][0] <= limit:
-                t, _, fn = heapq.heappop(self._heap)
+            while self._timers and self._timers[0][0] <= limit:
+                t, _, fn = heapq.heappop(self._timers)
                 self._now = max(self._now, t)
                 fn()
                 n += 1
@@ -710,9 +723,9 @@ class LoopbackFabric(Fabric):
     def step(self) -> bool:
         """Process the next scheduled event, advancing the clock to it."""
         with self._lock:
-            if not self._heap:
+            if not self._timers:
                 return False
-            t, _, fn = heapq.heappop(self._heap)
+            t, _, fn = heapq.heappop(self._timers)
             self._now = max(self._now, t)
             fn()
             return True
@@ -729,8 +742,8 @@ class LoopbackFabric(Fabric):
         """Advance the clock by ms, processing everything due on the way."""
         with self._lock:
             target = self._now + ms
-            while self._heap and self._heap[0][0] <= target:
-                t, _, fn = heapq.heappop(self._heap)
+            while self._timers and self._timers[0][0] <= target:
+                t, _, fn = heapq.heappop(self._timers)
                 self._now = max(self._now, t)
                 fn()
             self._now = target
@@ -740,9 +753,9 @@ class LoopbackFabric(Fabric):
         from there (not ``step``, whose callbacks would start a nested
         inline drain); False if nothing is scheduled."""
         with self._lock:
-            if not self._heap:
+            if not self._timers:
                 return False
-            self._now = max(self._now, self._heap[0][0])
+            self._now = max(self._now, self._timers[0][0])
             self._drain(self._now + self.INLINE_HORIZON_MS)
             return True
 
@@ -840,91 +853,90 @@ def load_fabric_config(path) -> FabricConfig:
         return parse_fabric_config(fh.read())
 
 
-def _recv_exact(sock: socket.socket, n: int) -> Optional[bytes]:
-    buf = b""
-    while len(buf) < n:
-        chunk = sock.recv(n - len(buf))
-        if not chunk:
-            return None
-        buf += chunk
-    return buf
+class _ManualProgress:
+    """Moves every open SocketFabric of the process, from whichever thread
+    blocks in a verbs wait: libfabric's manual progress model.
 
+    One thread at a time moves. It holds ``mover``, which is only ever
+    taken without blocking, and fires the due timers and polls the
+    sockets of every open fabric until what it waits for is ready. Every
+    other waiter sleeps on its own CQ or channel condition; a CQE wakes
+    it, and so does the mover's hand-over when it stops, so that one of
+    them takes over. A thread that arms a timer, gives the mover another
+    socket to watch or flushes a queue cuts its poll short through a
+    socket pair.
+    """
 
-class _Writer:
-    """Owns one outbound connection; sends happen off the world lock."""
+    def __init__(self):
+        self.fabrics: "weakref.WeakSet[SocketFabric]" = weakref.WeakSet()
+        self.lock = threading.Lock()  # guards fabrics and sleepers
+        self.mover = threading.Lock()
+        self.sleepers: set[threading.Condition] = set()
+        self.polling = False  # the mover is in poll(), or about to be
+        # opened with the first SocketFabric
+        self.wake_pair: Optional[tuple[socket.socket, socket.socket]] = None
 
-    def __init__(self, host: str, port: int, stop: threading.Event):
-        self.host = host
-        self.port = port
-        self._stop = stop
-        self._queue: deque[bytes] = deque()
-        self._cond = threading.Condition()
-        self._busy = False
-        self._sock: Optional[socket.socket] = None
-        self.thread = threading.Thread(target=self._run, daemon=True,
-                                       name=f"fabric-writer-{host}:{port}")
-        self.thread.start()
+    def wake(self) -> None:
+        if self.polling:
+            with suppress(BlockingIOError):  # full: the mover wakes anyway
+                self.wake_pair[1].send(b"\0", socket.MSG_DONTWAIT)
 
-    def send(self, data: bytes) -> None:
-        with self._cond:
-            self._queue.append(data)
-            self._cond.notify()
-
-    def flush(self, deadline: float) -> bool:
-        """Wait until queued frames hit the wire (teardown wants the
-        peer to see our final acks)."""
-        while time.monotonic() < deadline:
-            with self._cond:
-                if not self._queue and not self._busy:
-                    return True
-            time.sleep(0.002)
-        return False
-
-    def close(self) -> None:
-        with self._cond:
-            self._cond.notify_all()
-
-    def _dial(self) -> Optional[socket.socket]:
-        for _ in range(3):
+    def wait(self, cond, ready, timeout) -> bool:
+        deadline = math.inf if timeout is None else time.monotonic() + timeout
+        while True:
+            with cond:
+                left = deadline - time.monotonic()
+                if ready() or left <= 0:
+                    return ready()
+                # registered before the try, so that a hand-over cannot
+                # slip in between a failed try and the sleep
+                with self.lock:
+                    self.sleepers.add(cond)
+                if not self.mover.acquire(blocking=False):
+                    cond.wait(None if left == math.inf else left)
+                    continue
             try:
-                sock = socket.create_connection((self.host, self.port),
-                                                timeout=2.0)
-                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                return sock
-            except OSError:
-                if self._stop.wait(0.05):
-                    return None
-        return None
-
-    def _run(self) -> None:
-        while not self._stop.is_set():
-            with self._cond:
-                while not self._queue and not self._stop.is_set():
-                    self._cond.wait(0.2)
-                if self._stop.is_set():
-                    break
-                data = self._queue.popleft()
-                self._busy = True
-            if self._sock is None:
-                self._sock = self._dial()
-            try:
-                if self._sock is not None:
-                    self._sock.sendall(data)
-                # else: frame lost; retransmission recovers
-            except OSError:
-                try:
-                    self._sock.close()
-                except OSError:
-                    pass
-                self._sock = None
+                return self._move(cond, ready, deadline)
             finally:
-                with self._cond:
-                    self._busy = False
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:
-                pass
+                self.polling = False
+                self.mover.release()
+                with self.lock:
+                    sleepers, self.sleepers = self.sleepers, set()
+                for sleeper in sleepers:
+                    with sleeper:
+                        sleeper.notify_all()
+
+    def _move(self, cond, ready, deadline: float) -> bool:
+        """The mover's loop: fire the due timers, then poll every socket
+        the open fabrics watch, until the next timer or the deadline (on
+        the monotonic clock, in seconds). What an engine callback raises
+        goes to the caller."""
+        wake_r = self.wake_pair[0]
+        while True:
+            poller = select.poll()
+            poller.register(wake_r, select.POLLIN)
+            handlers = {wake_r.fileno(): (wake_r.recv, 4096)}  # drain it
+            with self.lock:
+                fabrics = list(self.fabrics)
+            # set before the timer heaps and sockets are read, so that
+            # what another thread adds after that read wakes the poll
+            self.polling = True
+            until = min([deadline * 1e3] + [f._fire_and_watch(poller, handlers)
+                                            for f in fabrics])
+            with cond:
+                if ready():
+                    return True
+            if time.monotonic() >= deadline:
+                return False
+            events = poller.poll(None if until == math.inf else
+                                 max(0.0, until - time.monotonic() * 1e3))
+            self.polling = False
+            for fd, _ in events:
+                handler, arg = handlers[fd]
+                handler(arg)
+
+
+_MANUAL = _ManualProgress()
 
 
 class SocketFabric(Fabric):
@@ -934,28 +946,35 @@ class SocketFabric(Fabric):
     whose address it can bind. Frames are written one per record in the
     codec layout. Faults and the frame trace work as on loopback: a
     reordered or duplicated copy is written after its extra delay, and
-    every frame the engine emits lands in ``trace``. A ticker thread
-    runs the timer heap behind ``schedule``, which holds the delayed
-    copies and the per-QP retransmit deadlines.
-    """
+    every frame the engine emits lands in ``trace``.
 
-    TICK_S = 0.005
+    The fabric starts no thread (manual progress). A frame is written on
+    the thread that emits it, without blocking; what the socket does not
+    take is queued and written once the socket is writable. A LID with
+    no config entry, or whose dial fails, is unrouted. Accepting,
+    reading, dispatching and the timer heap behind ``schedule`` (the
+    delayed copies and the per-QP retransmit deadlines) run in
+    ``wait_until``, on the thread that blocks in ``wait_for_completion``
+    or ``get_event``. That wait moves every open SocketFabric in the
+    process, and raises what an engine callback raised. ``poll`` never
+    moves the fabric.
+    """
 
     def __init__(self, config: FabricConfig, faults=None, timing=None,
                  registry=None):
-        if faults is None:
-            faults = config.faults
-        super().__init__(faults, timing, registry)
+        super().__init__(faults or config.faults, timing, registry)
         self.config = config
         self._entry_by_lid = {e.lid: e for e in config.entries}
-        self._stop = threading.Event()
-        self._listeners: dict[int, socket.socket] = {}
-        self._conns: set[socket.socket] = set()  # accepted, one per reader
-        self._writers: dict[int, _Writer] = {}
-        self._threads: list[threading.Thread] = []
-        self._timers: list = []
-        self._timer_seq = itertools.count()
-        self._ticker: Optional[threading.Thread] = None
+        self._listeners: dict[socket.socket, int] = {}  # to their LID
+        # accepted connections: the LID they deliver to, and the bytes
+        # read that do not make a whole frame yet
+        self._conns: dict[socket.socket, tuple[int, bytearray]] = {}
+        self._peers: dict[int, socket.socket] = {}  # dialled, by LID
+        # bytes a dialled socket has not taken yet
+        self._unsent: dict[socket.socket, bytearray] = {}
+        with _MANUAL.lock:
+            _MANUAL.fabrics.add(self)
+            _MANUAL.wake_pair = _MANUAL.wake_pair or socket.socketpair()
 
     def now_ms(self) -> float:
         return time.monotonic() * 1000.0
@@ -963,13 +982,18 @@ class SocketFabric(Fabric):
     def schedule(self, delay_ms: float, fn: Callable[[], None]) -> None:
         with self._lock:
             heapq.heappush(self._timers, (self.now_ms() + delay_ms,
-                                          next(self._timer_seq), fn))
+                                          next(self._seq), fn))
+        _MANUAL.wake()
+
+    def wait_until(self, cond, ready, timeout) -> bool:
+        return _MANUAL.wait(cond, ready, timeout)
+
+    def wake(self) -> None:
+        _MANUAL.wake()
 
     def _assign_lid(self, context: DeviceContext, port: int) -> int:
         last_err = None
         for entry in self.config.entries:
-            if entry.lid in self._listeners:
-                continue
             lsock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
             lsock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
             try:
@@ -979,129 +1003,143 @@ class SocketFabric(Fabric):
                 lsock.close()
                 last_err = exc
                 continue
-            self._listeners[entry.lid] = lsock
+            lsock.setblocking(False)
+            self._listeners[lsock] = entry.lid
+            _MANUAL.wake()
             return entry.lid
         raise VerbsError(f"no bindable fabric config entry ({last_err})")
 
-    def attach(self, context: DeviceContext, port: int = 1) -> int:
-        lid = super().attach(context, port)
-        ep = self.routing[lid]
-        t = threading.Thread(target=self._accept_loop,
-                             args=(self._listeners[lid], ep),
-                             name=f"fabric-accept-{lid}", daemon=True)
-        t.start()
-        self._threads.append(t)
-        if self._ticker is None:
-            self._ticker = threading.Thread(target=self._ticker_loop,
-                                            name="fabric-ticker", daemon=True)
-            self._ticker.start()
-        return lid
-
     def close(self) -> None:
-        # drain outbound queues first: the peer may still be waiting on
-        # our final acks, and a dropped ack turns into its retry storm
-        deadline = time.monotonic() + 2.0
-        for writer in list(self._writers.values()):
-            writer.flush(deadline)
-        self._stop.set()
-        for lsock in self._listeners.values():
-            try:
-                # close() alone leaves a thread blocked in accept() asleep
-                lsock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                lsock.close()
-            except OSError:
-                pass
+        """Write out the queued bytes, for 2 s per socket at most (the peer
+        may still wait on our final acks), then close every socket.
+        Pending timers are dropped, and later frames are unrouted."""
+        with _MANUAL.lock:
+            _MANUAL.fabrics.discard(self)
+        _MANUAL.wake()
         with self._lock:
-            conns, self._conns = self._conns, set()
-        for conn in conns:
+            for sock, pending in self._unsent.items():
+                with suppress(OSError):
+                    sock.settimeout(2.0)
+                    sock.sendall(pending)
+            for sock in [*self._listeners, *self._conns,
+                         *self._peers.values()]:
+                sock.close()
+            for held in (self._listeners, self._conns, self._peers,
+                         self._unsent, self._entry_by_lid, self._timers):
+                held.clear()
+
+    # -- progress, made by the thread that waits --------------------------
+
+    def _fire_and_watch(self, poller, handlers: dict) -> float:
+        """Fire the due timers, register each socket to poll, with its
+        handler by descriptor in ``handlers``, and return when the next
+        timer is due."""
+        with self._lock:
+            while self._timers and self._timers[0][0] <= self.now_ms():
+                heapq.heappop(self._timers)[2]()
+            for socks, events, handler in (
+                    (self._listeners, select.POLLIN, self._accept_conn),
+                    (self._conns, select.POLLIN, self._read),
+                    (self._unsent, select.POLLOUT, self._flush)):
+                for sock in socks:
+                    poller.register(sock, events)
+                    handlers[sock.fileno()] = handler, sock
+            return self._timers[0][0] if self._timers else math.inf
+
+    def _accept_conn(self, lsock: socket.socket) -> None:
+        with self._lock:
             try:
-                # wakes the reader blocked in recv(); it closes the socket
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-        for writer in self._writers.values():
-            writer.close()
-        if self._ticker is not None:
-            self._ticker.join(timeout=2)
+                conn, _ = lsock.accept()
+            except OSError:  # closed, or the peer gave up
+                return
+            conn.setblocking(False)
+            self._conns[conn] = (self._listeners[lsock], bytearray())
+
+    def _read(self, conn: socket.socket) -> None:
+        """Read what the connection has and dispatch each whole frame; end
+        of stream, a socket error or a bad frame closes it."""
+        with self._lock:
+            try:
+                data = conn.recv(65536)
+            except BlockingIOError:
+                return
+            except OSError:  # reset, or closed by close()
+                data = b""
+            lid, buf = self._conns.get(conn, (None, bytearray()))
+            buf += data
+            try:
+                while data and len(buf) >= HEADER_LEN:
+                    end = HEADER_LEN + frame_body_length(
+                        bytes(buf[:HEADER_LEN]))
+                    if len(buf) < end:
+                        return
+                    frame = decode_frame(bytes(buf[:end]))
+                    del buf[:end]
+                    if lid in self.routing:
+                        self.routing[lid].dispatch(frame)
+            except FrameDecodeError:
+                data = b""
+            if not data:
+                self._conns.pop(conn, None)
+                conn.close()
 
     # -- wire ----------------------------------------------------------------
 
     def bind_qp(self, qp: QueuePair, endpoint: Endpoint) -> None:
-        """Also start the writer towards the peer's LID, now that the QP
-        knows it, rather than on the first frame's path."""
+        """Also dial the peer's LID, now that the QP knows it, rather than
+        on the first frame's path."""
         super().bind_qp(qp, endpoint)
-        self._writer_for(qp.attrs.ah.dlid)
+        self._peer(qp.attrs.ah.dlid)
 
-    def _writer_for(self, dlid: int) -> Optional[_Writer]:
-        writer = self._writers.get(dlid)
-        if writer is None:
-            entry = self._entry_by_lid.get(dlid)
-            if entry is None:
+    def _peer(self, dlid: int) -> Optional[socket.socket]:
+        """The connection to ``dlid``, dialled if there is none yet or it
+        was dropped; None if ``dlid`` has no config entry or the dial
+        fails."""
+        sock = self._peers.get(dlid)
+        entry = self._entry_by_lid.get(dlid)
+        if entry is not None and (sock is None or sock.fileno() == -1):
+            try:
+                sock = socket.create_connection((entry.host, entry.port),
+                                                timeout=2.0)
+            except OSError:
                 return None
-            writer = _Writer(entry.host, entry.port, self._stop)
-            self._writers[dlid] = writer
-        return writer
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            sock.setblocking(False)
+            self._peers[dlid] = sock
+        return sock
 
     def _deliver(self, src: Optional[Endpoint], dlid: int, frame: Frame) -> None:
-        writer = self._writer_for(dlid)
-        copies = self._wire_copies(src, dlid, frame, writer is not None)
+        sock = self._peer(dlid)
+        copies = self._wire_copies(src, dlid, frame, sock is not None)
         data = encode_frame(frame) if copies else b""
         for extra in copies:
             if extra:
-                self.schedule(extra, lambda: writer.send(data))
+                self.schedule(extra, lambda: self._write(sock, data))
             else:
-                writer.send(data)
+                self._write(sock, data)
 
-    def _accept_loop(self, lsock: socket.socket, ep: Endpoint) -> None:
-        while not self._stop.is_set():
-            try:
-                conn, _ = lsock.accept()
-            except OSError:
+    def _write(self, sock: socket.socket, data: bytes) -> None:
+        """Queue ``data`` behind what the socket has not taken yet and send
+        what it takes now."""
+        self._unsent.setdefault(sock, bytearray()).extend(data)
+        self._flush(sock)
+        if sock in self._unsent:
+            _MANUAL.wake()  # a socket to poll for writing
+
+    def _flush(self, sock: socket.socket) -> None:
+        """Send what the socket takes without blocking. A socket error
+        closes it, and the next frame redials; retransmission recovers
+        what was lost with it."""
+        with self._lock:
+            pending = self._unsent.get(sock)
+            if pending is None:
                 return
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            with self._lock:
-                if self._stop.is_set():
-                    conn.close()
-                    return
-                self._conns.add(conn)
-            t = threading.Thread(target=self._reader_loop, args=(conn, ep),
-                                 name="fabric-reader", daemon=True)
-            t.start()
-            self._threads.append(t)
-
-    def _reader_loop(self, conn: socket.socket, ep: Endpoint) -> None:
-        try:
-            while not self._stop.is_set():
-                header = _recv_exact(conn, HEADER_LEN)
-                if header is None:
-                    return
-                body_len = frame_body_length(header)
-                body = _recv_exact(conn, body_len) if body_len else b""
-                if body is None:
-                    return
-                frame = decode_frame(header + body)
-                with self._lock:
-                    ep.dispatch(frame)
-        except (OSError, ValueError):
-            return
-        finally:
-            with self._lock:
-                self._conns.discard(conn)
             try:
-                conn.close()
+                del pending[:sock.send(pending)]
+            except BlockingIOError:
+                return
             except OSError:
-                pass
-
-    def _ticker_loop(self) -> None:
-        while not self._stop.wait(self.TICK_S):
-            with self._lock:
-                now = self.now_ms()
-                while self._timers and self._timers[0][0] <= now:
-                    _, _, fn = heapq.heappop(self._timers)
-                    try:
-                        fn()
-                    except Exception:
-                        traceback.print_exc()
+                pending.clear()
+                sock.close()
+            if not pending:
+                del self._unsent[sock]

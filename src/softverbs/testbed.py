@@ -1,9 +1,12 @@
 """Two-node rig: one emulated host side per ``Node``, wired by
-``connect_pair`` through RESET -> INIT -> RTR -> RTS.
+``connect_pair`` through RESET -> INIT -> RTR -> RTS, and ``free_port``
+for the TCP ports a socket test binds.
 
 Shared by the test suite and the scripts that drive a fabric directly
 (``scripts/fault_sweep.py``); the pingpong program does its own set-up.
 """
+
+import socket
 
 from .verbs import (
     AccessFlags,
@@ -25,6 +28,27 @@ RTR_MASK = (AttrMask.STATE | AttrMask.AV | AttrMask.PATH_MTU |
             AttrMask.MAX_DEST_RD_ATOMIC | AttrMask.MIN_RNR_TIMER)
 RTS_MASK = (AttrMask.STATE | AttrMask.TIMEOUT | AttrMask.RETRY_CNT |
             AttrMask.RNR_RETRY | AttrMask.SQ_PSN | AttrMask.MAX_QP_RD_ATOMIC)
+
+_PORTS = iter(range(20000, 32768))  # below Linux's default ephemeral range
+
+
+def free_port() -> int:
+    """The next port below the ephemeral range that nothing has bound.
+
+    A port the kernel picks for a bind to port 0 lies in the ephemeral
+    range, where any connect() can take it as its local port before the
+    caller binds it, which fails with EADDRINUSE. Below that range only
+    an explicit bind takes a port. Ports are handed out in turn, never
+    twice in one process.
+    """
+    for port in _PORTS:
+        with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as s:
+            try:
+                s.bind(("127.0.0.1", port))
+            except OSError:
+                continue
+            return port
+    raise OSError("no free port left below the ephemeral range")
 
 
 class Node:

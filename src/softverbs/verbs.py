@@ -9,8 +9,11 @@ port is attached to.
 All objects under one DeviceRegistry share a single re-entrant lock, so
 resource creation, modify_qp, posting, and polling are atomic with
 respect to each other and to fabric callbacks. No call here blocks except
-CompletionChannel.get_event and CompletionQueue.destroy (which waits for
-event acks).
+CompletionQueue.wait_for_completion, CompletionChannel.get_event and
+CompletionQueue.destroy (which waits for event acks). The first two
+block through the attached fabric's ``Progress``; on a socket fabric the
+waiting thread moves the fabric while it waits, so engine errors raise
+there. ``poll`` never blocks and never moves a fabric.
 """
 
 from __future__ import annotations
@@ -308,6 +311,27 @@ class DeviceRegistry:
             return DeviceContext(self, device)
 
 
+class Progress:
+    """How the blocking verbs waits get their events. This base waits on
+    the condition alone: the fabric moves by itself, or its driver pumps
+    it. A fabric that moves only while someone waits (SocketFabric)
+    overrides both methods."""
+
+    def wait_until(self, cond, ready, timeout) -> bool:
+        """Block on ``cond`` until ``ready()`` holds or ``timeout`` seconds
+        pass; True if it holds."""
+        with cond:
+            return cond.wait_for(ready, timeout)
+
+    def wake(self) -> None:
+        """CQEs or a channel event come from outside the fabric (a flush
+        or a destroyed channel, on any thread): cut short a wait that
+        would miss them. The fabric's own CQEs need no wake."""
+
+
+_UNATTACHED = Progress()  # for a context with no port attached
+
+
 class DeviceContext:
     """An open handle on a device; parent of PDs, CQs, and channels."""
 
@@ -333,6 +357,12 @@ class DeviceContext:
     def _check_open(self):
         if not self.open:
             raise VerbsError("context is closed")
+
+    def _progress(self) -> "Progress":
+        """The fabric a port is attached to, which the waits go through."""
+        with self.lock:
+            return next((e.fabric for e in self._attachments.values()),
+                        _UNATTACHED)
 
     def alloc_buffer(self, size: int, align: int = PAGE_SIZE) -> Buffer:
         """Hand out a fresh buffer at an aligned emulated address."""
@@ -510,15 +540,16 @@ class CompletionChannel:
         Returns None on timeout (when one is given); raises if the channel
         is destroyed while waiting.
         """
-        with self._cond:
-            while not self.pending:
+        while self.context._progress().wait_until(
+                self._cond, lambda: self.pending or self.destroyed, timeout):
+            with self._cond:
+                if self.pending:
+                    cq = self.pending.popleft()
+                    cq.unacked_events += 1
+                    return cq
                 if self.destroyed:
                     raise VerbsError("completion channel destroyed")
-                if not self._cond.wait(timeout):
-                    return None
-            cq = self.pending.popleft()
-            cq.unacked_events += 1
-            return cq
+        return None
 
     def destroy(self) -> None:
         with self._cond:
@@ -528,6 +559,7 @@ class CompletionChannel:
             if self in self.context._channels:
                 self.context._channels.remove(self)
             self._cond.notify_all()
+            self.context._progress().wake()
 
 
 class CompletionQueue:
@@ -579,10 +611,9 @@ class CompletionQueue:
 
         Purely a convenience for poll loops; poll() itself never blocks.
         """
-        with self._entry_cond:
-            if self.entries or self.state is CqState.ERROR:
-                return True
-            return self._entry_cond.wait(timeout)
+        return self.context._progress().wait_until(
+            self._entry_cond,
+            lambda: bool(self.entries) or self.state is CqState.ERROR, timeout)
 
     def req_notify(self) -> None:
         """Arm a one-shot event: the next CQE pushes this CQ to its channel."""
@@ -748,6 +779,9 @@ class QueuePair:
 
     def _flush_queues(self) -> None:
         """Error out every posted-but-unprocessed WQE."""
+        # a modify on any thread flushes: a mover polling sockets for a
+        # wait on these CQs would not see it
+        self.context._progress().wake()
         while self.recv_queue:
             wqe = self.recv_queue.popleft()
             self.recv_cq._push(CompletionEntry(

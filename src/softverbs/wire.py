@@ -150,4 +150,7 @@ def frame_body_length(header: bytes) -> int:
         raise FrameDecodeError("bad magic in stream header")
     if header[2] != FrameKind.DATA:
         return 0
-    return int.from_bytes(header[10:14], "big")
+    length = int.from_bytes(header[10:14], "big")
+    if length > MAX_PAYLOAD:
+        raise FrameDecodeError(f"payload length {length} over limit")
+    return length

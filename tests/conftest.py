@@ -1,7 +1,6 @@
-import socket
-
 import pytest
 
+from softverbs import fabric as fabric_module
 from softverbs.fabric import LoopbackFabric
 from softverbs.testbed import (  # noqa: F401  (re-exported to the tests)
     INIT_MASK,
@@ -9,6 +8,7 @@ from softverbs.testbed import (  # noqa: F401  (re-exported to the tests)
     RTS_MASK,
     Node,
     connect_pair,
+    free_port,
     to_init,
     to_rtr,
     to_rts,
@@ -16,10 +16,15 @@ from softverbs.testbed import (  # noqa: F401  (re-exported to the tests)
 from softverbs.verbs import DeviceRegistry
 
 
-def free_port():
-    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as s:
-        s.bind(("127.0.0.1", 0))
-        return s.getsockname()[1]
+@pytest.fixture(autouse=True)
+def no_socket_fabric_left_open():
+    """Fail a test that leaves a SocketFabric open: every later wait on a
+    socket fabric would go on polling its sockets and firing its timers."""
+    yield
+    left = list(fabric_module._MANUAL.fabrics)
+    for fabric in left:
+        fabric.close()
+    assert not left, f"{len(left)} SocketFabric(s) left open"
 
 
 @pytest.fixture

@@ -1,10 +1,12 @@
 import random
+import sys
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
-from conftest import Node, connect_pair, free_port
+from conftest import Node, connect_pair, free_port, to_init, to_rtr, to_rts
 from softverbs.fabric import (
     FabricConfig,
     FabricConfigEntry,
@@ -12,7 +14,15 @@ from softverbs.fabric import (
     SocketFabric,
     TimingTables,
 )
-from softverbs.verbs import DeviceRegistry, VerbsError, WcStatus
+from softverbs.pingpong import PingpongConfig, cleanup_node, run_node
+from softverbs.verbs import (
+    AttrMask,
+    DeviceRegistry,
+    ModifyAttributes,
+    QpState,
+    VerbsError,
+    WcStatus,
+)
 from softverbs.wire import (
     HEADER_LEN,
     Frame,
@@ -234,22 +244,171 @@ def test_close_stops_its_readers_while_the_peer_stays_open(two_fabrics):
     a.post_send(2, b"hello")
     assert len(wait_for(b.cq, 1)) == 1
     assert len(wait_for(a.cq, 1)) == 1
-    # fab_b now runs a reader for fab_a's connection; fab_a stays open
-    assert any(t.name == "fabric-reader" for t in fab_b._threads)
+    # fab_b's listener, the connection it accepted from fab_a and the one
+    # it dialled to fab_a
+    socks = [*fab_b._listeners, *fab_b._conns, *fab_b._peers.values()]
+    assert len(socks) == 3
     fab_b.close()
-    deadline = time.monotonic() + 1.0
-    while any(t.is_alive() for t in fab_b._threads) and \
-            time.monotonic() < deadline:
-        time.sleep(0.01)
-    assert [t.name for t in fab_b._threads if t.is_alive()] == []
+    assert [s.fileno() for s in socks] == [-1] * 3
+    # fab_a stays open: its wait sees fab_b's end of stream, no error
+    assert a.cq.wait_for_completion(timeout=0.2) is False
+    assert not fab_a._conns
 
 
 def test_writer_to_the_peer_starts_when_the_qp_is_connected(two_fabrics):
     (reg_a, reg_b), (fab_a, fab_b) = two_fabrics
     a = Node(reg_a, fab_a)
     b = Node(reg_b, fab_b)
-    assert not fab_a._writers
+    assert not fab_a._peers
     connect_pair(a, b)
-    assert set(fab_a._writers) == {b.lid}
-    assert set(fab_b._writers) == {a.lid}
-    assert fab_a._writers[b.lid].thread.is_alive()
+    assert set(fab_a._peers) == {b.lid}
+    assert set(fab_b._peers) == {a.lid}
+    [listener] = fab_b._listeners
+    assert fab_a._peers[b.lid].getpeername() == listener.getsockname()
+
+
+class EngineFault(Exception):
+    pass
+
+
+def test_a_timer_callback_error_reaches_the_waiting_caller(two_fabrics):
+    (reg_a, reg_b), (fab_a, fab_b) = two_fabrics
+    a = Node(reg_a, fab_a)
+    b = Node(reg_b, fab_b)
+    connect_pair(a, b)
+
+    def fail():
+        raise EngineFault("timer")
+
+    fab_a.schedule(0, fail)
+    with pytest.raises(EngineFault):
+        a.cq.wait_for_completion(1.0)
+
+
+def test_a_dispatch_error_reaches_the_waiting_caller(two_fabrics,
+                                                     monkeypatch):
+    (reg_a, reg_b), (fab_a, fab_b) = two_fabrics
+    a = Node(reg_a, fab_a)
+    b = Node(reg_b, fab_b)
+    connect_pair(a, b)
+    b.post_recv(1)
+
+    def fail(qp, frame):
+        raise EngineFault("on_data")
+
+    monkeypatch.setattr(fab_b, "on_data", fail)
+    a.post_send(2, b"hello")
+    with pytest.raises(EngineFault):
+        wait_for(b.cq, 1)
+
+
+def test_a_flush_on_another_thread_ends_a_socket_wait_at_once(two_fabrics):
+    (reg_a, reg_b), (fab_a, fab_b) = two_fabrics
+    a = Node(reg_a, fab_a)
+    b = Node(reg_b, fab_b)
+    connect_pair(a, b)
+    a.post_recv(1)
+    waited = []
+
+    def wait():
+        start = time.monotonic()
+        ok = a.cq.wait_for_completion(timeout=5.0)
+        waited.append((ok, time.monotonic() - start))
+
+    waiter = threading.Thread(target=wait)
+    waiter.start()
+    time.sleep(0.2)  # the waiter now moves both fabrics, in its poll
+    a.qp.modify(ModifyAttributes(state=QpState.ERR), AttrMask.STATE)
+    waiter.join(timeout=5.0)
+    assert not waiter.is_alive()
+    [(ok, took)] = waited
+    assert ok and took < 2.0
+    assert [wc.status for wc in a.cq.poll(1)] == [WcStatus.WR_FLUSHED]
+
+
+def test_unreachable_peer_is_traced_unrouted_and_fails_the_send(
+        make_fabrics):
+    (reg_a, _), (fab_a, _) = make_fabrics(timing=FAST_TIMEOUT)
+    a = Node(reg_a, fab_a)  # LID 1; nothing listens on LID 2's port
+    to_init(a.qp)
+    to_rtr(a.qp, 2, 0x123, 0)
+    to_rts(a.qp, 100, retry_cnt=1)
+    a.post_send(1, b"nobody home")
+    assert [wc.status for wc in wait_for(a.cq, 1)] == \
+        [WcStatus.RETRY_EXCEEDED]
+    data = [e.status for e in fab_a.trace if e.frame.kind is FrameKind.DATA]
+    assert data == ["unrouted"] * 2  # the first copy and its one retry
+
+
+def test_socket_fabrics_start_no_thread(make_fabrics, monkeypatch):
+    def refuse(thread):
+        raise AssertionError(f"thread {thread.name} started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    (reg_a, reg_b), (fab_a, fab_b) = make_fabrics()
+    a = Node(reg_a, fab_a)
+    b = Node(reg_b, fab_b)
+    connect_pair(a, b)
+    payload = bytes(range(256)) * 8  # 2 KiB, two frames at mtu 1024
+    a.post_recv(1, length=len(payload))
+    b.post_recv(1, length=len(payload))
+    a.post_send(2, payload[::-1], off=len(payload))
+    b.post_send(2, payload, off=len(payload))
+    for node in (a, b):
+        wcs = wait_for(node.cq, 2)
+        assert sorted(wc.wr_id for wc in wcs) == [1, 2]
+        assert all(wc.status is WcStatus.SUCCESS for wc in wcs)
+    assert a.read(0, len(payload)) == payload
+    assert b.read(0, len(payload)) == payload[::-1]
+    fab_a.close()
+    fab_b.close()
+
+
+@pytest.mark.parametrize("use_event", [False, True])
+def test_pingpong_roles_on_many_threads_take_turns_moving(make_fabrics,
+                                                          use_event):
+    """Three pingpong pairs, one thread per role, move each other's
+    fabrics: one thread moves them all while the others sleep on their CQ
+    or channel. A lost hand-over would leave a role asleep for its whole
+    wait timeout (0.25 s polling, 10 s with events) on every iteration."""
+    iters, pairs = 200, 3
+    roles, results, errors = [], [], []
+    for _ in range(pairs):
+        regs, fabrics = make_fabrics()
+        base = PingpongConfig(oob_port=free_port(), size=4096, iters=iters,
+                              use_event=use_event)
+        cfgs = (base, replace(base, server_host="127.0.0.1"))
+        roles.append([(cfgs[i], regs[i], fabrics[i]) for i in range(2)])
+
+    def role(cfg, registry, fabric, oob_ready):
+        try:
+            results.append(run_node(cfg, registry, fabric,
+                                    oob_ready=oob_ready))
+        except Exception as exc:
+            errors.append(exc)
+
+    threads = []
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        start = time.monotonic()
+        for server, client in roles:
+            oob_ready = threading.Event()
+            threads.append(threading.Thread(target=role,
+                                            args=(*server, oob_ready),
+                                            daemon=True))
+            threads[-1].start()
+            assert oob_ready.wait(5.0)
+            threads.append(threading.Thread(target=role, args=(*client, None),
+                                            daemon=True))
+            threads[-1].start()
+        for thread in threads:
+            thread.join(timeout=max(0.0, start + 10.0 - time.monotonic()))
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(results) == 2 * pairs
+    for result in results:
+        assert result.ctx.rcnt == result.ctx.scnt == iters
+        cleanup_node(result)

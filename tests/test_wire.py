@@ -7,6 +7,7 @@ from softverbs.wire import (
     FrameEncodeError,
     FrameKind,
     HEADER_LEN,
+    MAX_PAYLOAD,
     SegMark,
     decode_frame,
     encode_frame,
@@ -104,6 +105,10 @@ def test_stream_body_length():
     # RNR delay hint must not be mistaken for a body length
     nak = encode_frame(Frame(FrameKind.RNR_NAK, 1, 2, rnr_delay_hint=20))
     assert frame_body_length(nak) == 0
+    # a stream reader buffers up to the length, so an overlong one is bad
+    big = data[:10] + (MAX_PAYLOAD + 1).to_bytes(4, "big")
+    with pytest.raises(FrameDecodeError):
+        frame_body_length(big)
 
 
 frames = st.one_of(
