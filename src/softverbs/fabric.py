@@ -46,6 +46,7 @@ import weakref
 from collections import deque
 from contextlib import suppress
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 from typing import Callable, NamedTuple, Optional
 
 from .verbs import (
@@ -76,6 +77,10 @@ TICK_EPS_MS = 0.25
 # a receiver holds out-of-order frames this many PSNs past expected_psn
 # at most; frames further ahead are discarded and left to retransmission
 HOLD_PSNS = 1024
+# a go-back-N burst (timeout or RNR resume) replays this many frames at most
+BURST_FRAMES = 64
+# what ``_wire_copies`` plans for a frame sent once on time
+_SENT_ONCE = ("sent",), (0.0,)
 
 
 def psn_add(psn: int, n: int) -> int:
@@ -94,7 +99,8 @@ def psn_before(a: int, b: int) -> bool:
 
 
 def psn_le(a: int, b: int) -> bool:
-    return a == b or psn_before(a, b)
+    """Is ``a`` older than or equal to ``b``, mod 2^24?"""
+    return ((b - a) & PSN_MASK) < SERIAL_HALF
 
 
 class FabricConfigError(ValueError):
@@ -115,7 +121,7 @@ class FaultProfile:
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must be within [0, 1], got {p}")
 
-    @property
+    @cached_property  # frozen, so computed once; read for every frame
     def active(self) -> bool:
         return (self.drop_probability > 0 or self.duplicate_probability > 0
                 or self.reorder_probability > 0)
@@ -177,7 +183,7 @@ class ReceiverState:
 
     def __init__(self, expected_psn: int):
         self.expected_psn = expected_psn
-        self.reassembly = bytearray()
+        self.reassembly: list[bytes] = []  # payloads of the message so far
         self.msg_active = False
         self.held: dict[int, Frame] = {}
         self.nak_psn: Optional[int] = None
@@ -195,11 +201,12 @@ class Endpoint:
         qp = self.qpn_map.get(frame.dest_qpn)
         if qp is None:
             return
-        if frame.kind == FrameKind.DATA:
+        kind = frame.kind
+        if kind is FrameKind.DATA:
             self.fabric.on_data(qp, frame)
-        elif frame.kind == FrameKind.ACK:
+        elif kind is FrameKind.ACK:
             self.fabric.on_ack(qp, frame)
-        elif frame.kind == FrameKind.NAK:
+        elif kind is FrameKind.NAK:
             self.fabric.on_nak(qp, frame)
         else:
             self.fabric.on_rnr_nak(qp, frame)
@@ -228,7 +235,6 @@ class Fabric(Progress):
         self.timing = timing or TimingTables()
         self.routing: dict[int, Endpoint] = {}
         self.next_lid = 1
-        self.retransmit_window = 64  # frames replayed per go-back-N burst
         self.drop_filter: Optional[Callable[[Frame], bool]] = None
         # extra wire delay of a duplicate copy and of a reordered frame
         self.dup_extra_ms = 0.5
@@ -481,7 +487,7 @@ class Fabric(Progress):
         tmo = self.timing.timeout(qp.attrs.timeout)
         sent = 0
         for entry in snd.unacked:
-            if sent >= self.retransmit_window:
+            if sent >= BURST_FRAMES:
                 break
             if not force and now - entry.sent_at < tmo:
                 break
@@ -571,17 +577,17 @@ class Fabric(Progress):
             if not qp.recv_queue:
                 self._send_rnr_nak(qp, frame.psn)
                 return False
-            rcv.reassembly = bytearray()
+            rcv.reassembly = []
             rcv.msg_active = True
         elif not rcv.msg_active:
             # continuation without a start: stray frame, ignore
             return False
-        rcv.reassembly += frame.payload
+        rcv.reassembly.append(frame.payload)
         rcv.expected_psn = psn_add(frame.psn, 1)
         if ends:
             rcv.msg_active = False
-            message = bytes(rcv.reassembly)
-            rcv.reassembly = bytearray()
+            message = b"".join(rcv.reassembly)
+            rcv.reassembly = []
             wqe = qp.recv_queue.popleft()
             if len(message) > wqe.capacity:
                 qp.recv_cq._push(CompletionEntry(
@@ -627,8 +633,7 @@ class Fabric(Progress):
     # -- fault plan and trace -------------------------------------------------
 
     def _plan_faults(self) -> tuple[bool, bool, bool]:
-        if not self.faults.active:
-            return False, False, False
+        """Draw drop, duplicate and reorder for one frame, in that order."""
         r = self._rng
         return (r.random() < self.faults.drop_probability,
                 r.random() < self.faults.duplicate_probability,
@@ -639,7 +644,8 @@ class Fabric(Progress):
         """Trace one frame and return the extra delay of each copy the
         wire carries: none if it is unroutable or dropped, one if sent,
         two if duplicated. Reorder adds reorder_extra_ms, a duplicate
-        dup_extra_ms more; an injected frame bypasses all faults.
+        dup_extra_ms more; an injected frame bypasses all faults, and an
+        inactive fault profile draws nothing.
         """
         if injected:
             statuses, delays = ("injected",), ((0.0,) if routed else ())
@@ -647,6 +653,8 @@ class Fabric(Progress):
             statuses, delays = ("unrouted",), ()
         elif self.drop_filter is not None and self.drop_filter(frame):
             statuses, delays = ("dropped",), ()
+        elif not self.faults.active:
+            statuses, delays = _SENT_ONCE
         else:
             dropped, dup, reorder = self._plan_faults()
             if dropped:
@@ -764,8 +772,10 @@ class LoopbackFabric(Fabric):
     def _deliver(self, src: Optional[Endpoint], dlid: int, frame: Frame) -> None:
         ep = self.routing.get(dlid)
         for extra in self._wire_copies(src, dlid, frame, ep is not None):
-            self.schedule(self.hop_latency_ms + extra,
-                          lambda: ep.dispatch(frame))
+            # hop + extra first, the sum ``schedule`` makes: the same
+            # float event times to the last bit
+            self.schedule_at(self._now + (self.hop_latency_ms + extra),
+                             partial(ep.dispatch, frame))
 
     def inject(self, dlid: int, frame: Frame, delay_ms: float = 0.0) -> None:
         """Deliver a raw frame, bypassing faults (replay/test harness)."""

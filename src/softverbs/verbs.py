@@ -23,7 +23,7 @@ import threading
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum, IntFlag
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .wire import PSN_MASK
 
@@ -149,8 +149,9 @@ class SendFlags(IntFlag):
     SIGNALED = 1
 
 
-@dataclass(frozen=True)
-class CompletionEntry:
+class CompletionEntry(NamedTuple):
+    """One work completion (CQE); a tuple, so cheap per completion."""
+
     wr_id: int
     status: WcStatus
     opcode: WcOpcode
@@ -337,6 +338,7 @@ class DeviceContext:
 
     def __init__(self, registry: DeviceRegistry, device: Device):
         self.registry = registry
+        self.lock = registry.lock  # the world lock
         self.device = device
         self.open = True
         self.ports = {n: PortAttributes() for n in range(1, device.num_ports + 1)}
@@ -349,10 +351,6 @@ class DeviceContext:
         self._next_lkey = 1
         self._next_qpn = QPN_FIRST
         self._next_addr = 0x100000
-
-    @property
-    def lock(self) -> threading.RLock:
-        return self.registry.lock
 
     def _check_open(self):
         if not self.open:
@@ -505,7 +503,8 @@ class MemoryRegion:
 
     def read(self, addr: int, length: int) -> bytes:
         off = addr - self.buffer.base
-        return bytes(self.buffer.data[off:off + length])
+        # one copy: a bytearray slice would copy once more
+        return bytes(memoryview(self.buffer.data)[off:off + length])
 
     def write(self, addr: int, data: bytes) -> None:
         off = addr - self.buffer.base
@@ -595,9 +594,16 @@ class CompletionQueue:
                 self.channel._deliver(self)
 
     def poll(self, max_entries: int) -> list[CompletionEntry]:
-        """Dequeue up to max_entries CQEs in FIFO order without blocking."""
+        """Dequeue up to max_entries CQEs in FIFO order without blocking.
+
+        An empty CQ that is not latched returns ``[]`` without taking the
+        world lock, so a busy poll loop does not wait on a thread that
+        holds it; a CQE pushed meanwhile is returned by the next poll.
+        """
         if max_entries < 1:
             raise VerbsError(f"poll needs max >= 1, got {max_entries}")
+        if not self.entries and self.state is CqState.OK:
+            return []
         with self.context.lock:
             if self.state is CqState.ERROR:
                 raise CompletionQueueError("poll on a CQ in the error state")

@@ -23,8 +23,8 @@ self-delimiting because it carries the payload length.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
 from enum import IntEnum
+from typing import NamedTuple
 
 FRAME_MAGIC = 0x5642
 HEADER_LEN = 14
@@ -62,8 +62,9 @@ class FrameDecodeError(FrameError):
     pass
 
 
-@dataclass(frozen=True)
-class Frame:
+class Frame(NamedTuple):
+    """One unit on the wire; a tuple, so cheap per frame."""
+
     kind: FrameKind
     dest_qpn: int
     psn: int

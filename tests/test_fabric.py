@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import random
 
 import pytest
@@ -17,6 +18,7 @@ from softverbs.fabric import (
     psn_before,
     psn_le,
 )
+from softverbs.pingpong import PingpongConfig, run_loopback_pair
 from softverbs.verbs import (
     DeviceRegistry,
     QpState,
@@ -39,6 +41,18 @@ def drop_first_copy(*psns):
         return False
 
     return drop
+
+
+def trace_digest(fabric):
+    """SHA-256 over every trace row: time, LIDs, every frame field and
+    the status."""
+    h = hashlib.sha256()
+    for e in fabric.trace:
+        f = e.frame
+        h.update(repr((e.t, e.src_lid, e.dst_lid, int(f.kind), f.psn,
+                       int(f.seg), f.payload, f.rnr_delay_hint,
+                       e.status)).encode())
+    return h.hexdigest()
 
 
 def frames_of(fabric, kind, status="sent"):
@@ -523,6 +537,27 @@ class TestReliability:
         first, *_ = self._blast(99)
         second, *_ = self._blast(99)
         assert signature(first) == signature(second)
+
+    def test_fault_sweep_row_emits_its_pinned_frames(self):
+        # scripts/fault_sweep.py's drop 0.05, dup 0.1, reorder 0.1 row.
+        # A change that means to alter the frames re-pins these digests.
+        profile = FaultProfile(0.05, 0.1, 0.1, seed=1)
+        fabric, *_ = self._blast(1, n_msgs=200, size=4096, mtu=1024,
+                                 profile=profile)
+        assert len(fabric.trace) == 1976
+        assert sum(1 for e in fabric.trace
+                   if e.frame.kind is FrameKind.DATA) == 1433
+        assert trace_digest(fabric) == (
+            "cc928346a06fb39ee6f71204dbb2c0e048002e8ac975a8b1f7383380343fb563")
+
+    def test_seeded_faulty_pair_emits_its_pinned_frames(self):
+        _, _, fabric = run_loopback_pair(
+            PingpongConfig(iters=50, rx_depth=8, size=2048),
+            faults=FaultProfile(0.1, 0.05, 0.05, seed=7), seed=3)
+        assert len(fabric.trace) == 490
+        assert fabric.now_ms() == 12486.0
+        assert trace_digest(fabric) == (
+            "e6b31313c04006cc18f28cdf4588e207601376144e6a66419510b5c6db939d25")
 
     def test_different_seed_different_trace(self):
         first, *_ = self._blast(5)

@@ -1,9 +1,13 @@
+import threading
+import time
+
 import pytest
 
 from conftest import Node, connect_pair, to_init
 from softverbs.verbs import (
     AccessFlags,
     CompletionEntry,
+    CompletionQueueError,
     DeviceRegistry,
     LinkLayer,
     PortState,
@@ -282,3 +286,42 @@ class TestCqErrorLatch:
         from softverbs.verbs import CompletionQueueError
         with pytest.raises(CompletionQueueError):
             node.post_recv(2)
+
+
+class TestPoll:
+    def test_completion_entry_is_an_immutable_tuple(self):
+        wc = CompletionEntry(1, WcStatus.SUCCESS, WcOpcode.RECV)
+        assert wc.byte_len == 0
+        assert wc == (1, WcStatus.SUCCESS, WcOpcode.RECV, 0)
+        with pytest.raises(AttributeError):
+            wc.status = WcStatus.WR_FLUSHED
+
+    def test_empty_poll_takes_no_lock(self, registry):
+        ctx = registry.open_device(registry.get_device_list()[0])
+        cq = ctx.create_cq(1)
+        held, release = threading.Event(), threading.Event()
+
+        def hold_the_world_lock():
+            with ctx.lock:
+                held.set()
+                release.wait(2.0)
+
+        holder = threading.Thread(target=hold_the_world_lock)
+        holder.start()
+        try:
+            assert held.wait(2.0)
+            start = time.monotonic()
+            result = cq.poll(1)
+            elapsed = time.monotonic() - start
+        finally:
+            release.set()
+            holder.join(5.0)
+        assert not holder.is_alive()
+        assert result == []
+        assert elapsed < 0.5
+        # a CQ latched by overflow still raises
+        entry = CompletionEntry(1, WcStatus.SUCCESS, WcOpcode.RECV)
+        cq._push(entry)
+        cq._push(entry)
+        with pytest.raises(CompletionQueueError):
+            cq.poll(1)

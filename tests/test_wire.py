@@ -41,6 +41,15 @@ def test_data_frame_layout():
     assert data[14:] == b"xyz"
 
 
+def test_frame_is_an_immutable_tuple_with_defaults():
+    frame = Frame(FrameKind.ACK, 1, 0)
+    assert frame == Frame(FrameKind.ACK, 1, 0, SegMark.ONLY, b"", 0)
+    assert (frame.seg, frame.payload, frame.rnr_delay_hint) == \
+        (SegMark.ONLY, b"", 0)
+    with pytest.raises(AttributeError):
+        frame.psn = 5
+
+
 def test_rnr_nak_hint_rides_in_length_field():
     frame = Frame(FrameKind.RNR_NAK, 5, 9, rnr_delay_hint=12)
     data = encode_frame(frame)
@@ -117,17 +126,21 @@ frames = st.one_of(
               dest_qpn=st.integers(0, (1 << 24) - 1),
               psn=st.integers(0, (1 << 24) - 1),
               seg=st.sampled_from(list(SegMark)),
-              payload=st.binary(max_size=512)),
+              payload=st.binary(max_size=512),
+              rnr_delay_hint=st.just(0)),
     st.builds(Frame,
               kind=st.just(FrameKind.ACK),
               dest_qpn=st.integers(0, (1 << 24) - 1),
               psn=st.integers(0, (1 << 24) - 1),
-              seg=st.sampled_from(list(SegMark))),
+              seg=st.sampled_from(list(SegMark)),
+              payload=st.just(b""),
+              rnr_delay_hint=st.just(0)),
     st.builds(Frame,
               kind=st.just(FrameKind.RNR_NAK),
               dest_qpn=st.integers(0, (1 << 24) - 1),
               psn=st.integers(0, (1 << 24) - 1),
               seg=st.sampled_from(list(SegMark)),
+              payload=st.just(b""),
               rnr_delay_hint=st.integers(0, 31)),
 )
 
