@@ -47,6 +47,16 @@ def main():
           f"{by_kind[FrameKind.NAK]} NAK, {by_kind[FrameKind.RNR_NAK]} RNR_NAK")
     print(f"dispositions: {dict(by_status)}")
 
+    # first client DATA frame to the last ACK, which completes the last
+    # send one hop later
+    first = next(e.t for e in fabric.trace if e.src_lid == client.my_dest.lid
+                 and e.frame.kind is FrameKind.DATA)
+    last_ack = max(e.t for e in fabric.trace
+                   if e.frame.kind is FrameKind.ACK and e.status == "sent")
+    virtual_ms = last_ack + fabric.hop_latency_ms - first
+    print(f"virtual: {virtual_ms / args.iters:.3f} ms/iter at "
+          f"{fabric.hop_latency_ms:g} ms/hop")
+
 
 if __name__ == "__main__":
     main()

@@ -79,6 +79,10 @@ TICK_EPS_MS = 0.25
 HOLD_PSNS = 1024
 # a go-back-N burst (timeout or RNR resume) replays this many frames at most
 BURST_FRAMES = 64
+# extra wire delay of a duplicate copy (after its original) and of a
+# reordered frame
+DUP_EXTRA_MS = 0.5
+REORDER_EXTRA_MS = 2.5
 # what ``_wire_copies`` plans for a frame sent once on time
 _SENT_ONCE = ("sent",), (0.0,)
 
@@ -236,9 +240,6 @@ class Fabric(Progress):
         self.routing: dict[int, Endpoint] = {}
         self.next_lid = 1
         self.drop_filter: Optional[Callable[[Frame], bool]] = None
-        # extra wire delay of a duplicate copy and of a reordered frame
-        self.dup_extra_ms = 0.5
-        self.reorder_extra_ms = 2.5
         self.trace: list[TraceEvent] = []
         # the heap behind schedule: (time, sequence, callback)
         self._timers: list = []
@@ -643,8 +644,8 @@ class Fabric(Progress):
                      routed: bool, injected: bool = False) -> tuple:
         """Trace one frame and return the extra delay of each copy the
         wire carries: none if it is unroutable or dropped, one if sent,
-        two if duplicated. Reorder adds reorder_extra_ms, a duplicate
-        dup_extra_ms more; an injected frame bypasses all faults, and an
+        two if duplicated. Reorder adds REORDER_EXTRA_MS, a duplicate
+        DUP_EXTRA_MS more; an injected frame bypasses all faults, and an
         inactive fault profile draws nothing.
         """
         if injected:
@@ -660,10 +661,10 @@ class Fabric(Progress):
             if dropped:
                 statuses, delays = ("dropped",), ()
             else:
-                delay = self.reorder_extra_ms if reorder else 0.0
+                delay = REORDER_EXTRA_MS if reorder else 0.0
                 if dup:
                     statuses = ("sent", "dup")
-                    delays = (delay, delay + self.dup_extra_ms)
+                    delays = (delay, delay + DUP_EXTRA_MS)
                 else:
                     statuses, delays = ("sent",), (delay,)
         now = self.now_ms()
@@ -677,27 +678,18 @@ class LoopbackFabric(Fabric):
     """Deterministic in-process transport driven by a virtual clock.
 
     Frames become events on a heap ordered by (virtual time, sequence).
-    Tests pump the clock explicitly with step / advance / run_until_idle.
-
-    With auto_drain=True (the live mode the loopback pingpong pair uses)
-    scheduling drains the cascade inline, but only out to a short
-    delivery horizon; a jump across a timer gap (retransmit timeout, RNR
-    delay) is taken with ``jump`` once both roles wait, so each role gets
-    to act between retries instead of watching a whole retry budget burn
-    inside one drain.
+    Scheduling only queues; the clock moves when a caller pumps it, with
+    step / jump / advance / run_until_idle. Every frame takes
+    ``hop_latency_ms`` of virtual time to reach its peer.
     """
 
-    INLINE_HORIZON_MS = 8.0
+    hop_latency_ms = 1.0
 
     def __init__(self, faults=None, timing=None, registry=None,
-                 hop_latency_ms: float = 1.0, auto_drain: bool = False):
+                 auto_drain: bool = False):
+        # auto_drain is ignored; bench's time_pingpong_setup still passes it
         super().__init__(faults, timing, registry)
-        self.hop_latency_ms = hop_latency_ms
-        self.dup_extra_ms = hop_latency_ms / 2
-        self.reorder_extra_ms = hop_latency_ms * 2.5
-        self.auto_drain = auto_drain
         self._now = 0.0
-        self._draining = False
 
     def now_ms(self) -> float:
         return self._now
@@ -708,13 +700,12 @@ class LoopbackFabric(Fabric):
     def schedule_at(self, t: float, fn: Callable[[], None]) -> None:
         with self._lock:
             heapq.heappush(self._timers, (t, next(self._seq), fn))
-            if self.auto_drain and not self._draining:
-                self._drain(self._now + self.INLINE_HORIZON_MS)
 
     def _drain(self, limit: float, max_events: int = 5_000_000) -> int:
+        """Run every event due at or before ``limit``, in order; the one
+        event loop behind jump, advance and run_until_idle."""
         n = 0
-        self._draining = True
-        try:
+        with self._lock:
             while self._timers and self._timers[0][0] <= limit:
                 t, _, fn = heapq.heappop(self._timers)
                 self._now = max(self._now, t)
@@ -722,8 +713,6 @@ class LoopbackFabric(Fabric):
                 n += 1
                 if n > max_events:
                     raise RuntimeError("event queue did not drain; livelock?")
-        finally:
-            self._draining = False
         return n
 
     # -- clock pumping ----------------------------------------------------
@@ -739,32 +728,23 @@ class LoopbackFabric(Fabric):
             return True
 
     def run_until_idle(self, max_events: int = 2_000_000) -> int:
-        n = 0
-        while self.step():
-            n += 1
-            if n > max_events:
-                raise RuntimeError("event queue did not drain; livelock?")
-        return n
+        return self._drain(math.inf, max_events)
 
     def advance(self, ms: float) -> None:
         """Advance the clock by ms, processing everything due on the way."""
         with self._lock:
             target = self._now + ms
-            while self._timers and self._timers[0][0] <= target:
-                t, _, fn = heapq.heappop(self._timers)
-                self._now = max(self._now, t)
-                fn()
+            self._drain(target)
             self._now = target
 
     def jump(self) -> bool:
-        """Move the clock to the next event and drain out to the horizon
-        from there (not ``step``, whose callbacks would start a nested
-        inline drain); False if nothing is scheduled."""
+        """Run every event due at the next event's timestamp, including
+        those they schedule for it, then hand back; False if nothing is
+        scheduled."""
         with self._lock:
             if not self._timers:
                 return False
-            self._now = max(self._now, self._timers[0][0])
-            self._drain(self._now + self.INLINE_HORIZON_MS)
+            self._drain(self._timers[0][0])
             return True
 
     # -- delivery -----------------------------------------------------------

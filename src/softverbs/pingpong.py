@@ -397,12 +397,13 @@ def run_loopback_pair(base: PingpongConfig, faults=None,
     Returns (server NodeResult, client NodeResult, fabric). Each role is
     connected straight to the other's destination; their ``_exchanges``
     loops take turns, each resumed once what it waits on is ready, and
-    when both wait the virtual clock jumps to the next event. The run is
+    when both wait the fabric runs the events of the next timestamp, so
+    a lossless round trip costs two hops of virtual time. The run is
     deterministic for a given seed and fault profile.
     """
     registry = verbs.DeviceRegistry()
     registry.add_device("hca0")
-    fabric = LoopbackFabric(faults=faults, registry=registry, auto_drain=True)
+    fabric = LoopbackFabric(faults=faults, registry=registry)
     cfgs = [replace(base, server_host=host) for host in (None, "127.0.0.1")]
     rng = random.Random(seed)
     ctxs, mine = zip(*(open_node(cfg, registry, fabric,

@@ -83,3 +83,5 @@ class TestLoopbackScript:
             timeout=60)
         assert out.returncode == 0, out.stderr
         assert re.search(r"^wire: \d+ DATA \(minimum 10\)", out.stdout, re.M)
+        assert re.search(r"^virtual: [\d.]+ ms/iter at 1 ms/hop$", out.stdout,
+                         re.M)

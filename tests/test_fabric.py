@@ -1,6 +1,7 @@
 import collections
 import hashlib
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -99,6 +100,29 @@ class TestAttach:
         fabric.attach(ctx, 1)
         with pytest.raises(VerbsError):
             fabric.attach(ctx, 1)
+
+
+class TestClock:
+    def test_jump_runs_one_timestamp_and_hands_back(self, fabric):
+        ran = []
+
+        def fire(name, then=None):
+            ran.append((name, fabric.now_ms()))
+            if then is not None:
+                fabric.schedule_at(fabric.now_ms(), partial(fire, then))
+
+        fabric.schedule_at(1.0, partial(fire, "a", "c"))
+        fabric.schedule_at(1.0, partial(fire, "b"))
+        fabric.schedule_at(2.0, partial(fire, "d"))
+        assert ran == [] and fabric.now_ms() == 0.0
+        assert fabric.jump()
+        assert fabric.now_ms() == 1.0
+        assert ran == [("a", 1.0), ("b", 1.0), ("c", 1.0)]
+        assert [t for t, *_ in fabric._timers] == [2.0]
+        assert fabric.jump()
+        assert ran[-1] == ("d", 2.0)
+        assert not fabric.jump()
+        assert fabric.now_ms() == 2.0
 
 
 class TestSegmentation:
@@ -554,10 +578,10 @@ class TestReliability:
         _, _, fabric = run_loopback_pair(
             PingpongConfig(iters=50, rx_depth=8, size=2048),
             faults=FaultProfile(0.1, 0.05, 0.05, seed=7), seed=3)
-        assert len(fabric.trace) == 490
-        assert fabric.now_ms() == 12486.0
+        assert len(fabric.trace) == 508
+        assert fabric.now_ms() == 9656.75
         assert trace_digest(fabric) == (
-            "e6b31313c04006cc18f28cdf4588e207601376144e6a66419510b5c6db939d25")
+            "20f23e497886f9f1fc77e295355bc908f3a2569036708df6d6e45ad527d629b0")
 
     def test_different_seed_different_trace(self):
         first, *_ = self._blast(5)

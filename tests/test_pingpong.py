@@ -216,18 +216,25 @@ class TestLoopbackPair:
         assert {"dropped", "dup"} <= {status for *_, status in first}
         assert trace() == first
 
-    def test_lossless_round_trip_costs_four_hops(self):
+    @pytest.mark.parametrize("use_event", [False, True])
+    @pytest.mark.parametrize("size", [64, 4096, 65536])
+    def test_lossless_round_trip_costs_two_hops(self, size, use_event):
+        iters = 200
         server, client, fabric = run_loopback_pair(
-            PingpongConfig(iters=200, size=64), seed=1)
+            PingpongConfig(iters=iters, size=size, use_event=use_event),
+            seed=1)
         kinds = Counter(e.frame.kind for e in fabric.trace)
-        assert kinds[FrameKind.DATA] == 400
+        frames = 2 * iters * -(-size // 1024)  # both ways, at MTU 1024
+        assert kinds[FrameKind.DATA] == kinds[FrameKind.ACK] == frames
         assert kinds[FrameKind.NAK] == kinds[FrameKind.RNR_NAK] == 0
-        # 64 B is one frame per message
+        # one round trip per iteration: a message out, the reply back
         starts = [e.t for e in fabric.trace
                   if e.src_lid == client.my_dest.lid and
-                  e.frame.kind is FrameKind.DATA]
+                  e.frame.kind is FrameKind.DATA and
+                  e.frame.seg in (SegMark.ONLY, SegMark.FIRST)]
+        assert len(starts) == iters
         gaps = {b - a for a, b in zip(starts, starts[1:])}
-        assert gaps == {4 * fabric.hop_latency_ms}
+        assert gaps == {2 * fabric.hop_latency_ms}
 
     def test_stalled_pair_fails_at_once(self, monkeypatch):
         # frames vanish and no retransmit timer is armed: nothing can
