@@ -18,7 +18,10 @@ Two interchangeable transports share the engine:
   clock. Fully deterministic for a given seed and schedule.
 * SocketFabric: one listening stream socket per attached port, LIDs
   resolved to host/port pairs from a static config file, real time. It
-  starts no thread: the thread that blocks in a verbs wait moves it.
+  starts no thread: the thread that blocks in a verbs wait moves it,
+  over one poll set that stands for the life of the process. Each frame
+  is one record on the stream; the records an engine call emits are
+  written together, in one ``send`` when the call returns.
 
 Both share one per-frame path (drop filter, fault profile, frame trace)
 and one retransmit timer (per-QP deadlines armed through ``schedule``);
@@ -848,23 +851,63 @@ class _ManualProgress:
     blocks in a verbs wait: libfabric's manual progress model.
 
     One thread at a time moves. It holds ``mover``, which is only ever
-    taken without blocking, and fires the due timers and polls the
-    sockets of every open fabric until what it waits for is ready. Every
+    taken without blocking, and fires the due timers of every open fabric
+    and polls their sockets until what it waits for is ready. Every
     other waiter sleeps on its own CQ or channel condition; a CQE wakes
     it, and so does the mover's hand-over when it stops, so that one of
     them takes over. A thread that arms a timer, gives the mover another
     socket to watch or flushes a queue cuts its poll short through a
     socket pair.
+
+    The poll set stands for the life of the process: a fabric registers
+    each socket with ``watch`` when it opens (a listener at attach, a
+    connection at accept, a dialled socket while it has bytes queued)
+    and takes it out with ``unwatch`` before it closes. ``handlers``
+    mirrors the set: by descriptor, what the mover calls on an event.
     """
 
     def __init__(self):
         self.fabrics: "weakref.WeakSet[SocketFabric]" = weakref.WeakSet()
-        self.lock = threading.Lock()  # guards fabrics and sleepers
+        # guards fabrics, sleepers and the poll set
+        self.lock = threading.Lock()
         self.mover = threading.Lock()
         self.sleepers: set[threading.Condition] = set()
         self.polling = False  # the mover is in poll(), or about to be
+        self.poller = select.poll()
+        self.handlers: dict[int, tuple[Callable, object]] = {}
         # opened with the first SocketFabric
         self.wake_pair: Optional[tuple[socket.socket, socket.socket]] = None
+
+    def add(self, fabric: "SocketFabric") -> None:
+        with self.lock:
+            self.fabrics.add(fabric)
+            if self.wake_pair is None:
+                self.wake_pair = socket.socketpair()
+                wake_r = self.wake_pair[0]
+                self.poller.register(wake_r, select.POLLIN)
+                self.handlers[wake_r.fileno()] = wake_r.recv, 4096  # drain
+
+    def discard(self, fabric: "SocketFabric") -> None:
+        with self.lock:
+            self.fabrics.discard(fabric)
+
+    def watch(self, sock: socket.socket, events: int,
+              handler: Callable[[socket.socket], None]) -> None:
+        """Poll ``sock`` for ``events`` and call ``handler(sock)`` on one;
+        a running poll is cut short to take it in."""
+        with self.lock:
+            self.handlers[sock.fileno()] = handler, sock
+            self.poller.register(sock, events)
+        self.wake()
+
+    def unwatch(self, sock: socket.socket) -> None:
+        """Stop polling ``sock``, if it is watched; call it before the
+        socket closes, while its descriptor is still its own."""
+        fd = sock.fileno()
+        if fd in self.handlers:
+            with self.lock:
+                del self.handlers[fd]
+                self.poller.unregister(fd)
 
     def wake(self) -> None:
         if self.polling:
@@ -897,33 +940,33 @@ class _ManualProgress:
                         sleeper.notify_all()
 
     def _move(self, cond, ready, deadline: float) -> bool:
-        """The mover's loop: fire the due timers, then poll every socket
-        the open fabrics watch, until the next timer or the deadline (on
-        the monotonic clock, in seconds). What an engine callback raises
+        """The mover's loop: fire the due timers, then poll the standing
+        set until the next timer or the deadline (on the monotonic clock,
+        in seconds), until ``ready()``. What an engine callback raises
         goes to the caller."""
-        wake_r = self.wake_pair[0]
+        handlers = self.handlers
         while True:
-            poller = select.poll()
-            poller.register(wake_r, select.POLLIN)
-            handlers = {wake_r.fileno(): (wake_r.recv, 4096)}  # drain it
             with self.lock:
                 fabrics = list(self.fabrics)
-            # set before the timer heaps and sockets are read, so that
-            # what another thread adds after that read wakes the poll
+            # set before the timer heaps are read, so that a timer another
+            # thread arms after that read wakes the poll
             self.polling = True
-            until = min([deadline * 1e3] + [f._fire_and_watch(poller, handlers)
-                                            for f in fabrics])
+            until = deadline * 1e3
+            for fabric in fabrics:
+                until = min(until, fabric._fire_due())
             with cond:
                 if ready():
                     return True
             if time.monotonic() >= deadline:
                 return False
-            events = poller.poll(None if until == math.inf else
-                                 max(0.0, until - time.monotonic() * 1e3))
+            events = self.poller.poll(None if until == math.inf else
+                                      max(0.0, until - time.monotonic() * 1e3))
             self.polling = False
             for fd, _ in events:
-                handler, arg = handlers[fd]
-                handler(arg)
+                # gone if an earlier handler of this batch unwatched it
+                handler = handlers.get(fd)
+                if handler is not None:
+                    handler[0](handler[1])
 
 
 _MANUAL = _ManualProgress()
@@ -933,21 +976,24 @@ class SocketFabric(Fabric):
     """Stream-socket transport: one listener per attached port.
 
     LIDs come from the static config; an attach claims the first entry
-    whose address it can bind. Frames are written one per record in the
-    codec layout. Faults and the frame trace work as on loopback: a
-    reordered or duplicated copy is written after its extra delay, and
-    every frame the engine emits lands in ``trace``.
+    whose address it can bind. Each frame is one record in the codec
+    layout. Faults and the frame trace work as on loopback: a reordered
+    or duplicated copy is written after its extra delay, and every frame
+    the engine emits lands in ``trace``.
 
-    The fabric starts no thread (manual progress). A frame is written on
-    the thread that emits it, without blocking; what the socket does not
-    take is queued and written once the socket is writable. A LID with
-    no config entry, or whose dial fails, is unrouted. Accepting,
-    reading, dispatching and the timer heap behind ``schedule`` (the
-    delayed copies and the per-QP retransmit deadlines) run in
-    ``wait_until``, on the thread that blocks in ``wait_for_completion``
-    or ``get_event``. That wait moves every open SocketFabric in the
-    process, and raises what an engine callback raised. ``poll`` never
-    moves the fabric.
+    The fabric starts no thread (manual progress). Records are written
+    in batches, once per engine call: the frames that one
+    ``transmit_message``, one read's dispatch loop or one pass over the
+    due timers emits are queued per socket, and go out in one ``send``,
+    without blocking, when that call returns. What the socket does not take stays queued, and
+    the socket is polled for writing until it is empty. A LID with no
+    config entry, or whose dial fails, is unrouted. Accepting, reading,
+    dispatching and the timer heap behind ``schedule`` (the delayed
+    copies and the per-QP retransmit deadlines) run in ``wait_until``,
+    on the thread that blocks in ``wait_for_completion`` or
+    ``get_event``. That wait moves every open SocketFabric in the
+    process over one standing poll set, and raises what an engine
+    callback raised. ``poll`` never moves the fabric.
     """
 
     def __init__(self, config: FabricConfig, faults=None, timing=None,
@@ -958,13 +1004,11 @@ class SocketFabric(Fabric):
         self._listeners: dict[socket.socket, int] = {}  # to their LID
         # accepted connections: the LID they deliver to, and the bytes
         # read that do not make a whole frame yet
-        self._conns: dict[socket.socket, tuple[int, bytearray]] = {}
+        self._conns: dict[socket.socket, tuple[int, bytes]] = {}
         self._peers: dict[int, socket.socket] = {}  # dialled, by LID
-        # bytes a dialled socket has not taken yet
+        # bytes queued for a dialled socket and not sent yet
         self._unsent: dict[socket.socket, bytearray] = {}
-        with _MANUAL.lock:
-            _MANUAL.fabrics.add(self)
-            _MANUAL.wake_pair = _MANUAL.wake_pair or socket.socketpair()
+        _MANUAL.add(self)
 
     def now_ms(self) -> float:
         return time.monotonic() * 1000.0
@@ -995,7 +1039,7 @@ class SocketFabric(Fabric):
                 continue
             lsock.setblocking(False)
             self._listeners[lsock] = entry.lid
-            _MANUAL.wake()
+            _MANUAL.watch(lsock, select.POLLIN, self._accept_conn)
             return entry.lid
         raise VerbsError(f"no bindable fabric config entry ({last_err})")
 
@@ -1003,9 +1047,7 @@ class SocketFabric(Fabric):
         """Write out the queued bytes, for 2 s per socket at most (the peer
         may still wait on our final acks), then close every socket.
         Pending timers are dropped, and later frames are unrouted."""
-        with _MANUAL.lock:
-            _MANUAL.fabrics.discard(self)
-        _MANUAL.wake()
+        _MANUAL.discard(self)
         with self._lock:
             for sock, pending in self._unsent.items():
                 with suppress(OSError):
@@ -1013,28 +1055,27 @@ class SocketFabric(Fabric):
                     sock.sendall(pending)
             for sock in [*self._listeners, *self._conns,
                          *self._peers.values()]:
+                _MANUAL.unwatch(sock)
                 sock.close()
             for held in (self._listeners, self._conns, self._peers,
                          self._unsent, self._entry_by_lid, self._timers):
                 held.clear()
+        _MANUAL.wake()
 
     # -- progress, made by the thread that waits --------------------------
 
-    def _fire_and_watch(self, poller, handlers: dict) -> float:
-        """Fire the due timers, register each socket to poll, with its
-        handler by descriptor in ``handlers``, and return when the next
-        timer is due."""
+    def _fire_due(self) -> float:
+        """Fire the due timers, send what they wrote, and return when the
+        next timer is due."""
         with self._lock:
-            while self._timers and self._timers[0][0] <= self.now_ms():
-                heapq.heappop(self._timers)[2]()
-            for socks, events, handler in (
-                    (self._listeners, select.POLLIN, self._accept_conn),
-                    (self._conns, select.POLLIN, self._read),
-                    (self._unsent, select.POLLOUT, self._flush)):
-                for sock in socks:
-                    poller.register(sock, events)
-                    handlers[sock.fileno()] = handler, sock
-            return self._timers[0][0] if self._timers else math.inf
+            timers = self._timers
+            if timers and timers[0][0] <= self.now_ms():
+                try:
+                    while timers and timers[0][0] <= self.now_ms():
+                        heapq.heappop(timers)[2]()
+                finally:
+                    self._send_unsent()
+            return timers[0][0] if timers else math.inf
 
     def _accept_conn(self, lsock: socket.socket) -> None:
         with self._lock:
@@ -1043,11 +1084,18 @@ class SocketFabric(Fabric):
             except OSError:  # closed, or the peer gave up
                 return
             conn.setblocking(False)
-            self._conns[conn] = (self._listeners[lsock], bytearray())
+            self._conns[conn] = (self._listeners[lsock], b"")
+            _MANUAL.watch(conn, select.POLLIN, self._read)
 
     def _read(self, conn: socket.socket) -> None:
-        """Read what the connection has and dispatch each whole frame; end
-        of stream, a socket error or a bad frame closes it."""
+        """Read what the connection has, dispatch each whole frame, then
+        send what the dispatch wrote; end of stream, a socket error or a
+        bad frame closes the connection.
+
+        The frames are parsed in place, by offset into one ``bytes``
+        snapshot: one ``frame_body_length`` and one ``decode_frame`` of
+        the frame's own bytes each, and the consumed prefix is dropped
+        once."""
         with self._lock:
             try:
                 data = conn.recv(65536)
@@ -1055,23 +1103,35 @@ class SocketFabric(Fabric):
                 return
             except OSError:  # reset, or closed by close()
                 data = b""
-            lid, buf = self._conns.get(conn, (None, bytearray()))
-            buf += data
-            try:
-                while data and len(buf) >= HEADER_LEN:
-                    end = HEADER_LEN + frame_body_length(
-                        bytes(buf[:HEADER_LEN]))
-                    if len(buf) < end:
-                        return
-                    frame = decode_frame(bytes(buf[:end]))
-                    del buf[:end]
-                    if lid in self.routing:
-                        self.routing[lid].dispatch(frame)
-            except FrameDecodeError:
-                data = b""
             if not data:
-                self._conns.pop(conn, None)
-                conn.close()
+                self._close_conn(conn)
+                return
+            lid, held = self._conns[conn]
+            if held:
+                data = held + data
+            pos, size = 0, len(data)
+            try:
+                while size - pos >= HEADER_LEN:
+                    end = pos + HEADER_LEN + frame_body_length(
+                        data[pos:pos + HEADER_LEN])
+                    if size < end:
+                        break
+                    frame = decode_frame(data[pos:end])
+                    pos = end
+                    ep = self.routing.get(lid)
+                    if ep is not None:
+                        ep.dispatch(frame)
+            except FrameDecodeError:
+                self._close_conn(conn)
+            finally:
+                if conn in self._conns:
+                    self._conns[conn] = lid, data[pos:]
+                self._send_unsent()
+
+    def _close_conn(self, conn: socket.socket) -> None:
+        self._conns.pop(conn, None)
+        _MANUAL.unwatch(conn)
+        conn.close()
 
     # -- wire ----------------------------------------------------------------
 
@@ -1098,6 +1158,15 @@ class SocketFabric(Fabric):
             self._peers[dlid] = sock
         return sock
 
+    def transmit_message(self, qp: QueuePair, payload: bytes,
+                         wqe=None) -> None:
+        """Segment and queue the message's frames, then send them in one
+        batch."""
+        try:
+            super().transmit_message(qp, payload, wqe)
+        finally:
+            self._send_unsent()
+
     def _deliver(self, src: Optional[Endpoint], dlid: int, frame: Frame) -> None:
         sock = self._peer(dlid)
         copies = self._wire_copies(src, dlid, frame, sock is not None)
@@ -1109,17 +1178,25 @@ class SocketFabric(Fabric):
                 self._write(sock, data)
 
     def _write(self, sock: socket.socket, data: bytes) -> None:
-        """Queue ``data`` behind what the socket has not taken yet and send
-        what it takes now."""
-        self._unsent.setdefault(sock, bytearray()).extend(data)
-        self._flush(sock)
-        if sock in self._unsent:
-            _MANUAL.wake()  # a socket to poll for writing
+        """Queue ``data`` behind what the socket has not taken yet; the
+        engine call that wrote it sends the queue when it returns."""
+        pending = self._unsent.get(sock)
+        if pending is None:
+            self._unsent[sock] = bytearray(data)
+        else:
+            pending += data
+
+    def _send_unsent(self) -> None:
+        """Send what an engine call queued, one ``send`` per socket."""
+        with self._lock:
+            for sock in list(self._unsent):
+                self._flush(sock)
 
     def _flush(self, sock: socket.socket) -> None:
-        """Send what the socket takes without blocking. A socket error
-        closes it, and the next frame redials; retransmission recovers
-        what was lost with it."""
+        """Send what the socket takes without blocking, and poll it for
+        writing while bytes are left. A socket error closes it, and the
+        next frame redials; retransmission recovers what was lost with
+        it."""
         with self._lock:
             pending = self._unsent.get(sock)
             if pending is None:
@@ -1127,9 +1204,13 @@ class SocketFabric(Fabric):
             try:
                 del pending[:sock.send(pending)]
             except BlockingIOError:
-                return
+                pass
             except OSError:
                 pending.clear()
+                _MANUAL.unwatch(sock)
                 sock.close()
             if not pending:
                 del self._unsent[sock]
+                _MANUAL.unwatch(sock)
+            elif sock.fileno() not in _MANUAL.handlers:
+                _MANUAL.watch(sock, select.POLLOUT, self._flush)

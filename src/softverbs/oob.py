@@ -5,6 +5,12 @@ the peer's LID, QPN, initial PSN, and GID. The exchange is one newline
 terminated text record each way: the client writes first, the server
 reads the whole line and then replies.
 
+A server given ``on_peer`` calls it with the client's destination
+before it replies. The pingpong server connects its QP there, as
+rdma-core's ``rc_pingpong.c`` does in ``pp_server_exch_dest``: the
+client may post as soon as it has the reply, and its first frames must
+find a QP already in RTR.
+
 Record layout (all lowercase hex, fixed widths, colon separated):
 
     LLLL:QQQQQQ:PPPPPP:GGGGGGGGGGGGGGGGGGGGGGGGGGGGGGGG\n
@@ -16,6 +22,7 @@ from __future__ import annotations
 
 import socket
 from dataclasses import dataclass
+from typing import Callable
 
 DEFAULT_PORT = 18515
 _WIDTHS = (4, 6, 6, 32)
@@ -97,8 +104,11 @@ def exchange_as_client(host: str, port: int,
 
 
 def exchange_as_server(port: int, mine: Destination,
-                       ready: "threading.Event | None" = None) -> Destination:
-    """Accept one client, read its destination, reply with ours."""
+                       ready: "threading.Event | None" = None,
+                       on_peer: "Callable[[Destination], None] | None" = None
+                       ) -> Destination:
+    """Accept one client, read its destination, pass it to ``on_peer``,
+    reply with ours. If ``on_peer`` raises, the client gets no reply."""
     lsock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     lsock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
     try:
@@ -117,5 +127,7 @@ def exchange_as_server(port: int, mine: Destination,
             raise ExchangeError(f"accept failed: {exc}") from exc
         with conn:
             theirs = decode_destination(_read_line(conn))
+            if on_peer is not None:
+                on_peer(theirs)
             conn.sendall(encode_destination(mine).encode("ascii"))
             return theirs

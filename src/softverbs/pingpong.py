@@ -356,13 +356,21 @@ def run_node(cfg: PingpongConfig, registry: verbs.DeviceRegistry, fabric,
              rng: Optional[random.Random] = None,
              oob_ready: Optional[threading.Event] = None,
              abort: Optional[threading.Event] = None) -> NodeResult:
-    """One pingpong process: set up, exchange, connect, loop, report."""
+    """One pingpong process: set up, exchange, connect, loop, report.
+
+    The server connects before it replies to the client, so the client's
+    first message finds its QP in RTR."""
     ctx, my_dest = open_node(cfg, registry, fabric, rng or random.Random())
+
+    def connect(rem_dest: Destination) -> None:
+        connect_ctx(ctx, my_dest.psn, rem_dest, cfg)
+
     if cfg.is_server:
-        rem_dest = exchange_as_server(cfg.oob_port, my_dest, ready=oob_ready)
+        rem_dest = exchange_as_server(cfg.oob_port, my_dest, ready=oob_ready,
+                                      on_peer=connect)
     else:
         rem_dest = exchange_as_client(cfg.server_host, cfg.oob_port, my_dest)
-    connect_ctx(ctx, my_dest.psn, rem_dest, cfg)
+        connect(rem_dest)
     stats = run_loop(ctx, cfg, abort=abort)
     return NodeResult(stats, my_dest, rem_dest,
                       report(stats, my_dest, rem_dest), ctx)

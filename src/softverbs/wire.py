@@ -16,8 +16,13 @@ Every unit on the wire is one frame, encoded big-endian:
 A NAK is the PSN sequence error: its PSN is the one the receiver still
 waits for while it holds later frames.
 
-The stream transport sends one frame per record; the header is
-self-delimiting because it carries the payload length.
+On the stream transport each frame is one record, and the header is
+self-delimiting because it carries the payload length. Records are
+written back to back, a batch of them per ``send``, so a reader splits
+the stream by the length field alone.
+
+The codec packs and unpacks the whole header with one precomputed
+``struct.Struct``, each 24-bit field as a 16-bit and an 8-bit half.
 """
 
 from __future__ import annotations
@@ -33,7 +38,9 @@ PSN_BITS = 24
 PSN_MASK = (1 << PSN_BITS) - 1
 QPN_MASK = (1 << 24) - 1
 
-_HEADER = struct.Struct(">HBB")
+# the whole header in one call: magic, kind, segment, then each 24-bit
+# field (QPN, PSN) as a 16-bit and an 8-bit half, then the length field
+_HEADER = struct.Struct(">HBBHBHBI")
 
 
 class FrameKind(IntEnum):
@@ -48,6 +55,13 @@ class SegMark(IntEnum):
     FIRST = 1
     MIDDLE = 2
     LAST = 3
+
+
+# each member at the index of its wire code
+_KINDS = tuple(FrameKind)
+_SEGS = tuple(SegMark)
+_DATA = FrameKind.DATA
+_RNR_NAK = FrameKind.RNR_NAK
 
 
 class FrameError(ValueError):
@@ -75,70 +89,61 @@ class Frame(NamedTuple):
 
 def encode_frame(frame: Frame, mtu: int = MAX_PAYLOAD) -> bytes:
     """Serialize a frame; rejects payloads beyond the negotiated MTU."""
-    if frame.kind not in (FrameKind.DATA, FrameKind.ACK, FrameKind.RNR_NAK,
-                          FrameKind.NAK):
-        raise FrameEncodeError(f"unknown frame kind {frame.kind!r}")
-    if not 0 <= frame.dest_qpn <= QPN_MASK:
-        raise FrameEncodeError(f"qpn {frame.dest_qpn:#x} out of 24-bit range")
-    if not 0 <= frame.psn <= PSN_MASK:
-        raise FrameEncodeError(f"psn {frame.psn:#x} out of 24-bit range")
-    if frame.kind == FrameKind.DATA:
+    kind, qpn, psn, seg, payload, hint = frame
+    if kind not in _KINDS:
+        raise FrameEncodeError(f"unknown frame kind {kind!r}")
+    if not 0 <= qpn <= QPN_MASK:
+        raise FrameEncodeError(f"qpn {qpn:#x} out of 24-bit range")
+    if not 0 <= psn <= PSN_MASK:
+        raise FrameEncodeError(f"psn {psn:#x} out of 24-bit range")
+    if kind == _DATA:
         limit = min(mtu, MAX_PAYLOAD)
-        if len(frame.payload) > limit:
+        if len(payload) > limit:
             raise FrameEncodeError(
-                f"payload of {len(frame.payload)} bytes exceeds mtu {limit}")
-        length_field = len(frame.payload)
+                f"payload of {len(payload)} bytes exceeds mtu {limit}")
+        length_field = len(payload)
+    elif payload:
+        raise FrameEncodeError(f"{_KINDS[kind].name} frames carry no payload")
+    elif kind == _RNR_NAK:
+        if not 0 <= hint < 32:
+            raise FrameEncodeError(f"rnr delay hint {hint} not a 5-bit code")
+        length_field = hint
     else:
-        if frame.payload:
-            raise FrameEncodeError(f"{frame.kind.name} frames carry no payload")
-        if frame.kind == FrameKind.RNR_NAK:
-            if not 0 <= frame.rnr_delay_hint < 32:
-                raise FrameEncodeError(
-                    f"rnr delay hint {frame.rnr_delay_hint} not a 5-bit code")
-            length_field = frame.rnr_delay_hint
-        else:
-            length_field = 0
-    return b"".join((
-        _HEADER.pack(FRAME_MAGIC, frame.kind, frame.seg),
-        frame.dest_qpn.to_bytes(3, "big"),
-        frame.psn.to_bytes(3, "big"),
-        length_field.to_bytes(4, "big"),
-        frame.payload,
-    ))
+        length_field = 0
+    return _HEADER.pack(FRAME_MAGIC, kind, seg, qpn >> 8, qpn & 0xFF,
+                        psn >> 8, psn & 0xFF, length_field) + payload
 
 
 def decode_frame(data: bytes) -> Frame:
     """Inverse of encode_frame; strict about magic, lengths, and kinds."""
     if len(data) < HEADER_LEN:
         raise FrameDecodeError(f"truncated header: {len(data)} bytes")
-    magic, kind_raw, seg_raw = _HEADER.unpack_from(data)
+    (magic, kind_raw, seg_raw, qpn_hi, qpn_lo, psn_hi, psn_lo,
+     length_field) = _HEADER.unpack_from(data)
     if magic != FRAME_MAGIC:
         raise FrameDecodeError(f"bad magic {magic:#06x}")
-    try:
-        kind = FrameKind(kind_raw)
-    except ValueError:
-        raise FrameDecodeError(f"unknown frame kind {kind_raw}") from None
-    try:
-        seg = SegMark(seg_raw)
-    except ValueError:
-        raise FrameDecodeError(f"unknown segment marker {seg_raw}") from None
-    dest_qpn = int.from_bytes(data[4:7], "big")
-    psn = int.from_bytes(data[7:10], "big")
-    length_field = int.from_bytes(data[10:14], "big")
-    if kind == FrameKind.DATA:
+    if kind_raw >= len(_KINDS):
+        raise FrameDecodeError(f"unknown frame kind {kind_raw}")
+    if seg_raw >= len(_SEGS):
+        raise FrameDecodeError(f"unknown segment marker {seg_raw}")
+    kind = _KINDS[kind_raw]
+    seg = _SEGS[seg_raw]
+    dest_qpn = qpn_hi << 8 | qpn_lo
+    psn = psn_hi << 8 | psn_lo
+    if kind is _DATA:
         if length_field > MAX_PAYLOAD:
             raise FrameDecodeError(f"payload length {length_field} over limit")
-        body = data[HEADER_LEN:]
-        if len(body) < length_field:
+        body_len = len(data) - HEADER_LEN
+        if body_len < length_field:
             raise FrameDecodeError(
-                f"truncated payload: {len(body)} of {length_field} bytes")
-        if len(body) > length_field:
+                f"truncated payload: {body_len} of {length_field} bytes")
+        if body_len > length_field:
             raise FrameDecodeError(
-                f"trailing garbage: {len(body) - length_field} bytes")
-        return Frame(kind, dest_qpn, psn, seg, bytes(body))
+                f"trailing garbage: {body_len - length_field} bytes")
+        return Frame(kind, dest_qpn, psn, seg, bytes(data[HEADER_LEN:]))
     if len(data) != HEADER_LEN:
         raise FrameDecodeError(f"{kind.name} frame with trailing bytes")
-    if kind == FrameKind.RNR_NAK:
+    if kind is _RNR_NAK:
         return Frame(kind, dest_qpn, psn, seg, b"", length_field & 0xFF)
     return Frame(kind, dest_qpn, psn, seg)
 
@@ -147,11 +152,11 @@ def frame_body_length(header: bytes) -> int:
     """Payload byte count that follows a 14-byte header on a stream."""
     if len(header) != HEADER_LEN:
         raise FrameDecodeError("header must be exactly 14 bytes")
-    if int.from_bytes(header[:2], "big") != FRAME_MAGIC:
+    magic, kind, _, _, _, _, _, length = _HEADER.unpack(header)
+    if magic != FRAME_MAGIC:
         raise FrameDecodeError("bad magic in stream header")
-    if header[2] != FrameKind.DATA:
+    if kind != _DATA:
         return 0
-    length = int.from_bytes(header[10:14], "big")
     if length > MAX_PAYLOAD:
         raise FrameDecodeError(f"payload length {length} over limit")
     return length

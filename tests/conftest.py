@@ -19,12 +19,18 @@ from softverbs.verbs import DeviceRegistry
 @pytest.fixture(autouse=True)
 def no_socket_fabric_left_open():
     """Fail a test that leaves a SocketFabric open: every later wait on a
-    socket fabric would go on polling its sockets and firing its timers."""
+    socket fabric would go on polling its sockets and firing its timers.
+    Fail it too if the shared poll set still watches a socket other than
+    the wake pair once every fabric is closed: a leaked registration."""
     yield
-    left = list(fabric_module._MANUAL.fabrics)
+    manual = fabric_module._MANUAL
+    left = list(manual.fabrics)
     for fabric in left:
         fabric.close()
     assert not left, f"{len(left)} SocketFabric(s) left open"
+    wake = {manual.wake_pair[0].fileno()} if manual.wake_pair else set()
+    watched = set(manual.handlers) - wake
+    assert not watched, f"poll set still watches descriptors {watched}"
 
 
 @pytest.fixture

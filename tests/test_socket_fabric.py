@@ -1,4 +1,5 @@
 import random
+import socket
 import sys
 import threading
 import time
@@ -14,6 +15,7 @@ from softverbs.fabric import (
     SocketFabric,
     TimingTables,
 )
+from softverbs import fabric as fabric_module, pingpong
 from softverbs.pingpong import PingpongConfig, cleanup_node, run_node
 from softverbs.verbs import (
     AttrMask,
@@ -27,6 +29,7 @@ from softverbs.wire import (
     HEADER_LEN,
     Frame,
     FrameKind,
+    SegMark,
     decode_frame,
     encode_frame,
     frame_body_length,
@@ -411,4 +414,140 @@ def test_pingpong_roles_on_many_threads_take_turns_moving(make_fabrics,
     assert len(results) == 2 * pairs
     for result in results:
         assert result.ctx.rcnt == result.ctx.scnt == iters
+        cleanup_node(result)
+
+
+class CountingSocket:
+    """Stands in for a dialled socket and records the bytes of each
+    ``send`` call; everything else goes to the real socket."""
+
+    def __init__(self, sock):
+        self._sock = sock
+        self.sends: list[bytes] = []
+
+    def send(self, data):
+        sent = self._sock.send(data)
+        self.sends.append(bytes(data[:sent]))
+        return sent
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+def test_a_four_frame_message_leaves_in_one_send(two_fabrics, monkeypatch):
+    (reg_a, reg_b), (fab_a, fab_b) = two_fabrics
+    a = Node(reg_a, fab_a)
+    b = Node(reg_b, fab_b)
+    connect_pair(a, b)
+    counting = CountingSocket(fab_a._peers[b.lid])
+    fab_a._peers[b.lid] = counting
+    decoded = []
+
+    def record(data):
+        decoded.append(decode_frame(data))
+        return decoded[-1]
+
+    monkeypatch.setattr(fabric_module, "decode_frame", record)
+    payload = bytes(range(256)) * 16  # 4 KiB, four frames at mtu 1024
+    b.post_recv(1, length=len(payload))
+    a.post_send(2, payload, off=len(payload))
+    assert [wc.status for wc in wait_for(b.cq, 1)] == [WcStatus.SUCCESS]
+    assert [wc.status for wc in wait_for(a.cq, 1)] == [WcStatus.SUCCESS]
+    assert b.read(0, len(payload)) == payload
+    frames = [Frame(FrameKind.DATA, b.qp.qpn, 100 + i, seg,
+                    payload[i * 1024:(i + 1) * 1024])
+              for i, seg in enumerate((SegMark.FIRST, SegMark.MIDDLE,
+                                       SegMark.MIDDLE, SegMark.LAST))]
+    assert counting.sends == [b"".join(map(encode_frame, frames))]
+    assert [f for f in decoded if f.kind is FrameKind.DATA] == frames
+
+
+def test_a_small_send_buffer_delivers_a_window_exactly_once_in_order(
+        two_fabrics):
+    """A window of 64 KiB sends posted at once overruns the dialled
+    socket's shrunken send buffer: the rest stays queued, the socket is
+    polled for writing, and the waiting thread writes it out."""
+    n_msgs, size = 16, 65536
+    (reg_a, reg_b), (fab_a, fab_b) = two_fabrics
+    a, b = (Node(reg, fabric, size=n_msgs * size, max_send_wr=n_msgs,
+                 max_recv_wr=n_msgs, cq_capacity=n_msgs + 1)
+            for reg, fabric in ((reg_a, fab_a), (reg_b, fab_b)))
+    connect_pair(a, b)
+    sock = fab_a._peers[b.lid]
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+    rng = random.Random(9)
+    payloads = [rng.randbytes(size) for _ in range(n_msgs)]
+    for i in range(n_msgs):
+        b.post_recv(i, off=i * size, length=size)
+    for i, payload in enumerate(payloads):
+        a.post_send(1000 + i, payload, off=i * size)
+    assert sock in fab_a._unsent
+    assert sock.fileno() in fabric_module._MANUAL.handlers
+    recv = wait_for(b.cq, n_msgs, timeout=30.0)
+    send = wait_for(a.cq, n_msgs, timeout=30.0)
+    assert [wc.wr_id for wc in recv] == list(range(n_msgs))
+    assert [wc.wr_id for wc in send] == [1000 + i for i in range(n_msgs)]
+    assert all(wc.status is WcStatus.SUCCESS for wc in recv + send)
+    for i, payload in enumerate(payloads):
+        assert b.read(i * size, size) == payload
+    assert not fab_a._unsent
+    assert sock.fileno() not in fabric_module._MANUAL.handlers
+
+
+def test_the_server_connects_before_it_replies(make_fabrics, monkeypatch):
+    """As in rc_pingpong.c: when the client reads the server's reply, the
+    server QP is in RTR or RTS already, so the client's first message
+    finds it. The server is held after its exchange until the client
+    has looked."""
+    regs, fabrics = make_fabrics()
+    base = PingpongConfig(oob_port=free_port(), size=4096, iters=5)
+    cfgs = (base, replace(base, server_host="127.0.0.1"))
+    server_ctx, seen, looked = [], [], threading.Event()
+    open_node, as_server, as_client = (pingpong.open_node,
+                                       pingpong.exchange_as_server,
+                                       pingpong.exchange_as_client)
+
+    def opening(cfg, *args):
+        ctx, dest = open_node(cfg, *args)
+        if cfg.is_server:
+            server_ctx.append(ctx)
+        return ctx, dest
+
+    def serving(*args, **kwargs):
+        theirs = as_server(*args, **kwargs)
+        looked.wait(5.0)
+        return theirs
+
+    def dialling(*args, **kwargs):
+        theirs = as_client(*args, **kwargs)
+        seen.append(server_ctx[0].qp.state)
+        looked.set()
+        return theirs
+
+    monkeypatch.setattr(pingpong, "open_node", opening)
+    monkeypatch.setattr(pingpong, "exchange_as_server", serving)
+    monkeypatch.setattr(pingpong, "exchange_as_client", dialling)
+    results, errors = [], []
+
+    def role(i, oob_ready):
+        try:
+            results.append(run_node(cfgs[i], regs[i], fabrics[i],
+                                    oob_ready=oob_ready))
+        except Exception as exc:
+            errors.append(exc)
+
+    oob_ready = threading.Event()
+    threads = [threading.Thread(target=role, args=(0, oob_ready),
+                                daemon=True),
+               threading.Thread(target=role, args=(1, None), daemon=True)]
+    threads[0].start()
+    assert oob_ready.wait(5.0)
+    threads[1].start()
+    for thread in threads:
+        thread.join(timeout=10.0)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(seen) == 1 and seen[0] in (QpState.RTR, QpState.RTS)
+    for result in results:
+        assert result.ctx.rcnt == result.ctx.scnt == 5
         cleanup_node(result)

@@ -148,3 +148,78 @@ frames = st.one_of(
 @given(frames)
 def test_roundtrip_property(frame):
     assert decode_frame(encode_frame(frame)) == frame
+
+
+# -- oracle: the layout written out field by field ---------------------------
+
+MAX_24 = (1 << 24) - 1
+
+
+def reference_encode(frame: Frame) -> bytes:
+    """The frame layout, byte by byte: magic, kind, segment, then QPN, PSN
+    and the length field as 3, 3 and 4 big-endian bytes, then the
+    payload."""
+    if frame.kind is FrameKind.DATA:
+        length_field = len(frame.payload)
+    elif frame.kind is FrameKind.RNR_NAK:
+        length_field = frame.rnr_delay_hint
+    else:
+        length_field = 0
+    return (bytes([0x56, 0x42, frame.kind, frame.seg])
+            + frame.dest_qpn.to_bytes(3, "big")
+            + frame.psn.to_bytes(3, "big")
+            + length_field.to_bytes(4, "big")
+            + frame.payload)
+
+
+def test_encode_matches_the_reference_on_every_edge():
+    """Every kind and segment, QPN and PSN at both ends of their range,
+    and DATA payloads of 0, 1 and MTU bytes."""
+    for kind in FrameKind:
+        for seg in SegMark:
+            for qpn in (0, MAX_24):
+                for psn in (0, MAX_24):
+                    if kind is FrameKind.DATA:
+                        variants = [dict(payload=bytes([n % 251]) * n)
+                                    for n in (0, 1, MAX_PAYLOAD)]
+                    elif kind is FrameKind.RNR_NAK:
+                        variants = [dict(rnr_delay_hint=h) for h in (0, 31)]
+                    else:
+                        variants = [{}]
+                    for extra in variants:
+                        frame = Frame(kind, qpn, psn, seg, **extra)
+                        data = encode_frame(frame)
+                        assert data == reference_encode(frame), frame
+                        assert decode_frame(data) == frame
+
+
+edge_24 = st.one_of(st.sampled_from([0, MAX_24]), st.integers(0, MAX_24))
+
+
+@st.composite
+def any_frame(draw):
+    kind = draw(st.sampled_from(list(FrameKind)))
+    payload, hint = b"", 0
+    if kind is FrameKind.DATA:
+        size = draw(st.one_of(st.sampled_from([0, 1, MAX_PAYLOAD]),
+                              st.integers(0, MAX_PAYLOAD)))
+        payload = draw(st.binary(min_size=size, max_size=size))
+    elif kind is FrameKind.RNR_NAK:
+        hint = draw(st.integers(0, 31))
+    return Frame(kind, draw(edge_24), draw(edge_24),
+                 draw(st.sampled_from(list(SegMark))), payload, hint)
+
+
+@given(any_frame())
+def test_encode_matches_the_reference_byte_for_byte(frame):
+    assert encode_frame(frame) == reference_encode(frame)
+
+
+@pytest.mark.parametrize("field", [2, 3], ids=["kind", "segment"])
+def test_every_unknown_kind_and_segment_code_is_rejected(field):
+    valid = bytearray(reference_encode(Frame(FrameKind.ACK, 1, 2)))
+    for code in range(4, 256):
+        data = bytearray(valid)
+        data[field] = code
+        with pytest.raises(FrameDecodeError):
+            decode_frame(bytes(data))
