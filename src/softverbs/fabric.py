@@ -8,9 +8,12 @@ Loss recovery is NAK-driven, after the IBTA RC PSN sequence error: a
 receiver holds frames that arrive ahead of the expected PSN (up to
 ``HOLD_PSNS`` ahead) and sends one NAK per gap; the sender resends just
 the NAK'd frame. Once the gap fills, the held frames are accepted in
-order under one cumulative ACK. The retransmit timeout (a go-back-N
-burst from the head) remains the fallback when a NAK or its resend is
-lost.
+order under one cumulative ACK. A loss that no later frame reveals (a
+lost last frame, NAK, NAK'd resend or final ACK) is caught by a
+tail-loss probe, after RFC 8985: a head unacked for ``PROBE_MS`` is
+resent once, alone, and charged to its retry budget. The retransmit
+timeout (a go-back-N burst from the head) remains the fallback when the
+probe is lost too.
 
 Two interchangeable transports share the engine:
 
@@ -24,7 +27,9 @@ Two interchangeable transports share the engine:
   written together, in one ``send`` when the call returns.
 
 Both share one per-frame path (drop filter, fault profile, frame trace)
-and one retransmit timer (per-QP deadlines armed through ``schedule``);
+and one retransmit timer (one pending tick per QP, armed through
+``schedule`` for the head's probe or timeout deadline; a tick superseded
+by an earlier deadline is left in place and does nothing when it fires);
 a transport supplies ``now_ms``, ``schedule`` and ``_deliver``, and
 ``wait_until``, the blocking wait of the verbs objects.
 
@@ -82,6 +87,9 @@ TICK_EPS_MS = 0.25
 HOLD_PSNS = 1024
 # a go-back-N burst (timeout or RNR resume) replays this many frames at most
 BURST_FRAMES = 64
+# a head unacked this long is resent once, alone (a tail-loss probe),
+# before the retransmit timeout takes over
+PROBE_MS = 10.0
 # extra wire delay of a duplicate copy (after its original) and of a
 # reordered frame
 DUP_EXTRA_MS = 0.5
@@ -157,7 +165,7 @@ class TimingTables:
 
 class WindowEntry:
     __slots__ = ("psn", "frame", "wqe", "last", "sent_at",
-                 "retries_used", "rnr_retries_used")
+                 "retries_used", "rnr_retries_used", "probed")
 
     def __init__(self, psn, frame, wqe, last, sent_at=0.0):
         self.psn = psn
@@ -167,18 +175,28 @@ class WindowEntry:
         self.sent_at = sent_at
         self.retries_used = 0
         self.rnr_retries_used = 0
+        self.probed = False  # the tail-loss probe resent it already
 
 
 class SenderState:
-    """Per-QP outbound window; unacked PSNs stay contiguous mod 2^24."""
+    """Per-QP outbound window; unacked PSNs stay contiguous mod 2^24.
 
-    __slots__ = ("next_psn", "unacked", "paused_until", "tick_pending")
+    A head may stay unacked ``probe_ms`` until it is probed, then
+    ``timeout_ms``. ``tick_at`` is when the pending retransmit tick
+    fires (inf if none); a tick whose ``tick_gen`` is no longer current
+    was superseded by an earlier one and does nothing."""
 
-    def __init__(self, next_psn: int):
+    __slots__ = ("next_psn", "unacked", "paused_until", "timeout_ms",
+                 "probe_ms", "tick_at", "tick_gen")
+
+    def __init__(self, next_psn: int, timeout_ms: float):
         self.next_psn = next_psn
         self.unacked: deque[WindowEntry] = deque()
         self.paused_until = 0.0
-        self.tick_pending = False
+        self.timeout_ms = timeout_ms
+        self.probe_ms = min(PROBE_MS, timeout_ms)
+        self.tick_at = math.inf
+        self.tick_gen = 0
 
 
 class ReceiverState:
@@ -307,7 +325,8 @@ class Fabric(Progress):
             del ep.qpn_map[qp.qpn]
 
     def on_qp_rts(self, qp: QueuePair) -> None:
-        qp.sender = SenderState(qp.attrs.sq_psn)
+        qp.sender = SenderState(qp.attrs.sq_psn,
+                                self.timing.timeout(qp.attrs.timeout))
 
     # -- clock / scheduling (transport specific) ---------------------------
 
@@ -328,22 +347,36 @@ class Fabric(Progress):
 
     def _arm_tick(self, qp: QueuePair) -> None:
         """Schedule one timeout tick at the head's deadline, unless one is
-        already pending; the tick re-arms itself while frames stay unacked."""
+        pending for no later; the tick re-arms itself while frames stay
+        unacked. A pending tick that is due later is superseded: the
+        generation moves on, and it does nothing when it fires."""
         snd = qp.sender
-        if snd is None or not snd.unacked or snd.tick_pending:
+        if snd is None or not snd.unacked:
             return
-        deadline = max(snd.unacked[0].sent_at +
-                       self.timing.timeout(qp.attrs.timeout),
-                       snd.paused_until) + TICK_EPS_MS
-        snd.tick_pending = True
-        self.schedule(deadline - self.now_ms(), lambda: self._tick_fired(qp))
+        head = snd.unacked[0]
+        deadline = head.sent_at + (snd.timeout_ms if head.probed
+                                   else snd.probe_ms)
+        if deadline < snd.paused_until:
+            deadline = snd.paused_until
+        deadline += TICK_EPS_MS
+        if snd.tick_at <= deadline:
+            return
+        snd.tick_at = deadline
+        snd.tick_gen += 1
+        self.schedule(deadline - self.now_ms(),
+                      partial(self._tick_fired, qp, snd, snd.tick_gen))
 
-    def _tick_fired(self, qp: QueuePair) -> None:
-        snd = qp.sender
-        if snd is not None:
-            snd.tick_pending = False
+    def _tick_fired(self, qp: QueuePair, snd: SenderState, gen: int) -> None:
+        if qp.sender is not snd or snd.tick_gen != gen:
+            return
+        snd.tick_at = math.inf
         self.on_timeout_tick(qp, self.now_ms())
         self._arm_tick(qp)
+
+    def _backlogged(self, dlid: int) -> bool:
+        """Does the transport still hold bytes it has not sent to
+        ``dlid``? A head queued behind them is not probed."""
+        return False
 
     # -- send side ---------------------------------------------------------
 
@@ -402,8 +435,7 @@ class Fabric(Progress):
             if snd.unacked:
                 now = self.now_ms()
                 if progressed and now >= snd.paused_until and \
-                        now - snd.unacked[0].sent_at >= \
-                        self.timing.timeout(qp.attrs.timeout):
+                        now - snd.unacked[0].sent_at >= snd.timeout_ms:
                     self._retransmit_burst(qp, now)
                 self._arm_tick(qp)
 
@@ -488,7 +520,7 @@ class Fabric(Progress):
         the timeout tick's job, not ours.
         """
         snd = qp.sender
-        tmo = self.timing.timeout(qp.attrs.timeout)
+        tmo = snd.timeout_ms
         sent = 0
         for entry in snd.unacked:
             if sent >= BURST_FRAMES:
@@ -500,11 +532,20 @@ class Fabric(Progress):
         return sent
 
     def on_timeout_tick(self, qp: QueuePair, now: float) -> None:
-        """Retransmit from the head once it outlives the timeout.
+        """Probe a stalled head, then retransmit from it on timeout.
 
-        Each timeout of the same head charges its retry budget; going
-        past retry_cnt fails the in-flight send with RetryExceeded and
-        throws the QP into ERR.
+        A head unacked for ``PROBE_MS`` is resent once, alone: a
+        tail-loss probe, after RFC 8985. It recovers the losses no later
+        frame can reveal (a lost last frame, NAK, NAK'd resend or final
+        ACK): the resend fills the receiver's gap or draws a stale
+        re-ACK. While the transport still holds unsent bytes for the
+        peer, the head has not left yet, and its clock restarts instead.
+        Once the probed head outlives the timeout, a go-back-N burst
+        replays the window from it.
+
+        The probe and each timeout of the same head charge its retry
+        budget, like a NAK'd resend; going past retry_cnt fails the
+        in-flight send with RetryExceeded and throws the QP into ERR.
         """
         with self._lock:
             snd = qp.sender
@@ -513,13 +554,21 @@ class Fabric(Progress):
             if now < snd.paused_until:
                 return
             head = snd.unacked[0]
-            if now - head.sent_at < self.timing.timeout(qp.attrs.timeout):
+            if now - head.sent_at < (snd.timeout_ms if head.probed
+                                     else snd.probe_ms):
+                return
+            if not head.probed and self._backlogged(qp.attrs.ah.dlid):
+                head.sent_at = now
                 return
             if head.retries_used >= qp.attrs.retry_cnt:
                 self._fail_send(qp, head, WcStatus.RETRY_EXCEEDED)
                 return
             head.retries_used += 1
-            self._retransmit_burst(qp, now)
+            if head.probed:
+                self._retransmit_burst(qp, now)
+            else:
+                head.probed = True
+                self._transmit_entry(qp, head)
 
     def _fail_send(self, qp: QueuePair, entry: WindowEntry,
                    status: WcStatus) -> None:
@@ -1176,6 +1225,10 @@ class SocketFabric(Fabric):
                 self.schedule(extra, lambda: self._write(sock, data))
             else:
                 self._write(sock, data)
+
+    def _backlogged(self, dlid: int) -> bool:
+        sock = self._peers.get(dlid)
+        return sock is not None and sock in self._unsent
 
     def _write(self, sock: socket.socket, data: bytes) -> None:
         """Queue ``data`` behind what the socket has not taken yet; the

@@ -404,10 +404,11 @@ def run_loopback_pair(base: PingpongConfig, faults=None,
 
     Returns (server NodeResult, client NodeResult, fabric). Each role is
     connected straight to the other's destination; their ``_exchanges``
-    loops take turns, each resumed once what it waits on is ready, and
-    when both wait the fabric runs the events of the next timestamp, so
-    a lossless round trip costs two hops of virtual time. The run is
-    deterministic for a given seed and fault profile.
+    loops take turns, each resumed while what it waits on is ready, and
+    then the fabric runs the events of the next timestamp: only a fabric
+    event makes a waiting role ready. A lossless round trip costs two
+    hops of virtual time. The run is deterministic for a given seed and
+    fault profile.
     """
     registry = verbs.DeviceRegistry()
     registry.add_device("hca0")
@@ -423,18 +424,21 @@ def run_loopback_pair(base: PingpongConfig, faults=None,
     loops = [_exchanges(ctx, cfg) for ctx, cfg in zip(ctxs, cfgs)]
     waits = [next(loop) for loop in loops]
     stats = {}
-    while len(stats) < len(loops):
+    while True:
         resumed = False
         for i, loop in enumerate(loops):
-            value = None if i in stats else _wake_value(waits[i])
-            if value is None:
-                continue
-            resumed = True
-            try:
-                waits[i] = loop.send(value)
-            except StopIteration as done:
-                stats[i] = done.value
-        if not resumed and not fabric.jump():
+            while i not in stats:
+                value = _wake_value(waits[i])
+                if value is None:
+                    break
+                resumed = True
+                try:
+                    waits[i] = loop.send(value)
+                except StopIteration as done:
+                    stats[i] = done.value
+        if len(stats) == len(loops):
+            break
+        if not fabric.jump() and not resumed:
             raise PingpongError(
                 "both roles wait for completions and nothing is scheduled")
     server, client = (NodeResult(stats[i], mine[i], theirs[i],

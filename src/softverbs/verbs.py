@@ -575,20 +575,26 @@ class CompletionQueue:
         self._qps: set[QueuePair] = set()
         self._ack_cond = threading.Condition(context.lock)
         self._entry_cond = threading.Condition(context.lock)
+        self._waiters = 0  # threads in wait_for_completion
         if channel is not None:
             channel._cqs.add(self)
 
     def _push(self, entry: CompletionEntry) -> None:
-        """Insert a CQE; overflowing latches the error state and drops it."""
+        """Insert a CQE; overflowing latches the error state and drops it.
+
+        Waiters are woken only if there are any: a poll loop that never
+        waits pays no notify per CQE."""
         with self.context.lock:
             if self.state is CqState.ERROR:
                 return
             if len(self.entries) >= self.capacity:
                 self.state = CqState.ERROR
-                self._entry_cond.notify_all()
+                if self._waiters:
+                    self._entry_cond.notify_all()
                 return
             self.entries.append(entry)
-            self._entry_cond.notify_all()
+            if self._waiters:
+                self._entry_cond.notify_all()
             if self.notify_armed and self.channel is not None:
                 self.notify_armed = False
                 self.channel._deliver(self)
@@ -616,10 +622,19 @@ class CompletionQueue:
         """Park the caller until an entry (or the error latch) appears.
 
         Purely a convenience for poll loops; poll() itself never blocks.
+        The caller counts as a waiter, under the world lock, for as long
+        as it waits, so that ``_push`` knows to wake it.
         """
-        return self.context._progress().wait_until(
-            self._entry_cond,
-            lambda: bool(self.entries) or self.state is CqState.ERROR, timeout)
+        with self.context.lock:
+            self._waiters += 1
+        try:
+            return self.context._progress().wait_until(
+                self._entry_cond,
+                lambda: bool(self.entries) or self.state is CqState.ERROR,
+                timeout)
+        finally:
+            with self.context.lock:
+                self._waiters -= 1
 
     def req_notify(self) -> None:
         """Arm a one-shot event: the next CQE pushes this CQ to its channel."""

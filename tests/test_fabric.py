@@ -1,5 +1,6 @@
 import collections
 import hashlib
+import math
 import random
 from functools import partial
 
@@ -9,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import Node, connect_pair, run_until, to_init
 from softverbs.fabric import (
     HOLD_PSNS,
+    PROBE_MS,
+    TICK_EPS_MS,
     FabricConfigError,
     FaultProfile,
     LoopbackFabric,
@@ -508,6 +511,127 @@ class TestRetry:
         assert wcs[1].status is WcStatus.WR_FLUSHED
 
 
+def drop_first(kind, psn, copies=1):
+    """A drop filter that loses the first ``copies`` frames of any
+    ``kind`` with ``psn``."""
+    left = [copies]
+
+    def drop(frame):
+        if frame.kind is kind and frame.psn == psn and left[0]:
+            left[0] -= 1
+            return True
+        return False
+
+    return drop
+
+
+class TestTailLossProbe:
+    """A head unacked for PROBE_MS is resent once, alone; each loss that
+    no later frame reveals then costs PROBE_MS and a round trip, not a
+    500 ms timeout."""
+
+    HOPS = 2 * LoopbackFabric.hop_latency_ms
+
+    def _send(self, pair, fabric, size, drop):
+        a, b = pair
+        b.post_recv(1)
+        fabric.drop_filter = drop
+        a.post_send(2, bytes(range(256)) * (size // 256))
+        got = []
+        run_until(fabric, lambda: got.extend(a.cq.poll(2)) or got)
+        assert [wc.status for wc in got] == [WcStatus.SUCCESS]
+        assert [wc.status for wc in b.cq.poll(2)] == [WcStatus.SUCCESS]
+        return fabric.now_ms()
+
+    def _copies(self, fabric, kind, psn):
+        return [e for e in fabric.trace
+                if e.frame.kind is kind and e.frame.psn == psn]
+
+    def test_lost_last_frame(self, pair, fabric):
+        done = self._send(pair, fabric, 2048, drop_first_copy(101))
+        assert done == PROBE_MS + TICK_EPS_MS + self.HOPS
+        assert [e.status for e in
+                self._copies(fabric, FrameKind.DATA, 101)] == \
+            ["dropped", "sent"]
+
+    def test_lost_nak(self, pair, fabric):
+        lose_data = drop_first_copy(100)
+        lose_nak = drop_first(FrameKind.NAK, 100)
+        done = self._send(pair, fabric, 4096,
+                          lambda f: lose_data(f) or lose_nak(f))
+        assert done == PROBE_MS + TICK_EPS_MS + self.HOPS
+        assert [e.status for e in
+                self._copies(fabric, FrameKind.NAK, 100)] == ["dropped"]
+        # the probe fills the gap: one cumulative ACK for the held frames
+        ack, = frames_of(fabric, FrameKind.ACK)
+        assert ack.psn == 103
+
+    def test_lost_nakd_resend(self, pair, fabric):
+        done = self._send(pair, fabric, 4096,
+                          drop_first(FrameKind.DATA, 100, copies=2))
+        copies = self._copies(fabric, FrameKind.DATA, 100)
+        assert [e.status for e in copies] == ["dropped", "dropped", "sent"]
+        resent = copies[1].t  # on the NAK, one round trip in
+        assert resent == self.HOPS
+        assert done == resent + PROBE_MS + TICK_EPS_MS + self.HOPS
+
+    def test_lost_final_ack_draws_one_dup_and_one_reack(self, pair, fabric):
+        done = self._send(pair, fabric, 256,
+                          drop_first(FrameKind.ACK, 100))
+        assert done == PROBE_MS + TICK_EPS_MS + self.HOPS
+        assert [e.status for e in
+                self._copies(fabric, FrameKind.DATA, 100)] == ["sent", "sent"]
+        assert [e.status for e in
+                self._copies(fabric, FrameKind.ACK, 100)] == \
+            ["dropped", "sent"]
+
+    def test_lossless_pair_sends_no_frame_twice(self, monkeypatch):
+        fired = []
+        tick = LoopbackFabric._tick_fired
+        monkeypatch.setattr(LoopbackFabric, "_tick_fired",
+                            lambda self, *args: fired.append(args) or
+                            tick(self, *args))
+        _, _, fabric = run_loopback_pair(
+            PingpongConfig(iters=1000, size=64), seed=1)
+        sent = collections.Counter(
+            (e.src_lid, e.frame.psn) for e in fabric.trace
+            if e.frame.kind is FrameKind.DATA)
+        assert len(sent) == 2000 and set(sent.values()) == {1}
+        assert {e.status for e in fabric.trace} == {"sent"}
+        # one tick per QP per PROBE_MS of the run, at most
+        assert fabric.now_ms() == 2001.0
+        assert len(fired) <= 2 * math.ceil(fabric.now_ms() / PROBE_MS) + 2
+
+    def test_probe_then_timeout_spacing(self, registry, fabric):
+        # criterion 05's set-up: PSN 101 is always lost
+        a = Node(registry, fabric)
+        b = Node(registry, fabric)
+        connect_pair(a, b)
+        b.post_recv(1)
+        fabric.drop_filter = (lambda f: f.kind is FrameKind.DATA
+                              and f.psn == 101)
+        a.post_send(55, bytes(2048))
+        fabric.run_until_idle()
+        t = [e.t for e in self._copies(fabric, FrameKind.DATA, 101)]
+        timeout = fabric.timing.timeout(14)
+        assert len(t) == 1 + 7
+        assert PROBE_MS <= t[1] < PROBE_MS + 1  # the probe
+        assert timeout <= t[2] - t[1] < timeout + 1  # the first timeout
+        wc, = a.cq.poll(2)
+        assert wc.status is WcStatus.RETRY_EXCEEDED
+
+    def test_ack_pulls_a_pending_timeout_tick_earlier(self, pair, fabric):
+        # both frames are lost and the receiver sees nothing to NAK. After
+        # the probe of PSN 100 the pending tick waits out the timeout; the
+        # ACK that retires 100 exposes 101, whose probe is overdue already
+        done = self._send(pair, fabric, 2048, drop_first_copy(100, 101))
+        probes = [e.t for e in fabric.trace
+                  if e.frame.kind is FrameKind.DATA and e.status == "sent"]
+        assert probes == [PROBE_MS + TICK_EPS_MS,
+                          PROBE_MS + TICK_EPS_MS + self.HOPS]
+        assert done == PROBE_MS + TICK_EPS_MS + 2 * self.HOPS
+
+
 class TestReliability:
     def _blast(self, seed, n_msgs=30, size=2048, mtu=512,
                profile=None):
@@ -568,20 +692,20 @@ class TestReliability:
         profile = FaultProfile(0.05, 0.1, 0.1, seed=1)
         fabric, *_ = self._blast(1, n_msgs=200, size=4096, mtu=1024,
                                  profile=profile)
-        assert len(fabric.trace) == 1976
+        assert len(fabric.trace) == 1338
         assert sum(1 for e in fabric.trace
-                   if e.frame.kind is FrameKind.DATA) == 1433
+                   if e.frame.kind is FrameKind.DATA) == 1098
         assert trace_digest(fabric) == (
-            "cc928346a06fb39ee6f71204dbb2c0e048002e8ac975a8b1f7383380343fb563")
+            "006e98f1fecb966d9e97df7707448f6c9c49f0b07f5f6db0bc6ae13a706e1015")
 
     def test_seeded_faulty_pair_emits_its_pinned_frames(self):
         _, _, fabric = run_loopback_pair(
             PingpongConfig(iters=50, rx_depth=8, size=2048),
             faults=FaultProfile(0.1, 0.05, 0.05, seed=7), seed=3)
-        assert len(fabric.trace) == 508
-        assert fabric.now_ms() == 9656.75
+        assert len(fabric.trace) == 494
+        assert fabric.now_ms() == 1316.25
         assert trace_digest(fabric) == (
-            "20f23e497886f9f1fc77e295355bc908f3a2569036708df6d6e45ad527d629b0")
+            "9f8f5a9a3ce8fabaff4f4f129fa8c3725709f4e66c40df8ebc25f304c5eb6ae9")
 
     def test_different_seed_different_trace(self):
         first, *_ = self._blast(5)

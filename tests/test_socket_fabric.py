@@ -9,6 +9,7 @@ import pytest
 
 from conftest import Node, connect_pair, free_port, to_init, to_rtr, to_rts
 from softverbs.fabric import (
+    PROBE_MS,
     FabricConfig,
     FabricConfigEntry,
     FaultProfile,
@@ -175,7 +176,7 @@ def test_exactly_once_in_order_under_faults(make_fabrics):
     assert {"sent", "dropped", "dup"} <= statuses
 
 
-def test_single_drop_recovers_on_the_deadline_timer(make_fabrics):
+def test_single_drop_recovers_on_the_probe_deadline(make_fabrics):
     (reg_a, reg_b), fabrics = make_fabrics(timing=FAST_TIMEOUT)
     a = Node(reg_a, fabrics[0])
     b = Node(reg_b, fabrics[1])
@@ -198,8 +199,9 @@ def test_single_drop_recovers_on_the_deadline_timer(make_fabrics):
     # a slow ack may draw more copies, each after a further deadline
     assert [e.status for e in copies[:2]] == ["dropped", "sent"]
     assert all(e.status == "sent" for e in copies[1:])
-    # the first copy went out when the head's 50 ms deadline passed
-    assert copies[1].t - posted_at >= 50.0
+    # the first copy is the tail-loss probe, once the head's probe
+    # deadline passed; the 50 ms timeout comes only after it
+    assert copies[1].t - posted_at >= PROBE_MS
 
 
 def test_nak_frame_round_trips_through_the_stream_codec():
@@ -492,6 +494,48 @@ def test_a_small_send_buffer_delivers_a_window_exactly_once_in_order(
         assert b.read(i * size, size) == payload
     assert not fab_a._unsent
     assert sock.fileno() not in fabric_module._MANUAL.handlers
+
+
+class StalledSocket:
+    """Stands in for a dialled socket whose send buffer is full while
+    ``stalled`` holds; everything else goes to the real socket."""
+
+    def __init__(self, sock):
+        self._sock = sock
+        self.stalled = True
+
+    def send(self, data):
+        if self.stalled:
+            raise BlockingIOError
+        return self._sock.send(data)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+def test_no_probe_while_the_head_is_still_queued(two_fabrics):
+    """A head whose bytes the socket has not taken has not left yet: its
+    probe deadline restarts instead of resending it behind itself."""
+    (reg_a, reg_b), (fab_a, fab_b) = two_fabrics
+    a = Node(reg_a, fab_a)
+    b = Node(reg_b, fab_b)
+    connect_pair(a, b)
+    stalled = StalledSocket(fab_a._peers[b.lid])
+    fab_a._peers[b.lid] = stalled
+    b.post_recv(1)
+    a.post_send(2, b"queued" * 100)
+    assert stalled in fab_a._unsent
+    # several probe deadlines pass while the waiting thread moves both
+    # fabrics and fires their ticks
+    assert not a.cq.wait_for_completion(timeout=5 * PROBE_MS / 1e3)
+    data = [e for e in fab_a.trace if e.frame.kind is FrameKind.DATA]
+    assert len(data) == 1
+    head, = a.qp.sender.unacked
+    assert not head.probed and head.retries_used == 0
+    stalled.stalled = False
+    fabric_module._MANUAL.wake()
+    assert [wc.status for wc in wait_for(b.cq, 1)] == [WcStatus.SUCCESS]
+    assert [wc.status for wc in wait_for(a.cq, 1)] == [WcStatus.SUCCESS]
 
 
 def test_the_server_connects_before_it_replies(make_fabrics, monkeypatch):

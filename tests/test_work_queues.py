@@ -225,6 +225,29 @@ class TestPollCq:
             node.cq.poll(16)
         assert time.monotonic() - t0 < 1.0
 
+    def test_a_waiter_wakes_when_another_thread_pumps_the_clock(self, pair,
+                                                                 fabric):
+        # a CQE wakes only a counted waiter; the count is what _push reads
+        a, b = pair
+        b.post_recv(1)
+        woke = []
+        waiter = threading.Thread(target=lambda: woke.append(
+            (b.cq.wait_for_completion(timeout=5.0), time.monotonic())))
+        waiter.start()
+        deadline = time.monotonic() + 5.0
+        while b.cq._waiters == 0 and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert b.cq._waiters == 1
+        a.post_send(2, b"wake up")
+        fabric.run_until_idle()
+        landed = time.monotonic()
+        waiter.join(timeout=5.0)
+        assert not waiter.is_alive()
+        (ready, at), = woke
+        assert ready and at - landed < 1.0
+        assert b.cq._waiters == 0
+        assert [wc.wr_id for wc in b.cq.poll(2)] == [1]
+
 
 class TestCompletionChannel:
     def _armed_node(self, registry, fabric):
