@@ -4,13 +4,16 @@
 For each drop/duplicate/reorder setting, pushes a batch of messages
 through a single-threaded loopback world and reports how many frames the
 reliability engine needed relative to the lossless minimum, then how
-long the batch took in virtual time: until its last send completion.
-Fully deterministic for a given seed.
+many ACK frames the receiver sent and how long the batch took in virtual
+time: until its last send completion. A closing line sums the DATA
+frames, ACKs and virtual time over every row. Fully deterministic for a
+given seed.
 """
 
 import argparse
 import random
 import sys
+from collections import Counter
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -46,10 +49,10 @@ def run_batch(drop, dup, reorder, seed, n_msgs, size, mtu):
           and all(wc.status is WcStatus.SUCCESS for wc in recv)
           and all(b.read(i * size, size) == payloads[i]
                   for i in range(n_msgs)))
-    data_frames = sum(1 for e in fabric.trace
-                      if e.frame.kind is FrameKind.DATA)
+    kinds = Counter(e.frame.kind for e in fabric.trace)
     minimum = n_msgs * -(-size // mtu)
-    return ok, data_frames, minimum, virtual_ms
+    return (ok, kinds[FrameKind.DATA], minimum, kinds[FrameKind.ACK],
+            virtual_ms)
 
 
 def main():
@@ -69,13 +72,18 @@ def main():
     # first table's rows as six columns
     print(f"{'drop':>6} {'dup':>6} {'reorder':>8} {'delivered':>10} "
           f"{'frames':>8} {'amplification':>14}")
-    for drop, dup, reorder, ok, frames, minimum, _ in rows:
+    for drop, dup, reorder, ok, frames, minimum, *_ in rows:
         print(f"{drop:>6.2f} {dup:>6.2f} {reorder:>8.2f} "
               f"{'all' if ok else 'FAILED':>10} {frames:>8} "
               f"{frames / minimum:>13.2f}x")
-    print(f"\n{'drop':>6} {'dup':>6} {'reorder':>8} {'virtual_ms':>11}")
-    for drop, dup, reorder, *_, virtual_ms in rows:
-        print(f"{drop:>6.2f} {dup:>6.2f} {reorder:>8.2f} {virtual_ms:>11.2f}")
+    print(f"\n{'drop':>6} {'dup':>6} {'reorder':>8} {'acks':>6} "
+          f"{'virtual_ms':>11}")
+    for drop, dup, reorder, *_, acks, virtual_ms in rows:
+        print(f"{drop:>6.2f} {dup:>6.2f} {reorder:>8.2f} {acks:>6} "
+              f"{virtual_ms:>11.2f}")
+    print(f"\nsummed: {sum(r[4] for r in rows)} DATA frames, "
+          f"{sum(r[6] for r in rows)} ACKs, "
+          f"{sum(r[7] for r in rows):.2f} virtual ms")
 
 
 if __name__ == "__main__":

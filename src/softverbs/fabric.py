@@ -4,6 +4,14 @@ The fabric plays subnet manager (LID assignment), switch (routing by
 destination LID), and HCA transport engine (MTU segmentation, PSN
 ordering, cumulative ACKs, RNR NAKs, timeout retransmission).
 
+The unit of delivery and of acknowledgement is a burst: the frames that
+land on one port at one virtual instant (loopback), or that one socket
+read holds. A receiving QP that accepts in-order frames in a burst owes
+one cumulative ACK, which ``_send_owed_acks`` sends when the burst ends,
+at the instant its last frame landed (IBTA RC lets one ACK cover any run
+of PSNs). NAKs, RNR NAKs, the ACK of a drained gap and the re-ACK of a
+stale duplicate, which names the duplicate's own PSN, leave at once.
+
 Loss recovery is NAK-driven, after the IBTA RC PSN sequence error: a
 receiver holds frames that arrive ahead of the expected PSN (up to
 ``HOLD_PSNS`` ahead) and sends one NAK per gap; the sender resends just
@@ -18,7 +26,8 @@ probe is lost too.
 Two interchangeable transports share the engine:
 
 * LoopbackFabric: an in-process discrete-event queue driven by a virtual
-  clock. Fully deterministic for a given seed and schedule.
+  clock. Fully deterministic for a given seed and schedule. Each burst
+  is one event.
 * SocketFabric: one listening stream socket per attached port, LIDs
   resolved to host/port pairs from a static config file, real time. It
   starts no thread: the thread that blocks in a verbs wait moves it,
@@ -26,15 +35,17 @@ Two interchangeable transports share the engine:
   is one record on the stream; the records an engine call emits are
   written together, in one ``send`` when the call returns.
 
-Both share one per-frame path (drop filter, fault profile, frame trace)
-and one retransmit timer (one pending tick per QP, armed through
-``schedule`` for the head's probe or timeout deadline; a tick superseded
-by an earlier deadline is left in place and does nothing when it fires);
-a transport supplies ``now_ms``, ``schedule`` and ``_deliver``, and
+Both share one per-frame emit path (drop filter, fault profile, frame
+trace), one per-burst ACK and one retransmit timer (one pending tick per
+QP, armed through ``schedule`` for the head's probe or timeout deadline;
+a tick superseded by an earlier deadline is left in place and does
+nothing when it fires); a transport supplies ``now_ms``, ``schedule``
+and ``_deliver``, ends each burst with ``_send_owed_acks``, and supplies
 ``wait_until``, the blocking wait of the verbs objects.
 
 Engine callbacks (on_data / on_ack / on_timeout_tick) run serialized
-under the world lock shared with the verbs objects, on the caller's
+under the world lock shared with the verbs objects, which the transport
+holds when it calls them (they do not take it again), on the caller's
 thread: the one that pumps the loopback clock, or on sockets the one
 waiting in ``wait_for_completion`` or ``get_event``, which gets any
 exception they raise. User code never runs inside them.
@@ -105,8 +116,11 @@ def psn_add(psn: int, n: int) -> int:
 def psn_before(a: int, b: int) -> bool:
     """Serial-number compare mod 2^24: is ``a`` older than ``b``?
 
-    Half-range convention: a distance of exactly 2^23 counts as "after",
-    so stale/future classification is total.
+    Exactly one of ``psn_before(a, b)`` and ``psn_before(b, a)`` holds
+    when the PSNs differ by anything but 2^23. At exactly 2^23 neither
+    holds, so the compare is not total; ``on_data`` takes a frame that
+    far from the expected PSN for a future one, beyond the hold bound,
+    and discards it.
     """
     if a == b:
         return False
@@ -200,11 +214,12 @@ class SenderState:
 
 
 class ReceiverState:
-    """Per-QP inbound sequence: frames held ahead of a gap, by PSN, and
-    the expected PSN the last NAK named (one NAK per gap)."""
+    """Per-QP inbound sequence: frames held ahead of a gap, by PSN, the
+    expected PSN the last NAK named (one NAK per gap), and whether the
+    frames accepted in the current burst still owe their ACK."""
 
     __slots__ = ("expected_psn", "reassembly", "msg_active", "held",
-                 "nak_psn")
+                 "nak_psn", "ack_owed")
 
     def __init__(self, expected_psn: int):
         self.expected_psn = expected_psn
@@ -212,6 +227,7 @@ class ReceiverState:
         self.msg_active = False
         self.held: dict[int, Frame] = {}
         self.nak_psn: Optional[int] = None
+        self.ack_owed = False
 
 
 @dataclass
@@ -221,6 +237,8 @@ class Endpoint:
     port: int
     lid: int
     qpn_map: dict[int, QueuePair] = field(default_factory=dict)
+    # loopback only: the frames due to land here, by virtual arrival time
+    bursts: dict[float, list[Frame]] = field(default_factory=dict)
 
     def dispatch(self, frame: Frame) -> None:
         qp = self.qpn_map.get(frame.dest_qpn)
@@ -266,6 +284,8 @@ class Fabric(Progress):
         self._timers: list = []
         self._seq = itertools.count()
         self._rng = random.Random(self.faults.seed)
+        # receive QPs owing a cumulative ACK when the current burst ends
+        self._owed: list[QueuePair] = []
         self._registry = registry
         self._lock = registry.lock if registry is not None else threading.RLock()
 
@@ -427,17 +447,16 @@ class Fabric(Progress):
         could not hold while waiting for a retransmission) resumes the
         go-back replay immediately instead of waiting out another timeout.
         """
-        with self._lock:
-            snd = qp.sender
-            if snd is None:
-                return
-            progressed = self._retire_through(qp, frame.psn)
-            if snd.unacked:
-                now = self.now_ms()
-                if progressed and now >= snd.paused_until and \
-                        now - snd.unacked[0].sent_at >= snd.timeout_ms:
-                    self._retransmit_burst(qp, now)
-                self._arm_tick(qp)
+        snd = qp.sender
+        if snd is None:
+            return
+        progressed = self._retire_through(qp, frame.psn)
+        if snd.unacked:
+            now = self.now_ms()
+            if progressed and now >= snd.paused_until and \
+                    now - snd.unacked[0].sent_at >= snd.timeout_ms:
+                self._retransmit_burst(qp, now)
+            self._arm_tick(qp)
 
     def _retire_through(self, qp: QueuePair, psn: int) -> bool:
         """Retire every unacked entry with psn <= ``psn``, completing the
@@ -461,22 +480,21 @@ class Fabric(Progress):
         head is stale and ignored, and so is one during an RNR pause,
         whose resume resends the head anyway.
         """
-        with self._lock:
-            snd = qp.sender
-            if snd is None or qp.state is not QpState.RTS:
-                return
-            self._retire_through(qp, psn_add(frame.psn, -1))
-            if not snd.unacked or snd.unacked[0].psn != frame.psn:
-                return
-            head = snd.unacked[0]
-            if self.now_ms() < snd.paused_until:
-                return
-            if head.retries_used >= qp.attrs.retry_cnt:
-                self._fail_send(qp, head, WcStatus.RETRY_EXCEEDED)
-                return
-            head.retries_used += 1
-            self._transmit_entry(qp, head)
-            self._arm_tick(qp)
+        snd = qp.sender
+        if snd is None or qp.state is not QpState.RTS:
+            return
+        self._retire_through(qp, psn_add(frame.psn, -1))
+        if not snd.unacked or snd.unacked[0].psn != frame.psn:
+            return
+        head = snd.unacked[0]
+        if self.now_ms() < snd.paused_until:
+            return
+        if head.retries_used >= qp.attrs.retry_cnt:
+            self._fail_send(qp, head, WcStatus.RETRY_EXCEEDED)
+            return
+        head.retries_used += 1
+        self._transmit_entry(qp, head)
+        self._arm_tick(qp)
 
     def on_rnr_nak(self, qp: QueuePair, frame: Frame) -> None:
         """Receiver had no buffer: pause, then retransmit from the head.
@@ -484,23 +502,22 @@ class Fabric(Progress):
         Like a NAK, an RNR NAK acknowledges everything before its PSN; a
         receiver that drains held frames may send it ahead of the ACK.
         """
-        with self._lock:
-            snd = qp.sender
-            if snd is None or qp.state is not QpState.RTS:
-                return
-            self._retire_through(qp, psn_add(frame.psn, -1))
-            if not snd.unacked:
-                return
-            head = snd.unacked[0]
-            if head.psn != frame.psn:
-                return
-            if head.rnr_retries_used >= qp.attrs.rnr_retry:
-                self._fail_send(qp, head, WcStatus.RNR_RETRY_EXCEEDED)
-                return
-            head.rnr_retries_used += 1
-            delay = self.timing.rnr_delay(frame.rnr_delay_hint)
-            snd.paused_until = self.now_ms() + delay
-            self.schedule(delay, lambda: self._rnr_resume(qp))
+        snd = qp.sender
+        if snd is None or qp.state is not QpState.RTS:
+            return
+        self._retire_through(qp, psn_add(frame.psn, -1))
+        if not snd.unacked:
+            return
+        head = snd.unacked[0]
+        if head.psn != frame.psn:
+            return
+        if head.rnr_retries_used >= qp.attrs.rnr_retry:
+            self._fail_send(qp, head, WcStatus.RNR_RETRY_EXCEEDED)
+            return
+        head.rnr_retries_used += 1
+        delay = self.timing.rnr_delay(frame.rnr_delay_hint)
+        snd.paused_until = self.now_ms() + delay
+        self.schedule(delay, lambda: self._rnr_resume(qp))
 
     def _rnr_resume(self, qp: QueuePair) -> None:
         snd = qp.sender
@@ -547,28 +564,27 @@ class Fabric(Progress):
         budget, like a NAK'd resend; going past retry_cnt fails the
         in-flight send with RetryExceeded and throws the QP into ERR.
         """
-        with self._lock:
-            snd = qp.sender
-            if snd is None or not snd.unacked or qp.state is not QpState.RTS:
-                return
-            if now < snd.paused_until:
-                return
-            head = snd.unacked[0]
-            if now - head.sent_at < (snd.timeout_ms if head.probed
-                                     else snd.probe_ms):
-                return
-            if not head.probed and self._backlogged(qp.attrs.ah.dlid):
-                head.sent_at = now
-                return
-            if head.retries_used >= qp.attrs.retry_cnt:
-                self._fail_send(qp, head, WcStatus.RETRY_EXCEEDED)
-                return
-            head.retries_used += 1
-            if head.probed:
-                self._retransmit_burst(qp, now)
-            else:
-                head.probed = True
-                self._transmit_entry(qp, head)
+        snd = qp.sender
+        if snd is None or not snd.unacked or qp.state is not QpState.RTS:
+            return
+        if now < snd.paused_until:
+            return
+        head = snd.unacked[0]
+        if now - head.sent_at < (snd.timeout_ms if head.probed
+                                 else snd.probe_ms):
+            return
+        if not head.probed and self._backlogged(qp.attrs.ah.dlid):
+            head.sent_at = now
+            return
+        if head.retries_used >= qp.attrs.retry_cnt:
+            self._fail_send(qp, head, WcStatus.RETRY_EXCEEDED)
+            return
+        head.retries_used += 1
+        if head.probed:
+            self._retransmit_burst(qp, now)
+        else:
+            head.probed = True
+            self._transmit_entry(qp, head)
 
     def _fail_send(self, qp: QueuePair, entry: WindowEntry,
                    status: WcStatus) -> None:
@@ -595,29 +611,31 @@ class Fabric(Progress):
         one further ahead is discarded and left to retransmission. An
         in-order message start with an empty receive queue draws an
         RNR NAK and does not advance the expected PSN. An in-order frame
-        that fills a gap releases the held frames behind it, in order.
+        that fills a gap releases the held frames behind it, in order,
+        under one ACK; any other in-order frame is acked when its burst
+        ends, by ``_send_owed_acks``, under one ACK for the whole burst.
         """
-        with self._lock:
-            if qp.state in (QpState.RESET, QpState.INIT, QpState.ERR):
-                return
-            rcv = qp.receiver
-            if rcv is None:
-                return
-            expected = rcv.expected_psn
-            if frame.psn != expected:
-                if psn_before(frame.psn, expected):
-                    self._send_ack(qp, frame.psn)
-                elif (frame.psn - expected) & PSN_MASK < HOLD_PSNS:
-                    rcv.held[frame.psn] = frame
-                    if rcv.nak_psn != expected:
-                        self._send_nak(qp, rcv)
-                return
-            if not self._accept(qp, rcv, frame):
-                return
-            if rcv.held:
-                self._drain_held(qp, rcv)
-            else:
+        if qp.state in (QpState.RESET, QpState.INIT, QpState.ERR):
+            return
+        rcv = qp.receiver
+        if rcv is None:
+            return
+        expected = rcv.expected_psn
+        if frame.psn != expected:
+            if psn_before(frame.psn, expected):
                 self._send_ack(qp, frame.psn)
+            elif (frame.psn - expected) & PSN_MASK < HOLD_PSNS:
+                rcv.held[frame.psn] = frame
+                if rcv.nak_psn != expected:
+                    self._send_nak(qp, rcv)
+            return
+        if not self._accept(qp, rcv, frame):
+            return
+        if rcv.held:
+            self._drain_held(qp, rcv)
+        elif not rcv.ack_owed:
+            rcv.ack_owed = True
+            self._owed.append(qp)
 
     def _accept(self, qp: QueuePair, rcv: ReceiverState,
                 frame: Frame) -> bool:
@@ -667,9 +685,26 @@ class Fabric(Progress):
             if frame is None:
                 break
             accepted = self._accept(qp, rcv, frame)
+        rcv.ack_owed = False  # this ACK covers the burst so far
         self._send_ack(qp, psn_add(rcv.expected_psn, -1))
         if accepted and held and qp.state is not QpState.ERR:
             self._send_nak(qp, rcv)
+
+    def _send_owed_acks(self) -> None:
+        """End a burst: send each QP that accepted in-order frames in it
+        one cumulative ACK, for the PSN before the one it now expects.
+
+        A burst is the frames one loopback event lands, one injected
+        frame, or the frames one socket read holds; the ACK leaves at
+        the instant its last frame landed."""
+        owed = self._owed
+        if owed:
+            self._owed = []
+            for qp in owed:
+                rcv = qp.receiver
+                if rcv is not None and rcv.ack_owed:
+                    rcv.ack_owed = False
+                    self._send_ack(qp, (rcv.expected_psn - 1) & PSN_MASK)
 
     def _send_ack(self, qp: QueuePair, psn: int) -> None:
         self._emit(qp, Frame(FrameKind.ACK, qp.attrs.dest_qp_num, psn))
@@ -729,10 +764,14 @@ class Fabric(Progress):
 class LoopbackFabric(Fabric):
     """Deterministic in-process transport driven by a virtual clock.
 
-    Frames become events on a heap ordered by (virtual time, sequence).
-    Scheduling only queues; the clock moves when a caller pumps it, with
-    step / jump / advance / run_until_idle. Every frame takes
-    ``hop_latency_ms`` of virtual time to reach its peer.
+    Events sit on a heap ordered by (virtual time, sequence). Every frame
+    takes ``hop_latency_ms`` of virtual time to reach its peer, plus any
+    fault delay. The frames due at one port at one instant are a burst,
+    kept in the endpoint's ``bursts`` by arrival time: the first one
+    schedules the burst's event, which dispatches them all in the order
+    they were sent and then sends the ACKs they owe. Scheduling only
+    queues; the clock moves when a caller pumps it, with step / jump /
+    advance / run_until_idle.
     """
 
     hop_latency_ms = 1.0
@@ -750,8 +789,10 @@ class LoopbackFabric(Fabric):
         self.schedule_at(self._now + delay_ms, fn)
 
     def schedule_at(self, t: float, fn: Callable[[], None]) -> None:
-        with self._lock:
-            heapq.heappush(self._timers, (t, next(self._seq), fn))
+        """Queue ``fn`` for virtual time ``t``. The caller holds the world
+        lock, as every engine callback and ``transmit_message`` do; it
+        is not taken again here, once per frame."""
+        heapq.heappush(self._timers, (t, next(self._seq), fn))
 
     def _drain(self, limit: float, max_events: int = 5_000_000) -> int:
         """Run every event due at or before ``limit``, in order; the one
@@ -802,21 +843,38 @@ class LoopbackFabric(Fabric):
     # -- delivery -----------------------------------------------------------
 
     def _deliver(self, src: Optional[Endpoint], dlid: int, frame: Frame) -> None:
+        """Add each copy to the burst landing at its peer at its arrival
+        time; the first frame of a burst schedules the burst's event."""
         ep = self.routing.get(dlid)
         for extra in self._wire_copies(src, dlid, frame, ep is not None):
             # hop + extra first, the sum ``schedule`` makes: the same
             # float event times to the last bit
-            self.schedule_at(self._now + (self.hop_latency_ms + extra),
-                             partial(ep.dispatch, frame))
+            t = self._now + (self.hop_latency_ms + extra)
+            burst = ep.bursts.get(t)
+            if burst is None:
+                ep.bursts[t] = [frame]
+                self.schedule_at(t, partial(self._land, ep, t))
+            else:
+                burst.append(frame)
+
+    def _land(self, ep: Endpoint, t: float) -> None:
+        """Dispatch one burst's frames in the order they were sent, then
+        ACK them."""
+        for frame in ep.bursts.pop(t):
+            ep.dispatch(frame)
+        self._send_owed_acks()
 
     def inject(self, dlid: int, frame: Frame, delay_ms: float = 0.0) -> None:
-        """Deliver a raw frame, bypassing faults (replay/test harness)."""
+        """Deliver a raw frame, bypassing faults (replay/test harness); it
+        lands alone, as a burst of its own."""
         with self._lock:
             ep = self.routing.get(dlid)
             if self._wire_copies(None, dlid, frame, ep is not None,
                                  injected=True):
-                self.schedule(delay_ms + self.hop_latency_ms,
-                              lambda: ep.dispatch(frame))
+                def land():
+                    ep.dispatch(frame)
+                    self._send_owed_acks()
+                self.schedule(delay_ms + self.hop_latency_ms, land)
 
 
 # -- socket transport ---------------------------------------------------------
@@ -1034,8 +1092,10 @@ class SocketFabric(Fabric):
     in batches, once per engine call: the frames that one
     ``transmit_message``, one read's dispatch loop or one pass over the
     due timers emits are queued per socket, and go out in one ``send``,
-    without blocking, when that call returns. What the socket does not take stays queued, and
-    the socket is polled for writing until it is empty. A LID with no
+    without blocking, when that call returns. The frames one read holds
+    are a burst: its ACKs are queued after its dispatch loop, so they
+    leave in that same ``send``. What the socket does not take stays
+    queued, and the socket is polled for writing until it is empty. A LID with no
     config entry, or whose dial fails, is unrouted. Accepting, reading,
     dispatching and the timer heap behind ``schedule`` (the delayed
     copies and the per-QP retransmit deadlines) run in ``wait_until``,
@@ -1175,6 +1235,7 @@ class SocketFabric(Fabric):
             finally:
                 if conn in self._conns:
                     self._conns[conn] = lid, data[pos:]
+                self._send_owed_acks()
                 self._send_unsent()
 
     def _close_conn(self, conn: socket.socket) -> None:

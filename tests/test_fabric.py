@@ -82,10 +82,19 @@ class TestPsnArithmetic:
         assert psn_before(a, b)
         assert not psn_before(b, a)
 
-    @given(st.integers(0, PSN_MOD - 1), st.integers(0, PSN_MOD - 1))
-    def test_antisymmetric(self, a, b):
-        if a != b:
-            assert psn_before(a, b) != psn_before(b, a)
+    @given(st.integers(0, PSN_MOD - 1),
+           st.integers(1, PSN_MOD - 1).filter(lambda d: d != 1 << 23))
+    def test_antisymmetric(self, a, d):
+        # exactly one direction holds whenever the distance is not 2^23
+        b = psn_add(a, d)
+        assert psn_before(a, b) != psn_before(b, a)
+
+    def test_half_range_pair_is_unordered(self):
+        # at a distance of exactly 2^23 neither PSN is before the other
+        half = 1 << 23
+        for a, b in ((0, half), (0xFFFFFF, half - 1)):
+            assert not psn_before(a, b) and not psn_before(b, a)
+            assert not psn_le(a, b) and not psn_le(b, a)
 
 
 class TestAttach:
@@ -585,6 +594,23 @@ class TestTailLossProbe:
                 self._copies(fabric, FrameKind.ACK, 100)] == \
             ["dropped", "sent"]
 
+    def test_an_ack_and_a_nak_in_one_burst_resend_the_head_once(
+            self, pair, fabric):
+        # PSN 100 is lost twice (the first copy and the NAK'd resend) and
+        # 102 once. The probe of 100 fills the first gap, and the drain
+        # answers with ACK 101 and NAK 102 in one burst: the ACK exposes
+        # 102, overdue for its probe, and the NAK resends it before the
+        # tick that ACK pulled earlier can fire
+        lose_100 = drop_first(FrameKind.DATA, 100, copies=2)
+        lose_102 = drop_first_copy(102)
+        done = self._send(pair, fabric, 4096,
+                          lambda f: lose_100(f) or lose_102(f))
+        copies = self._copies(fabric, FrameKind.DATA, 102)
+        assert [e.status for e in copies] == ["dropped", "sent"]
+        resent = self.HOPS + PROBE_MS + TICK_EPS_MS + self.HOPS
+        assert copies[1].t == resent
+        assert done == resent + self.HOPS
+
     def test_lossless_pair_sends_no_frame_twice(self, monkeypatch):
         fired = []
         tick = LoopbackFabric._tick_fired
@@ -632,6 +658,62 @@ class TestTailLossProbe:
         assert done == PROBE_MS + TICK_EPS_MS + 2 * self.HOPS
 
 
+class TestBursts:
+    """Frames that land on one port at one virtual instant are one burst:
+    one heap event, and one cumulative ACK per QP when it ends."""
+
+    HOPS = 2 * LoopbackFabric.hop_latency_ms
+
+    def _acks(self, fabric):
+        return [(e.t, e.frame.psn) for e in fabric.trace
+                if e.frame.kind is FrameKind.ACK]
+
+    def test_a_64k_message_is_one_event_and_one_ack(self, registry, fabric):
+        a = Node(registry, fabric)
+        b = Node(registry, fabric)
+        connect_pair(a, b, mtu=4096)
+        b.post_recv(1)
+        a.post_send(2, bytes(65536))  # PSNs 100..115
+        # the burst's event and the sender's retransmit tick
+        assert len(fabric._timers) == 2
+        run_until(fabric, lambda: a.cq.entries)
+        assert fabric.now_ms() == self.HOPS
+        assert self._acks(fabric) == [(self.HOPS / 2, 115)]
+        assert [wc.status for wc in a.cq.poll(2)] == [WcStatus.SUCCESS]
+
+    def test_two_messages_posted_at_one_instant_draw_one_ack(self, pair,
+                                                              fabric):
+        a, b = pair
+        b.post_recv(1)
+        b.post_recv(2)
+        a.post_send(3, b"first")   # PSN 100
+        a.post_send(4, b"second")  # PSN 101
+        run_until(fabric, lambda: len(a.cq.entries) == 2)
+        assert fabric.now_ms() == self.HOPS
+        assert self._acks(fabric) == [(self.HOPS / 2, 101)]
+        assert [wc.wr_id for wc in a.cq.poll(4)] == [3, 4]
+        assert [wc.wr_id for wc in b.cq.poll(4)] == [1, 2]
+
+    def test_a_stale_duplicate_in_a_burst_is_reacked_with_its_own_psn(
+            self, pair, fabric):
+        a, b = pair
+        for wr_id in (1, 2, 3):
+            b.post_recv(wr_id)
+        fabric.drop_filter = drop_first(FrameKind.ACK, 101)
+        a.post_send(4, b"first")   # PSN 100
+        a.post_send(5, b"second")  # PSN 101; the ACK of both is lost
+        fabric.advance(PROBE_MS + TICK_EPS_MS)  # the probe resends 100
+        a.post_send(6, b"third")   # PSN 102, in the probe's burst
+        fabric.run_until_idle()
+        landed = PROBE_MS + TICK_EPS_MS + self.HOPS / 2
+        # the duplicate's re-ACK names its own PSN and leaves at once; the
+        # burst's cumulative ACK leaves at its end
+        assert self._acks(fabric) == [(self.HOPS / 2, 101), (landed, 100),
+                                      (landed, 102)]
+        assert [wc.wr_id for wc in b.cq.poll(4)] == [1, 2, 3]
+        assert [wc.wr_id for wc in a.cq.poll(4)] == [4, 5, 6]
+
+
 class TestReliability:
     def _blast(self, seed, n_msgs=30, size=2048, mtu=512,
                profile=None):
@@ -674,7 +756,7 @@ class TestReliability:
         recv = b.cq.poll(len(payloads) + 1)
         assert [wc.wr_id for wc in recv] == list(range(len(payloads)))
         data = sum(1 for e in fabric.trace if e.frame.kind is FrameKind.DATA)
-        assert data == 970
+        assert data == 976
 
     def test_identical_seed_identical_trace(self):
         def signature(fabric):
@@ -692,20 +774,20 @@ class TestReliability:
         profile = FaultProfile(0.05, 0.1, 0.1, seed=1)
         fabric, *_ = self._blast(1, n_msgs=200, size=4096, mtu=1024,
                                  profile=profile)
-        assert len(fabric.trace) == 1338
+        assert len(fabric.trace) == 1009
         assert sum(1 for e in fabric.trace
-                   if e.frame.kind is FrameKind.DATA) == 1098
+                   if e.frame.kind is FrameKind.DATA) == 923
         assert trace_digest(fabric) == (
-            "006e98f1fecb966d9e97df7707448f6c9c49f0b07f5f6db0bc6ae13a706e1015")
+            "c08f58b6effad50de8338bb4692f0fc57996ce7770d1545e43bcf4c8d6e16fe2")
 
     def test_seeded_faulty_pair_emits_its_pinned_frames(self):
         _, _, fabric = run_loopback_pair(
             PingpongConfig(iters=50, rx_depth=8, size=2048),
             faults=FaultProfile(0.1, 0.05, 0.05, seed=7), seed=3)
-        assert len(fabric.trace) == 494
-        assert fabric.now_ms() == 1316.25
+        assert len(fabric.trace) == 444
+        assert fabric.now_ms() == 1886.75
         assert trace_digest(fabric) == (
-            "9f8f5a9a3ce8fabaff4f4f129fa8c3725709f4e66c40df8ebc25f304c5eb6ae9")
+            "497548c212201077c79bbabf29dc42b4cc6e9399ff7d8d8f9becbd337a5893d4")
 
     def test_different_seed_different_trace(self):
         first, *_ = self._blast(5)

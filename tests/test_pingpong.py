@@ -225,7 +225,9 @@ class TestLoopbackPair:
             seed=1)
         kinds = Counter(e.frame.kind for e in fabric.trace)
         frames = 2 * iters * -(-size // 1024)  # both ways, at MTU 1024
-        assert kinds[FrameKind.DATA] == kinds[FrameKind.ACK] == frames
+        assert kinds[FrameKind.DATA] == frames
+        # a message's frames land in one burst, under one ACK
+        assert kinds[FrameKind.ACK] == 2 * iters
         assert kinds[FrameKind.NAK] == kinds[FrameKind.RNR_NAK] == 0
         # one round trip per iteration: a message out, the reply back
         starts = [e.t for e in fabric.trace

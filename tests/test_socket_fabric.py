@@ -464,6 +464,35 @@ def test_a_four_frame_message_leaves_in_one_send(two_fabrics, monkeypatch):
     assert [f for f in decoded if f.kind is FrameKind.DATA] == frames
 
 
+def test_a_window_of_messages_draws_fewer_acks_than_frames(two_fabrics,
+                                                         monkeypatch):
+    """The frames one read holds are one burst, acked once: ACKs never
+    go back, and the last names the last DATA frame."""
+    # no probe: its duplicate would draw a stale re-ACK of an older PSN
+    monkeypatch.setattr(fabric_module, "PROBE_MS", 10_000.0)
+    n_msgs, size = 8, 4096  # four frames each at mtu 1024
+    (reg_a, reg_b), (fab_a, fab_b) = two_fabrics
+    a, b = (Node(reg, fabric, size=n_msgs * size, max_send_wr=n_msgs,
+                 max_recv_wr=n_msgs, cq_capacity=n_msgs + 1)
+            for reg, fabric in ((reg_a, fab_a), (reg_b, fab_b)))
+    connect_pair(a, b)
+    for i in range(n_msgs):
+        b.post_recv(i, off=i * size, length=size)
+    for i in range(n_msgs):
+        a.post_send(1000 + i, bytes([i]) * size, off=i * size)
+    assert len(wait_for(b.cq, n_msgs)) == n_msgs
+    send = wait_for(a.cq, n_msgs)
+    assert [wc.wr_id for wc in send] == [1000 + i for i in range(n_msgs)]
+    assert all(wc.status is WcStatus.SUCCESS for wc in send)
+    data = [e.frame.psn for e in fab_a.trace
+            if e.frame.kind is FrameKind.DATA]
+    acks = [e.frame.psn for e in fab_b.trace
+            if e.frame.kind is FrameKind.ACK]
+    assert data == list(range(100, 100 + 4 * n_msgs))
+    assert len(acks) < len(data)
+    assert acks == sorted(acks) and acks[-1] == data[-1]
+
+
 def test_a_small_send_buffer_delivers_a_window_exactly_once_in_order(
         two_fabrics):
     """A window of 64 KiB sends posted at once overruns the dialled
