@@ -5,9 +5,11 @@ For each drop/duplicate/reorder setting, pushes a batch of messages
 through a single-threaded loopback world and reports how many frames the
 reliability engine needed relative to the lossless minimum, then how
 many ACK frames the receiver sent and how long the batch took in virtual
-time: until its last send completion. A closing line sums the DATA
-frames, ACKs and virtual time over every row. Fully deterministic for a
-given seed.
+time: until its last send completion. A third table shows RNR recovery
+on a lossless wire: batches whose receives are posted 15 virtual ms
+after their sends, with the RNR NAKs they drew. A closing line sums the DATA
+frames, ACKs and virtual time over the rows of the first two tables.
+Fully deterministic for a given seed.
 """
 
 import argparse
@@ -24,7 +26,11 @@ from softverbs.verbs import DeviceRegistry, WcStatus
 from softverbs.wire import FrameKind
 
 
-def run_batch(drop, dup, reorder, seed, n_msgs, size, mtu):
+def run_batch(drop, dup, reorder, seed, n_msgs, size, mtu, late_ms=0.0):
+    """Run one batch; with ``late_ms``, the receives are posted that many
+    virtual ms after the sends. Returns whether every message arrived
+    intact, the frames emitted by kind, the lossless DATA frame count
+    and the virtual ms until the last send completion."""
     registry = DeviceRegistry()
     registry.add_device("hca0")
     fabric = LoopbackFabric(
@@ -36,10 +42,15 @@ def run_batch(drop, dup, reorder, seed, n_msgs, size, mtu):
     connect_pair(a, b, mtu=mtu)
     rng = random.Random(seed)
     payloads = [rng.randbytes(size) for _ in range(n_msgs)]
-    for i in range(n_msgs):
-        b.post_recv(i, off=i * size, length=size)
+    if not late_ms:
+        for i in range(n_msgs):
+            b.post_recv(i, off=i * size, length=size)
     for i, payload in enumerate(payloads):
         a.post_send(i, payload, off=i * size)
+    if late_ms:
+        fabric.advance(late_ms)
+        for i in range(n_msgs):
+            b.post_recv(i, off=i * size, length=size)
     while len(a.cq.entries) < n_msgs and fabric.jump():
         pass
     virtual_ms = fabric.now_ms()
@@ -50,9 +61,7 @@ def run_batch(drop, dup, reorder, seed, n_msgs, size, mtu):
           and all(b.read(i * size, size) == payloads[i]
                   for i in range(n_msgs)))
     kinds = Counter(e.frame.kind for e in fabric.trace)
-    minimum = n_msgs * -(-size // mtu)
-    return (ok, kinds[FrameKind.DATA], minimum, kinds[FrameKind.ACK],
-            virtual_ms)
+    return ok, kinds, n_msgs * -(-size // mtu), virtual_ms
 
 
 def main():
@@ -72,18 +81,30 @@ def main():
     # first table's rows as six columns
     print(f"{'drop':>6} {'dup':>6} {'reorder':>8} {'delivered':>10} "
           f"{'frames':>8} {'amplification':>14}")
-    for drop, dup, reorder, ok, frames, minimum, *_ in rows:
+    for drop, dup, reorder, ok, kinds, minimum, _ in rows:
+        frames = kinds[FrameKind.DATA]
         print(f"{drop:>6.2f} {dup:>6.2f} {reorder:>8.2f} "
               f"{'all' if ok else 'FAILED':>10} {frames:>8} "
               f"{frames / minimum:>13.2f}x")
     print(f"\n{'drop':>6} {'dup':>6} {'reorder':>8} {'acks':>6} "
           f"{'virtual_ms':>11}")
-    for drop, dup, reorder, *_, acks, virtual_ms in rows:
-        print(f"{drop:>6.2f} {dup:>6.2f} {reorder:>8.2f} {acks:>6} "
+    for drop, dup, reorder, _, kinds, _, virtual_ms in rows:
+        print(f"{drop:>6.2f} {dup:>6.2f} {reorder:>8.2f} "
+              f"{kinds[FrameKind.ACK]:>6} {virtual_ms:>11.2f}")
+    late_ms = 15.0
+    print(f"\nreceives posted {late_ms:g} virtual ms after the sends, "
+          f"no faults\n{'messages':>8} {'delivered':>10} {'frames':>8} "
+          f"{'rnr_naks':>9} {'virtual_ms':>11}")
+    for n_msgs in (8, 100):
+        ok, kinds, _, virtual_ms = run_batch(
+            0.0, 0.0, 0.0, args.seed, n_msgs, args.size, args.mtu, late_ms)
+        print(f"{n_msgs:>8} {'all' if ok else 'FAILED':>10} "
+              f"{kinds[FrameKind.DATA]:>8} {kinds[FrameKind.RNR_NAK]:>9} "
               f"{virtual_ms:>11.2f}")
-    print(f"\nsummed: {sum(r[4] for r in rows)} DATA frames, "
-          f"{sum(r[6] for r in rows)} ACKs, "
-          f"{sum(r[7] for r in rows):.2f} virtual ms")
+    data = sum(r[4][FrameKind.DATA] for r in rows)
+    acks = sum(r[4][FrameKind.ACK] for r in rows)
+    print(f"\nsummed: {data} DATA frames, {acks} ACKs, "
+          f"{sum(r[6] for r in rows):.2f} virtual ms")
 
 
 if __name__ == "__main__":

@@ -23,6 +23,12 @@ resent once, alone, and charged to its retry budget. The retransmit
 timeout (a go-back-N burst from the head) remains the fallback when the
 probe is lost too.
 
+An RNR NAK, after IBTA RC's receiver-not-ready rule, pauses the refused
+head for the RNR delay it names; copies of it that arrive during the
+pause are ignored, so one refusal charges the RNR budget once. The end
+of the pause resends that head alone: the receiver still holds the
+frames that followed it.
+
 Two interchangeable transports share the engine:
 
 * LoopbackFabric: an in-process discrete-event queue driven by a virtual
@@ -37,11 +43,12 @@ Two interchangeable transports share the engine:
 
 Both share one per-frame emit path (drop filter, fault profile, frame
 trace), one per-burst ACK and one retransmit timer (one pending tick per
-QP, armed through ``schedule`` for the head's probe or timeout deadline;
-a tick superseded by an earlier deadline is left in place and does
-nothing when it fires); a transport supplies ``now_ms``, ``schedule``
-and ``_deliver``, ends each burst with ``_send_owed_acks``, and supplies
-``wait_until``, the blocking wait of the verbs objects.
+QP, armed through ``schedule`` for the head's probe, timeout or RNR
+pause deadline; a tick superseded by an earlier deadline is left in
+place and does nothing when it fires); a transport supplies
+``now_ms``, ``schedule`` and ``_deliver``, ends each burst with
+``_send_owed_acks``, and supplies ``wait_until``, the blocking wait of
+the verbs objects.
 
 Engine callbacks (on_data / on_ack / on_timeout_tick) run serialized
 under the world lock shared with the verbs objects, which the transport
@@ -96,7 +103,8 @@ TICK_EPS_MS = 0.25
 # a receiver holds out-of-order frames this many PSNs past expected_psn
 # at most; frames further ahead are discarded and left to retransmission
 HOLD_PSNS = 1024
-# a go-back-N burst (timeout or RNR resume) replays this many frames at most
+# a go-back-N burst (timeout or stale-head resume) replays this many
+# frames at most
 BURST_FRAMES = 64
 # a head unacked this long is resent once, alone (a tail-loss probe),
 # before the retransmit timeout takes over
@@ -178,8 +186,13 @@ class TimingTables:
 
 
 class WindowEntry:
+    """One unacked DATA frame. Only the head is ever paused: an RNR NAK
+    sets ``paused_until`` to the end of its pause, and the tick that
+    ends the pause clears it (0.0 when not paused)."""
+
     __slots__ = ("psn", "frame", "wqe", "last", "sent_at",
-                 "retries_used", "rnr_retries_used", "probed")
+                 "retries_used", "rnr_retries_used", "probed",
+                 "paused_until")
 
     def __init__(self, psn, frame, wqe, last, sent_at=0.0):
         self.psn = psn
@@ -190,23 +203,24 @@ class WindowEntry:
         self.retries_used = 0
         self.rnr_retries_used = 0
         self.probed = False  # the tail-loss probe resent it already
+        self.paused_until = 0.0
 
 
 class SenderState:
     """Per-QP outbound window; unacked PSNs stay contiguous mod 2^24.
 
     A head may stay unacked ``probe_ms`` until it is probed, then
-    ``timeout_ms``. ``tick_at`` is when the pending retransmit tick
-    fires (inf if none); a tick whose ``tick_gen`` is no longer current
-    was superseded by an earlier one and does nothing."""
+    ``timeout_ms``; a paused head waits until its pause ends instead.
+    ``tick_at`` is when the pending retransmit tick fires (inf if none);
+    a tick whose ``tick_gen`` is no longer current was superseded by an
+    earlier one and does nothing."""
 
-    __slots__ = ("next_psn", "unacked", "paused_until", "timeout_ms",
-                 "probe_ms", "tick_at", "tick_gen")
+    __slots__ = ("next_psn", "unacked", "timeout_ms", "probe_ms",
+                 "tick_at", "tick_gen")
 
     def __init__(self, next_psn: int, timeout_ms: float):
         self.next_psn = next_psn
         self.unacked: deque[WindowEntry] = deque()
-        self.paused_until = 0.0
         self.timeout_ms = timeout_ms
         self.probe_ms = min(PROBE_MS, timeout_ms)
         self.tick_at = math.inf
@@ -368,17 +382,18 @@ class Fabric(Progress):
     def _arm_tick(self, qp: QueuePair) -> None:
         """Schedule one timeout tick at the head's deadline, unless one is
         pending for no later; the tick re-arms itself while frames stay
-        unacked. A pending tick that is due later is superseded: the
+        unacked. A paused head's deadline is the end of its pause,
+        exactly. A pending tick that is due later is superseded: the
         generation moves on, and it does nothing when it fires."""
         snd = qp.sender
         if snd is None or not snd.unacked:
             return
         head = snd.unacked[0]
-        deadline = head.sent_at + (snd.timeout_ms if head.probed
-                                   else snd.probe_ms)
-        if deadline < snd.paused_until:
-            deadline = snd.paused_until
-        deadline += TICK_EPS_MS
+        if head.paused_until:
+            deadline = head.paused_until
+        else:
+            deadline = head.sent_at + (snd.timeout_ms if head.probed
+                                       else snd.probe_ms) + TICK_EPS_MS
         if snd.tick_at <= deadline:
             return
         snd.tick_at = deadline
@@ -446,6 +461,8 @@ class Fabric(Progress):
         Progress that exposes an already-stale head (frames the receiver
         could not hold while waiting for a retransmission) resumes the
         go-back replay immediately instead of waiting out another timeout.
+        A head that progress exposes was never paused: a pause leaves
+        with the head it was set on.
         """
         snd = qp.sender
         if snd is None:
@@ -453,8 +470,7 @@ class Fabric(Progress):
         progressed = self._retire_through(qp, frame.psn)
         if snd.unacked:
             now = self.now_ms()
-            if progressed and now >= snd.paused_until and \
-                    now - snd.unacked[0].sent_at >= snd.timeout_ms:
+            if progressed and now - snd.unacked[0].sent_at >= snd.timeout_ms:
                 self._retransmit_burst(qp, now)
             self._arm_tick(qp)
 
@@ -477,8 +493,8 @@ class Fabric(Progress):
         Everything before that PSN arrived (an implicit ACK); the waited-for
         frame is resent at once, alone, and charged to the head's retry
         budget as a timeout would be. A NAK for a PSN no longer at the
-        head is stale and ignored, and so is one during an RNR pause,
-        whose resume resends the head anyway.
+        head is stale and ignored, and so is one for a paused head, which
+        the end of its pause resends anyway.
         """
         snd = qp.sender
         if snd is None or qp.state is not QpState.RTS:
@@ -487,7 +503,7 @@ class Fabric(Progress):
         if not snd.unacked or snd.unacked[0].psn != frame.psn:
             return
         head = snd.unacked[0]
-        if self.now_ms() < snd.paused_until:
+        if head.paused_until:
             return
         if head.retries_used >= qp.attrs.retry_cnt:
             self._fail_send(qp, head, WcStatus.RETRY_EXCEEDED)
@@ -497,10 +513,14 @@ class Fabric(Progress):
         self._arm_tick(qp)
 
     def on_rnr_nak(self, qp: QueuePair, frame: Frame) -> None:
-        """Receiver had no buffer: pause, then retransmit from the head.
+        """Receiver had no buffer for the head: pause it.
 
         Like a NAK, an RNR NAK acknowledges everything before its PSN; a
         receiver that drains held frames may send it ahead of the ACK.
+        One for the head charges its RNR budget and pauses it for the
+        delay the NAK names; the QP's tick ends the pause. One for a
+        head that is paused already is a copy (of the refused frame or
+        of its NAK) and is ignored.
         """
         snd = qp.sender
         if snd is None or qp.state is not QpState.RTS:
@@ -509,47 +529,36 @@ class Fabric(Progress):
         if not snd.unacked:
             return
         head = snd.unacked[0]
-        if head.psn != frame.psn:
+        if head.psn != frame.psn or head.paused_until:
             return
         if head.rnr_retries_used >= qp.attrs.rnr_retry:
             self._fail_send(qp, head, WcStatus.RNR_RETRY_EXCEEDED)
             return
         head.rnr_retries_used += 1
-        delay = self.timing.rnr_delay(frame.rnr_delay_hint)
-        snd.paused_until = self.now_ms() + delay
-        self.schedule(delay, lambda: self._rnr_resume(qp))
-
-    def _rnr_resume(self, qp: QueuePair) -> None:
-        snd = qp.sender
-        if snd is None or not snd.unacked or qp.state is not QpState.RTS:
-            return
-        if self.now_ms() < snd.paused_until - 1e-9:
-            return
-        self._retransmit_burst(qp, self.now_ms(), force=True)
+        head.paused_until = self.now_ms() + self.timing.rnr_delay(
+            frame.rnr_delay_hint)
         self._arm_tick(qp)
 
-    def _retransmit_burst(self, qp: QueuePair, now: float,
-                          force: bool = False) -> int:
+    def _retransmit_burst(self, qp: QueuePair, now: float) -> None:
         """Go-back-N replay: resend the stale prefix of the window.
 
-        Stops at the first frame younger than the timeout (unless forced,
-        as after an RNR pause) and at the burst cap. Retry accounting is
-        the timeout tick's job, not ours.
+        Stops at the first frame younger than the timeout and at the
+        burst cap. Retry accounting is the caller's job, not ours.
         """
         snd = qp.sender
         tmo = snd.timeout_ms
-        sent = 0
-        for entry in snd.unacked:
-            if sent >= BURST_FRAMES:
-                break
-            if not force and now - entry.sent_at < tmo:
+        for sent, entry in enumerate(snd.unacked):
+            if sent >= BURST_FRAMES or now - entry.sent_at < tmo:
                 break
             self._transmit_entry(qp, entry)
-            sent += 1
-        return sent
 
     def on_timeout_tick(self, qp: QueuePair, now: float) -> None:
-        """Probe a stalled head, then retransmit from it on timeout.
+        """End an RNR pause, probe a stalled head, or retransmit from it
+        on timeout.
+
+        A paused head waits out its pause; then it is resent alone and
+        charged to neither budget again (its RNR NAK was charged), since
+        the receiver holds the frames that followed it.
 
         A head unacked for ``PROBE_MS`` is resent once, alone: a
         tail-loss probe, after RFC 8985. It recovers the losses no later
@@ -567,9 +576,12 @@ class Fabric(Progress):
         snd = qp.sender
         if snd is None or not snd.unacked or qp.state is not QpState.RTS:
             return
-        if now < snd.paused_until:
-            return
         head = snd.unacked[0]
+        if head.paused_until:
+            if now >= head.paused_until:
+                head.paused_until = 0.0
+                self._transmit_entry(qp, head)
+            return
         if now - head.sent_at < (snd.timeout_ms if head.probed
                                  else snd.probe_ms):
             return

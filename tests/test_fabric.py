@@ -355,6 +355,95 @@ class TestRnr:
             [(i, WcStatus.SUCCESS) for i in (10, 11, 12)]
         assert [wc.wr_id for wc in b.cq.poll(4)] == [1, 2, 3]
 
+    def test_a_copy_of_an_rnr_nak_charges_the_budget_once(self, registry):
+        # every frame is duplicated: one refusal of the first copy draws
+        # four RNR NAKs (two refused copies, each NAK duplicated)
+        fabric = LoopbackFabric(FaultProfile(0.0, 1.0, 0.0, seed=1),
+                                registry=registry)
+        a = Node(registry, fabric)
+        b = Node(registry, fabric)
+        connect_pair(a, b, rnr_retry=3)
+        a.post_send(1, b"r" * 100)
+        fabric.advance(25)
+        b.post_recv(2)
+        fabric.run_until_idle()
+        first_resend = [e.t for e in fabric.trace
+                        if e.frame.kind is FrameKind.DATA][2]
+        assert len([e for e in fabric.trace
+                    if e.frame.kind is FrameKind.RNR_NAK
+                    and e.t < first_resend]) == 4
+        assert [(wc.wr_id, wc.status) for wc in a.cq.poll(2)] == \
+            [(1, WcStatus.SUCCESS)]
+        assert [wc.wr_id for wc in b.cq.poll(2)] == [2]
+        assert b.read(0, 100) == b"r" * 100
+
+    def test_rnr_on_a_probed_head_ends_with_its_pause(self, pair, fabric):
+        # the probe of a lost head is refused; the tick ends the pause,
+        # not the probed head's 500 ms timeout
+        a, b = pair
+        fabric.drop_filter = drop_first_copy(100)
+        a.post_send(1, b"p" * 100)
+        fabric.advance(15)
+        assert len(frames_of(fabric, FrameKind.RNR_NAK)) == 1
+        b.post_recv(2)
+        got = []
+        run_until(fabric, lambda: got.extend(a.cq.poll(2)) or got)
+        # probed at 10.25, refused, paused 12.25..22.25, resent, acked
+        assert fabric.now_ms() == 24.25
+        assert [(wc.wr_id, wc.status) for wc in got] == \
+            [(1, WcStatus.SUCCESS)]
+        assert [f.psn for f in frames_of(fabric, FrameKind.DATA)] == \
+            [100, 100]
+
+    def test_a_pause_leaves_with_its_head(self, pair, fabric):
+        # the refused head is accepted and acked mid-pause; the end of
+        # its pause must not resend the send posted after it
+        a, b = pair
+        a.post_send(1, b"h" * 100)
+        fabric.advance(2)  # the RNR NAK has paused the head until 12 ms
+        assert len(frames_of(fabric, FrameKind.RNR_NAK)) == 1
+        b.post_recv(1)
+        b.post_recv(2, off=100)
+        head, = frames_of(fabric, FrameKind.DATA)
+        fabric.inject(b.lid, head)
+        fabric.advance(9.5)
+        assert [wc.wr_id for wc in a.cq.poll(2)] == [1]
+        a.post_send(2, b"n" * 100, off=100)  # PSN 101, at 11.5 ms
+        fabric.run_until_idle()
+        assert [f.psn for f in frames_of(fabric, FrameKind.DATA)] == \
+            [100, 101]
+        assert [(wc.wr_id, wc.status) for wc in a.cq.poll(2)] == \
+            [(2, WcStatus.SUCCESS)]
+        assert [wc.wr_id for wc in b.cq.poll(3)] == [1, 2]
+        assert b.read(100, 100) == b"n" * 100
+
+    def test_each_rnr_nak_costs_one_resend_of_the_head(self, pair, fabric):
+        # 8 x 4 KiB at MTU 1024 before any receive: the receiver holds
+        # PSNs 101..131 behind the refused head, so each end of a pause
+        # resends the head alone and the last one drains the rest
+        a, b = pair
+        size = 4096
+        for i in range(8):
+            a.post_send(i, bytes([i]) * size, off=i * size)
+        fabric.advance(15)
+        for i in range(8):
+            b.post_recv(i, off=i * size, length=size)
+        got = []
+        while len(got) < 8 and fabric.jump():
+            got.extend(a.cq.poll(8))
+        assert fabric.now_ms() == 26.0  # resent at 12 and 24, acked at 26
+        assert [(wc.wr_id, wc.status) for wc in got] == \
+            [(i, WcStatus.SUCCESS) for i in range(8)]
+        data = [f.psn for f in frames_of(fabric, FrameKind.DATA)]
+        # a go-back-N replay of the window at each pause's end would send
+        # 96 DATA frames and draw 32 ACKs
+        assert data == list(range(100, 132)) + [100, 100]
+        assert len(frames_of(fabric, FrameKind.RNR_NAK)) == 2
+        assert len(frames_of(fabric, FrameKind.ACK)) == 1
+        assert [wc.wr_id for wc in b.cq.poll(9)] == list(range(8))
+        for i in range(8):
+            assert b.read(i * size, size) == bytes([i]) * size
+
 
 class TestNak:
     def test_reordered_frame_draws_one_nak_and_one_resend(self, pair,

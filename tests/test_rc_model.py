@@ -1,0 +1,178 @@
+"""Model-based test of the RC engine on one loopback pair.
+
+A hypothesis state machine posts sends and receives in any order (a
+receive posted late draws RNR NAKs), drops a coming copy of a chosen
+frame kind (at most two copies per PSN) and moves the virtual clock,
+with the sender's PSNs starting just below 2^24 so that the data
+crosses the PSN wrap. After every step the completions seen so far must
+agree with a reference model: at most one CQE per WQE, each queue's
+CQEs in post order, every receive byte-exact. Whenever the fabric is
+idle, every signaled or failed WQE has its CQE: either every send was
+delivered and acked, or one failed and every later one was flushed.
+Two lost copies per PSN cannot spend a retry budget of 7, so only RNR
+exhaustion, a receive posted too late, may fail a send.
+"""
+
+from collections import Counter
+
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+)
+
+from conftest import Node, connect_pair
+from softverbs.fabric import LoopbackFabric
+from softverbs.verbs import (
+    DeviceRegistry,
+    QpState,
+    SendFlags,
+    SendWorkRequest,
+    WcStatus,
+)
+from softverbs.wire import FrameKind
+
+MTU = 256
+SIZES = (0, 1, MTU - 1, MTU, MTU + 1, 3 * MTU)
+SLOT = 3 * MTU  # one receive buffer: the largest message
+MAX_WR = 12     # sends and receives posted per run, each at most
+FIRST_PSN = (1 << 24) - 4
+DROPS_PER_PSN = 2
+
+
+def payload_of(wr_id: int, size: int) -> bytes:
+    return bytes((wr_id * 31 + k) % 251 for k in range(size))
+
+
+class RcModel(RuleBasedStateMachine):
+    def __init__(self):
+        super().__init__()
+        registry = DeviceRegistry()
+        registry.add_device("hca0")
+        self.fabric = LoopbackFabric(registry=registry)
+        self.a = Node(registry, self.fabric, size=SLOT, max_send_wr=MAX_WR,
+                      cq_capacity=2 * MAX_WR)
+        self.b = Node(registry, self.fabric, size=SLOT * MAX_WR,
+                      max_recv_wr=MAX_WR, cq_capacity=2 * MAX_WR)
+        connect_pair(self.a, self.b, psn_a=FIRST_PSN, mtu=MTU)
+        self.fabric.drop_filter = self._drop
+        # the model: send i has wr_id i, receive i has wr_id i and slot i
+        self.sends: list[tuple[bytes, bool]] = []  # (payload, signaled)
+        self.recvs = 0
+        self.send_cqes = []
+        self.recv_cqes = []
+        # by kind: how many more copies of it pass before one is dropped
+        self.armed: dict[FrameKind, int] = {}
+        self.drops = Counter()  # by PSN
+
+    def _drop(self, frame) -> bool:
+        skip = self.armed.get(frame.kind)
+        if skip is None or self.drops[frame.psn] >= DROPS_PER_PSN:
+            return False
+        if skip:
+            self.armed[frame.kind] = skip - 1
+            return False
+        del self.armed[frame.kind]
+        self.drops[frame.psn] += 1
+        return True
+
+    # -- rules ---------------------------------------------------------------
+
+    @precondition(lambda self: self.recvs < MAX_WR)
+    @rule()
+    def post_recv(self):
+        self.b.post_recv(self.recvs, off=self.recvs * SLOT, length=SLOT)
+        self.recvs += 1
+
+    @precondition(lambda self: len(self.sends) < MAX_WR
+                  and self.a.qp.state is QpState.RTS)
+    @rule(size=st.sampled_from(SIZES), signaled=st.booleans())
+    def post_send(self, size, signaled):
+        wr_id = len(self.sends)
+        payload = payload_of(wr_id, size)
+        self.a.buf.data[:size] = payload
+        sges = [self.a.sge(0, size)] if size else []
+        self.a.qp.post_send(SendWorkRequest(
+            wr_id, sges,
+            flags=SendFlags.SIGNALED if signaled else SendFlags(0)))
+        self.sends.append((payload, signaled))
+
+    @rule(kind=st.sampled_from(list(FrameKind)), skip=st.integers(0, 2))
+    def drop_a_coming_copy(self, kind, skip):
+        self.armed[kind] = skip
+
+    @rule(ms=st.sampled_from((0.5, 1.0, 2.5, 10.0, 15.0)))
+    def advance(self, ms):
+        self.fabric.advance(ms)
+
+    @rule()
+    def step(self):
+        self.fabric.step()
+
+    # a send still waiting for its receive would be refused until its
+    # RNR budget runs out; teardown lets that happen, settle does not
+    @precondition(lambda self: self.recvs >= len(self.sends))
+    @rule()
+    def settle(self):
+        self._check_idle()
+
+    def teardown(self):
+        self._check_idle()
+
+    # -- checks --------------------------------------------------------------
+
+    @invariant()
+    def completions_agree_with_the_model(self):
+        self.send_cqes += self.a.cq.poll(2 * MAX_WR)
+        self.recv_cqes += self.b.cq.poll(2 * MAX_WR)
+        # receives complete in post order, each with the next message
+        assert [wc.wr_id for wc in self.recv_cqes] == \
+            list(range(len(self.recv_cqes)))
+        assert len(self.recv_cqes) <= len(self.sends)
+        for i, wc in enumerate(self.recv_cqes):
+            payload = self.sends[i][0]
+            assert wc.status is WcStatus.SUCCESS
+            assert wc.byte_len == len(payload)
+            assert self.b.read(i * SLOT, len(payload)) == payload
+        # sends complete at most once each, in post order; a signaled
+        # success follows its delivery, and after a failure only
+        # flushes follow
+        ids = [wc.wr_id for wc in self.send_cqes]
+        assert ids == sorted(set(ids))
+        failed = False
+        for wc in self.send_cqes:
+            if failed:
+                assert wc.status is WcStatus.WR_FLUSHED
+            elif wc.status is WcStatus.SUCCESS:
+                assert self.sends[wc.wr_id][1]
+                assert wc.wr_id < len(self.recv_cqes)
+            else:
+                assert wc.status is WcStatus.RNR_RETRY_EXCEEDED
+                failed = True
+
+    def _check_idle(self):
+        self.fabric.run_until_idle()
+        self.completions_agree_with_the_model()
+        n = len(self.sends)
+        signaled = [i for i, (_, sig) in enumerate(self.sends) if sig]
+        got = [(wc.wr_id, wc.status) for wc in self.send_cqes]
+        if self.a.qp.state is QpState.RTS:
+            assert got == [(i, WcStatus.SUCCESS) for i in signaled]
+            assert len(self.recv_cqes) == n
+            return
+        fail = next(wc for wc in self.send_cqes
+                    if wc.status is WcStatus.RNR_RETRY_EXCEEDED)
+        assert got == [(i, WcStatus.SUCCESS) for i in signaled
+                       if i < fail.wr_id] + \
+            [(fail.wr_id, fail.status)] + \
+            [(i, WcStatus.WR_FLUSHED) for i in range(fail.wr_id + 1, n)]
+        # every send before the failed one was delivered
+        assert len(self.recv_cqes) >= fail.wr_id
+
+
+TestRcModel = RcModel.TestCase
+TestRcModel.settings = settings(max_examples=120, stateful_step_count=50,
+                                derandomize=True, database=None,
+                                deadline=None)
