@@ -34,7 +34,6 @@ from .fabric import (
     FaultProfile,
     LoopbackFabric,
     SocketFabric,
-    TimingTables,
     load_fabric_config,
     parse_fabric_config,
     parse_faults_spec,

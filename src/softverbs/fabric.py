@@ -24,7 +24,7 @@ timeout (a go-back-N burst from the head) remains the fallback when the
 probe is lost too.
 
 An RNR NAK, after IBTA RC's receiver-not-ready rule, pauses the refused
-head for the RNR delay it names; copies of it that arrive during the
+head for ``RNR_DELAY_MS``, whatever delay code it names; copies of it that arrive during the
 pause are ignored, so one refusal charges the RNR budget once. The end
 of the pause resends that head alone: the receiver still holds the
 frames that followed it.
@@ -47,15 +47,16 @@ QP, armed through ``schedule`` for the head's probe, timeout or RNR
 pause deadline; a tick superseded by an earlier deadline is left in
 place and does nothing when it fires); a transport supplies
 ``now_ms``, ``schedule`` and ``_deliver``, ends each burst with
-``_send_owed_acks``, and supplies ``wait_until``, the blocking wait of
-the verbs objects.
+``_send_owed_acks``, and moves in ``wait_until``, the blocking wait of
+the verbs objects (sockets), or in ``progress``, which a driver whose
+callers all wait calls (loopback).
 
 Engine callbacks (on_data / on_ack / on_timeout_tick) run serialized
 under the world lock shared with the verbs objects, which the transport
 holds when it calls them (they do not take it again), on the caller's
 thread: the one that pumps the loopback clock, or on sockets the one
-waiting in ``wait_for_completion`` or ``get_event``, which gets any
-exception they raise. User code never runs inside them.
+waiting in a verbs wait, which gets any exception they raise. User code
+never runs inside them.
 """
 
 from __future__ import annotations
@@ -109,6 +110,11 @@ BURST_FRAMES = 64
 # a head unacked this long is resent once, alone (a tail-loss probe),
 # before the retransmit timeout takes over
 PROBE_MS = 10.0
+# what the QP's timeout and min_rnr_timer codes stand for here: the
+# 5-bit IBTA encodings mean nothing inside an emulator, so every code
+# maps to one retransmit timeout and one RNR delay
+TIMEOUT_MS = 500.0
+RNR_DELAY_MS = 10.0
 # extra wire delay of a duplicate copy (after its original) and of a
 # reordered frame
 DUP_EXTRA_MS = 0.5
@@ -164,27 +170,6 @@ class FaultProfile:
                 or self.reorder_probability > 0)
 
 
-@dataclass
-class TimingTables:
-    """Encoded timer codes mapped to emulator milliseconds.
-
-    The QP stores the raw 5-bit codes; only the fabric interprets them,
-    and the mapping is configuration because the wire encodings are not
-    meaningful inside an emulator.
-    """
-
-    timeout_ms: dict[int, float] = field(default_factory=lambda: {14: 500.0})
-    rnr_delay_ms: dict[int, float] = field(default_factory=lambda: {12: 10.0})
-    default_timeout_ms: float = 500.0
-    default_rnr_delay_ms: float = 10.0
-
-    def timeout(self, code: int) -> float:
-        return self.timeout_ms.get(code, self.default_timeout_ms)
-
-    def rnr_delay(self, code: int) -> float:
-        return self.rnr_delay_ms.get(code, self.default_rnr_delay_ms)
-
-
 class WindowEntry:
     """One unacked DATA frame. Only the head is ever paused: an RNR NAK
     sets ``paused_until`` to the end of its pause, and the tick that
@@ -218,11 +203,11 @@ class SenderState:
     __slots__ = ("next_psn", "unacked", "timeout_ms", "probe_ms",
                  "tick_at", "tick_gen")
 
-    def __init__(self, next_psn: int, timeout_ms: float):
+    def __init__(self, next_psn: int):
         self.next_psn = next_psn
         self.unacked: deque[WindowEntry] = deque()
-        self.timeout_ms = timeout_ms
-        self.probe_ms = min(PROBE_MS, timeout_ms)
+        self.timeout_ms = TIMEOUT_MS
+        self.probe_ms = min(PROBE_MS, TIMEOUT_MS)
         self.tick_at = math.inf
         self.tick_gen = 0
 
@@ -232,13 +217,13 @@ class ReceiverState:
     expected PSN the last NAK named (one NAK per gap), and whether the
     frames accepted in the current burst still owe their ACK."""
 
-    __slots__ = ("expected_psn", "reassembly", "msg_active", "held",
-                 "nak_psn", "ack_owed")
+    __slots__ = ("expected_psn", "reassembly", "held", "nak_psn",
+                 "ack_owed")
 
     def __init__(self, expected_psn: int):
         self.expected_psn = expected_psn
-        self.reassembly: list[bytes] = []  # payloads of the message so far
-        self.msg_active = False
+        # payloads of the message so far; empty between messages
+        self.reassembly: list[bytes] = []
         self.held: dict[int, Frame] = {}
         self.nak_psn: Optional[int] = None
         self.ack_owed = False
@@ -282,14 +267,13 @@ class TraceEvent(NamedTuple):
 class Fabric(Progress):
     """Transport-independent engine; subclasses supply clock and delivery.
 
-    The verbs waits go through its ``Progress`` methods; the loopback
-    clock is pumped by its own driver, so the base ones only wait."""
+    The verbs waits go through its ``Progress`` methods, and a driver
+    whose callers all wait moves it through ``progress``. A loopback
+    clock moves only when ``progress`` (or a test) pumps it, so the base
+    verbs waits only wait."""
 
-    def __init__(self, faults: FaultProfile | None = None,
-                 timing: TimingTables | None = None,
-                 registry=None):
+    def __init__(self, faults: FaultProfile | None = None, registry=None):
         self.faults = faults or FaultProfile()
-        self.timing = timing or TimingTables()
         self.routing: dict[int, Endpoint] = {}
         self.next_lid = 1
         self.drop_filter: Optional[Callable[[Frame], bool]] = None
@@ -359,8 +343,7 @@ class Fabric(Progress):
             del ep.qpn_map[qp.qpn]
 
     def on_qp_rts(self, qp: QueuePair) -> None:
-        qp.sender = SenderState(qp.attrs.sq_psn,
-                                self.timing.timeout(qp.attrs.timeout))
+        qp.sender = SenderState(qp.attrs.sq_psn)
 
     # -- clock / scheduling (transport specific) ---------------------------
 
@@ -376,6 +359,15 @@ class Fabric(Progress):
 
     def close(self) -> None:
         """Release the transport's sockets, if it has any."""
+
+    def progress(self, wait: Callable[[float], bool]) -> bool:
+        """Move the fabric for a driver whose callers all wait: block in
+        ``wait``, one of their verbs waits, for 0.25 s at most; a fabric
+        that the waiting thread moves (SocketFabric) moves in it. False
+        means nothing is scheduled, so no wait can ever end; this base
+        cannot tell and says True."""
+        wait(0.25)
+        return True
 
     # -- retransmit timer ----------------------------------------------------
 
@@ -535,8 +527,7 @@ class Fabric(Progress):
             self._fail_send(qp, head, WcStatus.RNR_RETRY_EXCEEDED)
             return
         head.rnr_retries_used += 1
-        head.paused_until = self.now_ms() + self.timing.rnr_delay(
-            frame.rnr_delay_hint)
+        head.paused_until = self.now_ms() + RNR_DELAY_MS
         self._arm_tick(qp)
 
     def _retransmit_burst(self, qp: QueuePair, now: float) -> None:
@@ -661,14 +652,12 @@ class Fabric(Progress):
                 self._send_rnr_nak(qp, frame.psn)
                 return False
             rcv.reassembly = []
-            rcv.msg_active = True
-        elif not rcv.msg_active:
+        elif not rcv.reassembly:
             # continuation without a start: stray frame, ignore
             return False
         rcv.reassembly.append(frame.payload)
         rcv.expected_psn = psn_add(frame.psn, 1)
         if ends:
-            rcv.msg_active = False
             message = b"".join(rcv.reassembly)
             rcv.reassembly = []
             wqe = qp.recv_queue.popleft()
@@ -788,10 +777,9 @@ class LoopbackFabric(Fabric):
 
     hop_latency_ms = 1.0
 
-    def __init__(self, faults=None, timing=None, registry=None,
-                 auto_drain: bool = False):
+    def __init__(self, faults=None, registry=None, auto_drain: bool = False):
         # auto_drain is ignored; bench's time_pingpong_setup still passes it
-        super().__init__(faults, timing, registry)
+        super().__init__(faults, registry)
         self._now = 0.0
 
     def now_ms(self) -> float:
@@ -851,6 +839,10 @@ class LoopbackFabric(Fabric):
                 return False
             self._drain(self._timers[0][0])
             return True
+
+    def progress(self, wait) -> bool:
+        """Jump: only the next timestamp's events can end a wait."""
+        return self.jump()
 
     # -- delivery -----------------------------------------------------------
 
@@ -1111,15 +1103,14 @@ class SocketFabric(Fabric):
     config entry, or whose dial fails, is unrouted. Accepting, reading,
     dispatching and the timer heap behind ``schedule`` (the delayed
     copies and the per-QP retransmit deadlines) run in ``wait_until``,
-    on the thread that blocks in ``wait_for_completion`` or
-    ``get_event``. That wait moves every open SocketFabric in the
+    on the thread that blocks in a verbs wait (``wait_for_completion``,
+    ``wait_for_event`` or ``get_event``). That wait moves every open SocketFabric in the
     process over one standing poll set, and raises what an engine
     callback raised. ``poll`` never moves the fabric.
     """
 
-    def __init__(self, config: FabricConfig, faults=None, timing=None,
-                 registry=None):
-        super().__init__(faults or config.faults, timing, registry)
+    def __init__(self, config: FabricConfig, faults=None, registry=None):
+        super().__init__(faults or config.faults, registry)
         self.config = config
         self._entry_by_lid = {e.lid: e for e in config.entries}
         self._listeners: dict[socket.socket, int] = {}  # to their LID

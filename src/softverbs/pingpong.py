@@ -4,6 +4,10 @@ Two processes (or, on the loopback fabric, two roles taking turns on one
 thread) bounce a fixed-size message back and forth. The client owns the
 first send; each side posts a window of receives up front and reposts
 when the pool runs low, so the peer never catches an empty receive queue.
+
+One driver, ``run_loop``, runs every role, one (``run_node``) or both
+(``run_loopback_pair``): the roles poll in turn, and when all of them
+would block the fabric moves, as in libfabric's manual progress.
 """
 
 from __future__ import annotations
@@ -203,9 +207,10 @@ def _exchanges(ctx: PingpongContext, cfg: PingpongConfig):
 
     Polls for up to two completions at a time, reposts receives when the
     pool would drop to one, and posts the next send once both
-    outstanding kinds completed. Where it would block it yields what it
-    waits on: the channel in event mode (resumed with the event's CQ),
-    the CQ otherwise.
+    outstanding kinds completed. Where it would block it yields the
+    bound verbs wait it would block in: the channel's ``wait_for_event``
+    in event mode, the CQ's ``wait_for_completion`` otherwise. Resumed,
+    it polls again: each role checks its own readiness.
     """
     iters = cfg.iters
     scnt = rcnt = 0
@@ -222,7 +227,8 @@ def _exchanges(ctx: PingpongContext, cfg: PingpongConfig):
         ctx.pending = RECV_WRID
     while rcnt < iters or scnt < iters:
         if cfg.use_event:
-            cq = yield ctx.channel
+            while (cq := ctx.channel.get_event(timeout=0)) is None:
+                yield ctx.channel.wait_for_event
             num_cq_events += 1
             if num_cq_events >= ctx.rx_depth:
                 cq.ack_events(num_cq_events)
@@ -235,7 +241,7 @@ def _exchanges(ctx: PingpongContext, cfg: PingpongConfig):
                 raise PingpongError(f"poll CQ failed: {exc}") from exc
             if wcs or cfg.use_event:
                 break
-            yield ctx.cq
+            yield ctx.cq.wait_for_completion
         for wc in wcs:
             if wc.status is not WcStatus.SUCCESS:
                 raise PingpongError(
@@ -275,24 +281,32 @@ def _exchanges(ctx: PingpongContext, cfg: PingpongConfig):
                     iters=iters)
 
 
-def run_loop(ctx: PingpongContext, cfg: PingpongConfig,
-             abort: Optional[threading.Event] = None) -> RunStats:
-    """Drive ``_exchanges`` to the end, blocking on what it waits on;
-    raise once ``abort`` is set while it waits."""
-    loop = _exchanges(ctx, cfg)
-    try:
-        waiting = next(loop)
-        while True:
-            if abort is not None and abort.is_set():
-                raise PingpongError("aborted while waiting for completions")
-            if cfg.use_event:
-                cq = waiting.get_event(timeout=10.0)
-                if cq is not None:
-                    waiting = loop.send(cq)
-            elif waiting.wait_for_completion(timeout=0.25):
-                waiting = loop.send(waiting)
-    except StopIteration as done:
-        return done.value
+def run_loop(roles: list[tuple[PingpongContext, PingpongConfig]], fabric,
+             abort: Optional[threading.Event] = None) -> list[RunStats]:
+    """Drive each role's ``_exchanges`` to the end; return their stats.
+
+    Each round resumes every unfinished role once, and each polls until
+    it would block. Then every one of them waits, and the fabric moves
+    (``fabric.progress``) in one of their waits. Raises once ``abort``
+    is set while they wait, or when nothing is scheduled that could end
+    the wait."""
+    loops = [_exchanges(ctx, cfg) for ctx, cfg in roles]
+    stats: list[Optional[RunStats]] = [None] * len(loops)
+    while True:
+        wait = None
+        for i, loop in enumerate(loops):
+            if stats[i] is None:
+                try:
+                    wait = next(loop)
+                except StopIteration as done:
+                    stats[i] = done.value
+        if wait is None:
+            return stats
+        if abort is not None and abort.is_set():
+            raise PingpongError("aborted while waiting for completions")
+        if not fabric.progress(wait):
+            raise PingpongError(
+                "every role waits for completions and nothing is scheduled")
 
 
 def format_gid(gid: bytes) -> str:
@@ -371,7 +385,7 @@ def run_node(cfg: PingpongConfig, registry: verbs.DeviceRegistry, fabric,
     else:
         rem_dest = exchange_as_client(cfg.server_host, cfg.oob_port, my_dest)
         connect(rem_dest)
-    stats = run_loop(ctx, cfg, abort=abort)
+    stats, = run_loop([(ctx, cfg)], fabric, abort=abort)
     return NodeResult(stats, my_dest, rem_dest,
                       report(stats, my_dest, rem_dest), ctx)
 
@@ -388,27 +402,17 @@ def cleanup_node(result: NodeResult) -> None:
     ctx.context.close()
 
 
-def _wake_value(waiting):
-    """What a role waiting on ``waiting`` resumes with: the CQ of the
-    channel's event, or the CQ once it has an entry; None while blocked."""
-    if isinstance(waiting, verbs.CompletionChannel):
-        return waiting.get_event(timeout=0) if waiting.pending else None
-    if waiting.entries or waiting.state is verbs.CqState.ERROR:
-        return waiting
-    return None
-
-
 def run_loopback_pair(base: PingpongConfig, faults=None,
                       seed: Optional[int] = None):
     """Run both pingpong roles on the calling thread over a loopback fabric.
 
     Returns (server NodeResult, client NodeResult, fabric). Each role is
-    connected straight to the other's destination; their ``_exchanges``
-    loops take turns, each resumed while what it waits on is ready, and
-    then the fabric runs the events of the next timestamp: only a fabric
-    event makes a waiting role ready. A lossless round trip costs two
-    hops of virtual time. The run is deterministic for a given seed and
-    fault profile.
+    connected straight to the other's destination, and ``run_loop``
+    drives the two: each round both roles poll until they would block,
+    then the fabric runs the events of the next timestamp, since only a
+    fabric event makes a waiting role ready. A lossless round trip costs
+    two hops of virtual time. The run is deterministic for a given seed
+    and fault profile.
     """
     registry = verbs.DeviceRegistry()
     registry.add_device("hca0")
@@ -421,26 +425,7 @@ def run_loopback_pair(base: PingpongConfig, faults=None,
     theirs = mine[::-1]
     for cfg, ctx, me, peer in zip(cfgs, ctxs, mine, theirs):
         connect_ctx(ctx, me.psn, peer, cfg)
-    loops = [_exchanges(ctx, cfg) for ctx, cfg in zip(ctxs, cfgs)]
-    waits = [next(loop) for loop in loops]
-    stats = {}
-    while True:
-        resumed = False
-        for i, loop in enumerate(loops):
-            while i not in stats:
-                value = _wake_value(waits[i])
-                if value is None:
-                    break
-                resumed = True
-                try:
-                    waits[i] = loop.send(value)
-                except StopIteration as done:
-                    stats[i] = done.value
-        if len(stats) == len(loops):
-            break
-        if not fabric.jump() and not resumed:
-            raise PingpongError(
-                "both roles wait for completions and nothing is scheduled")
+    stats = run_loop(list(zip(ctxs, cfgs)), fabric)
     server, client = (NodeResult(stats[i], mine[i], theirs[i],
                                  report(stats[i], mine[i], theirs[i]), ctxs[i])
                       for i in range(2))

@@ -9,9 +9,11 @@ Shared by the test suite and the scripts that drive a fabric directly
 import socket
 
 from .verbs import (
+    INIT_REQUIRED,
+    RTR_REQUIRED,
+    RTS_REQUIRED,
     AccessFlags,
     AddressHandle,
-    AttrMask,
     ModifyAttributes,
     QpState,
     QpType,
@@ -21,13 +23,10 @@ from .verbs import (
     SendWorkRequest,
 )
 
-INIT_MASK = (AttrMask.STATE | AttrMask.PKEY_INDEX | AttrMask.PORT |
-             AttrMask.ACCESS_FLAGS)
-RTR_MASK = (AttrMask.STATE | AttrMask.AV | AttrMask.PATH_MTU |
-            AttrMask.DEST_QPN | AttrMask.RQ_PSN |
-            AttrMask.MAX_DEST_RD_ATOMIC | AttrMask.MIN_RNR_TIMER)
-RTS_MASK = (AttrMask.STATE | AttrMask.TIMEOUT | AttrMask.RETRY_CNT |
-            AttrMask.RNR_RETRY | AttrMask.SQ_PSN | AttrMask.MAX_QP_RD_ATOMIC)
+# each transition's mask: exactly the attributes the verbs layer requires
+INIT_MASK = INIT_REQUIRED
+RTR_MASK = RTR_REQUIRED
+RTS_MASK = RTS_REQUIRED
 
 _PORTS = iter(range(20000, 32768))  # below Linux's default ephemeral range
 

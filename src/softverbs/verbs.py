@@ -533,14 +533,20 @@ class CompletionChannel:
         self.pending.append(cq)
         self._cond.notify_all()
 
+    def wait_for_event(self, timeout: float | None = None) -> bool:
+        """Block until a CQ notification is pending or the channel is
+        destroyed, without taking the notification; True if either holds
+        before ``timeout`` seconds pass."""
+        return self.context._progress().wait_until(
+            self._cond, lambda: bool(self.pending) or self.destroyed, timeout)
+
     def get_event(self, timeout: float | None = None) -> Optional["CompletionQueue"]:
         """Block until a CQ notification is available and return that CQ.
 
         Returns None on timeout (when one is given); raises if the channel
         is destroyed while waiting.
         """
-        while self.context._progress().wait_until(
-                self._cond, lambda: self.pending or self.destroyed, timeout):
+        while self.wait_for_event(timeout):
             with self._cond:
                 if self.pending:
                     cq = self.pending.popleft()

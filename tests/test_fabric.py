@@ -12,10 +12,10 @@ from softverbs.fabric import (
     HOLD_PSNS,
     PROBE_MS,
     TICK_EPS_MS,
+    TIMEOUT_MS,
     FabricConfigError,
     FaultProfile,
     LoopbackFabric,
-    TimingTables,
     parse_fabric_config,
     parse_faults_spec,
     psn_add,
@@ -728,10 +728,9 @@ class TestTailLossProbe:
         a.post_send(55, bytes(2048))
         fabric.run_until_idle()
         t = [e.t for e in self._copies(fabric, FrameKind.DATA, 101)]
-        timeout = fabric.timing.timeout(14)
         assert len(t) == 1 + 7
         assert PROBE_MS <= t[1] < PROBE_MS + 1  # the probe
-        assert timeout <= t[2] - t[1] < timeout + 1  # the first timeout
+        assert TIMEOUT_MS <= t[2] - t[1] < TIMEOUT_MS + 1  # the first timeout
         wc, = a.cq.poll(2)
         assert wc.status is WcStatus.RETRY_EXCEEDED
 
@@ -921,18 +920,6 @@ class TestStaleReplay:
         fabric.run_until_idle()
         wc, = b.cq.poll(8)
         assert wc.wr_id == 100 and wc.status is WcStatus.SUCCESS
-
-
-class TestTimingTables:
-    def test_default_codes_map_to_emulator_delays(self):
-        tables = TimingTables()
-        assert tables.timeout(14) == 500.0
-        assert tables.rnr_delay(12) == 10.0
-
-    def test_unknown_codes_use_defaults(self):
-        tables = TimingTables()
-        assert tables.timeout(20) == tables.default_timeout_ms
-        assert tables.rnr_delay(1) == tables.default_rnr_delay_ms
 
 
 class TestFaultConfig:

@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+from softverbs import pingpong
 from softverbs.fabric import FaultProfile, LoopbackFabric
 from softverbs.oob import Destination
 from softverbs.pingpong import (
@@ -237,6 +238,20 @@ class TestLoopbackPair:
         assert len(starts) == iters
         gaps = {b - a for a, b in zip(starts, starts[1:])}
         assert gaps == {2 * fabric.hop_latency_ms}
+
+    def test_both_roles_run_in_the_one_driver(self, monkeypatch):
+        calls = []
+        run_loop = pingpong.run_loop
+
+        def counting(roles, fabric, abort=None):
+            calls.append([cfg.is_server for _, cfg in roles])
+            return run_loop(roles, fabric, abort)
+
+        monkeypatch.setattr(pingpong, "run_loop", counting)
+        server, client, _ = run_loopback_pair(
+            PingpongConfig(iters=5, rx_depth=4, size=64), seed=2)
+        assert calls == [[True, False]]
+        assert server.ctx.rcnt == client.ctx.rcnt == 5
 
     def test_stalled_pair_fails_at_once(self, monkeypatch):
         # frames vanish and no retransmit timer is armed: nothing can

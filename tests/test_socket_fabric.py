@@ -14,7 +14,6 @@ from softverbs.fabric import (
     FabricConfigEntry,
     FaultProfile,
     SocketFabric,
-    TimingTables,
 )
 from softverbs import fabric as fabric_module, pingpong
 from softverbs.pingpong import PingpongConfig, cleanup_node, run_node
@@ -35,9 +34,6 @@ from softverbs.wire import (
     encode_frame,
     frame_body_length,
 )
-
-FAST_TIMEOUT = TimingTables({14: 50.0})  # retransmit after 50 ms, not 500
-
 
 @pytest.fixture
 def make_fabrics():
@@ -65,6 +61,12 @@ def make_fabrics():
 @pytest.fixture
 def two_fabrics(make_fabrics):
     return make_fabrics()
+
+
+@pytest.fixture
+def fast_timeout(monkeypatch):
+    """Retransmit after 50 ms, not 500, on the QPs connected after it."""
+    monkeypatch.setattr(fabric_module, "TIMEOUT_MS", 50.0)
 
 
 def wait_for(cq, n, timeout=10.0):
@@ -151,10 +153,10 @@ def test_close_stops_every_fabric_thread(two_fabrics):
     assert left() == []
 
 
-def test_exactly_once_in_order_under_faults(make_fabrics):
+def test_exactly_once_in_order_under_faults(make_fabrics, fast_timeout):
     n_msgs, size = 40, 2048
     (reg_a, reg_b), fabrics = make_fabrics(
-        faults=FaultProfile(0.1, 0.1, 0.1, seed=3), timing=FAST_TIMEOUT)
+        faults=FaultProfile(0.1, 0.1, 0.1, seed=3))
     a, b = (Node(reg, fabric, size=n_msgs * size, max_send_wr=n_msgs,
                  max_recv_wr=n_msgs, cq_capacity=n_msgs + 1)
             for reg, fabric in ((reg_a, fabrics[0]), (reg_b, fabrics[1])))
@@ -176,8 +178,9 @@ def test_exactly_once_in_order_under_faults(make_fabrics):
     assert {"sent", "dropped", "dup"} <= statuses
 
 
-def test_single_drop_recovers_on_the_probe_deadline(make_fabrics):
-    (reg_a, reg_b), fabrics = make_fabrics(timing=FAST_TIMEOUT)
+def test_single_drop_recovers_on_the_probe_deadline(make_fabrics,
+                                                    fast_timeout):
+    (reg_a, reg_b), fabrics = make_fabrics()
     a = Node(reg_a, fabrics[0])
     b = Node(reg_b, fabrics[1])
     connect_pair(a, b)
@@ -332,8 +335,8 @@ def test_a_flush_on_another_thread_ends_a_socket_wait_at_once(two_fabrics):
 
 
 def test_unreachable_peer_is_traced_unrouted_and_fails_the_send(
-        make_fabrics):
-    (reg_a, _), (fab_a, _) = make_fabrics(timing=FAST_TIMEOUT)
+        make_fabrics, fast_timeout):
+    (reg_a, _), (fab_a, _) = make_fabrics()
     a = Node(reg_a, fab_a)  # LID 1; nothing listens on LID 2's port
     to_init(a.qp)
     to_rtr(a.qp, 2, 0x123, 0)
@@ -417,6 +420,53 @@ def test_pingpong_roles_on_many_threads_take_turns_moving(make_fabrics,
     for result in results:
         assert result.ctx.rcnt == result.ctx.scnt == iters
         cleanup_node(result)
+
+
+@pytest.mark.parametrize("use_event", [False, True])
+def test_abort_ends_a_waiting_role_within_a_second(make_fabrics, use_event):
+    """The server connects but never runs its loop, so the client waits
+    for a reply that never comes. Setting ``abort`` ends that wait
+    within a second in both modes: no verbs wait outlasts the driver's
+    0.25 s turn."""
+    regs, fabrics = make_fabrics()
+    base = PingpongConfig(oob_port=free_port(), size=64, iters=5,
+                          use_event=use_event)
+    cfgs = (base, replace(base, server_host="127.0.0.1"))
+    ctx, me = pingpong.open_node(cfgs[0], regs[0], fabrics[0],
+                                 random.Random(1))
+    oob_ready, abort = threading.Event(), threading.Event()
+    raised = []
+
+    def serve():
+        pingpong.exchange_as_server(
+            base.oob_port, me, ready=oob_ready,
+            on_peer=lambda peer: pingpong.connect_ctx(ctx, me.psn, peer,
+                                                      cfgs[0]))
+
+    def client():
+        try:
+            run_node(cfgs[1], regs[1], fabrics[1], abort=abort)
+        except Exception as exc:
+            raised.append((exc, time.monotonic()))
+
+    threads = [threading.Thread(target=serve, daemon=True),
+               threading.Thread(target=client, daemon=True)]
+    threads[0].start()
+    assert oob_ready.wait(5.0)
+    threads[1].start()
+    # the client's first message lands once the client is in its loop
+    deadline = time.monotonic() + 5.0
+    while not ctx.cq.entries and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert ctx.cq.entries
+    abort.set()
+    aborted_at = time.monotonic()
+    for thread in threads:
+        thread.join(timeout=15.0)
+    assert not any(thread.is_alive() for thread in threads)
+    (exc, raised_at), = raised
+    assert "aborted while" in str(exc)
+    assert raised_at - aborted_at < 1.0
 
 
 class CountingSocket:
