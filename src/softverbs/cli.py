@@ -1,16 +1,19 @@
 """Command-line front end for the pingpong benchmark.
 
 With the default loopback fabric, one process runs both roles on one
-thread over the in-process transport and prints the server's report
-followed by the client's. With ``--fabric socket``, each invocation is
-one role of a normal two-process run: start the server (no host
-argument) first, then the client with the server's hostname.
+thread over the in-process transport and prints the server's report,
+the client's, and what went over the wire: the frames by kind and by
+disposition, and the virtual time per iteration. With ``--fabric
+socket``, each invocation is one role of a normal two-process run:
+start the server (no host argument) first, then the client with the
+server's hostname.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 
 from .fabric import (
     FabricConfigError,
@@ -27,6 +30,7 @@ from .pingpong import (
     run_node,
 )
 from .verbs import DeviceRegistry, VerbsError
+from .wire import FrameKind
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -75,6 +79,27 @@ def _config_from_args(args) -> PingpongConfig:
         gid_index=args.gid_idx)
 
 
+def _wire_report(cfg: PingpongConfig, client, fabric) -> str:
+    """The frames a loopback run sent, by kind and by disposition, and
+    its virtual time per iteration: from the client's first DATA frame
+    to the last ACK, which completes the last send one hop later."""
+    trace = fabric.trace
+    by_kind = Counter(e.frame.kind for e in trace)
+    by_status = Counter(e.status for e in trace)
+    minimum = 2 * cfg.iters * -(-cfg.size // cfg.mtu)
+    first = next(e.t for e in trace if e.src_lid == client.my_dest.lid
+                 and e.frame.kind is FrameKind.DATA)
+    last_ack = max(e.t for e in trace
+                   if e.frame.kind is FrameKind.ACK and e.status == "sent")
+    virtual_ms = last_ack + fabric.hop_latency_ms - first
+    dispositions = ", ".join(f"{n} {status}" for status, n in by_status.items())
+    return (f"wire: {by_kind[FrameKind.DATA]} DATA (minimum {minimum}), "
+            f"{by_kind[FrameKind.ACK]} ACK, {by_kind[FrameKind.NAK]} NAK, "
+            f"{by_kind[FrameKind.RNR_NAK]} RNR_NAK; {dispositions}\n"
+            f"virtual: {virtual_ms / cfg.iters:.3f} ms/iter at "
+            f"{fabric.hop_latency_ms:g} ms/hop")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -87,6 +112,7 @@ def main(argv=None) -> int:
             server, client, fabric = run_loopback_pair(cfg, faults=faults)
             print(server.report)
             print(client.report)
+            print(_wire_report(cfg, client, fabric))
             cleanup_node(server)
             cleanup_node(client)
         else:

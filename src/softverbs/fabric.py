@@ -77,14 +77,12 @@ from functools import cached_property, partial
 from typing import Callable, NamedTuple, Optional
 
 from .verbs import (
-    CompletionEntry,
     DeviceContext,
     PortState,
     Progress,
     QpState,
     QueuePair,
     VerbsError,
-    WcOpcode,
     WcStatus,
 )
 from .wire import (
@@ -121,6 +119,10 @@ DUP_EXTRA_MS = 0.5
 REORDER_EXTRA_MS = 2.5
 # what ``_wire_copies`` plans for a frame sent once on time
 _SENT_ONCE = ("sent",), (0.0,)
+# the segments that end a message
+_ENDS = (SegMark.ONLY, SegMark.LAST)
+# the most events one drain runs before it calls the run a livelock
+MAX_EVENTS = 5_000_000
 
 
 def psn_add(psn: int, n: int) -> int:
@@ -175,39 +177,42 @@ class WindowEntry:
     sets ``paused_until`` to the end of its pause, and the tick that
     ends the pause clears it (0.0 when not paused)."""
 
-    __slots__ = ("psn", "frame", "wqe", "last", "sent_at",
+    __slots__ = ("psn", "frame", "wqe", "sent_at",
                  "retries_used", "rnr_retries_used", "probed",
                  "paused_until")
 
-    def __init__(self, psn, frame, wqe, last, sent_at=0.0):
-        self.psn = psn
+    def __init__(self, frame, wqe):
+        self.psn = frame.psn
         self.frame = frame
         self.wqe = wqe
-        self.last = last
-        self.sent_at = sent_at
+        self.sent_at = 0.0
         self.retries_used = 0
         self.rnr_retries_used = 0
         self.probed = False  # the tail-loss probe resent it already
         self.paused_until = 0.0
 
 
+def _due(head: WindowEntry) -> float:
+    """When the head's tick has work: the end of its pause if it is
+    paused, else its probe, then once probed its timeout."""
+    if head.paused_until:
+        return head.paused_until
+    return head.sent_at + (TIMEOUT_MS if head.probed
+                           else min(PROBE_MS, TIMEOUT_MS))
+
+
 class SenderState:
     """Per-QP outbound window; unacked PSNs stay contiguous mod 2^24.
 
-    A head may stay unacked ``probe_ms`` until it is probed, then
-    ``timeout_ms``; a paused head waits until its pause ends instead.
     ``tick_at`` is when the pending retransmit tick fires (inf if none);
     a tick whose ``tick_gen`` is no longer current was superseded by an
     earlier one and does nothing."""
 
-    __slots__ = ("next_psn", "unacked", "timeout_ms", "probe_ms",
-                 "tick_at", "tick_gen")
+    __slots__ = ("next_psn", "unacked", "tick_at", "tick_gen")
 
     def __init__(self, next_psn: int):
         self.next_psn = next_psn
         self.unacked: deque[WindowEntry] = deque()
-        self.timeout_ms = TIMEOUT_MS
-        self.probe_ms = min(PROBE_MS, TIMEOUT_MS)
         self.tick_at = math.inf
         self.tick_gen = 0
 
@@ -381,11 +386,9 @@ class Fabric(Progress):
         if snd is None or not snd.unacked:
             return
         head = snd.unacked[0]
-        if head.paused_until:
-            deadline = head.paused_until
-        else:
-            deadline = head.sent_at + (snd.timeout_ms if head.probed
-                                       else snd.probe_ms) + TICK_EPS_MS
+        deadline = _due(head)
+        if not head.paused_until:
+            deadline += TICK_EPS_MS
         if snd.tick_at <= deadline:
             return
         snd.tick_at = deadline
@@ -407,8 +410,7 @@ class Fabric(Progress):
 
     # -- send side ---------------------------------------------------------
 
-    def transmit_message(self, qp: QueuePair, payload: bytes,
-                         wqe=None) -> None:
+    def transmit_message(self, qp: QueuePair, payload: bytes, wqe) -> None:
         """Segment a message into DATA frames with consecutive PSNs.
 
         Frames enter the unacked window and go to the transport; delivery
@@ -435,7 +437,7 @@ class Fabric(Progress):
                 frame = Frame(FrameKind.DATA, qp.attrs.dest_qp_num,
                               snd.next_psn, seg, bytes(chunk))
                 snd.next_psn = psn_add(snd.next_psn, 1)
-                entry = WindowEntry(frame.psn, frame, wqe, last=(i == last))
+                entry = WindowEntry(frame, wqe)
                 snd.unacked.append(entry)
                 self._transmit_entry(qp, entry)
             self._arm_tick(qp)
@@ -462,7 +464,7 @@ class Fabric(Progress):
         progressed = self._retire_through(qp, frame.psn)
         if snd.unacked:
             now = self.now_ms()
-            if progressed and now - snd.unacked[0].sent_at >= snd.timeout_ms:
+            if progressed and now - snd.unacked[0].sent_at >= TIMEOUT_MS:
                 self._retransmit_burst(qp, now)
             self._arm_tick(qp)
 
@@ -474,7 +476,7 @@ class Fabric(Progress):
         while unacked and psn_le(unacked[0].psn, psn):
             entry = unacked.popleft()
             progressed = True
-            if entry.last and entry.wqe is not None:
+            if entry.frame.seg in _ENDS:
                 qp.complete_send(entry.wqe)
         return progressed
 
@@ -498,7 +500,7 @@ class Fabric(Progress):
         if head.paused_until:
             return
         if head.retries_used >= qp.attrs.retry_cnt:
-            self._fail_send(qp, head, WcStatus.RETRY_EXCEEDED)
+            qp.complete_send(head.wqe, WcStatus.RETRY_EXCEEDED)
             return
         head.retries_used += 1
         self._transmit_entry(qp, head)
@@ -524,7 +526,7 @@ class Fabric(Progress):
         if head.psn != frame.psn or head.paused_until:
             return
         if head.rnr_retries_used >= qp.attrs.rnr_retry:
-            self._fail_send(qp, head, WcStatus.RNR_RETRY_EXCEEDED)
+            qp.complete_send(head.wqe, WcStatus.RNR_RETRY_EXCEEDED)
             return
         head.rnr_retries_used += 1
         head.paused_until = self.now_ms() + RNR_DELAY_MS
@@ -536,10 +538,8 @@ class Fabric(Progress):
         Stops at the first frame younger than the timeout and at the
         burst cap. Retry accounting is the caller's job, not ours.
         """
-        snd = qp.sender
-        tmo = snd.timeout_ms
-        for sent, entry in enumerate(snd.unacked):
-            if sent >= BURST_FRAMES or now - entry.sent_at < tmo:
+        for sent, entry in enumerate(qp.sender.unacked):
+            if sent >= BURST_FRAMES or now - entry.sent_at < TIMEOUT_MS:
                 break
             self._transmit_entry(qp, entry)
 
@@ -568,19 +568,17 @@ class Fabric(Progress):
         if snd is None or not snd.unacked or qp.state is not QpState.RTS:
             return
         head = snd.unacked[0]
-        if head.paused_until:
-            if now >= head.paused_until:
-                head.paused_until = 0.0
-                self._transmit_entry(qp, head)
+        if now < _due(head):
             return
-        if now - head.sent_at < (snd.timeout_ms if head.probed
-                                 else snd.probe_ms):
+        if head.paused_until:
+            head.paused_until = 0.0
+            self._transmit_entry(qp, head)
             return
         if not head.probed and self._backlogged(qp.attrs.ah.dlid):
             head.sent_at = now
             return
         if head.retries_used >= qp.attrs.retry_cnt:
-            self._fail_send(qp, head, WcStatus.RETRY_EXCEEDED)
+            qp.complete_send(head.wqe, WcStatus.RETRY_EXCEEDED)
             return
         head.retries_used += 1
         if head.probed:
@@ -588,19 +586,6 @@ class Fabric(Progress):
         else:
             head.probed = True
             self._transmit_entry(qp, head)
-
-    def _fail_send(self, qp: QueuePair, entry: WindowEntry,
-                   status: WcStatus) -> None:
-        snd = qp.sender
-        if snd is not None:
-            snd.unacked.clear()
-        wqe = entry.wqe
-        if wqe is not None:
-            # errors complete whether the send was signaled or not
-            head = qp.send_queue.popleft()
-            assert head is wqe, "RC send failed out of order"
-            qp.send_cq._push(CompletionEntry(wqe.wr_id, status, WcOpcode.SEND))
-        qp.enter_error()
 
     # -- receive side --------------------------------------------------------
 
@@ -645,9 +630,7 @@ class Fabric(Progress):
         """Take the frame at the expected PSN into the message it belongs
         to; False if it is refused (RNR NAK) or stray, leaving the
         expected PSN where it was."""
-        starts = frame.seg in (SegMark.ONLY, SegMark.FIRST)
-        ends = frame.seg in (SegMark.ONLY, SegMark.LAST)
-        if starts:
+        if frame.seg in (SegMark.ONLY, SegMark.FIRST):
             if not qp.recv_queue:
                 self._send_rnr_nak(qp, frame.psn)
                 return False
@@ -657,19 +640,10 @@ class Fabric(Progress):
             return False
         rcv.reassembly.append(frame.payload)
         rcv.expected_psn = psn_add(frame.psn, 1)
-        if ends:
+        if frame.seg in _ENDS:
             message = b"".join(rcv.reassembly)
             rcv.reassembly = []
-            wqe = qp.recv_queue.popleft()
-            if len(message) > wqe.capacity:
-                qp.recv_cq._push(CompletionEntry(
-                    wqe.wr_id, WcStatus.LOCAL_PROTECTION_ERROR,
-                    WcOpcode.RECV, len(message)))
-                qp.enter_error()
-                return True
-            wqe.scatter(message)
-            qp.recv_cq._push(CompletionEntry(
-                wqe.wr_id, WcStatus.SUCCESS, WcOpcode.RECV, len(message)))
+            qp.complete_recv(message)
         return True
 
     def _drain_held(self, qp: QueuePair, rcv: ReceiverState) -> None:
@@ -705,7 +679,7 @@ class Fabric(Progress):
                 rcv = qp.receiver
                 if rcv is not None and rcv.ack_owed:
                     rcv.ack_owed = False
-                    self._send_ack(qp, (rcv.expected_psn - 1) & PSN_MASK)
+                    self._send_ack(qp, psn_add(rcv.expected_psn, -1))
 
     def _send_ack(self, qp: QueuePair, psn: int) -> None:
         self._emit(qp, Frame(FrameKind.ACK, qp.attrs.dest_qp_num, psn))
@@ -794,7 +768,7 @@ class LoopbackFabric(Fabric):
         is not taken again here, once per frame."""
         heapq.heappush(self._timers, (t, next(self._seq), fn))
 
-    def _drain(self, limit: float, max_events: int = 5_000_000) -> int:
+    def _drain(self, limit: float, max_events: int = MAX_EVENTS) -> int:
         """Run every event due at or before ``limit``, in order; the one
         event loop behind jump, advance and run_until_idle."""
         n = 0
@@ -820,7 +794,7 @@ class LoopbackFabric(Fabric):
             fn()
             return True
 
-    def run_until_idle(self, max_events: int = 2_000_000) -> int:
+    def run_until_idle(self, max_events: int = MAX_EVENTS) -> int:
         return self._drain(math.inf, max_events)
 
     def advance(self, ms: float) -> None:
@@ -894,7 +868,6 @@ class FabricConfigEntry:
 @dataclass
 class FabricConfig:
     entries: list[FabricConfigEntry] = field(default_factory=list)
-    faults: Optional[FaultProfile] = None
 
 
 def parse_faults_spec(spec: str) -> FaultProfile:
@@ -918,9 +891,7 @@ def parse_faults_spec(spec: str) -> FaultProfile:
 
 def parse_fabric_config(text: str) -> FabricConfig:
     """Parse the static fabric file: ``lid N host H port P`` lines.
-
-    A ``faults drop=.. dup=.. reorder=.. seed=..`` line sets the fault
-    profile. ``#`` starts a comment.
+    ``#`` starts a comment.
     """
     config = FabricConfig()
     seen = set()
@@ -944,8 +915,6 @@ def parse_fabric_config(text: str) -> FabricConfig:
                 raise FabricConfigError(f"line {lineno}: duplicate lid {lid}")
             seen.add(lid)
             config.entries.append(FabricConfigEntry(lid, tokens[3], port))
-        elif tokens[0] == "faults":
-            config.faults = parse_faults_spec(" ".join(tokens[1:]))
         else:
             raise FabricConfigError(f"line {lineno}: unknown directive "
                                     f"{tokens[0]!r}")
@@ -1110,7 +1079,7 @@ class SocketFabric(Fabric):
     """
 
     def __init__(self, config: FabricConfig, faults=None, registry=None):
-        super().__init__(faults or config.faults, registry)
+        super().__init__(faults, registry)
         self.config = config
         self._entry_by_lid = {e.lid: e for e in config.entries}
         self._listeners: dict[socket.socket, int] = {}  # to their LID
@@ -1271,8 +1240,7 @@ class SocketFabric(Fabric):
             self._peers[dlid] = sock
         return sock
 
-    def transmit_message(self, qp: QueuePair, payload: bytes,
-                         wqe=None) -> None:
+    def transmit_message(self, qp: QueuePair, payload: bytes, wqe) -> None:
         """Segment and queue the message's frames, then send them in one
         batch."""
         try:

@@ -4,7 +4,8 @@ Devices, contexts, protection domains, memory regions, completion queues
 and channels, and queue pairs with the RESET/INIT/RTR/RTS/ERR state
 machine. Everything lives in ordinary Python objects; "hardware" behavior
 (frame delivery, acks, retries) is provided by a fabric the context's
-port is attached to.
+port is attached to. The fabric tells a QP when a work request is done
+(``complete_send``, ``complete_recv``); every CQE is built here.
 
 All objects under one DeviceRegistry share a single re-entrant lock, so
 resource creation, modify_qp, posting, and polling are atomic with
@@ -823,10 +824,7 @@ class QueuePair:
     def enter_error(self) -> None:
         """Fabric-side failure path: drop to ERR and flush."""
         with self.context.lock:
-            if self.state is QpState.ERR:
-                return
-            self.state = QpState.ERR
-            self._flush_queues()
+            self._enter_state(QpState.ERR)
 
     # -- posting -------------------------------------------------------
 
@@ -895,21 +893,41 @@ class QueuePair:
                 wqe = PostedSend(node.wr_id,
                                  bool(node.flags & SendFlags.SIGNALED))
                 self.send_queue.append(wqe)
-                self.fabric.transmit_message(self, payload, wqe=wqe)
+                self.fabric.transmit_message(self, payload, wqe)
                 node = node.next
                 index += 1
 
-    def complete_send(self, wqe: PostedSend) -> None:
-        """Called by the fabric when the last frame of a send is acked.
+    def complete_send(self, wqe: PostedSend,
+                      status: WcStatus = WcStatus.SUCCESS) -> None:
+        """Called by the fabric when the last frame of a send is acked, or
+        when the send fails.
 
         RC completes sends in post order, so the WQE is the queue's head.
-        Only a signaled send reports its success with a CQE.
+        Only a signaled send reports its success with a CQE; a failure
+        completes even an unsignaled send, and throws the QP into ERR.
         """
         head = self.send_queue.popleft()
         assert head is wqe, "RC send completed out of order"
-        if wqe.signaled:
-            self.send_cq._push(CompletionEntry(
-                wqe.wr_id, WcStatus.SUCCESS, WcOpcode.SEND))
+        failed = status is not WcStatus.SUCCESS
+        if wqe.signaled or failed:
+            self.send_cq._push(CompletionEntry(wqe.wr_id, status, WcOpcode.SEND))
+        if failed:
+            self.enter_error()
+
+    def complete_recv(self, message: bytes) -> None:
+        """Called by the fabric when the last frame of a message arrives:
+        the head receive takes it. A message longer than that receive
+        fails it with a protection error and throws the QP into ERR."""
+        wqe = self.recv_queue.popleft()
+        if len(message) > wqe.capacity:
+            self.recv_cq._push(CompletionEntry(
+                wqe.wr_id, WcStatus.LOCAL_PROTECTION_ERROR, WcOpcode.RECV,
+                len(message)))
+            self.enter_error()
+            return
+        wqe.scatter(message)
+        self.recv_cq._push(CompletionEntry(
+            wqe.wr_id, WcStatus.SUCCESS, WcOpcode.RECV, len(message)))
 
     def destroy(self) -> None:
         with self.context.lock:

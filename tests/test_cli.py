@@ -52,6 +52,14 @@ class TestLoopbackCli:
                    "--faults", "drop=0.1 seed=9"])
         assert rc == 0
 
+    def test_wire_and_virtual_lines_follow_the_reports(self, capsys):
+        rc = main(["--iters", "5", "--size", "64",
+                   "--faults", "drop=0.1 seed=7"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert re.search(r"^wire: \d+ DATA \(minimum 10\)", out, re.M)
+        assert re.search(r"^virtual: [\d.]+ ms/iter at 1 ms/hop$", out, re.M)
+
     def test_bad_faults_spec_exits_one(self, capsys):
         rc = main(["--faults", "drop=much", "--port", str(free_port())])
         assert rc == 1
@@ -70,18 +78,22 @@ class TestSocketCli:
         assert rc == 1
 
 
-class TestLoopbackScript:
-    def test_runs_from_another_directory(self, tmp_path):
+class TestFaultSweepScript:
+    def test_runs_from_another_directory_with_pinned_totals(self, tmp_path):
         script = Path(__file__).resolve().parents[1] / "scripts" / \
-            "run_pingpong_loopback.py"
+            "fault_sweep.py"
         # the script must find the package on its own
         env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-        out = subprocess.run(
-            [sys.executable, str(script), "--iters", "5", "--size", "64",
-             "--faults", "drop=0.1 seed=7"],
-            cwd=tmp_path, env=env, capture_output=True, text=True,
-            timeout=60)
+        out = subprocess.run([sys.executable, str(script)], cwd=tmp_path,
+                             env=env, capture_output=True, text=True,
+                             timeout=120)
         assert out.returncode == 0, out.stderr
-        assert re.search(r"^wire: \d+ DATA \(minimum 10\)", out.stdout, re.M)
-        assert re.search(r"^virtual: [\d.]+ ms/iter at 1 ms/hop$", out.stdout,
-                         re.M)
+        lines = out.stdout.splitlines()
+        fault_rows = lines[1:lines.index("")]
+        assert len(fault_rows) == 10
+        assert all(row.split()[3] == "all" for row in fault_rows)
+        rnr_rows = lines[-4:-2]
+        assert all(row.split()[1] == "all" for row in rnr_rows)
+        # the sweep's frames and virtual times, pinned
+        assert lines[-1] == \
+            "summed: 13977 DATA frames, 2136 ACKs, 24160.25 virtual ms"

@@ -941,11 +941,9 @@ class TestFaultConfig:
         cfg = parse_fabric_config(
             "# comment\n"
             "lid 1 host 127.0.0.1 port 19001\n"
-            "lid 2 host 127.0.0.1 port 19002\n"
-            "faults drop=0.1 seed=3\n")
+            "lid 2 host 127.0.0.1 port 19002\n")
         assert [e.lid for e in cfg.entries] == [1, 2]
         assert cfg.entries[0].port == 19001
-        assert cfg.faults.drop_probability == 0.1
 
     def test_config_errors(self):
         with pytest.raises(FabricConfigError):
@@ -956,3 +954,6 @@ class TestFaultConfig:
             parse_fabric_config("lid 1 host x port 1\nlid 1 host y port 2\n")
         with pytest.raises(FabricConfigError):
             parse_fabric_config("switch 1\n")
+        # faults are set by --faults or faults=, not by the fabric file
+        with pytest.raises(FabricConfigError):
+            parse_fabric_config("faults drop=0.1\n")

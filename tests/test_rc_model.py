@@ -2,13 +2,16 @@
 
 A hypothesis state machine posts sends and receives in any order (a
 receive posted late draws RNR NAKs), drops a coming copy of a chosen
-frame kind (at most two copies per PSN) and moves the virtual clock,
-with the sender's PSNs starting just below 2^24 so that the data
-crosses the PSN wrap. After every step the completions seen so far must
+frame kind (at most two copies per PSN), moves the virtual clock and
+may move the sender to ERR while sends are in flight, with the
+sender's PSNs starting just below 2^24 so that the data crosses the
+PSN wrap. After every step the completions seen so far must
 agree with a reference model: at most one CQE per WQE, each queue's
 CQEs in post order, every receive byte-exact. Whenever the fabric is
 idle, every signaled or failed WQE has its CQE: either every send was
-delivered and acked, or one failed and every later one was flushed.
+delivered and acked, or one failed and every later one was flushed, or
+the sender was moved to ERR and every send not finished by then was
+flushed.
 Two lost copies per PSN cannot spend a retry budget of 7, so only RNR
 exhaustion, a receive posted too late, may fail a send.
 """
@@ -26,7 +29,9 @@ from hypothesis.stateful import (
 from conftest import Node, connect_pair
 from softverbs.fabric import LoopbackFabric
 from softverbs.verbs import (
+    AttrMask,
     DeviceRegistry,
+    ModifyAttributes,
     QpState,
     SendFlags,
     SendWorkRequest,
@@ -66,6 +71,8 @@ class RcModel(RuleBasedStateMachine):
         # by kind: how many more copies of it pass before one is dropped
         self.armed: dict[FrameKind, int] = {}
         self.drops = Counter()  # by PSN
+        # sends finished when the sender was moved to ERR, if it was
+        self.err_at = None
 
     def _drop(self, frame) -> bool:
         skip = self.armed.get(frame.kind)
@@ -111,6 +118,15 @@ class RcModel(RuleBasedStateMachine):
     def step(self):
         self.fabric.step()
 
+    # only once a few sends are posted, so that most runs still reach
+    # the end of their sends
+    @precondition(lambda self: self.a.qp.state is QpState.RTS
+                  and len(self.sends) >= 3 and self.a.qp.send_queue)
+    @rule()
+    def sender_to_err(self):
+        self.err_at = len(self.sends) - len(self.a.qp.send_queue)
+        self.a.qp.modify(ModifyAttributes(state=QpState.ERR), AttrMask.STATE)
+
     # a send still waiting for its receive would be refused until its
     # RNR budget runs out; teardown lets that happen, settle does not
     @precondition(lambda self: self.recvs >= len(self.sends))
@@ -137,8 +153,8 @@ class RcModel(RuleBasedStateMachine):
             assert wc.byte_len == len(payload)
             assert self.b.read(i * SLOT, len(payload)) == payload
         # sends complete at most once each, in post order; a signaled
-        # success follows its delivery, and after a failure only
-        # flushes follow
+        # success follows its delivery, and after a failure (or the
+        # move to ERR) only flushes follow
         ids = [wc.wr_id for wc in self.send_cqes]
         assert ids == sorted(set(ids))
         failed = False
@@ -149,7 +165,9 @@ class RcModel(RuleBasedStateMachine):
                 assert self.sends[wc.wr_id][1]
                 assert wc.wr_id < len(self.recv_cqes)
             else:
-                assert wc.status is WcStatus.RNR_RETRY_EXCEEDED
+                assert wc.status is (WcStatus.RNR_RETRY_EXCEEDED
+                                     if self.err_at is None
+                                     else WcStatus.WR_FLUSHED)
                 failed = True
 
     def _check_idle(self):
@@ -158,6 +176,13 @@ class RcModel(RuleBasedStateMachine):
         n = len(self.sends)
         signaled = [i for i, (_, sig) in enumerate(self.sends) if sig]
         got = [(wc.wr_id, wc.status) for wc in self.send_cqes]
+        if self.err_at is not None:
+            k = self.err_at
+            assert got == [(i, WcStatus.SUCCESS) for i in signaled if i < k] \
+                + [(i, WcStatus.WR_FLUSHED) for i in range(k, n)]
+            # every send finished before the move was delivered
+            assert len(self.recv_cqes) >= k
+            return
         if self.a.qp.state is QpState.RTS:
             assert got == [(i, WcStatus.SUCCESS) for i in signaled]
             assert len(self.recv_cqes) == n

@@ -121,15 +121,6 @@ def test_no_bindable_entry_is_an_error():
         blocker.close()
 
 
-def test_faults_from_config_are_adopted():
-    config = FabricConfig(entries=[], faults=None)
-    from softverbs.fabric import parse_fabric_config
-    cfg = parse_fabric_config("lid 1 host h port 1\nfaults drop=0.3 seed=5\n")
-    fabric = SocketFabric(cfg)
-    assert fabric.faults.drop_probability == 0.3
-    fabric.close()
-
-
 def test_close_stops_every_fabric_thread(two_fabrics):
     before = set(threading.enumerate())
     (reg_a, reg_b), fabrics = two_fabrics
