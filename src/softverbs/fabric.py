@@ -24,10 +24,12 @@ timeout (a go-back-N burst from the head) remains the fallback when the
 probe is lost too.
 
 An RNR NAK, after IBTA RC's receiver-not-ready rule, pauses the refused
-head for ``RNR_DELAY_MS``, whatever delay code it names; copies of it that arrive during the
-pause are ignored, so one refusal charges the RNR budget once. The end
-of the pause resends that head alone: the receiver still holds the
-frames that followed it.
+head for ``RNR_DELAY_MS``, whatever delay code it names; copies of it
+that arrive during the pause are ignored, so one refusal charges the
+RNR budget once. The end of the pause resends that head alone: the
+receiver still holds the frames that followed it. A NAK and an RNR NAK
+are read by one prologue, ``_nakked_head``, as Linux rxe's completer
+reads every AETH syndrome in one ``check_ack``.
 
 Two interchangeable transports share the engine:
 
@@ -42,13 +44,14 @@ Two interchangeable transports share the engine:
   written together, in one ``send`` when the call returns.
 
 Both share one per-frame emit path (drop filter, fault profile, frame
-trace), one per-burst ACK and one retransmit timer (one pending tick per
-QP, armed through ``schedule`` for the head's probe, timeout or RNR
-pause deadline; a tick superseded by an earlier deadline is left in
-place and does nothing when it fires); a transport supplies
-``now_ms``, ``schedule`` and ``_deliver``, ends each burst with
-``_send_owed_acks``, and moves in ``wait_until``, the blocking wait of
-the verbs objects (sockets), or in ``progress``, which a driver whose
+trace), one burst landing (``_land``: dispatch by kind, then the
+burst's ACKs) and one retransmit timer (one pending tick per QP, armed
+through ``schedule`` for the head's probe, timeout or RNR pause
+deadline; a tick superseded by an earlier deadline is left in place
+and does nothing when it fires). A transport carries only frames and
+time: it supplies ``now_ms``, ``schedule_at`` and ``_deliver``, hands
+each burst to ``_land``, and moves in ``wait_until``, the blocking wait
+of the verbs objects (sockets), or in ``progress``, which a driver whose
 callers all wait calls (loopback).
 
 Engine callbacks (on_data / on_ack / on_timeout_tick) run serialized
@@ -218,12 +221,10 @@ class SenderState:
 
 
 class ReceiverState:
-    """Per-QP inbound sequence: frames held ahead of a gap, by PSN, the
-    expected PSN the last NAK named (one NAK per gap), and whether the
-    frames accepted in the current burst still owe their ACK."""
+    """Per-QP inbound sequence: frames held ahead of a gap, by PSN, and
+    the expected PSN the last NAK named (one NAK per gap)."""
 
-    __slots__ = ("expected_psn", "reassembly", "held", "nak_psn",
-                 "ack_owed")
+    __slots__ = ("expected_psn", "reassembly", "held", "nak_psn")
 
     def __init__(self, expected_psn: int):
         self.expected_psn = expected_psn
@@ -231,32 +232,16 @@ class ReceiverState:
         self.reassembly: list[bytes] = []
         self.held: dict[int, Frame] = {}
         self.nak_psn: Optional[int] = None
-        self.ack_owed = False
 
 
 @dataclass
 class Endpoint:
     fabric: "Fabric"
-    context: DeviceContext
     port: int
     lid: int
     qpn_map: dict[int, QueuePair] = field(default_factory=dict)
     # loopback only: the frames due to land here, by virtual arrival time
     bursts: dict[float, list[Frame]] = field(default_factory=dict)
-
-    def dispatch(self, frame: Frame) -> None:
-        qp = self.qpn_map.get(frame.dest_qpn)
-        if qp is None:
-            return
-        kind = frame.kind
-        if kind is FrameKind.DATA:
-            self.fabric.on_data(qp, frame)
-        elif kind is FrameKind.ACK:
-            self.fabric.on_ack(qp, frame)
-        elif kind is FrameKind.NAK:
-            self.fabric.on_nak(qp, frame)
-        else:
-            self.fabric.on_rnr_nak(qp, frame)
 
 
 class TraceEvent(NamedTuple):
@@ -277,7 +262,7 @@ class Fabric(Progress):
     clock moves only when ``progress`` (or a test) pumps it, so the base
     verbs waits only wait."""
 
-    def __init__(self, faults: FaultProfile | None = None, registry=None):
+    def __init__(self, faults: FaultProfile | None = None, *, registry):
         self.faults = faults or FaultProfile()
         self.routing: dict[int, Endpoint] = {}
         self.next_lid = 1
@@ -287,30 +272,25 @@ class Fabric(Progress):
         self._timers: list = []
         self._seq = itertools.count()
         self._rng = random.Random(self.faults.seed)
-        # receive QPs owing a cumulative ACK when the current burst ends
-        self._owed: list[QueuePair] = []
+        # receive QPs owing a cumulative ACK when the current burst ends,
+        # in the order they came to owe it
+        self._owed: dict[QueuePair, None] = {}
         self._registry = registry
-        self._lock = registry.lock if registry is not None else threading.RLock()
+        self._lock = registry.lock
 
     # -- attachment ------------------------------------------------------
 
-    def _adopt(self, context: DeviceContext) -> None:
-        if self._registry is None:
-            self._registry = context.registry
-            self._lock = context.registry.lock
-        elif self._registry is not context.registry:
-            raise VerbsError("fabric already serves a different registry")
-
     def attach(self, context: DeviceContext, port: int = 1) -> int:
         """Activate a port: assign it a LID and route frames to it."""
-        self._adopt(context)
+        if context.registry is not self._registry:
+            raise VerbsError("fabric already serves a different registry")
         with self._lock:
             if port not in context.ports:
                 raise VerbsError(f"no such port {port}")
             if port in context._attachments:
                 raise VerbsError(f"port {port} already attached")
             lid = self._assign_lid(context, port)
-            ep = Endpoint(self, context, port, lid)
+            ep = Endpoint(self, port, lid)
             self.routing[lid] = ep
             pa = context.ports[port]
             pa.lid = lid
@@ -356,6 +336,10 @@ class Fabric(Progress):
         raise NotImplementedError
 
     def schedule(self, delay_ms: float, fn: Callable[[], None]) -> None:
+        self.schedule_at(self.now_ms() + delay_ms, fn)
+
+    def schedule_at(self, t: float, fn: Callable[[], None]) -> None:
+        """Run ``fn`` at ``t`` on the ``now_ms`` clock."""
         raise NotImplementedError
 
     def _deliver(self, src: Optional[Endpoint], dlid: int, frame: Frame) -> None:
@@ -480,24 +464,30 @@ class Fabric(Progress):
                 qp.complete_send(entry.wqe)
         return progressed
 
-    def on_nak(self, qp: QueuePair, frame: Frame) -> None:
-        """PSN sequence error: the receiver holds later frames and still
-        waits for ``frame.psn``.
-
-        Everything before that PSN arrived (an implicit ACK); the waited-for
-        frame is resent at once, alone, and charged to the head's retry
-        budget as a timeout would be. A NAK for a PSN no longer at the
-        head is stale and ignored, and so is one for a paused head, which
-        the end of its pause resends anyway.
-        """
+    def _nakked_head(self, qp: QueuePair,
+                     frame: Frame) -> Optional[WindowEntry]:
+        """Read a NAK or an RNR NAK: everything before its PSN arrived (an
+        implicit ACK), so retire it; then return the head it names. None
+        if the QP is not in RTS, if the NAK is stale (its PSN is no
+        longer at the head) or if the head is paused (a copy of the
+        refused frame or of its NAK, or a NAK the pause's end answers
+        anyway)."""
         snd = qp.sender
         if snd is None or qp.state is not QpState.RTS:
-            return
+            return None
         self._retire_through(qp, psn_add(frame.psn, -1))
-        if not snd.unacked or snd.unacked[0].psn != frame.psn:
-            return
-        head = snd.unacked[0]
-        if head.paused_until:
+        if snd.unacked:
+            head = snd.unacked[0]
+            if head.psn == frame.psn and not head.paused_until:
+                return head
+        return None
+
+    def on_nak(self, qp: QueuePair, frame: Frame) -> None:
+        """PSN sequence error: the receiver holds later frames and still
+        waits for ``frame.psn``, which is resent at once, alone, and
+        charged to the head's retry budget as a timeout would be."""
+        head = self._nakked_head(qp, frame)
+        if head is None:
             return
         if head.retries_used >= qp.attrs.retry_cnt:
             qp.complete_send(head.wqe, WcStatus.RETRY_EXCEEDED)
@@ -511,19 +501,11 @@ class Fabric(Progress):
 
         Like a NAK, an RNR NAK acknowledges everything before its PSN; a
         receiver that drains held frames may send it ahead of the ACK.
-        One for the head charges its RNR budget and pauses it for the
-        delay the NAK names; the QP's tick ends the pause. One for a
-        head that is paused already is a copy (of the refused frame or
-        of its NAK) and is ignored.
+        One for the head charges its RNR budget and pauses it for
+        ``RNR_DELAY_MS``; the QP's tick ends the pause.
         """
-        snd = qp.sender
-        if snd is None or qp.state is not QpState.RTS:
-            return
-        self._retire_through(qp, psn_add(frame.psn, -1))
-        if not snd.unacked:
-            return
-        head = snd.unacked[0]
-        if head.psn != frame.psn or head.paused_until:
+        head = self._nakked_head(qp, frame)
+        if head is None:
             return
         if head.rnr_retries_used >= qp.attrs.rnr_retry:
             qp.complete_send(head.wqe, WcStatus.RNR_RETRY_EXCEEDED)
@@ -621,9 +603,8 @@ class Fabric(Progress):
             return
         if rcv.held:
             self._drain_held(qp, rcv)
-        elif not rcv.ack_owed:
-            rcv.ack_owed = True
-            self._owed.append(qp)
+        else:
+            self._owed[qp] = None
 
     def _accept(self, qp: QueuePair, rcv: ReceiverState,
                 frame: Frame) -> bool:
@@ -660,25 +641,43 @@ class Fabric(Progress):
             if frame is None:
                 break
             accepted = self._accept(qp, rcv, frame)
-        rcv.ack_owed = False  # this ACK covers the burst so far
+        self._owed.pop(qp, None)  # this ACK covers the burst so far
         self._send_ack(qp, psn_add(rcv.expected_psn, -1))
         if accepted and held and qp.state is not QpState.ERR:
             self._send_nak(qp, rcv)
 
-    def _send_owed_acks(self) -> None:
-        """End a burst: send each QP that accepted in-order frames in it
-        one cumulative ACK, for the PSN before the one it now expects.
+    def _land(self, ep: Endpoint, frames) -> None:
+        """Take in one burst: dispatch its frames by kind, in the order
+        they were sent, then send the ACKs they owe.
 
         A burst is the frames one loopback event lands, one injected
-        frame, or the frames one socket read holds; the ACK leaves at
-        the instant its last frame landed."""
+        frame, or the frames one socket read holds."""
+        for frame in frames:
+            qp = ep.qpn_map.get(frame.dest_qpn)
+            if qp is None:
+                continue
+            kind = frame.kind
+            if kind is FrameKind.DATA:
+                self.on_data(qp, frame)
+            elif kind is FrameKind.ACK:
+                self.on_ack(qp, frame)
+            elif kind is FrameKind.NAK:
+                self.on_nak(qp, frame)
+            else:
+                self.on_rnr_nak(qp, frame)
+        self._send_owed_acks()
+
+    def _send_owed_acks(self) -> None:
+        """End a burst: send each QP in ``_owed`` (it accepted in-order
+        frames in the burst that no drain's ACK covered) one cumulative
+        ACK, for the PSN before the one it now expects, at the instant
+        the burst's last frame landed."""
         owed = self._owed
         if owed:
-            self._owed = []
+            self._owed = {}
             for qp in owed:
                 rcv = qp.receiver
-                if rcv is not None and rcv.ack_owed:
-                    rcv.ack_owed = False
+                if rcv is not None:
                     self._send_ack(qp, psn_add(rcv.expected_psn, -1))
 
     def _send_ack(self, qp: QueuePair, psn: int) -> None:
@@ -703,16 +702,13 @@ class Fabric(Progress):
                 r.random() < self.faults.reorder_probability)
 
     def _wire_copies(self, src: Optional[Endpoint], dlid: int, frame: Frame,
-                     routed: bool, injected: bool = False) -> tuple:
+                     routed: bool) -> tuple:
         """Trace one frame and return the extra delay of each copy the
         wire carries: none if it is unroutable or dropped, one if sent,
         two if duplicated. Reorder adds REORDER_EXTRA_MS, a duplicate
-        DUP_EXTRA_MS more; an injected frame bypasses all faults, and an
-        inactive fault profile draws nothing.
+        DUP_EXTRA_MS more; an inactive fault profile draws nothing.
         """
-        if injected:
-            statuses, delays = ("injected",), ((0.0,) if routed else ())
-        elif not routed:
+        if not routed:
             statuses, delays = ("unrouted",), ()
         elif self.drop_filter is not None and self.drop_filter(frame):
             statuses, delays = ("dropped",), ()
@@ -743,24 +739,20 @@ class LoopbackFabric(Fabric):
     takes ``hop_latency_ms`` of virtual time to reach its peer, plus any
     fault delay. The frames due at one port at one instant are a burst,
     kept in the endpoint's ``bursts`` by arrival time: the first one
-    schedules the burst's event, which dispatches them all in the order
-    they were sent and then sends the ACKs they owe. Scheduling only
-    queues; the clock moves when a caller pumps it, with step / jump /
-    advance / run_until_idle.
+    schedules the burst's event, which hands them all to ``_land``.
+    Scheduling only queues; the clock moves when a caller pumps it, with
+    step / jump / advance / run_until_idle.
     """
 
     hop_latency_ms = 1.0
 
-    def __init__(self, faults=None, registry=None, auto_drain: bool = False):
+    def __init__(self, faults=None, *, registry, auto_drain: bool = False):
         # auto_drain is ignored; bench's time_pingpong_setup still passes it
-        super().__init__(faults, registry)
+        super().__init__(faults, registry=registry)
         self._now = 0.0
 
     def now_ms(self) -> float:
         return self._now
-
-    def schedule(self, delay_ms: float, fn: Callable[[], None]) -> None:
-        self.schedule_at(self._now + delay_ms, fn)
 
     def schedule_at(self, t: float, fn: Callable[[], None]) -> None:
         """Queue ``fn`` for virtual time ``t``. The caller holds the world
@@ -831,28 +823,24 @@ class LoopbackFabric(Fabric):
             burst = ep.bursts.get(t)
             if burst is None:
                 ep.bursts[t] = [frame]
-                self.schedule_at(t, partial(self._land, ep, t))
+                self.schedule_at(t, partial(self._land_at, ep, t))
             else:
                 burst.append(frame)
 
-    def _land(self, ep: Endpoint, t: float) -> None:
-        """Dispatch one burst's frames in the order they were sent, then
-        ACK them."""
-        for frame in ep.bursts.pop(t):
-            ep.dispatch(frame)
-        self._send_owed_acks()
+    def _land_at(self, ep: Endpoint, t: float) -> None:
+        """The event of the burst due at ``ep`` at ``t``."""
+        self._land(ep, ep.bursts.pop(t))
 
     def inject(self, dlid: int, frame: Frame, delay_ms: float = 0.0) -> None:
         """Deliver a raw frame, bypassing faults (replay/test harness); it
-        lands alone, as a burst of its own."""
+        is traced as injected and lands alone, as a burst of its own."""
         with self._lock:
+            self.trace.append(TraceEvent(self._now, None, dlid, frame,
+                                         "injected"))
             ep = self.routing.get(dlid)
-            if self._wire_copies(None, dlid, frame, ep is not None,
-                                 injected=True):
-                def land():
-                    ep.dispatch(frame)
-                    self._send_owed_acks()
-                self.schedule(delay_ms + self.hop_latency_ms, land)
+            if ep is not None:
+                self.schedule(delay_ms + self.hop_latency_ms,
+                              partial(self._land, ep, (frame,)))
 
 
 # -- socket transport ---------------------------------------------------------
@@ -1063,23 +1051,24 @@ class SocketFabric(Fabric):
 
     The fabric starts no thread (manual progress). Records are written
     in batches, once per engine call: the frames that one
-    ``transmit_message``, one read's dispatch loop or one pass over the
-    due timers emits are queued per socket, and go out in one ``send``,
-    without blocking, when that call returns. The frames one read holds
-    are a burst: its ACKs are queued after its dispatch loop, so they
-    leave in that same ``send``. What the socket does not take stays
-    queued, and the socket is polled for writing until it is empty. A LID with no
-    config entry, or whose dial fails, is unrouted. Accepting, reading,
-    dispatching and the timer heap behind ``schedule`` (the delayed
+    ``transmit_message``, one read's burst or one pass over the due
+    timers emits are queued per socket, and go out in one ``send``,
+    without blocking, when that call returns. The whole frames one read
+    holds are a burst, handed to ``_land``: the ACKs it ends with leave
+    in that same ``send``. What the socket does not take stays queued,
+    and the socket is polled for writing until it is empty; a socket
+    error closes it, and the next frame to its LID redials. A LID with
+    no config entry, or whose dial fails, is unrouted. Accepting,
+    reading and the timer heap behind ``schedule_at`` (the delayed
     copies and the per-QP retransmit deadlines) run in ``wait_until``,
     on the thread that blocks in a verbs wait (``wait_for_completion``,
-    ``wait_for_event`` or ``get_event``). That wait moves every open SocketFabric in the
-    process over one standing poll set, and raises what an engine
-    callback raised. ``poll`` never moves the fabric.
+    ``wait_for_event`` or ``get_event``). That wait moves every open
+    SocketFabric in the process over one standing poll set, and raises
+    what an engine callback raised. ``poll`` never moves the fabric.
     """
 
-    def __init__(self, config: FabricConfig, faults=None, registry=None):
-        super().__init__(faults, registry)
+    def __init__(self, config: FabricConfig, faults=None, *, registry):
+        super().__init__(faults, registry=registry)
         self.config = config
         self._entry_by_lid = {e.lid: e for e in config.entries}
         self._listeners: dict[socket.socket, int] = {}  # to their LID
@@ -1094,10 +1083,9 @@ class SocketFabric(Fabric):
     def now_ms(self) -> float:
         return time.monotonic() * 1000.0
 
-    def schedule(self, delay_ms: float, fn: Callable[[], None]) -> None:
+    def schedule_at(self, t: float, fn: Callable[[], None]) -> None:
         with self._lock:
-            heapq.heappush(self._timers, (self.now_ms() + delay_ms,
-                                          next(self._seq), fn))
+            heapq.heappush(self._timers, (t, next(self._seq), fn))
         _MANUAL.wake()
 
     def wait_until(self, cond, ready, timeout) -> bool:
@@ -1169,9 +1157,10 @@ class SocketFabric(Fabric):
             _MANUAL.watch(conn, select.POLLIN, self._read)
 
     def _read(self, conn: socket.socket) -> None:
-        """Read what the connection has, dispatch each whole frame, then
-        send what the dispatch wrote; end of stream, a socket error or a
-        bad frame closes the connection.
+        """Read what the connection has, land its whole frames as one
+        burst, then send what the burst wrote; end of stream, a socket
+        error or a bad frame closes the connection, after the frames
+        before the bad one land.
 
         The frames are parsed in place, by offset into one ``bytes``
         snapshot: one ``frame_body_length`` and one ``decode_frame`` of
@@ -1190,24 +1179,23 @@ class SocketFabric(Fabric):
             lid, held = self._conns[conn]
             if held:
                 data = held + data
-            pos, size = 0, len(data)
+            pos, size, frames = 0, len(data), []
             try:
                 while size - pos >= HEADER_LEN:
                     end = pos + HEADER_LEN + frame_body_length(
                         data[pos:pos + HEADER_LEN])
                     if size < end:
                         break
-                    frame = decode_frame(data[pos:end])
+                    frames.append(decode_frame(data[pos:end]))
                     pos = end
-                    ep = self.routing.get(lid)
-                    if ep is not None:
-                        ep.dispatch(frame)
+                self._conns[conn] = lid, data[pos:]
             except FrameDecodeError:
                 self._close_conn(conn)
+            ep = self.routing.get(lid)
+            try:
+                if ep is not None:
+                    self._land(ep, frames)
             finally:
-                if conn in self._conns:
-                    self._conns[conn] = lid, data[pos:]
-                self._send_owed_acks()
                 self._send_unsent()
 
     def _close_conn(self, conn: socket.socket) -> None:

@@ -590,14 +590,14 @@ class CompletionQueue:
         """Insert a CQE; overflowing latches the error state and drops it.
 
         Waiters are woken only if there are any: a poll loop that never
-        waits pays no notify per CQE."""
+        waits pays no notify per CQE. An overflow wakes no one: the CQ
+        is full, so the push that made it non-empty woke every waiter
+        already, and a waiter's wait ends on any entry."""
         with self.context.lock:
             if self.state is CqState.ERROR:
                 return
             if len(self.entries) >= self.capacity:
                 self.state = CqState.ERROR
-                if self._waiters:
-                    self._entry_cond.notify_all()
                 return
             self.entries.append(entry)
             if self._waiters:

@@ -563,6 +563,27 @@ class TestRetry:
         assert a.qp.state is QpState.ERR
         assert b.cq.poll(1) == []
 
+    def test_retry_exhaustion_at_a_nak_fails_before_the_probe(
+            self, registry, fabric):
+        a = Node(registry, fabric)
+        b = Node(registry, fabric)
+        connect_pair(a, b, retry_cnt=0)
+        b.post_recv(1)
+        fabric.drop_filter = drop_first_copy(101)
+        a.post_send(2, bytes(3000))  # PSNs 100-102 at mtu 1024
+        fabric.advance(5)  # the NAK is back, the probe not yet due
+        assert fabric.now_ms() < PROBE_MS
+        assert frames_of(fabric, FrameKind.NAK) == [
+            Frame(FrameKind.NAK, a.qp.qpn, 101)]
+        assert list(b.qp.receiver.held) == [102]
+        wc, = a.cq.poll(2)
+        assert wc.wr_id == 2 and wc.status is WcStatus.RETRY_EXCEEDED
+        assert a.qp.state is QpState.ERR
+        assert [e.status for e in fabric.trace
+                if e.frame.kind is FrameKind.DATA and e.frame.psn == 101] \
+            == ["dropped"]
+        assert b.cq.poll(1) == []
+
     def test_single_drop_recovers(self, registry, fabric):
         a = Node(registry, fabric)
         b = Node(registry, fabric)

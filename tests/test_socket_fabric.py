@@ -608,6 +608,57 @@ def test_no_probe_while_the_head_is_still_queued(two_fabrics):
     assert [wc.status for wc in wait_for(a.cq, 1)] == [WcStatus.SUCCESS]
 
 
+class ResetSocket(StalledSocket):
+    """Stands in for a dialled socket whose peer reset the connection:
+    every ``send`` fails."""
+
+    def send(self, data):
+        raise ConnectionResetError
+
+
+def test_a_send_error_closes_the_socket_and_the_probe_redials(two_fabrics):
+    """A socket error loses the frames queued on it; the probe's frame
+    dials a new connection and carries the message across once."""
+    (reg_a, reg_b), (fab_a, fab_b) = two_fabrics
+    a = Node(reg_a, fab_a)
+    b = Node(reg_b, fab_b)
+    connect_pair(a, b)
+    broken = ResetSocket(fab_a._peers[b.lid])
+    fab_a._peers[b.lid] = broken
+    payload = bytes(range(256)) * 4
+    b.post_recv(1)
+    a.post_send(2, payload)
+    assert broken.fileno() == -1 and broken not in fab_a._unsent
+    recv = wait_for(b.cq, 1)
+    assert [(wc.wr_id, wc.status) for wc in recv] == [(1, WcStatus.SUCCESS)]
+    assert [wc.status for wc in wait_for(a.cq, 1)] == [WcStatus.SUCCESS]
+    assert b.read(0, len(payload)) == payload
+    redialled = fab_a._peers[b.lid]
+    assert redialled is not broken and redialled.fileno() != -1
+    data = [e.frame.psn for e in fab_a.trace
+            if e.frame.kind is FrameKind.DATA]
+    assert data == [100, 100]  # the lost frame, then its probe
+    assert b.cq.poll(1) == []
+
+
+def test_close_writes_out_the_queued_bytes(two_fabrics):
+    (reg_a, reg_b), (fab_a, fab_b) = two_fabrics
+    a = Node(reg_a, fab_a, size=8192)
+    b = Node(reg_b, fab_b, size=8192)
+    connect_pair(a, b)
+    stalled = StalledSocket(fab_a._peers[b.lid])
+    fab_a._peers[b.lid] = stalled
+    payload = random.Random(3).randbytes(4096)  # four frames at mtu 1024
+    b.post_recv(1, length=len(payload))
+    a.post_send(2, payload, off=len(payload))
+    assert len(fab_a._unsent[stalled]) == 4 * (HEADER_LEN + 1024)
+    stalled.stalled = False
+    fab_a.close()
+    recv = wait_for(b.cq, 1)
+    assert [(wc.wr_id, wc.status) for wc in recv] == [(1, WcStatus.SUCCESS)]
+    assert b.read(0, len(payload)) == payload
+
+
 def test_the_server_connects_before_it_replies(make_fabrics, monkeypatch):
     """As in rc_pingpong.c: when the client reads the server's reply, the
     server QP is in RTR or RTS already, so the client's first message
