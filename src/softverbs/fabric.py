@@ -43,9 +43,17 @@ Two interchangeable transports share the engine:
   is one record on the stream; the records an engine call emits are
   written together, in one ``send`` when the call returns.
 
-Both share one per-frame emit path (drop filter, fault profile, frame
-trace), one burst landing (``_land``: dispatch by kind, then the
-burst's ACKs) and one retransmit timer (one pending tick per QP, armed
+The engine works per burst on both sides. ``transmit_message`` segments
+a message in one pass and hands each frame, as it is built, to the
+transport's ``_deliver``; every emitted frame, a resend, ACK or NAK too,
+takes that one call, and in it the one per-frame fault plan and trace
+point (``_wire_copies``: drop filter, fault profile, frame trace). One
+burst landing, ``_land``, dispatches by kind in the order the frames
+were sent, handing each run of consecutive DATA frames to one QP to a
+single ``on_data`` call, which takes the run's in-order frames in one
+loop (as Linux rxe's responder drains a QP's queued packets in one run),
+and then sends the burst's ACKs. Both transports share these and one
+retransmit timer (one pending tick per QP, armed
 through ``schedule`` for the head's probe, timeout or RNR pause
 deadline; a tick superseded by an earlier deadline is left in place
 and does nothing when it fires). A transport carries only frames and
@@ -122,8 +130,10 @@ DUP_EXTRA_MS = 0.5
 REORDER_EXTRA_MS = 2.5
 # what ``_wire_copies`` plans for a frame sent once on time
 _SENT_ONCE = ("sent",), (0.0,)
-# the segments that end a message
+# the segments that start and end a message
+_STARTS = (SegMark.ONLY, SegMark.FIRST)
 _ENDS = (SegMark.ONLY, SegMark.LAST)
+_DATA = FrameKind.DATA
 # the most events one drain runs before it calls the run a livelock
 MAX_EVENTS = 5_000_000
 
@@ -184,11 +194,11 @@ class WindowEntry:
                  "retries_used", "rnr_retries_used", "probed",
                  "paused_until")
 
-    def __init__(self, frame, wqe):
+    def __init__(self, frame, wqe, sent_at: float):
         self.psn = frame.psn
         self.frame = frame
         self.wqe = wqe
-        self.sent_at = 0.0
+        self.sent_at = sent_at
         self.retries_used = 0
         self.rnr_retries_used = 0
         self.probed = False  # the tail-loss probe resent it already
@@ -395,43 +405,41 @@ class Fabric(Progress):
     # -- send side ---------------------------------------------------------
 
     def transmit_message(self, qp: QueuePair, payload: bytes, wqe) -> None:
-        """Segment a message into DATA frames with consecutive PSNs.
+        """Segment a message into DATA frames with consecutive PSNs, in
+        one pass: each frame enters the unacked window, stamped with its
+        send time, and goes to ``_deliver`` at once.
 
-        Frames enter the unacked window and go to the transport; delivery
-        failures surface later as completion statuses, never here.
+        Delivery failures surface later as completion statuses, never
+        here.
         """
         with self._lock:
             if qp.state is not QpState.RTS or qp.sender is None:
                 raise VerbsError("transmit requires a QP in RTS")
             snd = qp.sender
-            mtu = qp.attrs.path_mtu
-            chunks = [payload[i:i + mtu] for i in range(0, len(payload), mtu)]
-            if not chunks:
-                chunks = [b""]
-            last = len(chunks) - 1
-            for i, chunk in enumerate(chunks):
-                if last == 0:
-                    seg = SegMark.ONLY
-                elif i == 0:
-                    seg = SegMark.FIRST
-                elif i == last:
-                    seg = SegMark.LAST
-                else:
-                    seg = SegMark.MIDDLE
-                frame = Frame(FrameKind.DATA, qp.attrs.dest_qp_num,
-                              snd.next_psn, seg, bytes(chunk))
-                snd.next_psn = psn_add(snd.next_psn, 1)
-                entry = WindowEntry(frame, wqe)
-                snd.unacked.append(entry)
-                self._transmit_entry(qp, entry)
+            attrs = qp.attrs
+            mtu, dest_qpn = attrs.path_mtu, attrs.dest_qp_num
+            src, dlid = qp._endpoint, attrs.ah.dlid
+            deliver, enter, clock = (self._deliver, snd.unacked.append,
+                                     self.now_ms)
+            last = max(len(payload) - 1, 0) // mtu  # index of the last frame
+            segs = ((SegMark.ONLY,) if not last else
+                    (SegMark.FIRST, *(SegMark.MIDDLE,) * (last - 1),
+                     SegMark.LAST))
+            psn = snd.next_psn
+            for off, seg in zip(range(0, last * mtu + 1, mtu), segs):
+                frame = Frame(_DATA, dest_qpn, psn, seg,
+                              payload[off:off + mtu])
+                snd.next_psn = psn = (psn + 1) & PSN_MASK
+                # a socket's clock is wall time, and a redial in one
+                # frame's _deliver must not age the frames behind it
+                enter(WindowEntry(frame, wqe, clock()))
+                deliver(src, dlid, frame)
             self._arm_tick(qp)
 
     def _transmit_entry(self, qp: QueuePair, entry: WindowEntry) -> None:
+        """Resend an unacked frame, restarting its clock."""
         entry.sent_at = self.now_ms()
-        self._emit(qp, entry.frame)
-
-    def _emit(self, qp: QueuePair, frame: Frame) -> None:
-        self._deliver(qp._endpoint, qp.attrs.ah.dlid, frame)
+        self._deliver(qp._endpoint, qp.attrs.ah.dlid, entry.frame)
 
     def on_ack(self, qp: QueuePair, frame: Frame) -> None:
         """Cumulative ack: retire every unacked entry with psn <= frame.psn.
@@ -571,61 +579,92 @@ class Fabric(Progress):
 
     # -- receive side --------------------------------------------------------
 
-    def on_data(self, qp: QueuePair, frame: Frame) -> None:
-        """PSN-ordered receive path.
+    def on_data(self, qp: QueuePair, *frames: Frame) -> None:
+        """PSN-ordered receive path for a run of DATA frames to one QP,
+        taken in order; a run of one is one frame.
 
-        RESET/INIT (and ERR) QPs silently drop. Stale PSNs are re-acked
-        and discarded so replays from an old connection never complete
-        twice. A future PSN less than ``HOLD_PSNS`` ahead is held, and
-        the first one held for a gap draws a NAK for the expected PSN;
-        one further ahead is discarded and left to retransmission. An
-        in-order message start with an empty receive queue draws an
-        RNR NAK and does not advance the expected PSN. An in-order frame
-        that fills a gap releases the held frames behind it, in order,
-        under one ACK; any other in-order frame is acked when its burst
-        ends, by ``_send_owed_acks``, under one ACK for the whole burst.
+        RESET/INIT (and ERR) QPs silently drop, and a QP that enters ERR
+        partway through the run drops the rest of it. Stale PSNs are
+        re-acked and discarded so replays from an old connection never
+        complete twice. A future PSN less than ``HOLD_PSNS`` ahead is
+        held, and the first one held for a gap draws a NAK for the
+        expected PSN; one further ahead is discarded and left to
+        retransmission. An in-order message start with an empty receive
+        queue draws an RNR NAK and does not advance the expected PSN. An
+        in-order frame that fills a gap releases the held frames behind
+        it, in order, under one ACK; while nothing is held, the in-order
+        frames of the run go to ``_accept`` together, and are acked when
+        their burst ends, by ``_send_owed_acks``, under one ACK for the
+        whole burst.
         """
         if qp.state in (QpState.RESET, QpState.INIT, QpState.ERR):
             return
         rcv = qp.receiver
         if rcv is None:
             return
-        expected = rcv.expected_psn
-        if frame.psn != expected:
-            if psn_before(frame.psn, expected):
-                self._send_ack(qp, frame.psn)
-            elif (frame.psn - expected) & PSN_MASK < HOLD_PSNS:
-                rcv.held[frame.psn] = frame
-                if rcv.nak_psn != expected:
-                    self._send_nak(qp, rcv)
-            return
-        if not self._accept(qp, rcv, frame):
-            return
-        if rcv.held:
-            self._drain_held(qp, rcv)
-        else:
+        owes = False
+        i, n = 0, len(frames)
+        while i < n:
+            frame = frames[i]
+            expected = rcv.expected_psn
+            if frame.psn != expected:
+                i += 1
+                if psn_before(frame.psn, expected):
+                    self._send_ack(qp, frame.psn)
+                elif (frame.psn - expected) & PSN_MASK < HOLD_PSNS:
+                    rcv.held[frame.psn] = frame
+                    if rcv.nak_psn != expected:
+                        self._send_nak(qp, rcv)
+                continue
+            # with frames held, each in-order frame may fill the gap
+            i += self._accept(qp, rcv, (frame,) if rcv.held else frames[i:])
+            if rcv.expected_psn != expected:
+                if rcv.held:
+                    self._drain_held(qp, rcv)  # its ACK covers the run so far
+                    owes = False
+                else:
+                    owes = True
+            if qp.state is QpState.ERR:
+                break
+        if owes:
             self._owed[qp] = None
 
-    def _accept(self, qp: QueuePair, rcv: ReceiverState,
-                frame: Frame) -> bool:
-        """Take the frame at the expected PSN into the message it belongs
-        to; False if it is refused (RNR NAK) or stray, leaving the
-        expected PSN where it was."""
-        if frame.seg in (SegMark.ONLY, SegMark.FIRST):
-            if not qp.recv_queue:
-                self._send_rnr_nak(qp, frame.psn)
-                return False
-            rcv.reassembly = []
-        elif not rcv.reassembly:
-            # continuation without a start: stray frame, ignore
-            return False
-        rcv.reassembly.append(frame.payload)
-        rcv.expected_psn = psn_add(frame.psn, 1)
-        if frame.seg in _ENDS:
-            message = b"".join(rcv.reassembly)
-            rcv.reassembly = []
-            qp.complete_recv(message)
-        return True
+    def _accept(self, qp: QueuePair, rcv: ReceiverState, frames) -> int:
+        """Take the leading frames of ``frames`` that continue the
+        sequence into the messages they belong to, advancing the expected
+        PSN past each one, and return how many frames it used.
+
+        It stops before the first frame out of order, once a completed
+        message throws the QP into ERR (a message longer than its
+        receive), and after a frame that it refuses (a message start
+        with an empty receive queue, which draws an RNR NAK) or that is
+        stray (a continuation without a start); neither of those two
+        advances the expected PSN."""
+        expected = rcv.expected_psn
+        reassembly = rcv.reassembly
+        used = 0
+        for frame in frames:
+            if frame.psn != expected:
+                break
+            used += 1
+            seg = frame.seg
+            if seg in _STARTS:
+                if not qp.recv_queue:
+                    self._send_rnr_nak(qp, expected)
+                    break
+                reassembly = []
+            elif not reassembly:
+                break  # continuation without a start: stray frame, ignore
+            reassembly.append(frame.payload)
+            expected = (expected + 1) & PSN_MASK
+            if seg in _ENDS:
+                rcv.expected_psn, rcv.reassembly = expected, []
+                qp.complete_recv(b"".join(reassembly))
+                reassembly = []
+                if qp.state is QpState.ERR:
+                    return used
+        rcv.expected_psn, rcv.reassembly = expected, reassembly
+        return used
 
     def _drain_held(self, qp: QueuePair, rcv: ReceiverState) -> None:
         """Accept the held frames that now continue the sequence, ack them
@@ -640,7 +679,9 @@ class Fabric(Progress):
             frame = held.pop(rcv.expected_psn, None)
             if frame is None:
                 break
-            accepted = self._accept(qp, rcv, frame)
+            expected = rcv.expected_psn
+            self._accept(qp, rcv, (frame,))
+            accepted = rcv.expected_psn != expected
         self._owed.pop(qp, None)  # this ACK covers the burst so far
         self._send_ack(qp, psn_add(rcv.expected_psn, -1))
         if accepted and held and qp.state is not QpState.ERR:
@@ -648,23 +689,34 @@ class Fabric(Progress):
 
     def _land(self, ep: Endpoint, frames) -> None:
         """Take in one burst: dispatch its frames by kind, in the order
-        they were sent, then send the ACKs they owe.
+        they were sent, then send the ACKs they owe. Each run of
+        consecutive DATA frames to one QP goes to ``on_data`` in one
+        call; no frame moves past a frame of another kind or QP.
 
         A burst is the frames one loopback event lands, one injected
         frame, or the frames one socket read holds."""
-        for frame in frames:
-            qp = ep.qpn_map.get(frame.dest_qpn)
+        qpn_map = ep.qpn_map
+        run_qp, start = None, 0
+        for i, frame in enumerate(frames):
+            qp = qpn_map.get(frame.dest_qpn)
+            kind = frame.kind
+            if kind is _DATA and qp is run_qp:
+                continue  # the run goes on, or a DATA frame to no QP drops
+            if run_qp is not None:
+                self.on_data(run_qp, *frames[start:i])
+                run_qp = None
             if qp is None:
                 continue
-            kind = frame.kind
-            if kind is FrameKind.DATA:
-                self.on_data(qp, frame)
+            if kind is _DATA:
+                run_qp, start = qp, i
             elif kind is FrameKind.ACK:
                 self.on_ack(qp, frame)
             elif kind is FrameKind.NAK:
                 self.on_nak(qp, frame)
             else:
                 self.on_rnr_nak(qp, frame)
+        if run_qp is not None:
+            self.on_data(run_qp, *frames[start:])
         self._send_owed_acks()
 
     def _send_owed_acks(self) -> None:
@@ -681,16 +733,19 @@ class Fabric(Progress):
                     self._send_ack(qp, psn_add(rcv.expected_psn, -1))
 
     def _send_ack(self, qp: QueuePair, psn: int) -> None:
-        self._emit(qp, Frame(FrameKind.ACK, qp.attrs.dest_qp_num, psn))
+        self._deliver(qp._endpoint, qp.attrs.ah.dlid,
+                      Frame(FrameKind.ACK, qp.attrs.dest_qp_num, psn))
 
     def _send_nak(self, qp: QueuePair, rcv: ReceiverState) -> None:
         rcv.nak_psn = rcv.expected_psn
-        self._emit(qp, Frame(FrameKind.NAK, qp.attrs.dest_qp_num,
-                             rcv.expected_psn))
+        self._deliver(qp._endpoint, qp.attrs.ah.dlid,
+                      Frame(FrameKind.NAK, qp.attrs.dest_qp_num,
+                            rcv.expected_psn))
 
     def _send_rnr_nak(self, qp: QueuePair, psn: int) -> None:
-        self._emit(qp, Frame(FrameKind.RNR_NAK, qp.attrs.dest_qp_num, psn,
-                             rnr_delay_hint=qp.attrs.min_rnr_timer))
+        self._deliver(qp._endpoint, qp.attrs.ah.dlid,
+                      Frame(FrameKind.RNR_NAK, qp.attrs.dest_qp_num, psn,
+                            rnr_delay_hint=qp.attrs.min_rnr_timer))
 
     # -- fault plan and trace -------------------------------------------------
 

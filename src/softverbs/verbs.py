@@ -150,6 +150,11 @@ class SendFlags(IntFlag):
     SIGNALED = 1
 
 
+# the signaled bit as a plain int: ``flags & SendFlags.SIGNALED`` goes
+# through Flag.__and__, a Python-level call, on every post
+_SIGNALED = int(SendFlags.SIGNALED)
+
+
 class CompletionEntry(NamedTuple):
     """One work completion (CQE); a tuple, so cheap per completion."""
 
@@ -888,10 +893,11 @@ class QueuePair:
                     raise BadWorkRequestError(index, "send queue full")
                 slots = self._resolve_sges(
                     node.sg_list, self.caps.max_send_sge, index)
-                payload = b"".join(mr.read(addr, length)
-                                   for mr, addr, length in slots)
+                # one SGE's bytes come back from join as they are
+                payload = b"".join([mr.read(addr, length)
+                                    for mr, addr, length in slots])
                 wqe = PostedSend(node.wr_id,
-                                 bool(node.flags & SendFlags.SIGNALED))
+                                 (int(node.flags) & _SIGNALED) != 0)
                 self.send_queue.append(wqe)
                 self.fabric.transmit_message(self, payload, wqe)
                 node = node.next

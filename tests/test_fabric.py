@@ -777,7 +777,16 @@ class TestBursts:
         return [(e.t, e.frame.psn) for e in fabric.trace
                 if e.frame.kind is FrameKind.ACK]
 
-    def test_a_64k_message_is_one_event_and_one_ack(self, registry, fabric):
+    def test_a_64k_message_is_one_event_and_one_ack(self, registry, fabric,
+                                                     monkeypatch):
+        runs = []
+        on_data = LoopbackFabric.on_data
+
+        def record(self, qp, *frames):
+            runs.append([frame.psn for frame in frames])
+            on_data(self, qp, *frames)
+
+        monkeypatch.setattr(LoopbackFabric, "on_data", record)
         a = Node(registry, fabric)
         b = Node(registry, fabric)
         connect_pair(a, b, mtu=4096)
@@ -787,8 +796,14 @@ class TestBursts:
         assert len(fabric._timers) == 2
         run_until(fabric, lambda: a.cq.entries)
         assert fabric.now_ms() == self.HOPS
+        # the 16 frames land in one on_data call and draw one ACK
+        assert runs == [list(range(100, 116))]
         assert self._acks(fabric) == [(self.HOPS / 2, 115)]
         assert [wc.status for wc in a.cq.poll(2)] == [WcStatus.SUCCESS]
+        data = frames_of(fabric, FrameKind.DATA)
+        assert len(data) == 16
+        assert {e.t for e in fabric.trace
+                if e.frame.kind is FrameKind.DATA} == {0.0}
 
     def test_two_messages_posted_at_one_instant_draw_one_ack(self, pair,
                                                               fabric):

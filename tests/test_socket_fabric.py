@@ -641,6 +641,40 @@ def test_a_send_error_closes_the_socket_and_the_probe_redials(two_fabrics):
     assert b.cq.poll(1) == []
 
 
+def test_a_redial_in_the_first_frame_does_not_age_the_rest(two_fabrics,
+                                                          monkeypatch):
+    """Each frame of a message is stamped with the wall time it is sent
+    at: the frames behind one whose send redials slowly are stamped
+    after the redial, so their deadlines do not start early."""
+    (reg_a, reg_b), (fab_a, fab_b) = two_fabrics
+    a = Node(reg_a, fab_a, size=8192)
+    b = Node(reg_b, fab_b, size=8192)
+    connect_pair(a, b)
+    fab_a._peers[b.lid].close()
+    dial = socket.create_connection
+    dialled = []
+
+    def slow_dial(*args, **kwargs):
+        time.sleep(0.05)
+        sock = dial(*args, **kwargs)
+        dialled.append(fab_a.now_ms())
+        return sock
+
+    monkeypatch.setattr(socket, "create_connection", slow_dial)
+    payload = random.Random(5).randbytes(4096)  # four frames at mtu 1024
+    b.post_recv(1, length=len(payload))
+    a.post_send(2, payload, off=len(payload))
+    # no thread has waited yet, so no ACK has retired an entry
+    head, *rest = a.qp.sender.unacked
+    dialled_at, = dialled
+    assert head.sent_at < dialled_at
+    assert len(rest) == 3 and all(e.sent_at >= dialled_at for e in rest)
+    recv = wait_for(b.cq, 1)
+    assert [(wc.wr_id, wc.status) for wc in recv] == [(1, WcStatus.SUCCESS)]
+    assert [wc.status for wc in wait_for(a.cq, 1)] == [WcStatus.SUCCESS]
+    assert b.read(0, len(payload)) == payload
+
+
 def test_close_writes_out_the_queued_bytes(two_fabrics):
     (reg_a, reg_b), (fab_a, fab_b) = two_fabrics
     a = Node(reg_a, fab_a, size=8192)
