@@ -15,13 +15,13 @@ stale duplicate, which names the duplicate's own PSN, leave at once.
 Loss recovery is NAK-driven, after the IBTA RC PSN sequence error: a
 receiver holds frames that arrive ahead of the expected PSN (up to
 ``HOLD_PSNS`` ahead) and sends one NAK per gap; the sender resends just
-the NAK'd frame. Once the gap fills, the held frames are accepted in
-order under one cumulative ACK. A loss that no later frame reveals (a
-lost last frame, NAK, NAK'd resend or final ACK) is caught by a
-tail-loss probe, after RFC 8985: a head unacked for ``PROBE_MS`` is
-resent once, alone, and charged to its retry budget. The retransmit
-timeout (a go-back-N burst from the head) remains the fallback when the
-probe is lost too.
+the NAK'd frame. Once the gap fills, the held frames that now continue
+the sequence are accepted as one run, under one cumulative ACK. A loss
+that no later frame reveals (a lost last frame, NAK, NAK'd resend or
+final ACK) is caught by a tail-loss probe, after RFC 8985: a head
+unacked for ``PROBE_MS`` is resent once, alone, and charged to its
+retry budget. The retransmit timeout (a go-back-N burst from the head)
+remains the fallback when the probe is lost too.
 
 An RNR NAK, after IBTA RC's receiver-not-ready rule, pauses the refused
 head for ``RNR_DELAY_MS``, whatever delay code it names; copies of it
@@ -47,19 +47,23 @@ The engine works per burst on both sides. ``transmit_message`` segments
 a message in one pass and hands each frame, as it is built, to the
 transport's ``_deliver``; every emitted frame, a resend, ACK or NAK too,
 takes that one call, and in it the one per-frame fault plan and trace
-point (``_wire_copies``: drop filter, fault profile, frame trace). One
-burst landing, ``_land``, dispatches by kind in the order the frames
-were sent, handing each run of consecutive DATA frames to one QP to a
-single ``on_data`` call, which takes the run's in-order frames in one
-loop (as Linux rxe's responder drains a QP's queued packets in one run),
-and then sends the burst's ACKs. Both transports share these and one
-retransmit timer (one pending tick per QP, armed
-through ``schedule`` for the head's probe, timeout or RNR pause
-deadline; a tick superseded by an earlier deadline is left in place
-and does nothing when it fires). A transport carries only frames and
-time: it supplies ``now_ms``, ``schedule_at`` and ``_deliver``, hands
-each burst to ``_land``, and moves in ``wait_until``, the blocking wait
-of the verbs objects (sockets), or in ``progress``, which a driver whose
+point (``_wire_copies``: drop filter, fault profile, frame trace). The
+per-frame paths build each frame and trace event with ``tuple.__new__``
+from all its fields. The send window holds a ``[frame, sent_at]`` pair
+per unacked frame; its head is the only frame ever resent alone, probed
+or paused, so the head's retry state lives on the QP's ``SenderState``.
+One burst landing, ``_land``, dispatches by kind in the order the
+frames were sent, handing each run of consecutive DATA frames to one QP
+to a single ``on_data`` call, which takes the run's in-order frames in
+one loop (as Linux rxe's responder drains a QP's queued packets in one
+run), and then sends the burst's ACKs. Both transports share these and
+one retransmit timer (one pending tick per QP, armed through
+``schedule`` for the head's probe, timeout or RNR pause deadline; a
+tick superseded by an earlier deadline is left in place and does
+nothing when it fires). A transport carries only frames and time: it
+supplies ``now_ms``, ``schedule_at`` and ``_deliver``, hands each burst
+to ``_land``, and moves in ``wait_until``, the blocking wait of the
+verbs objects (sockets), or in ``progress``, which a driver whose
 callers all wait calls (loopback).
 
 Engine callbacks (on_data / on_ack / on_timeout_tick) run serialized
@@ -133,7 +137,11 @@ _SENT_ONCE = ("sent",), (0.0,)
 # the segments that start and end a message
 _STARTS = (SegMark.ONLY, SegMark.FIRST)
 _ENDS = (SegMark.ONLY, SegMark.LAST)
-_DATA = FrameKind.DATA
+_DATA, _ACK, _NAK = FrameKind.DATA, FrameKind.ACK, FrameKind.NAK
+_RNR_NAK, _ONLY = FrameKind.RNR_NAK, SegMark.ONLY
+# builds a Frame or TraceEvent from all its fields, without the Python
+# ``__new__`` that NamedTuple generates; the per-frame paths use it
+_new = tuple.__new__
 # the most events one drain runs before it calls the run a livelock
 MAX_EVENTS = 5_000_000
 
@@ -185,49 +193,43 @@ class FaultProfile:
                 or self.reorder_probability > 0)
 
 
-class WindowEntry:
-    """One unacked DATA frame. Only the head is ever paused: an RNR NAK
-    sets ``paused_until`` to the end of its pause, and the tick that
-    ends the pause clears it (0.0 when not paused)."""
-
-    __slots__ = ("psn", "frame", "wqe", "sent_at",
-                 "retries_used", "rnr_retries_used", "probed",
-                 "paused_until")
-
-    def __init__(self, frame, wqe, sent_at: float):
-        self.psn = frame.psn
-        self.frame = frame
-        self.wqe = wqe
-        self.sent_at = sent_at
-        self.retries_used = 0
-        self.rnr_retries_used = 0
-        self.probed = False  # the tail-loss probe resent it already
-        self.paused_until = 0.0
-
-
-def _due(head: WindowEntry) -> float:
+def _due(snd: SenderState) -> float:
     """When the head's tick has work: the end of its pause if it is
     paused, else its probe, then once probed its timeout."""
-    if head.paused_until:
-        return head.paused_until
-    return head.sent_at + (TIMEOUT_MS if head.probed
-                           else min(PROBE_MS, TIMEOUT_MS))
+    if snd.paused_until:
+        return snd.paused_until
+    return snd.unacked[0][1] + (TIMEOUT_MS if snd.probed
+                                else min(PROBE_MS, TIMEOUT_MS))
 
 
 class SenderState:
-    """Per-QP outbound window; unacked PSNs stay contiguous mod 2^24.
+    """Per-QP outbound window: a ``[frame, sent_at]`` pair per unacked
+    DATA frame, in PSN order; unacked PSNs stay contiguous mod 2^24. The
+    send a frame belongs to is the oldest one not completed, the QP's
+    ``send_queue[0]``, since RC completes sends in post order.
+
+    Only the head is ever resent alone, probed or paused, so its retry
+    state lives here, not on each frame: ``retries_used`` and
+    ``rnr_retries_used`` count what its two budgets spent, ``probed``
+    says the tail-loss probe resent it already, and ``paused_until`` is
+    the end of its RNR pause (0.0 when not paused; the tick that ends
+    the pause clears it). ``_retire_through`` resets all four when the
+    head retires.
 
     ``tick_at`` is when the pending retransmit tick fires (inf if none);
     a tick whose ``tick_gen`` is no longer current was superseded by an
     earlier one and does nothing."""
 
-    __slots__ = ("next_psn", "unacked", "tick_at", "tick_gen")
+    __slots__ = ("next_psn", "unacked", "tick_at", "tick_gen",
+                 "retries_used", "rnr_retries_used", "probed", "paused_until")
 
     def __init__(self, next_psn: int):
         self.next_psn = next_psn
-        self.unacked: deque[WindowEntry] = deque()
+        self.unacked: deque[list] = deque()
         self.tick_at = math.inf
         self.tick_gen = 0
+        self.retries_used = self.rnr_retries_used = 0
+        self.probed, self.paused_until = False, 0.0
 
 
 class ReceiverState:
@@ -379,9 +381,8 @@ class Fabric(Progress):
         snd = qp.sender
         if snd is None or not snd.unacked:
             return
-        head = snd.unacked[0]
-        deadline = _due(head)
-        if not head.paused_until:
+        deadline = _due(snd)
+        if not snd.paused_until:
             deadline += TICK_EPS_MS
         if snd.tick_at <= deadline:
             return
@@ -404,10 +405,11 @@ class Fabric(Progress):
 
     # -- send side ---------------------------------------------------------
 
-    def transmit_message(self, qp: QueuePair, payload: bytes, wqe) -> None:
+    def transmit_message(self, qp: QueuePair, payload: bytes) -> None:
         """Segment a message into DATA frames with consecutive PSNs, in
         one pass: each frame enters the unacked window, stamped with its
-        send time, and goes to ``_deliver`` at once.
+        send time, and goes to ``_deliver`` at once. The message is the
+        newest send in ``qp.send_queue``.
 
         Delivery failures surface later as completion statuses, never
         here.
@@ -422,24 +424,25 @@ class Fabric(Progress):
             deliver, enter, clock = (self._deliver, snd.unacked.append,
                                      self.now_ms)
             last = max(len(payload) - 1, 0) // mtu  # index of the last frame
-            segs = ((SegMark.ONLY,) if not last else
+            segs = ((_ONLY,) if not last else
                     (SegMark.FIRST, *(SegMark.MIDDLE,) * (last - 1),
                      SegMark.LAST))
             psn = snd.next_psn
             for off, seg in zip(range(0, last * mtu + 1, mtu), segs):
-                frame = Frame(_DATA, dest_qpn, psn, seg,
-                              payload[off:off + mtu])
+                frame = _new(Frame, (_DATA, dest_qpn, psn, seg,
+                                     payload[off:off + mtu], 0))
                 snd.next_psn = psn = (psn + 1) & PSN_MASK
                 # a socket's clock is wall time, and a redial in one
                 # frame's _deliver must not age the frames behind it
-                enter(WindowEntry(frame, wqe, clock()))
+                enter([frame, clock()])
                 deliver(src, dlid, frame)
             self._arm_tick(qp)
 
-    def _transmit_entry(self, qp: QueuePair, entry: WindowEntry) -> None:
-        """Resend an unacked frame, restarting its clock."""
-        entry.sent_at = self.now_ms()
-        self._deliver(qp._endpoint, qp.attrs.ah.dlid, entry.frame)
+    def _transmit_entry(self, qp: QueuePair, entry: list) -> None:
+        """Resend an unacked ``[frame, sent_at]`` pair, restarting its
+        clock."""
+        entry[1] = self.now_ms()
+        self._deliver(qp._endpoint, qp.attrs.ah.dlid, entry[0])
 
     def on_ack(self, qp: QueuePair, frame: Frame) -> None:
         """Cumulative ack: retire every unacked entry with psn <= frame.psn.
@@ -456,24 +459,27 @@ class Fabric(Progress):
         progressed = self._retire_through(qp, frame.psn)
         if snd.unacked:
             now = self.now_ms()
-            if progressed and now - snd.unacked[0].sent_at >= TIMEOUT_MS:
+            if progressed and now - snd.unacked[0][1] >= TIMEOUT_MS:
                 self._retransmit_burst(qp, now)
             self._arm_tick(qp)
 
     def _retire_through(self, qp: QueuePair, psn: int) -> bool:
-        """Retire every unacked entry with psn <= ``psn``, completing the
-        sends whose last frame goes; True if any entry went."""
-        unacked = qp.sender.unacked
-        progressed = False
-        while unacked and psn_le(unacked[0].psn, psn):
-            entry = unacked.popleft()
-            progressed = True
-            if entry.frame.seg in _ENDS:
-                qp.complete_send(entry.wqe)
-        return progressed
+        """Retire every unacked frame with psn <= ``psn``, completing the
+        sends whose last frame goes; True if any frame went. A new head
+        starts with the full retry budgets, unprobed and unpaused."""
+        snd = qp.sender
+        unacked = snd.unacked
+        before = len(unacked)
+        while unacked and psn_le(unacked[0][0].psn, psn):
+            if unacked.popleft()[0].seg in _ENDS:
+                qp.complete_send()
+        if len(unacked) == before:
+            return False
+        snd.retries_used = snd.rnr_retries_used = 0
+        snd.probed, snd.paused_until = False, 0.0
+        return True
 
-    def _nakked_head(self, qp: QueuePair,
-                     frame: Frame) -> Optional[WindowEntry]:
+    def _nakked_head(self, qp: QueuePair, frame: Frame) -> Optional[list]:
         """Read a NAK or an RNR NAK: everything before its PSN arrived (an
         implicit ACK), so retire it; then return the head it names. None
         if the QP is not in RTS, if the NAK is stale (its PSN is no
@@ -484,9 +490,9 @@ class Fabric(Progress):
         if snd is None or qp.state is not QpState.RTS:
             return None
         self._retire_through(qp, psn_add(frame.psn, -1))
-        if snd.unacked:
+        if snd.unacked and not snd.paused_until:
             head = snd.unacked[0]
-            if head.psn == frame.psn and not head.paused_until:
+            if head[0].psn == frame.psn:
                 return head
         return None
 
@@ -497,10 +503,11 @@ class Fabric(Progress):
         head = self._nakked_head(qp, frame)
         if head is None:
             return
-        if head.retries_used >= qp.attrs.retry_cnt:
-            qp.complete_send(head.wqe, WcStatus.RETRY_EXCEEDED)
+        snd = qp.sender
+        if snd.retries_used >= qp.attrs.retry_cnt:
+            qp.complete_send(WcStatus.RETRY_EXCEEDED)
             return
-        head.retries_used += 1
+        snd.retries_used += 1
         self._transmit_entry(qp, head)
         self._arm_tick(qp)
 
@@ -512,14 +519,14 @@ class Fabric(Progress):
         One for the head charges its RNR budget and pauses it for
         ``RNR_DELAY_MS``; the QP's tick ends the pause.
         """
-        head = self._nakked_head(qp, frame)
-        if head is None:
+        if self._nakked_head(qp, frame) is None:
             return
-        if head.rnr_retries_used >= qp.attrs.rnr_retry:
-            qp.complete_send(head.wqe, WcStatus.RNR_RETRY_EXCEEDED)
+        snd = qp.sender
+        if snd.rnr_retries_used >= qp.attrs.rnr_retry:
+            qp.complete_send(WcStatus.RNR_RETRY_EXCEEDED)
             return
-        head.rnr_retries_used += 1
-        head.paused_until = self.now_ms() + RNR_DELAY_MS
+        snd.rnr_retries_used += 1
+        snd.paused_until = self.now_ms() + RNR_DELAY_MS
         self._arm_tick(qp)
 
     def _retransmit_burst(self, qp: QueuePair, now: float) -> None:
@@ -529,7 +536,7 @@ class Fabric(Progress):
         burst cap. Retry accounting is the caller's job, not ours.
         """
         for sent, entry in enumerate(qp.sender.unacked):
-            if sent >= BURST_FRAMES or now - entry.sent_at < TIMEOUT_MS:
+            if sent >= BURST_FRAMES or now - entry[1] < TIMEOUT_MS:
                 break
             self._transmit_entry(qp, entry)
 
@@ -557,24 +564,24 @@ class Fabric(Progress):
         snd = qp.sender
         if snd is None or not snd.unacked or qp.state is not QpState.RTS:
             return
-        head = snd.unacked[0]
-        if now < _due(head):
+        if now < _due(snd):
             return
-        if head.paused_until:
-            head.paused_until = 0.0
+        head = snd.unacked[0]
+        if snd.paused_until:
+            snd.paused_until = 0.0
             self._transmit_entry(qp, head)
             return
-        if not head.probed and self._backlogged(qp.attrs.ah.dlid):
-            head.sent_at = now
+        if not snd.probed and self._backlogged(qp.attrs.ah.dlid):
+            head[1] = now
             return
-        if head.retries_used >= qp.attrs.retry_cnt:
-            qp.complete_send(head.wqe, WcStatus.RETRY_EXCEEDED)
+        if snd.retries_used >= qp.attrs.retry_cnt:
+            qp.complete_send(WcStatus.RETRY_EXCEEDED)
             return
-        head.retries_used += 1
-        if head.probed:
+        snd.retries_used += 1
+        if snd.probed:
             self._retransmit_burst(qp, now)
         else:
-            head.probed = True
+            snd.probed = True
             self._transmit_entry(qp, head)
 
     # -- receive side --------------------------------------------------------
@@ -667,24 +674,27 @@ class Fabric(Progress):
         return used
 
     def _drain_held(self, qp: QueuePair, rcv: ReceiverState) -> None:
-        """Accept the held frames that now continue the sequence, ack them
-        all at once, and NAK the next gap if frames beyond it are held.
+        """Accept the run of held frames that now continues the sequence,
+        in one ``_accept`` call, ack them all at once, and NAK the next
+        gap if frames beyond it are held.
 
-        A held frame refused with an RNR NAK leaves the gap to the
-        sender's RNR pause, so it draws no NAK.
+        The frames ``_accept`` used leave ``held``, and the ones behind
+        where it stopped stay. A held frame refused with an RNR NAK
+        leaves the gap to the sender's RNR pause, so it draws no NAK.
         """
         held = rcv.held
-        accepted = True
-        while accepted and qp.state is not QpState.ERR:
-            frame = held.pop(rcv.expected_psn, None)
-            if frame is None:
-                break
-            expected = rcv.expected_psn
-            self._accept(qp, rcv, (frame,))
-            accepted = rcv.expected_psn != expected
+        psn = rcv.expected_psn
+        run = []
+        if qp.state is not QpState.ERR:
+            while (frame := held.get(psn)) is not None:
+                run.append(frame)
+                psn = (psn + 1) & PSN_MASK
+        for frame in run[:self._accept(qp, rcv, run)]:
+            del held[frame.psn]
         self._owed.pop(qp, None)  # this ACK covers the burst so far
         self._send_ack(qp, psn_add(rcv.expected_psn, -1))
-        if accepted and held and qp.state is not QpState.ERR:
+        # the whole run went in: nothing was refused or stray
+        if rcv.expected_psn == psn and held and qp.state is not QpState.ERR:
             self._send_nak(qp, rcv)
 
     def _land(self, ep: Endpoint, frames) -> None:
@@ -709,9 +719,9 @@ class Fabric(Progress):
                 continue
             if kind is _DATA:
                 run_qp, start = qp, i
-            elif kind is FrameKind.ACK:
+            elif kind is _ACK:
                 self.on_ack(qp, frame)
-            elif kind is FrameKind.NAK:
+            elif kind is _NAK:
                 self.on_nak(qp, frame)
             else:
                 self.on_rnr_nak(qp, frame)
@@ -734,18 +744,19 @@ class Fabric(Progress):
 
     def _send_ack(self, qp: QueuePair, psn: int) -> None:
         self._deliver(qp._endpoint, qp.attrs.ah.dlid,
-                      Frame(FrameKind.ACK, qp.attrs.dest_qp_num, psn))
+                      _new(Frame, (_ACK, qp.attrs.dest_qp_num, psn, _ONLY,
+                                   b"", 0)))
 
     def _send_nak(self, qp: QueuePair, rcv: ReceiverState) -> None:
         rcv.nak_psn = rcv.expected_psn
         self._deliver(qp._endpoint, qp.attrs.ah.dlid,
-                      Frame(FrameKind.NAK, qp.attrs.dest_qp_num,
-                            rcv.expected_psn))
+                      _new(Frame, (_NAK, qp.attrs.dest_qp_num,
+                                   rcv.expected_psn, _ONLY, b"", 0)))
 
     def _send_rnr_nak(self, qp: QueuePair, psn: int) -> None:
         self._deliver(qp._endpoint, qp.attrs.ah.dlid,
-                      Frame(FrameKind.RNR_NAK, qp.attrs.dest_qp_num, psn,
-                            rnr_delay_hint=qp.attrs.min_rnr_timer))
+                      _new(Frame, (_RNR_NAK, qp.attrs.dest_qp_num, psn,
+                                   _ONLY, b"", qp.attrs.min_rnr_timer)))
 
     # -- fault plan and trace -------------------------------------------------
 
@@ -783,7 +794,8 @@ class Fabric(Progress):
         now = self.now_ms()
         src_lid = src.lid if src is not None else None
         for status in statuses:
-            self.trace.append(TraceEvent(now, src_lid, dlid, frame, status))
+            self.trace.append(_new(TraceEvent,
+                                   (now, src_lid, dlid, frame, status)))
         return delays
 
 
@@ -1283,11 +1295,11 @@ class SocketFabric(Fabric):
             self._peers[dlid] = sock
         return sock
 
-    def transmit_message(self, qp: QueuePair, payload: bytes, wqe) -> None:
+    def transmit_message(self, qp: QueuePair, payload: bytes) -> None:
         """Segment and queue the message's frames, then send them in one
         batch."""
         try:
-            super().transmit_message(qp, payload, wqe)
+            super().transmit_message(qp, payload)
         finally:
             self._send_unsent()
 

@@ -896,24 +896,21 @@ class QueuePair:
                 # one SGE's bytes come back from join as they are
                 payload = b"".join([mr.read(addr, length)
                                     for mr, addr, length in slots])
-                wqe = PostedSend(node.wr_id,
-                                 (int(node.flags) & _SIGNALED) != 0)
-                self.send_queue.append(wqe)
-                self.fabric.transmit_message(self, payload, wqe)
+                self.send_queue.append(PostedSend(
+                    node.wr_id, (int(node.flags) & _SIGNALED) != 0))
+                self.fabric.transmit_message(self, payload)
                 node = node.next
                 index += 1
 
-    def complete_send(self, wqe: PostedSend,
-                      status: WcStatus = WcStatus.SUCCESS) -> None:
-        """Called by the fabric when the last frame of a send is acked, or
-        when the send fails.
+    def complete_send(self, status: WcStatus = WcStatus.SUCCESS) -> None:
+        """Called by the fabric when the last frame of the oldest send is
+        acked, or when that send fails.
 
-        RC completes sends in post order, so the WQE is the queue's head.
+        RC completes sends in post order, so the send is the queue's head.
         Only a signaled send reports its success with a CQE; a failure
         completes even an unsignaled send, and throws the QP into ERR.
         """
-        head = self.send_queue.popleft()
-        assert head is wqe, "RC send completed out of order"
+        wqe = self.send_queue.popleft()
         failed = status is not WcStatus.SUCCESS
         if wqe.signaled or failed:
             self.send_cq._push(CompletionEntry(wqe.wr_id, status, WcOpcode.SEND))

@@ -11,6 +11,7 @@ from conftest import Node, connect_pair, run_until, to_init
 from softverbs.fabric import (
     HOLD_PSNS,
     PROBE_MS,
+    RNR_DELAY_MS,
     TICK_EPS_MS,
     TIMEOUT_MS,
     FabricConfigError,
@@ -199,7 +200,7 @@ class TestAcks:
         # 4 frames sit in the window before any delivery
         assert len(a.qp.sender.unacked) == 4
         fabric.on_ack(a.qp, Frame(FrameKind.ACK, a.qp.qpn, 101))
-        assert [e.psn for e in a.qp.sender.unacked] == [102, 103]
+        assert [f.psn for f, _ in a.qp.sender.unacked] == [102, 103]
         assert a.cq.poll(1) == []  # no CQE until the final frame retires
 
     def test_full_ack_emits_send_cqe(self, registry, fabric):
@@ -232,7 +233,7 @@ class TestAcks:
         for i in range(4):
             a.post_send(i, bytes(2048))
         def contiguous():
-            psns = [e.psn for e in a.qp.sender.unacked]
+            psns = [f.psn for f, _ in a.qp.sender.unacked]
             return all(psn_add(x, 1) == y for x, y in zip(psns, psns[1:]))
         assert contiguous()
         while fabric.step():
@@ -417,6 +418,26 @@ class TestRnr:
         assert [wc.wr_id for wc in b.cq.poll(3)] == [1, 2]
         assert b.read(100, 100) == b"n" * 100
 
+    def test_a_pause_does_not_carry_over_to_the_next_head(self, registry,
+                                                         fabric):
+        a = Node(registry, fabric)
+        b = Node(registry, fabric)
+        connect_pair(a, b, rnr_retry=1)
+        a.post_send(1, bytes(2048))  # PSNs 100..101 at mtu 1024
+        fabric.on_rnr_nak(a.qp, Frame(FrameKind.RNR_NAK, a.qp.qpn, 100))
+        snd = a.qp.sender
+        assert snd.paused_until == RNR_DELAY_MS and snd.rnr_retries_used == 1
+        fabric.on_ack(a.qp, Frame(FrameKind.ACK, a.qp.qpn, 100))
+        assert [f.psn for f, _ in snd.unacked] == [101]
+        assert snd.paused_until == 0.0 and snd.rnr_retries_used == 0
+        # the new head is not paused: a NAK for it resends it at once
+        fabric.on_nak(a.qp, Frame(FrameKind.NAK, a.qp.qpn, 101))
+        assert fabric.trace[-1].frame.psn == 101
+        # and its RNR budget is whole: one refusal spends it, no failure
+        fabric.on_rnr_nak(a.qp, Frame(FrameKind.RNR_NAK, a.qp.qpn, 101))
+        assert snd.rnr_retries_used == 1 and snd.paused_until
+        assert a.cq.poll(1) == [] and a.qp.state is QpState.RTS
+
     def test_each_rnr_nak_costs_one_resend_of_the_head(self, pair, fabric):
         # 8 x 4 KiB at MTU 1024 before any receive: the receiver holds
         # PSNs 101..131 behind the refused head, so each end of a pause
@@ -528,8 +549,8 @@ class TestNak:
         for psn in (100, 101):
             fabric.on_nak(a.qp, Frame(FrameKind.NAK, a.qp.qpn, psn))
         assert len(fabric.trace) == sent_before  # nothing resent
-        assert [e.psn for e in a.qp.sender.unacked] == [102, 103]
-        assert all(e.retries_used == 0 for e in a.qp.sender.unacked)
+        assert [f.psn for f, _ in a.qp.sender.unacked] == [102, 103]
+        assert a.qp.sender.retries_used == 0
         assert a.cq.poll(1) == []
 
     def test_nak_retires_what_comes_before_it(self, pair, fabric):
@@ -537,10 +558,56 @@ class TestNak:
         b.post_recv(1)
         a.post_send(2, bytes(4096))  # PSNs 100..103
         fabric.on_nak(a.qp, Frame(FrameKind.NAK, a.qp.qpn, 102))
-        head, *_ = a.qp.sender.unacked
-        assert [e.psn for e in a.qp.sender.unacked] == [102, 103]
-        assert head.retries_used == 1
+        assert [f.psn for f, _ in a.qp.sender.unacked] == [102, 103]
+        assert a.qp.sender.retries_used == 1
         assert fabric.trace[-1].frame.psn == 102  # resent at once
+
+    def test_the_next_head_starts_with_fresh_retry_state(self, registry,
+                                                         fabric):
+        a = Node(registry, fabric)
+        b = Node(registry, fabric)
+        connect_pair(a, b, retry_cnt=2)
+        a.post_send(2, bytes(4096))  # PSNs 100..103
+        snd = a.qp.sender
+        fabric.on_nak(a.qp, Frame(FrameKind.NAK, a.qp.qpn, 100))
+        fabric.on_timeout_tick(a.qp, PROBE_MS)  # the probe of the head
+        assert snd.retries_used == 2 and snd.probed
+        fabric.on_ack(a.qp, Frame(FrameKind.ACK, a.qp.qpn, 100))
+        assert [f.psn for f, _ in snd.unacked] == [101, 102, 103]
+        assert (snd.retries_used, snd.probed, snd.paused_until) == \
+            (0, False, 0.0)
+        # the whole budget again: two NAKs are resent, the third fails
+        for _ in range(2):
+            fabric.on_nak(a.qp, Frame(FrameKind.NAK, a.qp.qpn, 101))
+        assert [f.psn for f in frames_of(fabric, FrameKind.DATA)] == \
+            [100, 101, 102, 103, 100, 100, 101, 101]
+        assert a.cq.poll(1) == []
+        fabric.on_nak(a.qp, Frame(FrameKind.NAK, a.qp.qpn, 101))
+        wc, = a.cq.poll(2)
+        assert wc.status is WcStatus.RETRY_EXCEEDED
+
+    def test_a_drain_stops_at_a_refused_start(self, pair, fabric):
+        # held: a two-frame message at 101..102 and one at 103; the gap
+        # fills at 100, which takes the only receive, so the drain's run
+        # is refused at its first frame
+        a, b = pair
+        b.post_recv(1)
+        qpn = b.qp.qpn
+        late = [Frame(FrameKind.DATA, qpn, 101, SegMark.FIRST, b"f"),
+                Frame(FrameKind.DATA, qpn, 102, SegMark.LAST, b"l"),
+                Frame(FrameKind.DATA, qpn, 103, SegMark.ONLY, b"o")]
+        fabric.on_data(b.qp, *late)
+        sent = len(fabric.trace)
+        assert [e.frame for e in fabric.trace] == [Frame(FrameKind.NAK,
+                                                         a.qp.qpn, 100)]
+        fabric.on_data(b.qp, Frame(FrameKind.DATA, qpn, 100,
+                                   SegMark.ONLY, b"h"))
+        assert b.qp.receiver.expected_psn == 101
+        assert b.qp.receiver.held == {102: late[1], 103: late[2]}
+        assert [e.frame for e in fabric.trace[sent:]] == [
+            Frame(FrameKind.RNR_NAK, a.qp.qpn, 101, rnr_delay_hint=12),
+            Frame(FrameKind.ACK, a.qp.qpn, 100)]
+        assert [wc.wr_id for wc in b.cq.poll(2)] == [1]
 
 
 class TestRetry:
