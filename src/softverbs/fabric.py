@@ -47,24 +47,24 @@ The engine works per burst on both sides. ``transmit_message`` segments
 a message in one pass and hands each frame, as it is built, to the
 transport's ``_deliver``; every emitted frame, a resend, ACK or NAK too,
 takes that one call, and in it the one per-frame fault plan and trace
-point (``_wire_copies``: drop filter, fault profile, frame trace). The
+point (``_wire_copies``: drop filter, fault draws, frame trace). The
 per-frame paths build each frame and trace event with ``tuple.__new__``
 from all its fields. The send window holds a ``[frame, sent_at]`` pair
 per unacked frame; its head is the only frame ever resent alone, probed
 or paused, so the head's retry state lives on the QP's ``SenderState``.
-One burst landing, ``_land``, dispatches by kind in the order the
-frames were sent, handing each run of consecutive DATA frames to one QP
-to a single ``on_data`` call, which takes the run's in-order frames in
-one loop (as Linux rxe's responder drains a QP's queued packets in one
-run), and then sends the burst's ACKs. Both transports share these and
-one retransmit timer (one pending tick per QP, armed through
-``schedule`` for the head's probe, timeout or RNR pause deadline; a
-tick superseded by an earlier deadline is left in place and does
-nothing when it fires). A transport carries only frames and time: it
-supplies ``now_ms``, ``schedule_at`` and ``_deliver``, hands each burst
-to ``_land``, and moves in ``wait_until``, the blocking wait of the
-verbs objects (sockets), or in ``progress``, which a driver whose
-callers all wait calls (loopback).
+One burst landing, ``_land``, splits the frames, in the order they were
+sent, into runs of one QPN and one kind, and hands each DATA run to a
+single ``on_data`` call, which takes the run's in-order frames in one
+loop (as Linux rxe's responder drains a QP's queued packets in one run),
+and then sends the burst's ACKs. Every ACK, NAK and RNR NAK is built by
+one ``_reply``. Both transports share these and one retransmit timer
+(one pending tick per QP, armed with ``schedule_at`` at the head's
+probe, timeout or RNR pause deadline; a tick superseded by an earlier
+deadline is left in place and does nothing when it fires). A transport
+carries only frames and time: it supplies ``now_ms``, ``schedule_at``
+and ``_deliver``, hands each burst to ``_land``, and moves in
+``wait_until``, the blocking wait of the verbs objects (sockets), or in
+``progress``, which a driver whose callers all wait calls (loopback).
 
 Engine callbacks (on_data / on_ack / on_timeout_tick) run serialized
 under the world lock shared with the verbs objects, which the transport
@@ -89,6 +89,7 @@ from collections import deque
 from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import cached_property, partial
+from operator import attrgetter
 from typing import Callable, NamedTuple, Optional
 
 from .verbs import (
@@ -139,6 +140,8 @@ _STARTS = (SegMark.ONLY, SegMark.FIRST)
 _ENDS = (SegMark.ONLY, SegMark.LAST)
 _DATA, _ACK, _NAK = FrameKind.DATA, FrameKind.ACK, FrameKind.NAK
 _RNR_NAK, _ONLY = FrameKind.RNR_NAK, SegMark.ONLY
+# what makes consecutive frames of a burst one run for ``_land``
+_RUN_KEY = attrgetter("dest_qpn", "kind")
 # builds a Frame or TraceEvent from all its fields, without the Python
 # ``__new__`` that NamedTuple generates; the per-frame paths use it
 _new = tuple.__new__
@@ -280,7 +283,7 @@ class Fabric(Progress):
         self.next_lid = 1
         self.drop_filter: Optional[Callable[[Frame], bool]] = None
         self.trace: list[TraceEvent] = []
-        # the heap behind schedule: (time, sequence, callback)
+        # the heap behind schedule_at: (time, sequence, callback)
         self._timers: list = []
         self._seq = itertools.count()
         self._rng = random.Random(self.faults.seed)
@@ -347,9 +350,6 @@ class Fabric(Progress):
     def now_ms(self) -> float:
         raise NotImplementedError
 
-    def schedule(self, delay_ms: float, fn: Callable[[], None]) -> None:
-        self.schedule_at(self.now_ms() + delay_ms, fn)
-
     def schedule_at(self, t: float, fn: Callable[[], None]) -> None:
         """Run ``fn`` at ``t`` on the ``now_ms`` clock."""
         raise NotImplementedError
@@ -388,8 +388,8 @@ class Fabric(Progress):
             return
         snd.tick_at = deadline
         snd.tick_gen += 1
-        self.schedule(deadline - self.now_ms(),
-                      partial(self._tick_fired, qp, snd, snd.tick_gen))
+        self.schedule_at(deadline,
+                         partial(self._tick_fired, qp, snd, snd.tick_gen))
 
     def _tick_fired(self, qp: QueuePair, snd: SenderState, gen: int) -> None:
         if qp.sender is not snd or snd.tick_gen != gen:
@@ -617,7 +617,7 @@ class Fabric(Progress):
             if frame.psn != expected:
                 i += 1
                 if psn_before(frame.psn, expected):
-                    self._send_ack(qp, frame.psn)
+                    self._reply(qp, _ACK, frame.psn)
                 elif (frame.psn - expected) & PSN_MASK < HOLD_PSNS:
                     rcv.held[frame.psn] = frame
                     if rcv.nak_psn != expected:
@@ -657,7 +657,8 @@ class Fabric(Progress):
             seg = frame.seg
             if seg in _STARTS:
                 if not qp.recv_queue:
-                    self._send_rnr_nak(qp, expected)
+                    self._reply(qp, _RNR_NAK, expected,
+                                qp.attrs.min_rnr_timer)
                     break
                 reassembly = []
             elif not reassembly:
@@ -692,41 +693,33 @@ class Fabric(Progress):
         for frame in run[:self._accept(qp, rcv, run)]:
             del held[frame.psn]
         self._owed.pop(qp, None)  # this ACK covers the burst so far
-        self._send_ack(qp, psn_add(rcv.expected_psn, -1))
+        self._reply(qp, _ACK, psn_add(rcv.expected_psn, -1))
         # the whole run went in: nothing was refused or stray
         if rcv.expected_psn == psn and held and qp.state is not QpState.ERR:
             self._send_nak(qp, rcv)
 
     def _land(self, ep: Endpoint, frames) -> None:
-        """Take in one burst: dispatch its frames by kind, in the order
-        they were sent, then send the ACKs they owe. Each run of
-        consecutive DATA frames to one QP goes to ``on_data`` in one
-        call; no frame moves past a frame of another kind or QP.
+        """Take in one burst: dispatch its frames, in the order they were
+        sent, as runs of consecutive frames with one key, ``(dest_qpn,
+        kind)``, then send the ACKs they owe. A run whose QPN has no QP
+        drops. A DATA run goes to ``on_data`` in one call; the frames of
+        any other run go to their handler one at a time. No frame moves
+        past a frame of another kind or QP.
 
         A burst is the frames one loopback event lands, one injected
         frame, or the frames one socket read holds."""
         qpn_map = ep.qpn_map
-        run_qp, start = None, 0
-        for i, frame in enumerate(frames):
-            qp = qpn_map.get(frame.dest_qpn)
-            kind = frame.kind
-            if kind is _DATA and qp is run_qp:
-                continue  # the run goes on, or a DATA frame to no QP drops
-            if run_qp is not None:
-                self.on_data(run_qp, *frames[start:i])
-                run_qp = None
+        for (qpn, kind), run in itertools.groupby(frames, _RUN_KEY):
+            qp = qpn_map.get(qpn)
             if qp is None:
                 continue
             if kind is _DATA:
-                run_qp, start = qp, i
-            elif kind is _ACK:
-                self.on_ack(qp, frame)
-            elif kind is _NAK:
-                self.on_nak(qp, frame)
-            else:
-                self.on_rnr_nak(qp, frame)
-        if run_qp is not None:
-            self.on_data(run_qp, *frames[start:])
+                self.on_data(qp, *run)
+                continue
+            handle = (self.on_ack if kind is _ACK else
+                      self.on_nak if kind is _NAK else self.on_rnr_nak)
+            for frame in run:
+                handle(qp, frame)
         self._send_owed_acks()
 
     def _send_owed_acks(self) -> None:
@@ -740,39 +733,30 @@ class Fabric(Progress):
             for qp in owed:
                 rcv = qp.receiver
                 if rcv is not None:
-                    self._send_ack(qp, psn_add(rcv.expected_psn, -1))
-
-    def _send_ack(self, qp: QueuePair, psn: int) -> None:
-        self._deliver(qp._endpoint, qp.attrs.ah.dlid,
-                      _new(Frame, (_ACK, qp.attrs.dest_qp_num, psn, _ONLY,
-                                   b"", 0)))
+                    self._reply(qp, _ACK, psn_add(rcv.expected_psn, -1))
 
     def _send_nak(self, qp: QueuePair, rcv: ReceiverState) -> None:
         rcv.nak_psn = rcv.expected_psn
-        self._deliver(qp._endpoint, qp.attrs.ah.dlid,
-                      _new(Frame, (_NAK, qp.attrs.dest_qp_num,
-                                   rcv.expected_psn, _ONLY, b"", 0)))
+        self._reply(qp, _NAK, rcv.expected_psn)
 
-    def _send_rnr_nak(self, qp: QueuePair, psn: int) -> None:
+    def _reply(self, qp: QueuePair, kind: FrameKind, psn: int,
+               hint: int = 0) -> None:
+        """Send ``qp``'s peer an ACK, NAK or RNR NAK (whose delay code is
+        ``hint``) for ``psn``."""
         self._deliver(qp._endpoint, qp.attrs.ah.dlid,
-                      _new(Frame, (_RNR_NAK, qp.attrs.dest_qp_num, psn,
-                                   _ONLY, b"", qp.attrs.min_rnr_timer)))
+                      _new(Frame, (kind, qp.attrs.dest_qp_num, psn, _ONLY,
+                                   b"", hint)))
 
     # -- fault plan and trace -------------------------------------------------
 
-    def _plan_faults(self) -> tuple[bool, bool, bool]:
-        """Draw drop, duplicate and reorder for one frame, in that order."""
-        r = self._rng
-        return (r.random() < self.faults.drop_probability,
-                r.random() < self.faults.duplicate_probability,
-                r.random() < self.faults.reorder_probability)
-
     def _wire_copies(self, src: Optional[Endpoint], dlid: int, frame: Frame,
                      routed: bool) -> tuple:
-        """Trace one frame and return the extra delay of each copy the
-        wire carries: none if it is unroutable or dropped, one if sent,
-        two if duplicated. Reorder adds REORDER_EXTRA_MS, a duplicate
-        DUP_EXTRA_MS more; an inactive fault profile draws nothing.
+        """Draw one frame's fates, trace it, and return the extra delay of
+        each copy the wire carries: none if it is unroutable or dropped,
+        one if sent, two if duplicated. An active fault profile draws
+        drop, duplicate and reorder for every frame, in that order, from
+        the fabric's one seeded RNG; an inactive one draws nothing.
+        Reorder adds REORDER_EXTRA_MS, a duplicate DUP_EXTRA_MS more.
         """
         if not routed:
             statuses, delays = ("unrouted",), ()
@@ -781,16 +765,18 @@ class Fabric(Progress):
         elif not self.faults.active:
             statuses, delays = _SENT_ONCE
         else:
-            dropped, dup, reorder = self._plan_faults()
+            draw, faults = self._rng.random, self.faults
+            dropped, dup, reorder = (draw() < faults.drop_probability,
+                                     draw() < faults.duplicate_probability,
+                                     draw() < faults.reorder_probability)
+            delay = REORDER_EXTRA_MS if reorder else 0.0
             if dropped:
                 statuses, delays = ("dropped",), ()
+            elif dup:
+                statuses = ("sent", "dup")
+                delays = (delay, delay + DUP_EXTRA_MS)
             else:
-                delay = REORDER_EXTRA_MS if reorder else 0.0
-                if dup:
-                    statuses = ("sent", "dup")
-                    delays = (delay, delay + DUP_EXTRA_MS)
-                else:
-                    statuses, delays = ("sent",), (delay,)
+                statuses, delays = ("sent",), (delay,)
         now = self.now_ms()
         src_lid = src.lid if src is not None else None
         for status in statuses:
@@ -884,8 +870,8 @@ class LoopbackFabric(Fabric):
         time; the first frame of a burst schedules the burst's event."""
         ep = self.routing.get(dlid)
         for extra in self._wire_copies(src, dlid, frame, ep is not None):
-            # hop + extra first, the sum ``schedule`` makes: the same
-            # float event times to the last bit
+            # the copy's whole delay first, then the clock, as ``inject``
+            # adds them
             t = self._now + (self.hop_latency_ms + extra)
             burst = ep.bursts.get(t)
             if burst is None:
@@ -906,8 +892,8 @@ class LoopbackFabric(Fabric):
                                          "injected"))
             ep = self.routing.get(dlid)
             if ep is not None:
-                self.schedule(delay_ms + self.hop_latency_ms,
-                              partial(self._land, ep, (frame,)))
+                self.schedule_at(self._now + (delay_ms + self.hop_latency_ms),
+                                 partial(self._land, ep, (frame,)))
 
 
 # -- socket transport ---------------------------------------------------------
@@ -1309,7 +1295,8 @@ class SocketFabric(Fabric):
         data = encode_frame(frame) if copies else b""
         for extra in copies:
             if extra:
-                self.schedule(extra, lambda: self._write(sock, data))
+                self.schedule_at(self.now_ms() + extra,
+                                 lambda: self._write(sock, data))
             else:
                 self._write(sock, data)
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from enum import Enum, IntFlag
 from typing import NamedTuple, Optional
 
-from .wire import PSN_MASK
+from .wire import PSN_MASK, QPN_MASK
 
 PAGE_SIZE = 4096
 QPN_FIRST = 0x580048
@@ -478,7 +478,7 @@ class ProtectionDomain:
                 if n < 1:
                     raise VerbsError("queue caps must all be >= 1")
             qpn = self.context._next_qpn
-            self.context._next_qpn = (self.context._next_qpn + 1) & PSN_MASK
+            self.context._next_qpn = (self.context._next_qpn + 1) & QPN_MASK
             qp = QueuePair(self, qpn, send_cq, recv_cq,
                            copy.copy(caps), qp_type)
             self._qps.append(qp)
@@ -742,7 +742,7 @@ class QueuePair:
         if mask & AttrMask.ACCESS_FLAGS and \
                 int(attrs.qp_access_flags) & ~int(ACCESS_ALL):
             raise VerbsError("undefined qp access flag bits")
-        if mask & AttrMask.DEST_QPN and not 0 <= attrs.dest_qp_num <= PSN_MASK:
+        if mask & AttrMask.DEST_QPN and not 0 <= attrs.dest_qp_num <= QPN_MASK:
             raise VerbsError("dest qpn out of 24-bit range")
         if mask & AttrMask.RQ_PSN and not 0 <= attrs.rq_psn <= PSN_MASK:
             raise VerbsError("rq psn out of 24-bit range")

@@ -4,13 +4,16 @@
 one QP in one call. Hypothesis draws bursts to one or two QPs on one
 endpoint, made of in-order frames with the edits loss and faults make:
 a frame lost (a gap that stays), a frame moved to the end (a gap that
-fills), a duplicate, a stale PSN, and future PSNs within and beyond
-``HOLD_PSNS``. Receives may be missing (RNR NAKs) or too short for their
-message, which throws the QP into ERR partway through a run or a drain.
-Three twin worlds take the same burst: one run at a time through
+fills), a duplicate, a stale PSN, future PSNs within and beyond
+``HOLD_PSNS``, and a DATA frame to a QPN that no QP has, put behind a
+frame of a run. Receives may be missing (RNR NAKs) or too short for
+their message, which throws the QP into ERR partway through a run or a
+drain. Three twin worlds take the same burst: one run at a time through
 ``on_data``, one frame at a time through ``on_data``, and whole through
-``_land``; each then ends the burst. All three must leave the same CQEs,
-received bytes, receiver state, QP state and emitted frames, in order.
+``_land``; each then ends the burst. The first two skip the frame to no
+QP; ``_land`` must drop it and split the run there. All three must
+leave the same CQEs, received bytes, receiver state, QP state and
+emitted frames, in order.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -23,7 +26,7 @@ from softverbs.verbs import (
     QueueCaps,
     ReceiveWorkRequest,
 )
-from softverbs.wire import Frame, FrameKind, SegMark
+from softverbs.wire import QPN_MASK, Frame, FrameKind, SegMark
 
 FRAG = 3  # payload bytes per frame
 MAX_SEGS = 4  # frames per message, at most
@@ -31,6 +34,7 @@ SLOT = FRAG * MAX_SEGS  # one receive buffer, enough for any message
 # the first PSN each receiving QP expects; the first run crosses the wrap
 FIRST_PSNS = ((1 << 24) - 3, 200)
 MAX_RECVS = 6
+NO_QPN = QPN_MASK  # a QPN that no QP of the world has
 
 
 def segments(count: int):
@@ -43,7 +47,7 @@ def segments(count: int):
 def bursts(draw):
     """(per-QP messages, per-QP receive capacities, burst items); an item
     is (QP index, frame index) with a frame index into the QP's message
-    frames, or one of the tags 'stale', 'near' and 'far'."""
+    frames, or one of the tags 'stale', 'near', 'far' and 'no_qp'."""
     n_qps = draw(st.integers(1, 2))
     messages = [draw(st.lists(st.integers(1, MAX_SEGS), min_size=1,
                               max_size=5)) for _ in range(n_qps)]
@@ -61,7 +65,8 @@ def bursts(draw):
         items += queues[q][:take]
         del queues[q][:take]
     edits = draw(st.lists(st.tuples(
-        st.sampled_from(["drop", "late", "dup", "stale", "near", "far"]),
+        st.sampled_from(["drop", "late", "dup", "stale", "near", "far",
+                         "no_qp"]),
         st.integers(0, 63), st.integers(0, 63)), max_size=5))
     for op, at, to in edits:
         if not items:
@@ -74,6 +79,8 @@ def bursts(draw):
             items.append(items.pop(at))
         elif op == "dup":
             items.insert(at + to % (len(items) - at + 1), items[at])
+        elif op == "no_qp":
+            items.insert(at + 1, (q, op))
         else:
             items.insert(at, (q, op))
     return messages, recvs, items
@@ -103,6 +110,7 @@ class World:
             to_rts(a2, FIRST_PSNS[1])
             to_rts(b2, 9)
             self.qps.append(b2)
+        assert NO_QPN not in self.b.qp._endpoint.qpn_map
         wr_id = 0
         for q, lengths in enumerate(recvs):
             for k, length in enumerate(lengths):
@@ -126,6 +134,8 @@ class World:
     def frame(self, item):
         q, index = item
         qpn, first = self.qps[q].qpn, FIRST_PSNS[q]
+        if index == "no_qp":
+            return Frame(FrameKind.DATA, NO_QPN, first, SegMark.ONLY, b"?")
         ahead = {"stale": -2, "near": HOLD_PSNS - 1, "far": HOLD_PSNS}
         if index in ahead:
             return Frame(FrameKind.DATA, qpn, psn_add(first, ahead[index]),
@@ -145,9 +155,12 @@ class World:
 
 
 def runs(world, items):
-    """The burst's runs: consecutive items to one QP, as (QP, frames)."""
+    """The burst's runs: consecutive items to one QP, as (QP, frames),
+    skipping the frames to no QP."""
     out = []
     for item in items:
+        if item[1] == "no_qp":
+            continue
         qp, frame = world.qps[item[0]], world.frame(item)
         if out and out[-1][0] is qp:
             out[-1][1].append(frame)

@@ -279,7 +279,7 @@ def test_a_timer_callback_error_reaches_the_waiting_caller(two_fabrics):
     def fail():
         raise EngineFault("timer")
 
-    fab_a.schedule(0, fail)
+    fab_a.schedule_at(fab_a.now_ms(), fail)
     with pytest.raises(EngineFault):
         a.cq.wait_for_completion(1.0)
 
