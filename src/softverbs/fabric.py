@@ -84,7 +84,6 @@ import select
 import socket
 import threading
 import time
-import weakref
 from collections import deque
 from contextlib import suppress
 from dataclasses import dataclass, field
@@ -304,7 +303,7 @@ class Fabric(Progress):
                 raise VerbsError(f"no such port {port}")
             if port in context._attachments:
                 raise VerbsError(f"port {port} already attached")
-            lid = self._assign_lid(context, port)
+            lid = self._assign_lid()
             ep = Endpoint(self, port, lid)
             self.routing[lid] = ep
             pa = context.ports[port]
@@ -326,7 +325,7 @@ class Fabric(Progress):
             pa.lid = 0
             pa.state = PortState.DOWN
 
-    def _assign_lid(self, context: DeviceContext, port: int) -> int:
+    def _assign_lid(self) -> int:
         lid = self.next_lid
         self.next_lid += 1
         return lid
@@ -978,7 +977,9 @@ class _ManualProgress:
     it, and so does the mover's hand-over when it stops, so that one of
     them takes over. A thread that arms a timer, gives the mover another
     socket to watch or flushes a queue cuts its poll short through a
-    socket pair.
+    socket pair. The open fabrics are a tuple, replaced whole under
+    ``lock`` when one opens or closes, so the mover reads it on each
+    pass without the lock.
 
     The poll set stands for the life of the process: a fabric registers
     each socket with ``watch`` when it opens (a listener at attach, a
@@ -988,8 +989,9 @@ class _ManualProgress:
     """
 
     def __init__(self):
-        self.fabrics: "weakref.WeakSet[SocketFabric]" = weakref.WeakSet()
-        # guards fabrics, sleepers and the poll set
+        # the open fabrics: replaced whole under the lock, read without it
+        self.fabrics: tuple["SocketFabric", ...] = ()
+        # guards replacing fabrics, sleepers and the poll set
         self.lock = threading.Lock()
         self.mover = threading.Lock()
         self.sleepers: set[threading.Condition] = set()
@@ -1001,7 +1003,7 @@ class _ManualProgress:
 
     def add(self, fabric: "SocketFabric") -> None:
         with self.lock:
-            self.fabrics.add(fabric)
+            self.fabrics += (fabric,)
             if self.wake_pair is None:
                 self.wake_pair = socket.socketpair()
                 wake_r = self.wake_pair[0]
@@ -1010,7 +1012,7 @@ class _ManualProgress:
 
     def discard(self, fabric: "SocketFabric") -> None:
         with self.lock:
-            self.fabrics.discard(fabric)
+            self.fabrics = tuple(f for f in self.fabrics if f is not fabric)
 
     def watch(self, sock: socket.socket, events: int,
               handler: Callable[[socket.socket], None]) -> None:
@@ -1067,13 +1069,11 @@ class _ManualProgress:
         goes to the caller."""
         handlers = self.handlers
         while True:
-            with self.lock:
-                fabrics = list(self.fabrics)
             # set before the timer heaps are read, so that a timer another
             # thread arms after that read wakes the poll
             self.polling = True
             until = deadline * 1e3
-            for fabric in fabrics:
+            for fabric in self.fabrics:
                 until = min(until, fabric._fire_due())
             with cond:
                 if ready():
@@ -1147,7 +1147,7 @@ class SocketFabric(Fabric):
     def wake(self) -> None:
         _MANUAL.wake()
 
-    def _assign_lid(self, context: DeviceContext, port: int) -> int:
+    def _assign_lid(self) -> int:
         last_err = None
         for entry in self.config.entries:
             lsock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)

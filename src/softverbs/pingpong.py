@@ -16,6 +16,7 @@ import ipaddress
 import random
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -93,12 +94,21 @@ class PingpongContext:
     rx_depth: int
     routs: int = 0
     pending: int = 0
-    portinfo: Optional[verbs.PortAttributes] = None
     # instrumentation: final counters and flow-control checkpoints
     rcnt: int = 0
     scnt: int = 0
     min_routs: Optional[int] = None
     reposts: list[tuple[int, int]] = field(default_factory=list)
+
+
+@contextmanager
+def _or_fail(message: str):
+    """A failed verbs step: raise ``message``, as rc_pingpong prints it,
+    from the verbs error."""
+    try:
+        yield
+    except VerbsError as exc:
+        raise PingpongError(message) from exc
 
 
 def init_context(registry: verbs.DeviceRegistry,
@@ -107,41 +117,26 @@ def init_context(registry: verbs.DeviceRegistry,
     devices = registry.get_device_list()
     if not devices:
         raise PingpongError("No IB devices found")
-    try:
+    with _or_fail(f"Couldn't get context for {devices[0].name}"):
         context = registry.open_device(devices[0])
-    except VerbsError as exc:
-        raise PingpongError(
-            f"Couldn't get context for {devices[0].name}") from exc
-    try:
+    with _or_fail("Couldn't allocate work buf."):
         buf = context.alloc_buffer(cfg.size, align=verbs.PAGE_SIZE)
-    except VerbsError as exc:
-        raise PingpongError("Couldn't allocate work buf.") from exc
     buf.fill(CLIENT_FILL + (1 if cfg.is_server else 0))
     channel = context.create_channel() if cfg.use_event else None
-    try:
+    with _or_fail("Couldn't allocate PD"):
         pd = context.alloc_pd()
-    except VerbsError as exc:
-        raise PingpongError("Couldn't allocate PD") from exc
-    try:
+    with _or_fail("Couldn't register MR"):
         mr = pd.reg_mr(buf, cfg.size, AccessFlags.LOCAL_WRITE)
-    except VerbsError as exc:
-        raise PingpongError("Couldn't register MR") from exc
-    try:
+    with _or_fail("Couldn't create CQ"):
         cq = context.create_cq(cfg.rx_depth + 1, None, channel, 0)
-    except VerbsError as exc:
-        raise PingpongError("Couldn't create CQ") from exc
-    try:
+    with _or_fail("Couldn't create QP"):
         qp = pd.create_qp(cq, cq, QueueCaps(1, cfg.rx_depth, 1, 1), QpType.RC)
-    except VerbsError as exc:
-        raise PingpongError("Couldn't create QP") from exc
-    try:
+    with _or_fail("Failed to modify QP to INIT"):
         qp.modify(ModifyAttributes(state=QpState.INIT, pkey_index=0,
                                    port_num=cfg.ib_port,
                                    qp_access_flags=AccessFlags(0)),
                   AttrMask.STATE | AttrMask.PKEY_INDEX | AttrMask.PORT |
                   AttrMask.ACCESS_FLAGS)
-    except VerbsError as exc:
-        raise PingpongError("Failed to modify QP to INIT") from exc
     return PingpongContext(context=context, channel=channel, pd=pd, mr=mr,
                            cq=cq, qp=qp, buf=buf, size=cfg.size,
                            rx_depth=cfg.rx_depth)
@@ -166,7 +161,7 @@ def connect_ctx(ctx: PingpongContext, my_psn: int, dest: Destination,
     ah = AddressHandle(dlid=dest.lid, sl=cfg.sl, src_path_bits=0,
                        port_num=cfg.ib_port,
                        is_global=any(dest.gid), dgid=dest.gid)
-    try:
+    with _or_fail("Failed to modify QP to RTR"):
         ctx.qp.modify(
             ModifyAttributes(state=QpState.RTR, path_mtu=cfg.mtu,
                              dest_qp_num=dest.qpn, rq_psn=dest.psn,
@@ -174,21 +169,20 @@ def connect_ctx(ctx: PingpongContext, my_psn: int, dest: Destination,
             AttrMask.STATE | AttrMask.AV | AttrMask.PATH_MTU |
             AttrMask.DEST_QPN | AttrMask.RQ_PSN |
             AttrMask.MAX_DEST_RD_ATOMIC | AttrMask.MIN_RNR_TIMER)
-    except VerbsError as exc:
-        raise PingpongError("Failed to modify QP to RTR") from exc
-    try:
+    with _or_fail("Failed to modify QP to RTS"):
         ctx.qp.modify(
             ModifyAttributes(state=QpState.RTS, timeout=14, retry_cnt=7,
                              rnr_retry=7, sq_psn=my_psn, max_rd_atomic=1),
             AttrMask.STATE | AttrMask.TIMEOUT | AttrMask.RETRY_CNT |
             AttrMask.RNR_RETRY | AttrMask.SQ_PSN | AttrMask.MAX_QP_RD_ATOMIC)
-    except VerbsError as exc:
-        raise PingpongError("Failed to modify QP to RTS") from exc
 
 
 def _post_send(ctx: PingpongContext) -> None:
     sge = ScatterGatherElement(ctx.buf.base, ctx.size, ctx.mr.lkey)
-    ctx.qp.post_send(SendWorkRequest(SEND_WRID, [sge]))
+    try:
+        ctx.qp.post_send(SendWorkRequest(SEND_WRID, [sge]))
+    except VerbsError as exc:
+        raise PingpongError("Couldn't post send") from exc
 
 
 def _validate_first_recv(ctx: PingpongContext, byte_len: int) -> None:
@@ -218,10 +212,7 @@ def _exchanges(ctx: PingpongContext, cfg: PingpongConfig):
     validated = False
     start = time.monotonic()
     if not cfg.is_server:
-        try:
-            _post_send(ctx)
-        except VerbsError as exc:
-            raise PingpongError("Couldn't post send") from exc
+        _post_send(ctx)
         ctx.pending = RECV_WRID | SEND_WRID
     else:
         ctx.pending = RECV_WRID
@@ -268,10 +259,7 @@ def _exchanges(ctx: PingpongContext, cfg: PingpongConfig):
                 else min(ctx.min_routs, ctx.routs)
             ctx.pending &= ~wc.wr_id
             if scnt < iters and not ctx.pending:
-                try:
-                    _post_send(ctx)
-                except VerbsError as exc:
-                    raise PingpongError("Couldn't post send") from exc
+                _post_send(ctx)
                 ctx.pending = RECV_WRID | SEND_WRID
     elapsed = time.monotonic() - start
     if cfg.use_event and num_cq_events:
@@ -352,16 +340,15 @@ def open_node(cfg: PingpongConfig, registry: verbs.DeviceRegistry, fabric,
         raise PingpongError(f"Couldn't post receive ({ctx.routs})")
     if cfg.use_event:
         ctx.cq.req_notify()
-    ctx.portinfo = ctx.context.query_port(cfg.ib_port)
-    if ctx.portinfo.link_layer is verbs.LinkLayer.INFINIBAND and \
-            not ctx.portinfo.lid:
+    portinfo = ctx.context.query_port(cfg.ib_port)
+    if portinfo.link_layer is verbs.LinkLayer.INFINIBAND and not portinfo.lid:
         raise PingpongError("Couldn't get local LID")
     if cfg.gid_index is not None:
         gid = ctx.context.query_gid(cfg.ib_port, cfg.gid_index)
     else:
         gid = bytes(16)
     my_psn = rng.getrandbits(32) & 0xFFFFFF
-    my_dest = Destination(lid=ctx.portinfo.lid, qpn=ctx.qp.qpn, psn=my_psn,
+    my_dest = Destination(lid=portinfo.lid, qpn=ctx.qp.qpn, psn=my_psn,
                           gid=gid)
     return ctx, my_dest
 

@@ -456,8 +456,7 @@ class ProtectionDomain:
                 raise VerbsError(f"undefined access bits in {int(access):#x}")
             lkey = self.context._next_lkey
             self.context._next_lkey += 1
-            mr = MemoryRegion(self, buf, buf.base, length,
-                              AccessFlags(int(access)), lkey)
+            mr = MemoryRegion(self, buf, buf.base, length, lkey)
             self._mrs.append(mr)
             self.context._mr_by_lkey[lkey] = mr
             return mr
@@ -495,12 +494,11 @@ class ProtectionDomain:
 
 class MemoryRegion:
     def __init__(self, pd: ProtectionDomain, buf: Buffer, base: int,
-                 length: int, access: AccessFlags, lkey: int):
+                 length: int, lkey: int):
         self.pd = pd
         self.buffer = buf
         self.base = base
         self.length = length
-        self.access = access
         self.lkey = lkey
         self.pinned = True
 

@@ -87,8 +87,9 @@ class Frame(NamedTuple):
     rnr_delay_hint: int = 0
 
 
-def encode_frame(frame: Frame, mtu: int = MAX_PAYLOAD) -> bytes:
-    """Serialize a frame; rejects payloads beyond the negotiated MTU."""
+def encode_frame(frame: Frame) -> bytes:
+    """Serialize a frame; rejects payloads beyond ``MAX_PAYLOAD`` bytes.
+    The engine has segmented a message at its QP's MTU before this."""
     kind, qpn, psn, seg, payload, hint = frame
     if kind not in _KINDS:
         raise FrameEncodeError(f"unknown frame kind {kind!r}")
@@ -97,10 +98,9 @@ def encode_frame(frame: Frame, mtu: int = MAX_PAYLOAD) -> bytes:
     if not 0 <= psn <= PSN_MASK:
         raise FrameEncodeError(f"psn {psn:#x} out of 24-bit range")
     if kind == _DATA:
-        limit = min(mtu, MAX_PAYLOAD)
-        if len(payload) > limit:
+        if len(payload) > MAX_PAYLOAD:
             raise FrameEncodeError(
-                f"payload of {len(payload)} bytes exceeds mtu {limit}")
+                f"payload of {len(payload)} bytes exceeds mtu {MAX_PAYLOAD}")
         length_field = len(payload)
     elif payload:
         raise FrameEncodeError(f"{_KINDS[kind].name} frames carry no payload")

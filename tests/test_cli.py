@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from conftest import free_port
 from softverbs.cli import build_parser, main
 
@@ -59,6 +61,15 @@ class TestLoopbackCli:
         assert rc == 0
         assert re.search(r"^wire: \d+ DATA \(minimum 10\)", out, re.M)
         assert re.search(r"^virtual: [\d.]+ ms/iter at 1 ms/hop$", out, re.M)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["-i", "2"], "Failed to modify QP to INIT"),
+        (["-m", "300", "-n", "5"], "Failed to modify QP to RTR"),
+    ])
+    def test_a_failed_verbs_step_exits_one_with_its_message(
+            self, capsys, argv, message):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == message + "\n"
 
     def test_bad_faults_spec_exits_one(self, capsys):
         rc = main(["--faults", "drop=much", "--port", str(free_port())])

@@ -137,6 +137,20 @@ class TestClock:
         assert not fabric.jump()
         assert fabric.now_ms() == 2.0
 
+    def test_an_event_that_reschedules_itself_at_once_is_a_livelock(
+            self, fabric):
+        fired = []
+
+        def again():
+            fired.append(fabric.now_ms())
+            if len(fired) < 1000:  # a drain without the guard still ends
+                fabric.schedule_at(fabric.now_ms(), again)
+
+        fabric.schedule_at(1.0, again)
+        with pytest.raises(RuntimeError, match="livelock"):
+            fabric.run_until_idle(max_events=100)
+        assert fired == [1.0] * 101
+
 
 class TestSegmentation:
     def _one_way(self, registry, payload, mtu, psn_a=100):

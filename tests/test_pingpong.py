@@ -19,7 +19,7 @@ from softverbs.pingpong import (
     report,
     run_loopback_pair,
 )
-from softverbs.verbs import DeviceRegistry, QpState
+from softverbs.verbs import DeviceRegistry, QpState, VerbsError
 from softverbs.wire import FrameKind, SegMark
 
 ADDR_RE = re.compile(
@@ -50,6 +50,14 @@ class TestInitContext:
     def test_no_devices_is_startup_error(self):
         with pytest.raises(PingpongError):
             init_context(DeviceRegistry(), PingpongConfig())
+
+    def test_a_failed_step_raises_its_message_from_the_verbs_error(
+            self, world):
+        registry, _ = world
+        with pytest.raises(PingpongError) as failed:
+            init_context(registry, PingpongConfig(ib_port=2))
+        assert str(failed.value) == "Failed to modify QP to INIT"
+        assert isinstance(failed.value.__cause__, VerbsError)
 
     def test_server_buffer_fill(self, world):
         registry, _ = world

@@ -59,12 +59,11 @@ def test_rnr_nak_hint_rides_in_length_field():
 
 
 def test_oversized_payload_rejected_at_encode():
-    frame = Frame(FrameKind.DATA, 1, 0, SegMark.ONLY, bytes(4096))
+    frame = Frame(FrameKind.DATA, 1, 0, SegMark.ONLY, bytes(MAX_PAYLOAD + 1))
     with pytest.raises(FrameEncodeError):
-        encode_frame(frame, mtu=1024)
-    # at or under the mtu is fine
-    encode_frame(Frame(FrameKind.DATA, 1, 0, SegMark.ONLY, bytes(1024)),
-                 mtu=1024)
+        encode_frame(frame)
+    # exactly MAX_PAYLOAD bytes is fine
+    encode_frame(Frame(FrameKind.DATA, 1, 0, SegMark.ONLY, bytes(MAX_PAYLOAD)))
 
 
 def test_bad_magic_rejected():
