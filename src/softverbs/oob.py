@@ -26,6 +26,7 @@ from typing import Callable
 
 DEFAULT_PORT = 18515
 _WIDTHS = (4, 6, 6, 32)
+_MAX_LINE = 256  # bytes a record may hold before its newline
 
 
 class ExchangeError(Exception):
@@ -79,15 +80,19 @@ def decode_destination(line: str) -> Destination:
 
 
 def _read_line(sock: socket.socket) -> str:
-    chunks = []
+    """Read one record up to its newline, in as few ``recv`` calls as the
+    peer's writes allow. The peer sends nothing after its record, so
+    reading ahead loses nothing."""
+    data = b""
     while True:
-        b = sock.recv(1)
-        if not b:
+        chunk = sock.recv(_MAX_LINE + 1 - len(data))
+        if not chunk:
             raise ExchangeError("peer closed before sending a full record")
-        if b == b"\n":
-            return b"".join(chunks).decode("ascii", errors="replace") + "\n"
-        chunks.append(b)
-        if len(chunks) > 256:
+        data += chunk
+        end = data.find(b"\n")
+        if end >= 0:
+            return data[:end].decode("ascii", errors="replace") + "\n"
+        if len(data) > _MAX_LINE:
             raise DestinationFormatError("oversized destination record")
 
 

@@ -4,6 +4,8 @@ Two processes (or, on the loopback fabric, two roles taking turns on one
 thread) bounce a fixed-size message back and forth. The client owns the
 first send; each side posts a window of receives up front and reposts
 when the pool runs low, so the peer never catches an empty receive queue.
+Where rc_pingpong.c loops one ``ibv_post_recv`` per WR, a window here is
+one chained ``post_recv``, and it reports the same count of WRs posted.
 
 One driver, ``run_loop``, runs every role, one (``run_node``) or both
 (``run_loopback_pair``): the roles poll in turn, and when all of them
@@ -27,6 +29,7 @@ from .verbs import (
     AccessFlags,
     AddressHandle,
     AttrMask,
+    BadWorkRequestError,
     ModifyAttributes,
     QpState,
     QpType,
@@ -99,6 +102,15 @@ class PingpongContext:
     scnt: int = 0
     min_routs: Optional[int] = None
     reposts: list[tuple[int, int]] = field(default_factory=list)
+    # one scatter list over the whole buffer, shared by every receive and
+    # by the one send WR that each send posts again
+    sg_list: list[ScatterGatherElement] = field(init=False)
+    send_wr: SendWorkRequest = field(init=False)
+
+    def __post_init__(self):
+        self.sg_list = [
+            ScatterGatherElement(self.buf.base, self.size, self.mr.lkey)]
+        self.send_wr = SendWorkRequest(SEND_WRID, self.sg_list)
 
 
 @contextmanager
@@ -143,16 +155,25 @@ def init_context(registry: verbs.DeviceRegistry,
 
 
 def post_receives(ctx: PingpongContext, n: int) -> int:
-    """Post up to n one-SGE receives over the shared buffer; count posted."""
-    sge = ScatterGatherElement(ctx.buf.base, ctx.size, ctx.mr.lkey)
-    posted = 0
+    """Post up to n one-SGE receives over the shared buffer; count posted.
+
+    rc_pingpong.c loops one ``ibv_post_recv`` per WR; here the n WRs go
+    in as one chained ``post_recv``. The count is the same: a chain that
+    fails at element i posted the i before it, and a post refused as a
+    whole posted none.
+    """
+    if n < 1:
+        return 0
+    chain = None
     for _ in range(n):
-        try:
-            ctx.qp.post_recv(ReceiveWorkRequest(RECV_WRID, [sge]))
-        except VerbsError:
-            break
-        posted += 1
-    return posted
+        chain = ReceiveWorkRequest(RECV_WRID, ctx.sg_list, chain)
+    try:
+        ctx.qp.post_recv(chain)
+    except BadWorkRequestError as exc:
+        return exc.index
+    except VerbsError:
+        return 0
+    return n
 
 
 def connect_ctx(ctx: PingpongContext, my_psn: int, dest: Destination,
@@ -178,9 +199,9 @@ def connect_ctx(ctx: PingpongContext, my_psn: int, dest: Destination,
 
 
 def _post_send(ctx: PingpongContext) -> None:
-    sge = ScatterGatherElement(ctx.buf.base, ctx.size, ctx.mr.lkey)
+    # post_send keeps only the WR's wr_id and flags, so one WR serves all
     try:
-        ctx.qp.post_send(SendWorkRequest(SEND_WRID, [sge]))
+        ctx.qp.post_send(ctx.send_wr)
     except VerbsError as exc:
         raise PingpongError("Couldn't post send") from exc
 

@@ -242,10 +242,11 @@ class PostedRecv:
 
     __slots__ = ("wr_id", "slots", "capacity")
 
-    def __init__(self, wr_id: int, slots: list[tuple["MemoryRegion", int, int]]):
+    def __init__(self, wr_id: int, slots: list[tuple["MemoryRegion", int, int]],
+                 capacity: int):
         self.wr_id = wr_id
         self.slots = slots
-        self.capacity = sum(length for _, _, length in slots)
+        self.capacity = capacity
 
     def scatter(self, message: bytes) -> None:
         off = 0
@@ -853,7 +854,11 @@ class QueuePair:
         """Enqueue a chain of receive WQEs; receives are legal from INIT on.
 
         Validation stops at the first bad element; earlier elements stay
-        posted, and the raised error carries the failing chain index.
+        posted, and the raised error carries the failing chain index,
+        which is also the number of elements posted. An element whose
+        scatter list equals the previous one's by value shares its
+        resolved slots: nothing the resolution checks can change while
+        the lock is held.
         """
         with self.context.lock:
             if self.state not in (QpState.INIT, QpState.RTR, QpState.RTS):
@@ -861,14 +866,19 @@ class QueuePair:
                     f"cannot post receives while {self.state.name}")
             if self.recv_cq.state is CqState.ERROR:
                 raise CompletionQueueError("recv CQ is in the error state")
+            room = self.caps.max_recv_wr - len(self.recv_queue)
+            sges = slots = None
             index = 0
             node = wr
             while node is not None:
-                if len(self.recv_queue) >= self.caps.max_recv_wr:
+                if index >= room:
                     raise BadWorkRequestError(index, "receive queue full")
-                slots = self._resolve_sges(
-                    node.sg_list, self.caps.max_recv_sge, index)
-                self.recv_queue.append(PostedRecv(node.wr_id, slots))
+                if slots is None or node.sg_list != sges:
+                    sges = node.sg_list
+                    slots = self._resolve_sges(
+                        sges, self.caps.max_recv_sge, index)
+                    capacity = sum(length for _, _, length in slots)
+                self.recv_queue.append(PostedRecv(node.wr_id, slots, capacity))
                 node = node.next
                 index += 1
 

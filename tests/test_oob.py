@@ -9,6 +9,7 @@ from softverbs.oob import (
     Destination,
     DestinationFormatError,
     ExchangeError,
+    _read_line,
     decode_destination,
     encode_destination,
     exchange_as_client,
@@ -64,6 +65,49 @@ class TestDestinationCodec:
     def test_roundtrip_property(self, lid, qpn, psn, gid):
         dest = Destination(lid, qpn, psn, gid)
         assert decode_destination(encode_destination(dest)) == dest
+
+
+class _Peer:
+    """A socket's ``recv`` over the chunks a peer wrote, then EOF."""
+
+    def __init__(self, *chunks):
+        self.chunks = list(chunks)
+        self.calls = 0
+
+    def recv(self, bufsize):
+        self.calls += 1
+        if not self.chunks:
+            return b""
+        chunk = self.chunks.pop(0)
+        if len(chunk) > bufsize:
+            self.chunks.insert(0, chunk[bufsize:])
+        return chunk[:bufsize]
+
+
+class TestReadLine:
+    def test_a_record_written_at_once_is_one_recv(self):
+        peer = _Peer(KNOWN_LINE.encode())
+        assert _read_line(peer) == KNOWN_LINE
+        assert peer.calls == 1
+
+    def test_a_record_written_bytewise_is_read_whole(self):
+        peer = _Peer(*(bytes([b]) for b in KNOWN_LINE.encode()))
+        assert _read_line(peer) == KNOWN_LINE
+
+    def test_the_longest_record_fits(self):
+        line = "0" * 256 + "\n"
+        assert _read_line(_Peer(line.encode())) == line
+
+    def test_an_oversized_record_is_refused_after_257_bytes(self):
+        peer = _Peer(b"0" * 300)
+        with pytest.raises(DestinationFormatError):
+            _read_line(peer)
+        assert peer.chunks == [b"0" * 43]  # read no further than the bound
+
+    def test_a_peer_closing_mid_record_is_an_exchange_error(self):
+        with pytest.raises(ExchangeError, match="peer closed") as err:
+            _read_line(_Peer(KNOWN_LINE[:10].encode()))
+        assert not isinstance(err.value, DestinationFormatError)
 
 
 def _serve(port, mine, box, ready):

@@ -1,3 +1,4 @@
+import random
 import re
 import socket
 import threading
@@ -15,11 +16,12 @@ from softverbs.pingpong import (
     connect_ctx,
     format_gid,
     init_context,
+    open_node,
     post_receives,
     report,
     run_loopback_pair,
 )
-from softverbs.verbs import DeviceRegistry, QpState, VerbsError
+from softverbs.verbs import DeviceRegistry, QpState, QueuePair, VerbsError
 from softverbs.wire import FrameKind, SegMark
 
 ADDR_RE = re.compile(
@@ -92,6 +94,37 @@ class TestPostReceives:
         assert post_receives(ctx, 4) == 4
         # 6 slots remain; asking for 10 more posts only those 6
         assert post_receives(ctx, 10) == 6
+
+
+class TestReceiveWindowBatching:
+    """The receive window goes in as one chained post_recv, where
+    rc_pingpong.c makes one ibv_post_recv call per WR."""
+
+    @pytest.fixture
+    def post_calls(self, monkeypatch):
+        calls = Counter()
+        post_recv = QueuePair.post_recv
+
+        def counting(qp, wr):
+            calls[qp] += 1
+            return post_recv(qp, wr)
+
+        monkeypatch.setattr(QueuePair, "post_recv", counting)
+        return calls
+
+    def test_open_node_posts_its_window_in_one_call(self, world, post_calls):
+        registry, fabric = world
+        ctx, _ = open_node(PingpongConfig(), registry, fabric,
+                           random.Random(1))
+        assert len(ctx.qp.recv_queue) == ctx.routs == 500
+        assert post_calls == {ctx.qp: 1}
+
+    def test_each_repost_is_one_call(self, post_calls):
+        server, client, _ = run_loopback_pair(
+            PingpongConfig(iters=1000, size=64), seed=3)
+        for result in (server, client):
+            assert result.ctx.reposts == [(1, 500), (1, 500)]
+            assert post_calls[result.ctx.qp] == 1 + len(result.ctx.reposts)
 
 
 class TestConnectCtx:

@@ -101,6 +101,68 @@ class TestPostRecv:
             node.qp.post_recv(wr)
 
 
+class TestRecvChain:
+    # one chain over four scatter lists: [A], [B] of another length, two
+    # SGEs, and [A] again; (capacity, [(buffer offset, length)]) each
+    LISTS = ((100, [(0, 100)]), (40, [(200, 40)]),
+             (80, [(300, 30), (400, 50)]), (100, [(0, 100)]))
+
+    def _post_chain(self, node):
+        chain = None
+        for wr_id, (_, sges) in reversed(list(enumerate(self.LISTS, 1))):
+            chain = ReceiveWorkRequest(
+                wr_id, [node.sge(off, length) for off, length in sges],
+                next=chain)
+        node.qp.post_recv(chain)
+
+    def test_each_wqe_keeps_its_own_scatter_list(self, pair, fabric):
+        a, b = pair
+        self._post_chain(b)
+        assert [w.capacity for w in b.qp.recv_queue] == [
+            capacity for capacity, _ in self.LISTS]
+        for i, (capacity, sges) in enumerate(self.LISTS):
+            payload = bytes([i + 1]) * capacity
+            a.post_send(10 + i, payload)
+            fabric.run_until_idle()
+            wc, = b.cq.poll(2)
+            assert (wc.wr_id, wc.status, wc.byte_len) == (
+                i + 1, WcStatus.SUCCESS, capacity)
+            assert b"".join(b.read(off, length)
+                            for off, length in sges) == payload
+            a.cq.poll(2)
+
+    @pytest.mark.parametrize("position", range(4))
+    def test_a_message_over_its_own_wqe_capacity_fails(self, pair, fabric,
+                                                       position):
+        # the WQEs before it take messages that fit; a WQE that carried
+        # its predecessor's slots would take one byte too many
+        a, b = pair
+        self._post_chain(b)
+        for i in range(position):
+            a.post_send(10 + i, b"x" * self.LISTS[i][0])
+        a.post_send(20, b"y" * (self.LISTS[position][0] + 1))
+        fabric.run_until_idle()
+        wcs = b.cq.poll(8)
+        assert [wc.status for wc in wcs[:position]] == [
+            WcStatus.SUCCESS] * position
+        assert wcs[position].wr_id == position + 1
+        assert wcs[position].status is WcStatus.LOCAL_PROTECTION_ERROR
+        assert b.qp.state is QpState.ERR
+
+    def test_a_bad_third_element_leaves_two_posted(self, registry, fabric):
+        node = Node(registry, fabric)
+        to_init(node.qp)
+        bad = ScatterGatherElement(node.buf.base, 64, lkey=0xDEAD)
+        wr3 = ReceiveWorkRequest(3, [bad])
+        wr2 = ReceiveWorkRequest(2, [node.sge(0, 64)], next=wr3)
+        wr1 = ReceiveWorkRequest(1, [node.sge(0, 64)], next=wr2)
+        with pytest.raises(BadWorkRequestError) as err:
+            node.qp.post_recv(wr1)
+        assert err.value.index == 2
+        assert "unknown lkey" in err.value.reason
+        assert [w.wr_id for w in node.qp.recv_queue] == [1, 2]
+
+
 class TestPostSend:
     def test_signaled_send_completes_with_wr_id(self, pair, fabric):
         a, b = pair
