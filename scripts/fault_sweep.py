@@ -9,7 +9,7 @@ time: until its last send completion. A third table shows RNR recovery
 on a lossless wire: batches whose receives are posted 15 virtual ms
 after their sends, with the RNR NAKs they drew. A closing line sums the DATA
 frames, ACKs and virtual time over the rows of the first two tables.
-Fully deterministic for a given seed.
+Fully deterministic for a given seed. Exits 1 if any row reads FAILED.
 """
 
 import argparse
@@ -91,6 +91,7 @@ def main():
     for drop, dup, reorder, _, kinds, _, virtual_ms in rows:
         print(f"{drop:>6.2f} {dup:>6.2f} {reorder:>8.2f} "
               f"{kinds[FrameKind.ACK]:>6} {virtual_ms:>11.2f}")
+    failed = not all(row[3] for row in rows)
     late_ms = 15.0
     print(f"\nreceives posted {late_ms:g} virtual ms after the sends, "
           f"no faults\n{'messages':>8} {'delivered':>10} {'frames':>8} "
@@ -98,6 +99,7 @@ def main():
     for n_msgs in (8, 100):
         ok, kinds, _, virtual_ms = run_batch(
             0.0, 0.0, 0.0, args.seed, n_msgs, args.size, args.mtu, late_ms)
+        failed = failed or not ok
         print(f"{n_msgs:>8} {'all' if ok else 'FAILED':>10} "
               f"{kinds[FrameKind.DATA]:>8} {kinds[FrameKind.RNR_NAK]:>9} "
               f"{virtual_ms:>11.2f}")
@@ -105,7 +107,8 @@ def main():
     acks = sum(r[4][FrameKind.ACK] for r in rows)
     print(f"\nsummed: {data} DATA frames, {acks} ACKs, "
           f"{sum(r[6] for r in rows):.2f} virtual ms")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -24,12 +24,16 @@ retry budget. The retransmit timeout (a go-back-N burst from the head)
 remains the fallback when the probe is lost too.
 
 An RNR NAK, after IBTA RC's receiver-not-ready rule, pauses the refused
-head for ``RNR_DELAY_MS``, whatever delay code it names; copies of it
+head for the time its delay code (the receiver's ``min_rnr_timer``)
+names in the ``ibv_modify_qp(3)`` table, ``RNR_TIMER_MS``; copies of it
 that arrive during the pause are ignored, so one refusal charges the
 RNR budget once. The end of the pause resends that head alone: the
 receiver still holds the frames that followed it. A NAK and an RNR NAK
 are read by one prologue, ``_nakked_head``, as Linux rxe's completer
-reads every AETH syndrome in one ``check_ack``.
+reads every AETH syndrome in one ``check_ack``. Every retry setting
+comes from the QP: the retransmit timeout from its ``timeout`` code
+(``ack_timeout_ms``), the budgets from ``retry_cnt`` and ``rnr_retry``
+(7 retries without limit).
 
 Two interchangeable transports share the engine:
 
@@ -123,11 +127,12 @@ BURST_FRAMES = 64
 # a head unacked this long is resent once, alone (a tail-loss probe),
 # before the retransmit timeout takes over
 PROBE_MS = 10.0
-# what the QP's timeout and min_rnr_timer codes stand for here: the
-# 5-bit IBTA encodings mean nothing inside an emulator, so every code
-# maps to one retransmit timeout and one RNR delay
-TIMEOUT_MS = 500.0
-RNR_DELAY_MS = 10.0
+# the RNR NAK timer codes (a QP's min_rnr_timer) in ms, by code, after
+# the table in ibv_modify_qp(3); code 0 is the longest
+RNR_TIMER_MS = (655.36, 0.01, 0.02, 0.03, 0.04, 0.06, 0.08, 0.12, 0.16,
+                0.24, 0.32, 0.48, 0.64, 0.96, 1.28, 1.92, 2.56, 3.84, 5.12,
+                7.68, 10.24, 15.36, 20.48, 30.72, 40.96, 61.44, 81.92,
+                122.88, 163.84, 245.76, 327.68, 491.52)
 # extra wire delay of a duplicate copy (after its original) and of a
 # reordered frame
 DUP_EXTRA_MS = 0.5
@@ -195,13 +200,20 @@ class FaultProfile:
                 or self.reorder_probability > 0)
 
 
+def ack_timeout_ms(code: int) -> float:
+    """The retransmit timeout a QP's 5-bit ``timeout`` code names, after
+    ``ibv_modify_qp(3)``: 4.096 us x 2^code; 0 means none (inf)."""
+    return 0.004096 * (1 << code) if code else math.inf
+
+
 def _due(snd: SenderState) -> float:
     """When the head's tick has work: the end of its pause if it is
-    paused, else its probe, then once probed its timeout."""
+    paused, else its probe (at the timeout, if that comes first), then
+    once probed its timeout; inf if the QP has none."""
     if snd.paused_until:
         return snd.paused_until
-    return snd.unacked[0][1] + (TIMEOUT_MS if snd.probed
-                                else min(PROBE_MS, TIMEOUT_MS))
+    return snd.unacked[0][1] + (snd.timeout_ms if snd.probed
+                                else min(PROBE_MS, snd.timeout_ms))
 
 
 class SenderState:
@@ -209,6 +221,10 @@ class SenderState:
     DATA frame, in PSN order; unacked PSNs stay contiguous mod 2^24. The
     send a frame belongs to is the oldest one not completed, the QP's
     ``send_queue[0]``, since RC completes sends in post order.
+
+    ``timeout_ms`` is the retransmit timeout that the QP's ``timeout``
+    code named when it entered RTS (``ack_timeout_ms``); the probe, the
+    timeout and the stale-head resume all read it.
 
     Only the head is ever resent alone, probed or paused, so its retry
     state lives here, not on each frame: ``retries_used`` and
@@ -222,11 +238,13 @@ class SenderState:
     a tick whose ``tick_gen`` is no longer current was superseded by an
     earlier one and does nothing."""
 
-    __slots__ = ("next_psn", "unacked", "tick_at", "tick_gen",
-                 "retries_used", "rnr_retries_used", "probed", "paused_until")
+    __slots__ = ("next_psn", "timeout_ms", "unacked", "tick_at",
+                 "tick_gen", "retries_used", "rnr_retries_used", "probed",
+                 "paused_until")
 
-    def __init__(self, next_psn: int):
+    def __init__(self, next_psn: int, timeout_ms: float):
         self.next_psn = next_psn
+        self.timeout_ms = timeout_ms
         self.unacked: deque[list] = deque()
         self.tick_at = math.inf
         self.tick_gen = 0
@@ -342,7 +360,8 @@ class Fabric(Progress):
             del ep.qpn_map[qp.qpn]
 
     def on_qp_rts(self, qp: QueuePair) -> None:
-        qp.sender = SenderState(qp.attrs.sq_psn)
+        qp.sender = SenderState(qp.attrs.sq_psn,
+                                ack_timeout_ms(qp.attrs.timeout))
 
     # -- clock / scheduling (transport specific) ---------------------------
 
@@ -399,7 +418,9 @@ class Fabric(Progress):
 
     def _backlogged(self, dlid: int) -> bool:
         """Does the transport still hold bytes it has not sent to
-        ``dlid``? A head queued behind them is not probed."""
+        ``dlid``? A head queued behind them has not left yet, so no
+        go-back resend (the probe, the timeout or the stale-head resume)
+        sends it again behind itself: its clock restarts instead."""
         return False
 
     # -- send side ---------------------------------------------------------
@@ -446,11 +467,12 @@ class Fabric(Progress):
     def on_ack(self, qp: QueuePair, frame: Frame) -> None:
         """Cumulative ack: retire every unacked entry with psn <= frame.psn.
 
-        Progress that exposes an already-stale head (frames the receiver
-        could not hold while waiting for a retransmission) resumes the
-        go-back replay immediately instead of waiting out another timeout.
-        A head that progress exposes was never paused: a pause leaves
-        with the head it was set on.
+        Progress that exposes a head older than the QP's timeout (frames
+        the receiver could not hold while waiting for a retransmission)
+        resumes the go-back replay immediately instead of waiting out
+        another timeout, unless the head is still queued. A head that
+        progress exposes was never paused: a pause leaves with the head
+        it was set on.
         """
         snd = qp.sender
         if snd is None:
@@ -458,8 +480,12 @@ class Fabric(Progress):
         progressed = self._retire_through(qp, frame.psn)
         if snd.unacked:
             now = self.now_ms()
-            if progressed and now - snd.unacked[0][1] >= TIMEOUT_MS:
-                self._retransmit_burst(qp, now)
+            head = snd.unacked[0]
+            if progressed and now - head[1] >= snd.timeout_ms:
+                if self._backlogged(qp.attrs.ah.dlid):
+                    head[1] = now
+                else:
+                    self._retransmit_burst(qp, now)
             self._arm_tick(qp)
 
     def _retire_through(self, qp: QueuePair, psn: int) -> bool:
@@ -515,27 +541,31 @@ class Fabric(Progress):
 
         Like a NAK, an RNR NAK acknowledges everything before its PSN; a
         receiver that drains held frames may send it ahead of the ACK.
-        One for the head charges its RNR budget and pauses it for
-        ``RNR_DELAY_MS``; the QP's tick ends the pause.
+        One for the head charges its RNR budget and pauses it for the
+        time its delay code names in ``RNR_TIMER_MS``; the QP's tick ends
+        the pause. An ``rnr_retry`` of 7 is no limit: the budget never
+        runs out.
         """
         if self._nakked_head(qp, frame) is None:
             return
         snd = qp.sender
-        if snd.rnr_retries_used >= qp.attrs.rnr_retry:
+        budget = qp.attrs.rnr_retry
+        if budget != 7 and snd.rnr_retries_used >= budget:  # 7: no limit
             qp.complete_send(WcStatus.RNR_RETRY_EXCEEDED)
             return
         snd.rnr_retries_used += 1
-        snd.paused_until = self.now_ms() + RNR_DELAY_MS
+        snd.paused_until = self.now_ms() + RNR_TIMER_MS[frame.rnr_delay_hint]
         self._arm_tick(qp)
 
     def _retransmit_burst(self, qp: QueuePair, now: float) -> None:
         """Go-back-N replay: resend the stale prefix of the window.
 
-        Stops at the first frame younger than the timeout and at the
-        burst cap. Retry accounting is the caller's job, not ours.
+        Stops at the first frame younger than the QP's timeout and at
+        the burst cap. Retry accounting is the caller's job, not ours.
         """
-        for sent, entry in enumerate(qp.sender.unacked):
-            if sent >= BURST_FRAMES or now - entry[1] < TIMEOUT_MS:
+        snd = qp.sender
+        for sent, entry in enumerate(snd.unacked):
+            if sent >= BURST_FRAMES or now - entry[1] < snd.timeout_ms:
                 break
             self._transmit_entry(qp, entry)
 
@@ -547,14 +577,16 @@ class Fabric(Progress):
         charged to neither budget again (its RNR NAK was charged), since
         the receiver holds the frames that followed it.
 
-        A head unacked for ``PROBE_MS`` is resent once, alone: a
-        tail-loss probe, after RFC 8985. It recovers the losses no later
-        frame can reveal (a lost last frame, NAK, NAK'd resend or final
-        ACK): the resend fills the receiver's gap or draws a stale
-        re-ACK. While the transport still holds unsent bytes for the
-        peer, the head has not left yet, and its clock restarts instead.
-        Once the probed head outlives the timeout, a go-back-N burst
-        replays the window from it.
+        A head unacked for ``PROBE_MS`` (or the QP's timeout, if that is
+        shorter) is resent once, alone: a tail-loss probe, after RFC
+        8985. It recovers the losses no later frame can reveal (a lost
+        last frame, NAK, NAK'd resend or final ACK): the resend fills the
+        receiver's gap or draws a stale re-ACK. Once the probed head
+        outlives the QP's timeout, a go-back-N burst replays the window
+        from it; a QP whose timeout code is 0 has none, and its probed
+        head waits for the receiver. While the transport still holds
+        unsent bytes for the peer, the head has not left yet: neither
+        the probe nor the timeout resends it, and its clock restarts.
 
         The probe and each timeout of the same head charge its retry
         budget, like a NAK'd resend; going past retry_cnt fails the
@@ -570,7 +602,7 @@ class Fabric(Progress):
             snd.paused_until = 0.0
             self._transmit_entry(qp, head)
             return
-        if not snd.probed and self._backlogged(qp.attrs.ah.dlid):
+        if self._backlogged(qp.attrs.ah.dlid):
             head[1] = now
             return
         if snd.retries_used >= qp.attrs.retry_cnt:

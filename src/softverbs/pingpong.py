@@ -182,6 +182,8 @@ def connect_ctx(ctx: PingpongContext, my_psn: int, dest: Destination,
     ah = AddressHandle(dlid=dest.lid, sl=cfg.sl, src_path_bits=0,
                        port_num=cfg.ib_port,
                        is_global=any(dest.gid), dgid=dest.gid)
+    # rc_pingpong.c's codes: timeout 14 is 67.1 ms, min_rnr_timer 12 is
+    # 0.64 ms, and rnr_retry 7 retries without limit (ibv_modify_qp(3))
     with _or_fail("Failed to modify QP to RTR"):
         ctx.qp.modify(
             ModifyAttributes(state=QpState.RTR, path_mtu=cfg.mtu,

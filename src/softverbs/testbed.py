@@ -110,12 +110,14 @@ def to_rts(qp, sq_psn, *, timeout=14, retry_cnt=7, rnr_retry=7):
 
 
 def connect_pair(a: Node, b: Node, *, psn_a=100, psn_b=200, mtu=1024,
-                 retry_cnt=7, rnr_retry=7, min_rnr_timer=12):
+                 timeout=14, retry_cnt=7, rnr_retry=7, min_rnr_timer=12):
     to_init(a.qp, a.port)
     to_init(b.qp, b.port)
     to_rtr(a.qp, b.lid, b.qp.qpn, psn_b, mtu=mtu,
            min_rnr_timer=min_rnr_timer, port=a.port)
     to_rtr(b.qp, a.lid, a.qp.qpn, psn_a, mtu=mtu,
            min_rnr_timer=min_rnr_timer, port=b.port)
-    to_rts(a.qp, psn_a, retry_cnt=retry_cnt, rnr_retry=rnr_retry)
-    to_rts(b.qp, psn_b, retry_cnt=retry_cnt, rnr_retry=rnr_retry)
+    to_rts(a.qp, psn_a, timeout=timeout, retry_cnt=retry_cnt,
+           rnr_retry=rnr_retry)
+    to_rts(b.qp, psn_b, timeout=timeout, retry_cnt=retry_cnt,
+           rnr_retry=rnr_retry)

@@ -8,9 +8,10 @@ Every unit on the wire is one frame, encoded big-endian:
     3       1     segment marker (ONLY=0, FIRST=1, MIDDLE=2, LAST=3)
     4       3     destination QPN
     7       3     PSN
-    10      4     payload length; for RNR_NAK the low byte carries the
-                  receiver's retry-delay hint and no payload follows;
-                  0 for ACK and NAK
+    10      4     payload length; for RNR_NAK the receiver's 5-bit RNR
+                  delay code (its min_rnr_timer, 0-31), which sets the
+                  sender's pause, and no payload follows; 0 for ACK
+                  and NAK
     14      ...   payload (DATA only)
 
 A NAK is the PSN sequence error: its PSN is the one the receiver still
@@ -144,7 +145,10 @@ def decode_frame(data: bytes) -> Frame:
     if len(data) != HEADER_LEN:
         raise FrameDecodeError(f"{kind.name} frame with trailing bytes")
     if kind is _RNR_NAK:
-        return Frame(kind, dest_qpn, psn, seg, b"", length_field & 0xFF)
+        if length_field >= 32:
+            raise FrameDecodeError(
+                f"rnr delay code {length_field} not a 5-bit code")
+        return Frame(kind, dest_qpn, psn, seg, b"", length_field)
     return Frame(kind, dest_qpn, psn, seg)
 
 

@@ -1,5 +1,6 @@
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -62,6 +63,19 @@ class TestLoopbackCli:
         assert re.search(r"^wire: \d+ DATA \(minimum 10\)", out, re.M)
         assert re.search(r"^virtual: [\d.]+ ms/iter at 1 ms/hop$", out, re.M)
 
+    def test_the_readme_fault_example_prints_what_the_readme_shows(
+            self, capsys):
+        readme = (Path(__file__).resolve().parents[1] /
+                  "README.md").read_text(encoding="utf-8")
+        command, wire, virtual = re.search(
+            r"^\$ softverbs-pingpong (.*--faults.*)\n  \.\.\.\n"
+            r"(wire: .*)\n(virtual: .*)$", readme, re.M).groups()
+        assert main(shlex.split(command)) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert [line for line in out
+                if line.startswith(("wire: ", "virtual: "))] == \
+            [wire, virtual]
+
     @pytest.mark.parametrize("argv, message", [
         (["-i", "2"], "Failed to modify QP to INIT"),
         (["-m", "300", "-n", "5"], "Failed to modify QP to RTR"),
@@ -107,4 +121,4 @@ class TestFaultSweepScript:
         assert all(row.split()[1] == "all" for row in rnr_rows)
         # the sweep's frames and virtual times, pinned
         assert lines[-1] == \
-            "summed: 13977 DATA frames, 2136 ACKs, 24160.25 virtual ms"
+            "summed: 14735 DATA frames, 2719 ACKs, 4382.43 virtual ms"

@@ -11,12 +11,12 @@ from conftest import Node, connect_pair, run_until, to_init
 from softverbs.fabric import (
     HOLD_PSNS,
     PROBE_MS,
-    RNR_DELAY_MS,
+    RNR_TIMER_MS,
     TICK_EPS_MS,
-    TIMEOUT_MS,
     FabricConfigError,
     FaultProfile,
     LoopbackFabric,
+    ack_timeout_ms,
     parse_fabric_config,
     parse_faults_spec,
     psn_add,
@@ -291,6 +291,23 @@ class TestDataPath:
         assert b.cq.poll(1) == []
         assert b.qp.receiver.expected_psn == 100
 
+    def test_a_stray_continuation_is_ignored(self, pair, fabric):
+        # an in-order MIDDLE frame with no message start before it
+        a, b = pair
+        b.post_recv(1)
+        fabric.inject(b.lid, Frame(FrameKind.DATA, b.qp.qpn, 100,
+                                   SegMark.MIDDLE, b"stray"))
+        fabric.run_until_idle()
+        assert b.cq.poll(1) == []
+        assert b.qp.receiver.expected_psn == 100
+        # the posted receive still takes the real message
+        a.post_send(2, b"real")
+        fabric.run_until_idle()
+        assert [(wc.wr_id, wc.status, wc.byte_len)
+                for wc in b.cq.poll(2)] == [(1, WcStatus.SUCCESS, 4)]
+        assert b.read(0, 4) == b"real"
+        assert [wc.status for wc in a.cq.poll(2)] == [WcStatus.SUCCESS]
+
     def test_stale_psn_reacked_and_discarded(self, pair, fabric):
         a, b = pair
         b.post_recv(1)
@@ -309,6 +326,10 @@ class TestDataPath:
 
 
 class TestRnr:
+    # a receiver whose min_rnr_timer is 20 pauses a refused head 10.24 ms
+    PAUSE_CODE = 20
+    PAUSE = RNR_TIMER_MS[PAUSE_CODE]
+
     def test_send_before_receive_draws_rnr_nak(self, registry, fabric):
         a = Node(registry, fabric)
         b = Node(registry, fabric)
@@ -337,17 +358,23 @@ class TestRnr:
         assert wc.status is WcStatus.RNR_RETRY_EXCEEDED
         assert a.qp.state is QpState.ERR
 
-    def test_rnr_exhaustion_after_budget(self, registry, fabric):
-        a = Node(registry, fabric)
-        b = Node(registry, fabric)
-        connect_pair(a, b, rnr_retry=3)
-        a.post_send(4, b"doomed")
-        fabric.run_until_idle()
-        wc, = a.cq.poll(2)
-        assert wc.status is WcStatus.RNR_RETRY_EXCEEDED
-        retransmits = [e for e in fabric.trace
-                       if e.frame.kind is FrameKind.DATA]
-        assert len(retransmits) == 1 + 3  # original plus one per budget unit
+    def test_rnr_exhaustion_after_budget(self):
+        # an rnr_retry of 0 to 6 is a budget; 7 is no limit
+        for budget in range(1, 7):
+            registry = DeviceRegistry()
+            registry.add_device("hca0")
+            fabric = LoopbackFabric(registry=registry)
+            a = Node(registry, fabric)
+            b = Node(registry, fabric)
+            connect_pair(a, b, rnr_retry=budget)
+            a.post_send(4, b"doomed")
+            fabric.run_until_idle()
+            wc, = a.cq.poll(2)
+            assert wc.status is WcStatus.RNR_RETRY_EXCEEDED
+            retransmits = [e for e in fabric.trace
+                           if e.frame.kind is FrameKind.DATA]
+            # original plus one per budget unit
+            assert len(retransmits) == 1 + budget
 
     def test_rnr_nak_during_drain_acks_what_precedes_it(self, registry,
                                                         fabric):
@@ -377,9 +404,9 @@ class TestRnr:
                                 registry=registry)
         a = Node(registry, fabric)
         b = Node(registry, fabric)
-        connect_pair(a, b, rnr_retry=3)
+        connect_pair(a, b, rnr_retry=3, min_rnr_timer=self.PAUSE_CODE)
         a.post_send(1, b"r" * 100)
-        fabric.advance(25)
+        fabric.advance(25)  # refused twice, paused 2..12.24 and 14.24..24.48
         b.post_recv(2)
         fabric.run_until_idle()
         first_resend = [e.t for e in fabric.trace
@@ -392,10 +419,13 @@ class TestRnr:
         assert [wc.wr_id for wc in b.cq.poll(2)] == [2]
         assert b.read(0, 100) == b"r" * 100
 
-    def test_rnr_on_a_probed_head_ends_with_its_pause(self, pair, fabric):
+    def test_rnr_on_a_probed_head_ends_with_its_pause(self, registry,
+                                                      fabric):
         # the probe of a lost head is refused; the tick ends the pause,
-        # not the probed head's 500 ms timeout
-        a, b = pair
+        # not the probed head's 67 ms timeout
+        a = Node(registry, fabric)
+        b = Node(registry, fabric)
+        connect_pair(a, b, min_rnr_timer=self.PAUSE_CODE)
         fabric.drop_filter = drop_first_copy(100)
         a.post_send(1, b"p" * 100)
         fabric.advance(15)
@@ -403,19 +433,22 @@ class TestRnr:
         b.post_recv(2)
         got = []
         run_until(fabric, lambda: got.extend(a.cq.poll(2)) or got)
-        # probed at 10.25, refused, paused 12.25..22.25, resent, acked
-        assert fabric.now_ms() == 24.25
+        # probed at 10.25, refused, paused 12.25..22.49, resent, acked
+        assert fabric.now_ms() == pytest.approx(
+            PROBE_MS + TICK_EPS_MS + 2 + self.PAUSE + 2)
         assert [(wc.wr_id, wc.status) for wc in got] == \
             [(1, WcStatus.SUCCESS)]
         assert [f.psn for f in frames_of(fabric, FrameKind.DATA)] == \
             [100, 100]
 
-    def test_a_pause_leaves_with_its_head(self, pair, fabric):
+    def test_a_pause_leaves_with_its_head(self, registry, fabric):
         # the refused head is accepted and acked mid-pause; the end of
         # its pause must not resend the send posted after it
-        a, b = pair
+        a = Node(registry, fabric)
+        b = Node(registry, fabric)
+        connect_pair(a, b, min_rnr_timer=self.PAUSE_CODE)
         a.post_send(1, b"h" * 100)
-        fabric.advance(2)  # the RNR NAK has paused the head until 12 ms
+        fabric.advance(2)  # the RNR NAK has paused the head until 12.24 ms
         assert len(frames_of(fabric, FrameKind.RNR_NAK)) == 1
         b.post_recv(1)
         b.post_recv(2, off=100)
@@ -438,9 +471,10 @@ class TestRnr:
         b = Node(registry, fabric)
         connect_pair(a, b, rnr_retry=1)
         a.post_send(1, bytes(2048))  # PSNs 100..101 at mtu 1024
-        fabric.on_rnr_nak(a.qp, Frame(FrameKind.RNR_NAK, a.qp.qpn, 100))
+        fabric.on_rnr_nak(a.qp, Frame(FrameKind.RNR_NAK, a.qp.qpn, 100,
+                                      rnr_delay_hint=self.PAUSE_CODE))
         snd = a.qp.sender
-        assert snd.paused_until == RNR_DELAY_MS and snd.rnr_retries_used == 1
+        assert snd.paused_until == self.PAUSE and snd.rnr_retries_used == 1
         fabric.on_ack(a.qp, Frame(FrameKind.ACK, a.qp.qpn, 100))
         assert [f.psn for f, _ in snd.unacked] == [101]
         assert snd.paused_until == 0.0 and snd.rnr_retries_used == 0
@@ -452,11 +486,14 @@ class TestRnr:
         assert snd.rnr_retries_used == 1 and snd.paused_until
         assert a.cq.poll(1) == [] and a.qp.state is QpState.RTS
 
-    def test_each_rnr_nak_costs_one_resend_of_the_head(self, pair, fabric):
+    def test_each_rnr_nak_costs_one_resend_of_the_head(self, registry,
+                                                       fabric):
         # 8 x 4 KiB at MTU 1024 before any receive: the receiver holds
         # PSNs 101..131 behind the refused head, so each end of a pause
         # resends the head alone and the last one drains the rest
-        a, b = pair
+        a = Node(registry, fabric)
+        b = Node(registry, fabric)
+        connect_pair(a, b, min_rnr_timer=self.PAUSE_CODE)
         size = 4096
         for i in range(8):
             a.post_send(i, bytes([i]) * size, off=i * size)
@@ -466,7 +503,8 @@ class TestRnr:
         got = []
         while len(got) < 8 and fabric.jump():
             got.extend(a.cq.poll(8))
-        assert fabric.now_ms() == 26.0  # resent at 12 and 24, acked at 26
+        # resent at 12.24 and 24.48, acked at 26.48
+        assert fabric.now_ms() == pytest.approx(2 * (2 + self.PAUSE) + 2)
         assert [(wc.wr_id, wc.status) for wc in got] == \
             [(i, WcStatus.SUCCESS) for i in range(8)]
         data = [f.psn for f in frames_of(fabric, FrameKind.DATA)]
@@ -476,6 +514,93 @@ class TestRnr:
         assert len(frames_of(fabric, FrameKind.RNR_NAK)) == 2
         assert len(frames_of(fabric, FrameKind.ACK)) == 1
         assert [wc.wr_id for wc in b.cq.poll(9)] == list(range(8))
+        for i in range(8):
+            assert b.read(i * size, size) == bytes([i]) * size
+
+
+class TestRetryCodes:
+    """Every retry setting comes from the QP's codes, as ibv_modify_qp(3)
+    defines them: the timeout is 4.096 us x 2^timeout (0: none), an RNR
+    NAK pauses its head for the time its min_rnr_timer code names, and
+    an rnr_retry of 7 retries without limit."""
+
+    def _copies(self, fabric, psn):
+        return [e.t for e in fabric.trace
+                if e.frame.kind is FrameKind.DATA and e.frame.psn == psn]
+
+    def test_timeout_14_fires_67_ms_after_the_probe(self, registry, fabric):
+        a = Node(registry, fabric)
+        b = Node(registry, fabric)
+        connect_pair(a, b, timeout=14)
+        b.post_recv(1)
+        fabric.drop_filter = lambda f: f.kind is FrameKind.DATA
+        a.post_send(2, b"lost")
+        fabric.run_until_idle()
+        assert a.qp.sender.timeout_ms == ack_timeout_ms(14) == 67.108864
+        t = self._copies(fabric, 100)
+        assert len(t) == 1 + 7  # the first copy, the probe, six timeouts
+        assert t[1] == PROBE_MS + TICK_EPS_MS
+        # each tick fires TICK_EPS_MS after the deadline it serves
+        assert [round(later - t0, 9) for t0, later in zip(t[1:], t[2:])] == \
+            [67.108864 + TICK_EPS_MS] * 6
+        assert [wc.status for wc in a.cq.poll(2)] == \
+            [WcStatus.RETRY_EXCEEDED]
+
+    def test_timeout_0_probes_once_and_never_times_out(self, registry,
+                                                       fabric):
+        a = Node(registry, fabric)
+        b = Node(registry, fabric)
+        connect_pair(a, b, timeout=0)
+        b.post_recv(1)
+        fabric.drop_filter = lambda f: f.kind is FrameKind.DATA
+        a.post_send(2, b"lost")
+        assert fabric.run_until_idle() > 0
+        assert a.qp.sender.timeout_ms == math.inf
+        assert self._copies(fabric, 100) == [0.0, PROBE_MS + TICK_EPS_MS]
+        assert not fabric._timers  # no tick is pending
+        assert a.cq.poll(2) == [] and a.qp.state is QpState.RTS
+        # the head still waits for the receiver: a NAK resends it
+        fabric.drop_filter = None
+        fabric.on_nak(a.qp, Frame(FrameKind.NAK, a.qp.qpn, 100))
+        fabric.run_until_idle()
+        assert [wc.status for wc in a.cq.poll(2)] == [WcStatus.SUCCESS]
+
+    @pytest.mark.parametrize("code, pause_ms", [
+        (0, 655.36), (1, 0.01), (12, 0.64), (31, 491.52)])
+    def test_an_rnr_nak_pauses_for_the_time_its_code_names(
+            self, registry, fabric, code, pause_ms):
+        a = Node(registry, fabric)
+        b = Node(registry, fabric)
+        connect_pair(a, b, min_rnr_timer=code, rnr_retry=1)
+        a.post_send(1, b"early")  # no receive is ever posted
+        fabric.run_until_idle()
+        assert frames_of(fabric, FrameKind.RNR_NAK)[0].rnr_delay_hint == code
+        # refused at 1 ms; the RNR NAK lands at 2, and the head is resent
+        # when its pause ends
+        _, resent = self._copies(fabric, 100)
+        assert resent - 2.0 == pytest.approx(pause_ms)
+        assert [wc.status for wc in a.cq.poll(2)] == \
+            [WcStatus.RNR_RETRY_EXCEEDED]
+
+    def test_rnr_retry_7_never_runs_out(self, registry, fabric):
+        # 8 x 4 KiB whose receives come 100 virtual ms late: with code
+        # 12 the head is refused every 2.64 ms, far past 7 times
+        a = Node(registry, fabric)
+        b = Node(registry, fabric)
+        connect_pair(a, b, rnr_retry=7)
+        size = 4096
+        for i in range(8):
+            a.post_send(i, bytes([i]) * size, off=i * size)
+        fabric.advance(100)
+        for i in range(8):
+            b.post_recv(i, off=i * size, length=size)
+        got = []
+        while len(got) < 8 and fabric.jump():
+            got.extend(a.cq.poll(8))
+        assert [(wc.wr_id, wc.status) for wc in got] == \
+            [(i, WcStatus.SUCCESS) for i in range(8)]
+        assert len(frames_of(fabric, FrameKind.RNR_NAK)) > 7
+        assert fabric.now_ms() == pytest.approx(102.32)
         for i in range(8):
             assert b.read(i * size, size) == bytes([i]) * size
 
@@ -832,7 +957,8 @@ class TestTailLossProbe:
         t = [e.t for e in self._copies(fabric, FrameKind.DATA, 101)]
         assert len(t) == 1 + 7
         assert PROBE_MS <= t[1] < PROBE_MS + 1  # the probe
-        assert TIMEOUT_MS <= t[2] - t[1] < TIMEOUT_MS + 1  # the first timeout
+        timeout = a.qp.sender.timeout_ms  # the QP's timeout code, 14
+        assert timeout <= t[2] - t[1] < timeout + 1  # the first timeout
         wc, = a.cq.poll(2)
         assert wc.status is WcStatus.RETRY_EXCEEDED
 
@@ -979,20 +1105,20 @@ class TestReliability:
         profile = FaultProfile(0.05, 0.1, 0.1, seed=1)
         fabric, *_ = self._blast(1, n_msgs=200, size=4096, mtu=1024,
                                  profile=profile)
-        assert len(fabric.trace) == 1009
+        assert len(fabric.trace) == 1489
         assert sum(1 for e in fabric.trace
-                   if e.frame.kind is FrameKind.DATA) == 923
+                   if e.frame.kind is FrameKind.DATA) == 1225
         assert trace_digest(fabric) == (
-            "c08f58b6effad50de8338bb4692f0fc57996ce7770d1545e43bcf4c8d6e16fe2")
+            "a7633411e2b823d01dcba1d4265b6dfb5732330aa65e72e255391c5a940cda6c")
 
     def test_seeded_faulty_pair_emits_its_pinned_frames(self):
         _, _, fabric = run_loopback_pair(
             PingpongConfig(iters=50, rx_depth=8, size=2048),
             faults=FaultProfile(0.1, 0.05, 0.05, seed=7), seed=3)
         assert len(fabric.trace) == 444
-        assert fabric.now_ms() == 1886.75
+        assert fabric.now_ms() == 588.0765919999999
         assert trace_digest(fabric) == (
-            "497548c212201077c79bbabf29dc42b4cc6e9399ff7d8d8f9becbd337a5893d4")
+            "aa39bfab39b0c89923ad88c969cf9516c8277ff84222a1a62b8ed0a18a47dc23")
 
     def test_different_seed_different_trace(self):
         first, *_ = self._blast(5)

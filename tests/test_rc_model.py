@@ -13,7 +13,9 @@ delivered and acked, or one failed and every later one was flushed, or
 the sender was moved to ERR and every send not finished by then was
 flushed.
 Two lost copies per PSN cannot spend a retry budget of 7, so only RNR
-exhaustion, a receive posted too late, may fail a send.
+exhaustion, a receive posted too late, may fail a send. The pair is
+connected with a drawn ``rnr_retry`` below 7: 7 retries without limit,
+so a receive never posted would be refused for ever.
 """
 
 from collections import Counter
@@ -21,6 +23,7 @@ from collections import Counter
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
+    initialize,
     invariant,
     precondition,
     rule,
@@ -61,7 +64,6 @@ class RcModel(RuleBasedStateMachine):
                       cq_capacity=2 * MAX_WR)
         self.b = Node(registry, self.fabric, size=SLOT * MAX_WR,
                       max_recv_wr=MAX_WR, cq_capacity=2 * MAX_WR)
-        connect_pair(self.a, self.b, psn_a=FIRST_PSN, mtu=MTU)
         self.fabric.drop_filter = self._drop
         # the model: send i has wr_id i, receive i has wr_id i and slot i
         self.sends: list[tuple[bytes, bool]] = []  # (payload, signaled)
@@ -86,6 +88,11 @@ class RcModel(RuleBasedStateMachine):
         return True
 
     # -- rules ---------------------------------------------------------------
+
+    @initialize(rnr_retry=st.integers(0, 6))
+    def connect(self, rnr_retry):
+        connect_pair(self.a, self.b, psn_a=FIRST_PSN, mtu=MTU,
+                     rnr_retry=rnr_retry)
 
     @precondition(lambda self: self.recvs < MAX_WR)
     @rule()

@@ -63,12 +63,6 @@ def two_fabrics(make_fabrics):
     return make_fabrics()
 
 
-@pytest.fixture
-def fast_timeout(monkeypatch):
-    """Retransmit after 50 ms, not 500, on the QPs connected after it."""
-    monkeypatch.setattr(fabric_module, "TIMEOUT_MS", 50.0)
-
-
 def wait_for(cq, n, timeout=10.0):
     got = []
     deadline = time.monotonic() + timeout
@@ -144,7 +138,7 @@ def test_close_stops_every_fabric_thread(two_fabrics):
     assert left() == []
 
 
-def test_exactly_once_in_order_under_faults(make_fabrics, fast_timeout):
+def test_exactly_once_in_order_under_faults(make_fabrics):
     n_msgs, size = 40, 2048
     (reg_a, reg_b), fabrics = make_fabrics(
         faults=FaultProfile(0.1, 0.1, 0.1, seed=3))
@@ -169,8 +163,7 @@ def test_exactly_once_in_order_under_faults(make_fabrics, fast_timeout):
     assert {"sent", "dropped", "dup"} <= statuses
 
 
-def test_single_drop_recovers_on_the_probe_deadline(make_fabrics,
-                                                    fast_timeout):
+def test_single_drop_recovers_on_the_probe_deadline(make_fabrics):
     (reg_a, reg_b), fabrics = make_fabrics()
     a = Node(reg_a, fabrics[0])
     b = Node(reg_b, fabrics[1])
@@ -194,7 +187,7 @@ def test_single_drop_recovers_on_the_probe_deadline(make_fabrics,
     assert [e.status for e in copies[:2]] == ["dropped", "sent"]
     assert all(e.status == "sent" for e in copies[1:])
     # the first copy is the tail-loss probe, once the head's probe
-    # deadline passed; the 50 ms timeout comes only after it
+    # deadline passed; the QP's 67 ms timeout comes only after it
     assert copies[1].t - posted_at >= PROBE_MS
 
 
@@ -207,7 +200,7 @@ def test_nak_frame_round_trips_through_the_stream_codec():
 
 
 def test_lost_frame_recovers_by_nak_before_the_deadline(make_fabrics):
-    (reg_a, reg_b), fabrics = make_fabrics()  # 500 ms retransmit timeout
+    (reg_a, reg_b), fabrics = make_fabrics()  # 67 ms retransmit timeout
     a = Node(reg_a, fabrics[0])
     b = Node(reg_b, fabrics[1])
     connect_pair(a, b)
@@ -326,7 +319,7 @@ def test_a_flush_on_another_thread_ends_a_socket_wait_at_once(two_fabrics):
 
 
 def test_unreachable_peer_is_traced_unrouted_and_fails_the_send(
-        make_fabrics, fast_timeout):
+        make_fabrics):
     (reg_a, _), (fab_a, _) = make_fabrics()
     a = Node(reg_a, fab_a)  # LID 1; nothing listens on LID 2's port
     to_init(a.qp)
@@ -654,7 +647,9 @@ def test_a_bad_record_closes_the_connection_after_the_frames_before_it(
     (reg_a, reg_b), (fab_a, fab_b) = two_fabrics
     a = Node(reg_a, fab_a)
     b = Node(reg_b, fab_b)
-    connect_pair(a, b)
+    # a 537 ms timeout (code 17): a short one could fire for the first
+    # message on a loaded host, and redial before the check below
+    connect_pair(a, b, timeout=17)
     dialled = fab_a._peers[b.lid]
     payload = bytes(range(256)) * 8  # two frames at mtu 1024
     b.post_recv(1, length=len(payload))
@@ -673,8 +668,6 @@ def test_a_bad_record_closes_the_connection_after_the_frames_before_it(
     assert not fab_b._conns  # a's connection was the only one
     # the next message goes into the closed connection and is lost; the
     # probe's send fails and closes a's socket, and the timeout redials
-    # (the default one: a short timeout could fire for the first message
-    # on a loaded host, and redial before the check above)
     b.post_recv(3, off=len(payload), length=len(payload))
     a.post_send(4, payload[::-1], off=len(payload))
     recv = wait_for(b.cq, 1)
@@ -682,6 +675,26 @@ def test_a_bad_record_closes_the_connection_after_the_frames_before_it(
     assert b.read(len(payload), len(payload)) == payload[::-1]
     assert [wc.status for wc in wait_for(a.cq, 1)] == [WcStatus.SUCCESS]
     assert fab_a._peers[b.lid] is not dialled and len(fab_b._conns) == 1
+
+
+def test_an_rnr_nak_code_beyond_5_bits_closes_the_connection(two_fabrics):
+    """A peer's RNR NAK for the unacked head whose delay code does not
+    fit 5 bits is a bad record: the wait that reads it closes the
+    connection and raises nothing, and the peer's next frame redials."""
+    (reg_a, reg_b), (fab_a, fab_b) = two_fabrics
+    a = Node(reg_a, fab_a)
+    b = Node(reg_b, fab_b)
+    connect_pair(a, b)
+    dialled = fab_b._peers[a.lid]
+    b.post_recv(1)
+    a.post_send(2, b"refused?")  # PSN 100, unacked until a wait moves it
+    record = encode_frame(Frame(FrameKind.RNR_NAK, a.qp.qpn, 100))
+    dialled.sendall(record[:10] + (32).to_bytes(4, "big"))
+    assert [wc.status for wc in wait_for(b.cq, 1)] == [WcStatus.SUCCESS]
+    assert [wc.status for wc in wait_for(a.cq, 1)] == [WcStatus.SUCCESS]
+    assert a.qp.state is QpState.RTS
+    # the ACK that followed the record was lost with the connection
+    assert fab_b._peers[a.lid] is not dialled and len(fab_a._conns) == 1
 
 
 def test_a_redial_in_the_first_frame_does_not_age_the_rest(two_fabrics,

@@ -58,6 +58,16 @@ def test_rnr_nak_hint_rides_in_length_field():
     assert decode_frame(data) == frame
 
 
+@pytest.mark.parametrize("length_field", [32, 0xFF, 0x100, 1 << 31])
+def test_an_rnr_nak_code_beyond_5_bits_is_rejected_at_decode(length_field):
+    # the engine indexes the RNR timer table with the code, so a bad one
+    # must fail here, as bad magic does
+    data = encode_frame(Frame(FrameKind.RNR_NAK, 5, 9, rnr_delay_hint=31))
+    assert decode_frame(data).rnr_delay_hint == 31
+    with pytest.raises(FrameDecodeError, match="5-bit"):
+        decode_frame(data[:10] + length_field.to_bytes(4, "big"))
+
+
 def test_oversized_payload_rejected_at_encode():
     frame = Frame(FrameKind.DATA, 1, 0, SegMark.ONLY, bytes(MAX_PAYLOAD + 1))
     with pytest.raises(FrameEncodeError):
