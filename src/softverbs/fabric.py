@@ -19,9 +19,13 @@ the NAK'd frame. Once the gap fills, the held frames that now continue
 the sequence are accepted as one run, under one cumulative ACK. A loss
 that no later frame reveals (a lost last frame, NAK, NAK'd resend or
 final ACK) is caught by a tail-loss probe, after RFC 8985: a head
-unacked for ``PROBE_MS`` is resent once, alone, and charged to its
-retry budget. The retransmit timeout (a go-back-N burst from the head)
-remains the fallback when the probe is lost too.
+unacked for one probe timeout (PTO) is resent once, alone, and charged
+to its retry budget. The PTO follows the path's round trip: each QP
+keeps an SRTT and RTTVAR after RFC 6298, sampled from the ACKs of frames
+sent once (Karn's rule), and its PTO is 2 x SRTT plus
+``PROBE_ALLOWANCE_MS`` (``PROBE_MS`` before the first sample), capped
+by the QP's retransmit timeout. That timeout (a go-back-N burst from the
+head) remains the fallback when the probe is lost too.
 
 An RNR NAK, after IBTA RC's receiver-not-ready rule, pauses the refused
 head for the time its delay code (the receiver's ``min_rnr_timer``)
@@ -64,11 +68,12 @@ and then sends the burst's ACKs. Every ACK, NAK and RNR NAK is built by
 one ``_reply``. Both transports share these and one retransmit timer
 (one pending tick per QP, armed with ``schedule_at`` at the head's
 probe, timeout or RNR pause deadline; a tick superseded by an earlier
-deadline is left in place and does nothing when it fires). A transport
-carries only frames and time: it supplies ``now_ms``, ``schedule_at``
-and ``_deliver``, hands each burst to ``_land``, and moves in
-``wait_until``, the blocking wait of the verbs objects (sockets), or in
-``progress``, which a driver whose callers all wait calls (loopback).
+deadline is cancelled, and on loopback so is the tick of a window that
+empties, so a lossless run fires none). A transport carries only frames
+and time: it supplies ``now_ms``, ``schedule_at`` and ``_deliver``,
+hands each burst to ``_land``, and moves in ``wait_until``, the
+blocking wait of the verbs objects (sockets), or in ``progress``, which
+a driver whose callers all wait calls (loopback).
 
 Engine callbacks (on_data / on_ack / on_timeout_tick) run serialized
 under the world lock shared with the verbs objects, which the transport
@@ -124,9 +129,15 @@ HOLD_PSNS = 1024
 # a go-back-N burst (timeout or stale-head resume) replays this many
 # frames at most
 BURST_FRAMES = 64
-# a head unacked this long is resent once, alone (a tail-loss probe),
-# before the retransmit timeout takes over
+# a head unacked for one probe timeout (PTO) is resent once, alone (a
+# tail-loss probe), before the retransmit timeout takes over. The PTO is
+# PROBE_MS until the QP's first RTT sample, then 2 x SRTT plus
+# PROBE_ALLOWANCE_MS, as Linux's TLP adds a minimum to RFC 8985's
+# 2 x SRTT; the QP's timeout caps both. On loopback (SRTT 2 ms) the probe
+# falls 3 ms after the ACK it waits for is due, past the 2.5 ms
+# (REORDER_EXTRA_MS) by which a reordered copy or its ACK is late
 PROBE_MS = 10.0
+PROBE_ALLOWANCE_MS = 1.0
 # the RNR NAK timer codes (a QP's min_rnr_timer) in ms, by code, after
 # the table in ibv_modify_qp(3); code 0 is the longest
 RNR_TIMER_MS = (655.36, 0.01, 0.02, 0.03, 0.04, 0.06, 0.08, 0.12, 0.16,
@@ -208,12 +219,14 @@ def ack_timeout_ms(code: int) -> float:
 
 def _due(snd: SenderState) -> float:
     """When the head's tick has work: the end of its pause if it is
-    paused, else its probe (at the timeout, if that comes first), then
-    once probed its timeout; inf if the QP has none."""
+    paused, else one PTO after its send (the QP's ``pto_ms``: 2 x SRTT
+    plus PROBE_ALLOWANCE_MS, or PROBE_MS before the first RTT sample,
+    and never past the timeout), then once probed its timeout; inf if
+    the QP has none."""
     if snd.paused_until:
         return snd.paused_until
     return snd.unacked[0][1] + (snd.timeout_ms if snd.probed
-                                else min(PROBE_MS, snd.timeout_ms))
+                                else snd.pto_ms)
 
 
 class SenderState:
@@ -226,6 +239,18 @@ class SenderState:
     code named when it entered RTS (``ack_timeout_ms``); the probe, the
     timeout and the stale-head resume all read it.
 
+    ``srtt`` and ``rttvar`` estimate the round trip after RFC 6298 (0.0
+    before the first sample): ``_retire_through`` takes one sample per
+    ACK that retires frames, from the newest one's send, unless a
+    retired frame was resent (Karn's rule). Every resend starts at the
+    head, so the frames resent are always a prefix of the window, and
+    ``resent`` counts them. ``pto_ms``, the probe timeout ``_due``
+    reads, is PROBE_MS until the first sample, then 2 x ``srtt`` plus
+    PROBE_ALLOWANCE_MS (RFC 8985's PTO with a minimum added, as Linux's
+    TLP adds one), and never more than ``timeout_ms``. ``rttvar`` does
+    not set the PTO; it is kept, as RFC 6298 keeps it, to show the
+    path's jitter beside ``srtt``.
+
     Only the head is ever resent alone, probed or paused, so its retry
     state lives here, not on each frame: ``retries_used`` and
     ``rnr_retries_used`` count what its two budgets spent, ``probed``
@@ -234,22 +259,33 @@ class SenderState:
     the pause clears it). ``_retire_through`` resets all four when the
     head retires.
 
-    ``tick_at`` is when the pending retransmit tick fires (inf if none);
-    a tick whose ``tick_gen`` is no longer current was superseded by an
-    earlier one and does nothing."""
+    ``tick`` is the pending retransmit tick, the ``(time, sequence,
+    callback)`` entry ``schedule_at`` queued, or None."""
 
-    __slots__ = ("next_psn", "timeout_ms", "unacked", "tick_at",
-                 "tick_gen", "retries_used", "rnr_retries_used", "probed",
-                 "paused_until")
+    __slots__ = ("next_psn", "timeout_ms", "unacked", "tick",
+                 "retries_used", "rnr_retries_used", "probed",
+                 "paused_until", "srtt", "rttvar", "pto_ms", "resent")
 
     def __init__(self, next_psn: int, timeout_ms: float):
         self.next_psn = next_psn
         self.timeout_ms = timeout_ms
         self.unacked: deque[list] = deque()
-        self.tick_at = math.inf
-        self.tick_gen = 0
+        self.tick: Optional[tuple] = None
         self.retries_used = self.rnr_retries_used = 0
         self.probed, self.paused_until = False, 0.0
+        self.srtt = self.rttvar = 0.0
+        self.pto_ms = min(PROBE_MS, timeout_ms)
+        self.resent = 0
+
+    def sample_rtt(self, rtt: float) -> None:
+        """Fold one round trip into ``srtt`` and ``rttvar`` (RFC 6298,
+        2.2-2.3) and set the probe timeout from the new ``srtt``."""
+        if self.srtt:
+            self.rttvar = 0.75 * self.rttvar + 0.25 * abs(self.srtt - rtt)
+            self.srtt = 0.875 * self.srtt + 0.125 * rtt
+        else:
+            self.srtt, self.rttvar = rtt, rtt / 2
+        self.pto_ms = min(2 * self.srtt + PROBE_ALLOWANCE_MS, self.timeout_ms)
 
 
 class ReceiverState:
@@ -368,9 +404,19 @@ class Fabric(Progress):
     def now_ms(self) -> float:
         raise NotImplementedError
 
-    def schedule_at(self, t: float, fn: Callable[[], None]) -> None:
-        """Run ``fn`` at ``t`` on the ``now_ms`` clock."""
+    def schedule_at(self, t: float, fn: Callable[[], None]) -> tuple:
+        """Run ``fn`` at ``t`` on the ``now_ms`` clock; return the timer's
+        entry, which ``_cancel`` takes."""
         raise NotImplementedError
+
+    def _cancel(self, timer: tuple) -> None:
+        """Take a pending timer out of the heap, if ``close`` has not
+        dropped it already; the caller holds the world lock."""
+        try:
+            self._timers.remove(timer)
+        except ValueError:
+            return
+        heapq.heapify(self._timers)
 
     def _deliver(self, src: Optional[Endpoint], dlid: int, frame: Frame) -> None:
         """Send each copy ``_wire_copies`` plans, after its extra delay."""
@@ -394,27 +440,32 @@ class Fabric(Progress):
         """Schedule one timeout tick at the head's deadline, unless one is
         pending for no later; the tick re-arms itself while frames stay
         unacked. A paused head's deadline is the end of its pause,
-        exactly. A pending tick that is due later is superseded: the
-        generation moves on, and it does nothing when it fires."""
+        exactly. A pending tick that is due later is cancelled."""
         snd = qp.sender
         if snd is None or not snd.unacked:
             return
         deadline = _due(snd)
         if not snd.paused_until:
             deadline += TICK_EPS_MS
-        if snd.tick_at <= deadline:
+        tick = snd.tick
+        if (tick[0] if tick else math.inf) <= deadline:
             return
-        snd.tick_at = deadline
-        snd.tick_gen += 1
-        self.schedule_at(deadline,
-                         partial(self._tick_fired, qp, snd, snd.tick_gen))
+        if tick:
+            self._cancel(tick)
+        snd.tick = self.schedule_at(deadline,
+                                    partial(self._tick_fired, qp, snd))
 
-    def _tick_fired(self, qp: QueuePair, snd: SenderState, gen: int) -> None:
-        if qp.sender is not snd or snd.tick_gen != gen:
-            return
-        snd.tick_at = math.inf
-        self.on_timeout_tick(qp, self.now_ms())
-        self._arm_tick(qp)
+    def _tick_fired(self, qp: QueuePair, snd: SenderState) -> None:
+        snd.tick = None
+        if qp.sender is snd:
+            self.on_timeout_tick(qp, self.now_ms())
+            self._arm_tick(qp)
+
+    def _idle(self, snd: SenderState) -> None:
+        """The window emptied. Its pending tick stays: it fires once more,
+        finds nothing and stops. Dropping it now would make the next send
+        arm a new one, and on sockets wake the polling mover for it, a
+        system call per message. LoopbackFabric drops it."""
 
     def _backlogged(self, dlid: int) -> bool:
         """Does the transport still hold bytes it has not sent to
@@ -458,11 +509,17 @@ class Fabric(Progress):
                 deliver(src, dlid, frame)
             self._arm_tick(qp)
 
-    def _transmit_entry(self, qp: QueuePair, entry: list) -> None:
-        """Resend an unacked ``[frame, sent_at]`` pair, restarting its
-        clock."""
-        entry[1] = self.now_ms()
-        self._deliver(qp._endpoint, qp.attrs.ah.dlid, entry[0])
+    def _resend(self, qp: QueuePair, count: int = 1) -> None:
+        """Resend the window's first ``count`` frames, restarting each
+        one's clock. Every resend starts at the head, so the frames ever
+        resent are a prefix of the window, which ``resent`` counts."""
+        snd = qp.sender
+        src, dlid = qp._endpoint, qp.attrs.ah.dlid
+        for entry in itertools.islice(snd.unacked, count):
+            entry[1] = self.now_ms()
+            self._deliver(src, dlid, entry[0])
+        if snd.resent < count:
+            snd.resent = count
 
     def on_ack(self, qp: QueuePair, frame: Frame) -> None:
         """Cumulative ack: retire every unacked entry with psn <= frame.psn.
@@ -490,50 +547,56 @@ class Fabric(Progress):
 
     def _retire_through(self, qp: QueuePair, psn: int) -> bool:
         """Retire every unacked frame with psn <= ``psn``, completing the
-        sends whose last frame goes; True if any frame went. A new head
-        starts with the full retry budgets, unprobed and unpaused."""
+        sends whose last frame goes; True if any frame went. If none of
+        them was resent, the newest one's send time gives an RTT sample
+        (Karn's rule). A new head starts with the full retry budgets,
+        unprobed and unpaused."""
         snd = qp.sender
         unacked = snd.unacked
         before = len(unacked)
+        entry = None
         while unacked and psn_le(unacked[0][0].psn, psn):
-            if unacked.popleft()[0].seg in _ENDS:
+            entry = unacked.popleft()
+            if entry[0].seg in _ENDS:
                 qp.complete_send()
-        if len(unacked) == before:
+        if entry is None:
             return False
+        if not unacked:
+            self._idle(snd)
+        if snd.resent:
+            snd.resent = max(0, snd.resent - (before - len(unacked)))
+        else:
+            snd.sample_rtt(self.now_ms() - entry[1])
         snd.retries_used = snd.rnr_retries_used = 0
         snd.probed, snd.paused_until = False, 0.0
         return True
 
-    def _nakked_head(self, qp: QueuePair, frame: Frame) -> Optional[list]:
+    def _nakked_head(self, qp: QueuePair, frame: Frame) -> bool:
         """Read a NAK or an RNR NAK: everything before its PSN arrived (an
-        implicit ACK), so retire it; then return the head it names. None
-        if the QP is not in RTS, if the NAK is stale (its PSN is no
-        longer at the head) or if the head is paused (a copy of the
+        implicit ACK), so retire it; then say whether it names the head.
+        It does not if the QP is not in RTS, if the NAK is stale (its PSN
+        is no longer at the head) or if the head is paused (a copy of the
         refused frame or of its NAK, or a NAK the pause's end answers
         anyway)."""
         snd = qp.sender
         if snd is None or qp.state is not QpState.RTS:
-            return None
+            return False
         self._retire_through(qp, psn_add(frame.psn, -1))
-        if snd.unacked and not snd.paused_until:
-            head = snd.unacked[0]
-            if head[0].psn == frame.psn:
-                return head
-        return None
+        return (bool(snd.unacked) and not snd.paused_until
+                and snd.unacked[0][0].psn == frame.psn)
 
     def on_nak(self, qp: QueuePair, frame: Frame) -> None:
         """PSN sequence error: the receiver holds later frames and still
         waits for ``frame.psn``, which is resent at once, alone, and
         charged to the head's retry budget as a timeout would be."""
-        head = self._nakked_head(qp, frame)
-        if head is None:
+        if not self._nakked_head(qp, frame):
             return
         snd = qp.sender
         if snd.retries_used >= qp.attrs.retry_cnt:
             qp.complete_send(WcStatus.RETRY_EXCEEDED)
             return
         snd.retries_used += 1
-        self._transmit_entry(qp, head)
+        self._resend(qp)
         self._arm_tick(qp)
 
     def on_rnr_nak(self, qp: QueuePair, frame: Frame) -> None:
@@ -546,7 +609,7 @@ class Fabric(Progress):
         the pause. An ``rnr_retry`` of 7 is no limit: the budget never
         runs out.
         """
-        if self._nakked_head(qp, frame) is None:
+        if not self._nakked_head(qp, frame):
             return
         snd = qp.sender
         budget = qp.attrs.rnr_retry
@@ -564,10 +627,12 @@ class Fabric(Progress):
         the burst cap. Retry accounting is the caller's job, not ours.
         """
         snd = qp.sender
-        for sent, entry in enumerate(snd.unacked):
-            if sent >= BURST_FRAMES or now - entry[1] < snd.timeout_ms:
+        stale = 0
+        for _, sent_at in itertools.islice(snd.unacked, BURST_FRAMES):
+            if now - sent_at < snd.timeout_ms:
                 break
-            self._transmit_entry(qp, entry)
+            stale += 1
+        self._resend(qp, stale)
 
     def on_timeout_tick(self, qp: QueuePair, now: float) -> None:
         """End an RNR pause, probe a stalled head, or retransmit from it
@@ -577,11 +642,13 @@ class Fabric(Progress):
         charged to neither budget again (its RNR NAK was charged), since
         the receiver holds the frames that followed it.
 
-        A head unacked for ``PROBE_MS`` (or the QP's timeout, if that is
-        shorter) is resent once, alone: a tail-loss probe, after RFC
-        8985. It recovers the losses no later frame can reveal (a lost
-        last frame, NAK, NAK'd resend or final ACK): the resend fills the
-        receiver's gap or draws a stale re-ACK. Once the probed head
+        A head unacked for one PTO is resent once, alone: a tail-loss
+        probe, after RFC 8985. The PTO follows the path: 2 x the QP's
+        SRTT plus ``PROBE_ALLOWANCE_MS`` once an ACK gave a sample,
+        ``PROBE_MS`` before, and never more than the QP's timeout. It
+        recovers the losses no later frame can reveal (a lost last frame,
+        NAK, NAK'd resend or final ACK): the resend fills the receiver's
+        gap or draws a stale re-ACK. Once the probed head
         outlives the QP's timeout, a go-back-N burst replays the window
         from it; a QP whose timeout code is 0 has none, and its probed
         head waits for the receiver. While the transport still holds
@@ -597,13 +664,12 @@ class Fabric(Progress):
             return
         if now < _due(snd):
             return
-        head = snd.unacked[0]
         if snd.paused_until:
             snd.paused_until = 0.0
-            self._transmit_entry(qp, head)
+            self._resend(qp)
             return
         if self._backlogged(qp.attrs.ah.dlid):
-            head[1] = now
+            snd.unacked[0][1] = now
             return
         if snd.retries_used >= qp.attrs.retry_cnt:
             qp.complete_send(WcStatus.RETRY_EXCEEDED)
@@ -613,7 +679,7 @@ class Fabric(Progress):
             self._retransmit_burst(qp, now)
         else:
             snd.probed = True
-            self._transmit_entry(qp, head)
+            self._resend(qp)
 
     # -- receive side --------------------------------------------------------
 
@@ -838,11 +904,20 @@ class LoopbackFabric(Fabric):
     def now_ms(self) -> float:
         return self._now
 
-    def schedule_at(self, t: float, fn: Callable[[], None]) -> None:
+    def schedule_at(self, t: float, fn: Callable[[], None]) -> tuple:
         """Queue ``fn`` for virtual time ``t``. The caller holds the world
         lock, as every engine callback and ``transmit_message`` do; it
         is not taken again here, once per frame."""
-        heapq.heappush(self._timers, (t, next(self._seq), fn))
+        timer = (t, next(self._seq), fn)
+        heapq.heappush(self._timers, timer)
+        return timer
+
+    def _idle(self, snd: SenderState) -> None:
+        """The window emptied: drop its pending tick, which would only
+        fire for nothing and cost a driver round."""
+        if snd.tick is not None:
+            self._cancel(snd.tick)
+            snd.tick = None
 
     def _drain(self, limit: float, max_events: int = MAX_EVENTS) -> int:
         """Run every event due at or before ``limit``, in order; the one
@@ -1009,7 +1084,9 @@ class _ManualProgress:
     it, and so does the mover's hand-over when it stops, so that one of
     them takes over. A thread that arms a timer, gives the mover another
     socket to watch or flushes a queue cuts its poll short through a
-    socket pair. The open fabrics are a tuple, replaced whole under
+    socket pair; the mover itself never does, since it reads every heap
+    and the poll set again before it polls. The open fabrics are a
+    tuple, replaced whole under
     ``lock`` when one opens or closes, so the mover reads it on each
     pass without the lock.
 
@@ -1026,6 +1103,7 @@ class _ManualProgress:
         # guards replacing fabrics, sleepers and the poll set
         self.lock = threading.Lock()
         self.mover = threading.Lock()
+        self.moving: Optional[int] = None  # the mover's thread ident
         self.sleepers: set[threading.Condition] = set()
         self.polling = False  # the mover is in poll(), or about to be
         self.poller = select.poll()
@@ -1065,7 +1143,7 @@ class _ManualProgress:
                 self.poller.unregister(fd)
 
     def wake(self) -> None:
-        if self.polling:
+        if self.polling and self.moving != threading.get_ident():
             with suppress(BlockingIOError):  # full: the mover wakes anyway
                 self.wake_pair[1].send(b"\0", socket.MSG_DONTWAIT)
 
@@ -1083,10 +1161,12 @@ class _ManualProgress:
                 if not self.mover.acquire(blocking=False):
                     cond.wait(None if left == math.inf else left)
                     continue
+            self.moving = threading.get_ident()
             try:
                 return self._move(cond, ready, deadline)
             finally:
                 self.polling = False
+                self.moving = None
                 self.mover.release()
                 with self.lock:
                     sleepers, self.sleepers = self.sleepers, set()
@@ -1168,10 +1248,12 @@ class SocketFabric(Fabric):
     def now_ms(self) -> float:
         return time.monotonic() * 1000.0
 
-    def schedule_at(self, t: float, fn: Callable[[], None]) -> None:
+    def schedule_at(self, t: float, fn: Callable[[], None]) -> tuple:
         with self._lock:
-            heapq.heappush(self._timers, (t, next(self._seq), fn))
+            timer = (t, next(self._seq), fn)
+            heapq.heappush(self._timers, timer)
         _MANUAL.wake()
+        return timer
 
     def wait_until(self, cond, ready, timeout) -> bool:
         return _MANUAL.wait(cond, ready, timeout)

@@ -24,6 +24,7 @@ import threading
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum, IntFlag
+from operator import attrgetter, itemgetter
 from typing import NamedTuple, Optional
 
 from .wire import PSN_MASK, QPN_MASK
@@ -91,6 +92,11 @@ RTR_REQUIRED = (AttrMask.STATE | AttrMask.AV | AttrMask.PATH_MTU |
 RTS_REQUIRED = (AttrMask.STATE | AttrMask.TIMEOUT | AttrMask.RETRY_CNT |
                 AttrMask.RNR_RETRY | AttrMask.SQ_PSN |
                 AttrMask.MAX_QP_RD_ATOMIC)
+# what a modify without a state change may set on an RTS QP: the
+# optional attributes of the RTS->RTS transition in ibv_modify_qp(3) that
+# this emulation models. The rest (the timeout above all, which the
+# engine reads once, on entry to RTS) are fixed while the QP stays in RTS
+RTS_MODIFIABLE = AttrMask.ACCESS_FLAGS | AttrMask.MIN_RNR_TIMER
 
 
 class QpState(Enum):
@@ -153,6 +159,8 @@ class SendFlags(IntFlag):
 # the signaled bit as a plain int: ``flags & SendFlags.SIGNALED`` goes
 # through Flag.__and__, a Python-level call, on every post
 _SIGNALED = int(SendFlags.SIGNALED)
+# a resolved slot's MR, and whether an MR is still registered
+_SLOT_MR, _PINNED = itemgetter(0), attrgetter("pinned")
 
 
 class CompletionEntry(NamedTuple):
@@ -162,6 +170,11 @@ class CompletionEntry(NamedTuple):
     status: WcStatus
     opcode: WcOpcode
     byte_len: int = 0
+
+
+# builds a CompletionEntry from all its fields, without the Python
+# ``__new__`` that NamedTuple generates; every CQE the QP pushes uses it
+_new = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -692,6 +705,8 @@ class QueuePair:
         self.attrs = QpAttributes()
         self.send_queue: deque[PostedSend] = deque()
         self.recv_queue: deque[PostedRecv] = deque()
+        # the scatter list post_send resolved last (a copy) and its slots
+        self._sent: Optional[tuple[list, list]] = None
         # engine-owned reliable-connection state, managed by the fabric
         self.sender = None
         self.receiver = None
@@ -711,7 +726,8 @@ class QueuePair:
         INIT wants {STATE, PKEY_INDEX, PORT, ACCESS_FLAGS}; RTR wants
         {STATE, AV, PATH_MTU, DEST_QPN, RQ_PSN, MAX_DEST_RD_ATOMIC,
         MIN_RNR_TIMER}; RTS wants {STATE, TIMEOUT, RETRY_CNT, RNR_RETRY,
-        SQ_PSN, MAX_QP_RD_ATOMIC}. Failure leaves the QP untouched.
+        SQ_PSN, MAX_QP_RD_ATOMIC}. Without a state change, an RTS QP takes
+        only ``RTS_MODIFIABLE``. Failure leaves the QP untouched.
         """
         if int(mask) & ~int(MASK_ALL):
             raise VerbsError(f"undefined attr-mask bits in {int(mask):#x}")
@@ -728,6 +744,9 @@ class QueuePair:
                     missing = AttrMask(int(required) & ~int(mask))
                     raise VerbsError(
                         f"mask missing {missing!r} for -> {target.name}")
+            elif self.state is QpState.RTS and mask & ~RTS_MODIFIABLE:
+                fixed = AttrMask(int(mask) & ~int(RTS_MODIFIABLE))
+                raise VerbsError(f"{fixed!r} cannot change while in RTS")
             self._validate_masked(attrs, mask)
             self._apply_masked(attrs, mask)
             if target is not None:
@@ -816,12 +835,12 @@ class QueuePair:
         self.context._progress().wake()
         while self.recv_queue:
             wqe = self.recv_queue.popleft()
-            self.recv_cq._push(CompletionEntry(
-                wqe.wr_id, WcStatus.WR_FLUSHED, WcOpcode.RECV))
+            self.recv_cq._push(_new(CompletionEntry, (
+                wqe.wr_id, WcStatus.WR_FLUSHED, WcOpcode.RECV, 0)))
         while self.send_queue:
             wqe = self.send_queue.popleft()
-            self.send_cq._push(CompletionEntry(
-                wqe.wr_id, WcStatus.WR_FLUSHED, WcOpcode.SEND))
+            self.send_cq._push(_new(CompletionEntry, (
+                wqe.wr_id, WcStatus.WR_FLUSHED, WcOpcode.SEND, 0)))
         if self.sender is not None:
             self.sender.unacked.clear()
 
@@ -883,7 +902,14 @@ class QueuePair:
                 index += 1
 
     def post_send(self, wr: SendWorkRequest) -> None:
-        """Snapshot payloads and hand them to the fabric; RTS only."""
+        """Snapshot payloads and hand them to the fabric; RTS only.
+
+        A WR whose scatter list equals by value the one resolved last on
+        this QP reuses its slots once each MR is seen to be still
+        registered: lkeys are never reused, and nothing else the
+        resolution checks can change. A bad element still raises
+        ``BadWorkRequestError`` with its chain index.
+        """
         with self.context.lock:
             if self.state is not QpState.RTS:
                 raise VerbsError(f"cannot post sends while {self.state.name}")
@@ -899,8 +925,14 @@ class QueuePair:
                         index, f"unsupported opcode {node.opcode!r}")
                 if len(self.send_queue) >= self.caps.max_send_wr:
                     raise BadWorkRequestError(index, "send queue full")
-                slots = self._resolve_sges(
-                    node.sg_list, self.caps.max_send_sge, index)
+                sges, sent = node.sg_list, self._sent
+                if sent is not None and sges == sent[0] and \
+                        all(map(_PINNED, map(_SLOT_MR, sent[1]))):
+                    slots = sent[1]
+                else:
+                    slots = self._resolve_sges(
+                        sges, self.caps.max_send_sge, index)
+                    self._sent = (list(sges), slots)
                 # one SGE's bytes come back from join as they are
                 payload = b"".join([mr.read(addr, length)
                                     for mr, addr, length in slots])
@@ -921,7 +953,8 @@ class QueuePair:
         wqe = self.send_queue.popleft()
         failed = status is not WcStatus.SUCCESS
         if wqe.signaled or failed:
-            self.send_cq._push(CompletionEntry(wqe.wr_id, status, WcOpcode.SEND))
+            self.send_cq._push(_new(CompletionEntry,
+                                    (wqe.wr_id, status, WcOpcode.SEND, 0)))
         if failed:
             self.enter_error()
 
@@ -931,14 +964,14 @@ class QueuePair:
         fails it with a protection error and throws the QP into ERR."""
         wqe = self.recv_queue.popleft()
         if len(message) > wqe.capacity:
-            self.recv_cq._push(CompletionEntry(
+            self.recv_cq._push(_new(CompletionEntry, (
                 wqe.wr_id, WcStatus.LOCAL_PROTECTION_ERROR, WcOpcode.RECV,
-                len(message)))
+                len(message))))
             self.enter_error()
             return
         wqe.scatter(message)
-        self.recv_cq._push(CompletionEntry(
-            wqe.wr_id, WcStatus.SUCCESS, WcOpcode.RECV, len(message)))
+        self.recv_cq._push(_new(CompletionEntry, (
+            wqe.wr_id, WcStatus.SUCCESS, WcOpcode.RECV, len(message))))
 
     def destroy(self) -> None:
         with self.context.lock:

@@ -121,4 +121,4 @@ class TestFaultSweepScript:
         assert all(row.split()[1] == "all" for row in rnr_rows)
         # the sweep's frames and virtual times, pinned
         assert lines[-1] == \
-            "summed: 14735 DATA frames, 2719 ACKs, 4382.43 virtual ms"
+            "summed: 14531 DATA frames, 2378 ACKs, 4467.29 virtual ms"

@@ -10,12 +10,14 @@ from hypothesis import given, settings, strategies as st
 from conftest import Node, connect_pair, run_until, to_init
 from softverbs.fabric import (
     HOLD_PSNS,
+    PROBE_ALLOWANCE_MS,
     PROBE_MS,
     RNR_TIMER_MS,
     TICK_EPS_MS,
     FabricConfigError,
     FaultProfile,
     LoopbackFabric,
+    SenderState,
     ack_timeout_ms,
     parse_fabric_config,
     parse_faults_spec,
@@ -851,11 +853,14 @@ def drop_first(kind, psn, copies=1):
 
 
 class TestTailLossProbe:
-    """A head unacked for PROBE_MS is resent once, alone; each loss that
-    no later frame reveals then costs PROBE_MS and a round trip, not a
-    500 ms timeout."""
+    """A head unacked for one PTO is resent once, alone; each loss that
+    no later frame reveals then costs a PTO and a round trip, not a
+    timeout. The PTO is PROBE_MS until an ACK gave an RTT sample, then
+    2 x SRTT plus PROBE_ALLOWANCE_MS: on a lossless loopback path, whose
+    round trip is HOPS, that is PTO."""
 
     HOPS = 2 * LoopbackFabric.hop_latency_ms
+    PTO = 2 * HOPS + PROBE_ALLOWANCE_MS
 
     def _send(self, pair, fabric, size, drop):
         a, b = pair
@@ -873,8 +878,9 @@ class TestTailLossProbe:
                 if e.frame.kind is kind and e.frame.psn == psn]
 
     def test_lost_last_frame(self, pair, fabric):
+        # the ACK of PSN 100 gives a sample of one round trip
         done = self._send(pair, fabric, 2048, drop_first_copy(101))
-        assert done == PROBE_MS + TICK_EPS_MS + self.HOPS
+        assert done == self.PTO + TICK_EPS_MS + self.HOPS
         assert [e.status for e in
                 self._copies(fabric, FrameKind.DATA, 101)] == \
             ["dropped", "sent"]
@@ -928,11 +934,14 @@ class TestTailLossProbe:
         assert done == resent + self.HOPS
 
     def test_lossless_pair_sends_no_frame_twice(self, monkeypatch):
-        fired = []
-        tick = LoopbackFabric._tick_fired
+        fired, rounds = [], []
+        tick, progress = LoopbackFabric._tick_fired, LoopbackFabric.progress
         monkeypatch.setattr(LoopbackFabric, "_tick_fired",
                             lambda self, *args: fired.append(args) or
                             tick(self, *args))
+        monkeypatch.setattr(LoopbackFabric, "progress",
+                            lambda self, wait: rounds.append(wait) or
+                            progress(self, wait))
         _, _, fabric = run_loopback_pair(
             PingpongConfig(iters=1000, size=64), seed=1)
         sent = collections.Counter(
@@ -940,9 +949,11 @@ class TestTailLossProbe:
             if e.frame.kind is FrameKind.DATA)
         assert len(sent) == 2000 and set(sent.values()) == {1}
         assert {e.status for e in fabric.trace} == {"sent"}
-        # one tick per QP per PROBE_MS of the run, at most
+        # one driver round per hop: a tick is dropped when its window
+        # empties, so none fires and none is left
         assert fabric.now_ms() == 2001.0
-        assert len(fired) <= 2 * math.ceil(fabric.now_ms() / PROBE_MS) + 2
+        assert len(rounds) <= 2001
+        assert fired == [] and fabric._timers == []
 
     def test_probe_then_timeout_spacing(self, registry, fabric):
         # criterion 05's set-up: PSN 101 is always lost
@@ -956,7 +967,8 @@ class TestTailLossProbe:
         fabric.run_until_idle()
         t = [e.t for e in self._copies(fabric, FrameKind.DATA, 101)]
         assert len(t) == 1 + 7
-        assert PROBE_MS <= t[1] < PROBE_MS + 1  # the probe
+        # the probe; the ACK of PSN 100 gave the sample that sets the PTO
+        assert self.PTO <= t[1] < self.PTO + 1
         timeout = a.qp.sender.timeout_ms  # the QP's timeout code, 14
         assert timeout <= t[2] - t[1] < timeout + 1  # the first timeout
         wc, = a.cq.poll(2)
@@ -972,6 +984,137 @@ class TestTailLossProbe:
         assert probes == [PROBE_MS + TICK_EPS_MS,
                           PROBE_MS + TICK_EPS_MS + self.HOPS]
         assert done == PROBE_MS + TICK_EPS_MS + 2 * self.HOPS
+
+
+class TestRttEstimator:
+    """Each QP keeps SRTT and RTTVAR after RFC 6298 from the ACKs of
+    frames sent once (Karn's rule), and probes its head one PTO after
+    its send: PROBE_MS before the first sample, then 2 x SRTT plus
+    PROBE_ALLOWANCE_MS, never past the QP's timeout."""
+
+    HOPS = 2 * LoopbackFabric.hop_latency_ms
+
+    def _exchange(self, pair, fabric, wr_id, drop=None):
+        """One 100-byte message, run until its send completes; returns
+        the send times of its DATA copies."""
+        a, b = pair
+        b.post_recv(wr_id)
+        fabric.drop_filter = drop
+        sent_before = len(fabric.trace)
+        a.post_send(wr_id, bytes([wr_id]) * 100)
+        got = []
+        run_until(fabric, lambda: got.extend(a.cq.poll(1)) or got)
+        assert [wc.status for wc in got] == [WcStatus.SUCCESS]
+        return [e.t for e in fabric.trace[sent_before:]
+                if e.frame.kind is FrameKind.DATA and e.status != "dup"]
+
+    def test_before_the_first_sample_the_probe_waits_probe_ms(self, pair,
+                                                              fabric):
+        a, _ = pair
+        assert (a.qp.sender.srtt, a.qp.sender.pto_ms) == (0.0, PROBE_MS)
+        copies = self._exchange(pair, fabric, 1, drop_first_copy(100))
+        assert copies == [0.0, PROBE_MS + TICK_EPS_MS]
+
+    def test_lossless_round_trips_set_the_probe_one_pto_after_a_send(
+            self, pair, fabric):
+        a, _ = pair
+        snd = a.qp.sender
+        for wr_id in (1, 2, 3):
+            self._exchange(pair, fabric, wr_id)
+        # RFC 6298: the first sample R sets SRTT = R and RTTVAR = R/2;
+        # each equal sample after it leaves SRTT and shrinks RTTVAR by 3/4
+        assert snd.srtt == self.HOPS
+        assert snd.rttvar == self.HOPS / 2 * 0.75 ** 2
+        pto = 2 * self.HOPS + PROBE_ALLOWANCE_MS
+        assert snd.pto_ms == pto
+        sent, probe = self._exchange(pair, fabric, 4, drop_first_copy(103))
+        assert probe - sent == pto + TICK_EPS_MS
+
+    def test_the_first_sample_moves_the_pending_tick_earlier(self, pair,
+                                                             fabric):
+        # PSN 101 is lost; the ACK of 100 gives the first sample, and the
+        # tick armed for PROBE_MS gives way to one a PTO after the send
+        a, b = pair
+        b.post_recv(1)
+        fabric.drop_filter = drop_first_copy(101)
+        a.post_send(2, bytes(2048))
+        assert [t for t, *_ in fabric._timers if t != 1.0] == \
+            [PROBE_MS + TICK_EPS_MS]
+        fabric.advance(self.HOPS)
+        pto = 2 * self.HOPS + PROBE_ALLOWANCE_MS
+        assert a.qp.sender.pto_ms == pto
+        assert [t for t, *_ in fabric._timers] == [pto + TICK_EPS_MS]
+
+    def test_an_ack_of_a_resent_frame_gives_no_sample(self, pair, fabric):
+        a, _ = pair
+        snd = a.qp.sender
+        # the probe resends the only frame; its ACK times nothing
+        self._exchange(pair, fabric, 1, drop_first_copy(100))
+        assert (snd.srtt, snd.resent) == (0.0, 0)
+        # a NAK resends the head of four frames: the ACK that retires the
+        # resend and the three held frames behind it times nothing either
+        b = pair[1]
+        b.post_recv(2)
+        fabric.drop_filter = drop_first_copy(101)
+        a.post_send(2, bytes(4096))  # PSNs 101..104
+        got = []
+        run_until(fabric, lambda: got.extend(a.cq.poll(1)) or got)
+        assert [e.frame.psn for e in fabric.trace
+                if e.frame.kind is FrameKind.DATA][-1] == 101
+        assert (snd.srtt, snd.resent) == (0.0, 0)
+        # the next frame sent once gives the first sample
+        self._exchange(pair, fabric, 3)
+        assert snd.srtt == self.HOPS
+
+    def test_the_karn_count_covers_the_resent_prefix_only(self, pair,
+                                                          fabric):
+        a, _ = pair
+        snd = a.qp.sender
+        a.post_send(1, bytes(4096))  # PSNs 100..103, no receive posted
+        fabric.on_nak(a.qp, Frame(FrameKind.NAK, a.qp.qpn, 100))
+        assert snd.resent == 1
+        fabric.on_ack(a.qp, Frame(FrameKind.ACK, a.qp.qpn, 101))
+        assert (snd.resent, snd.srtt) == (0, 0.0)
+        # the frames left were sent once: their ACK is a sample
+        fabric.advance(3.0)
+        fabric.on_ack(a.qp, Frame(FrameKind.ACK, a.qp.qpn, 103))
+        assert snd.srtt == 3.0 and not snd.unacked
+
+    @given(code=st.integers(1, 31),
+           samples=st.lists(st.floats(0.001, 1000.0), min_size=1,
+                            max_size=20))
+    def test_the_pto_never_exceeds_the_qps_timeout(self, code, samples):
+        snd = SenderState(0, ack_timeout_ms(code))
+        assert snd.pto_ms == min(PROBE_MS, ack_timeout_ms(code))
+        for rtt in samples:
+            snd.sample_rtt(rtt)
+            assert snd.pto_ms == min(2 * snd.srtt + PROBE_ALLOWANCE_MS,
+                                     ack_timeout_ms(code))
+
+    def test_a_small_timeout_code_caps_the_probe(self, registry, fabric):
+        # code 8 is 1.048576 ms: shorter than a round trip, so every
+        # head is probed at the timeout and its ACK times nothing
+        a = Node(registry, fabric)
+        b = Node(registry, fabric)
+        connect_pair(a, b, timeout=8)
+        snd = a.qp.sender
+        for wr_id in (1, 2):
+            copies = self._exchange((a, b), fabric, wr_id)
+            assert copies[1] - copies[0] == \
+                pytest.approx(ack_timeout_ms(8) + TICK_EPS_MS)
+            assert snd.pto_ms == ack_timeout_ms(8) and snd.srtt == 0.0
+
+    def test_a_lossless_stepped_run_leaves_no_timer(self, pair, fabric):
+        a, b = pair
+        for i in range(8):
+            b.post_recv(i, off=i * 512, length=512)
+            a.post_send(i, bytes([i]) * 512, off=i * 512)
+        got = []
+        while len(got) < 8 and fabric.step():
+            got.extend(a.cq.poll(8))
+        assert len(got) == 8 and a.qp.sender.srtt == self.HOPS
+        # the last ACK emptied the window and took its tick along
+        assert fabric._timers == []
 
 
 class TestBursts:
@@ -1105,20 +1248,20 @@ class TestReliability:
         profile = FaultProfile(0.05, 0.1, 0.1, seed=1)
         fabric, *_ = self._blast(1, n_msgs=200, size=4096, mtu=1024,
                                  profile=profile)
-        assert len(fabric.trace) == 1489
+        assert len(fabric.trace) == 1167
         assert sum(1 for e in fabric.trace
-                   if e.frame.kind is FrameKind.DATA) == 1225
+                   if e.frame.kind is FrameKind.DATA) == 1055
         assert trace_digest(fabric) == (
-            "a7633411e2b823d01dcba1d4265b6dfb5732330aa65e72e255391c5a940cda6c")
+            "6dc72eb6d4715d02d8ea7d5369d61b21607158330f33aa0fdf205395844d5741")
 
     def test_seeded_faulty_pair_emits_its_pinned_frames(self):
         _, _, fabric = run_loopback_pair(
             PingpongConfig(iters=50, rx_depth=8, size=2048),
             faults=FaultProfile(0.1, 0.05, 0.05, seed=7), seed=3)
         assert len(fabric.trace) == 444
-        assert fabric.now_ms() == 588.0765919999999
+        assert fabric.now_ms() == 510.16915212120153
         assert trace_digest(fabric) == (
-            "aa39bfab39b0c89923ad88c969cf9516c8277ff84222a1a62b8ed0a18a47dc23")
+            "9b4589c838f282ed790c916900728981e31dac9faa8ad52f5c1fa58cb2429c9a")
 
     def test_different_seed_different_trace(self):
         first, *_ = self._blast(5)

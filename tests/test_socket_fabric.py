@@ -294,6 +294,39 @@ def test_a_dispatch_error_reaches_the_waiting_caller(two_fabrics,
         wait_for(b.cq, 1)
 
 
+def test_the_mover_never_wakes_its_own_poll(two_fabrics, monkeypatch):
+    """A timer that a timer arms (the probe's tick re-arming for the
+    timeout) is in the heaps the mover reads before it polls again, so
+    it writes nothing to the wake pair."""
+    (reg_a, reg_b), (fab_a, fab_b) = two_fabrics
+    a = Node(reg_a, fab_a)
+    b = Node(reg_b, fab_b)
+    connect_pair(a, b)
+    manual = fabric_module._MANUAL
+    wakes = []
+
+    class CountingWake:
+        def __init__(self, sock):
+            self._sock = sock
+
+        def send(self, data, flags=0):
+            wakes.append(threading.get_ident())
+            return self._sock.send(data, flags)
+
+    reader, writer = manual.wake_pair
+    monkeypatch.setattr(manual, "wake_pair", (reader, CountingWake(writer)))
+    lost = []
+    fab_a.drop_filter = lambda frame: (frame.kind is FrameKind.DATA
+                                       and not lost and not lost.append(1))
+    b.post_recv(1)
+    a.post_send(2, b"probed")  # the first copy is lost; the probe is not
+    assert [wc.status for wc in wait_for(b.cq, 1)] == [WcStatus.SUCCESS]
+    assert [wc.status for wc in wait_for(a.cq, 1)] == [WcStatus.SUCCESS]
+    assert len([e for e in fab_a.trace if e.frame.kind is FrameKind.DATA
+                and e.status == "sent"]) >= 1
+    assert threading.get_ident() not in wakes
+
+
 def test_a_flush_on_another_thread_ends_a_socket_wait_at_once(two_fabrics):
     (reg_a, reg_b), (fab_a, fab_b) = two_fabrics
     a = Node(reg_a, fab_a)
@@ -507,8 +540,10 @@ def test_a_window_of_messages_draws_fewer_acks_than_frames(two_fabrics,
                                                          monkeypatch):
     """The frames one read holds are one burst, acked once: ACKs never
     go back, and the last names the last DATA frame."""
-    # no probe: its duplicate would draw a stale re-ACK of an older PSN
+    # no probe before the QP's timeout, with or without an RTT sample:
+    # its duplicate would draw a stale re-ACK of an older PSN
     monkeypatch.setattr(fabric_module, "PROBE_MS", 10_000.0)
+    monkeypatch.setattr(fabric_module, "PROBE_ALLOWANCE_MS", 10_000.0)
     n_msgs, size = 8, 4096  # four frames each at mtu 1024
     (reg_a, reg_b), (fab_a, fab_b) = two_fabrics
     a, b = (Node(reg, fabric, size=n_msgs * size, max_send_wr=n_msgs,

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import INIT_MASK, RTR_MASK, RTS_MASK, Node, to_init, to_rtr, to_rts
 from softverbs.verbs import (
+    RTS_MODIFIABLE,
     AccessFlags,
     AddressHandle,
     AttrMask,
@@ -80,10 +81,49 @@ def test_transition_with_each_field_missing(registry, fabric, source, target):
         with pytest.raises(VerbsError):
             attempt(node.qp, target, full_mask & ~missing)
         assert node.qp.state is source
-    # dropping STATE itself turns the call into a plain attribute write
+    # dropping STATE itself turns the call into a plain attribute write,
+    # which an RTS QP takes only for RTS_MODIFIABLE
     node = qp_in_state(registry, fabric, source)
-    attempt(node.qp, target, full_mask & ~AttrMask.STATE)
+    before = copy.deepcopy(node.qp.attrs)
+    write = full_mask & ~AttrMask.STATE
+    if source is QpState.RTS and write & ~RTS_MODIFIABLE:
+        with pytest.raises(VerbsError):
+            attempt(node.qp, target, write)
+        assert node.qp.attrs == before
+    else:
+        attempt(node.qp, target, write)
     assert node.qp.state is source
+
+
+def test_an_rts_qp_takes_access_flags_and_min_rnr_timer(registry, fabric):
+    # the RTS->RTS optional attributes of ibv_modify_qp(3) it models
+    node = qp_in_state(registry, fabric, QpState.RTS)
+    node.qp.modify(ModifyAttributes(qp_access_flags=AccessFlags.LOCAL_WRITE,
+                                    min_rnr_timer=20),
+                   AttrMask.ACCESS_FLAGS | AttrMask.MIN_RNR_TIMER)
+    assert node.qp.state is QpState.RTS
+    assert node.qp.attrs.qp_access_flags == AccessFlags.LOCAL_WRITE
+    assert node.qp.attrs.min_rnr_timer == 20
+
+
+@pytest.mark.parametrize("mask", [
+    AttrMask.TIMEOUT, AttrMask.TIMEOUT | AttrMask.MIN_RNR_TIMER,
+    AttrMask.RETRY_CNT, AttrMask.RNR_RETRY, AttrMask.SQ_PSN,
+    AttrMask.PATH_MTU, AttrMask.DEST_QPN | AttrMask.ACCESS_FLAGS])
+def test_an_rts_qp_refuses_every_other_attribute(registry, fabric, mask):
+    # the engine reads the timeout once, on entry to RTS: a later write
+    # would leave the QP's code and its engine timeout apart
+    node = qp_in_state(registry, fabric, QpState.RTS)
+    before = copy.deepcopy(node.qp.attrs)
+    timeout_ms = node.qp.sender.timeout_ms
+    with pytest.raises(VerbsError, match="RTS"):
+        node.qp.modify(ModifyAttributes(
+            timeout=20, min_rnr_timer=3, retry_cnt=1, rnr_retry=1,
+            sq_psn=9, path_mtu=512, dest_qp_num=7,
+            qp_access_flags=AccessFlags.LOCAL_WRITE), mask)
+    assert node.qp.state is QpState.RTS
+    assert node.qp.attrs == before
+    assert node.qp.sender.timeout_ms == timeout_ms
 
 
 def test_skipping_states_fails(registry, fabric):

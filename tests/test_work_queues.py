@@ -6,9 +6,14 @@ import pytest
 from conftest import Node, connect_pair, to_init
 from softverbs.wire import FrameKind
 from softverbs.verbs import (
+    AccessFlags,
+    AttrMask,
     BadWorkRequestError,
+    CompletionEntry,
     CompletionQueueError,
+    ModifyAttributes,
     QpState,
+    QueuePair,
     ReceiveWorkRequest,
     ScatterGatherElement,
     SendFlags,
@@ -479,6 +484,72 @@ class TestSendChain:
         assert [wc.wr_id for wc in b.cq.poll(4)] == [1, 2]
 
 
+class TestSendScatterReuse:
+    """post_send reuses the slots it resolved last on the QP for a
+    scatter list equal by value, once each MR is seen still registered."""
+
+    def _count_resolves(self, monkeypatch):
+        calls = []
+        resolve = QueuePair._resolve_sges
+        monkeypatch.setattr(QueuePair, "_resolve_sges",
+                            lambda self, *args: calls.append(args) or
+                            resolve(self, *args))
+        return calls
+
+    def test_an_equal_scatter_list_is_resolved_once(self, pair, fabric,
+                                                    monkeypatch):
+        a, b = pair
+        for i in range(4):
+            b.post_recv(i, off=i * 64, length=64)
+        calls = self._count_resolves(monkeypatch)
+        # new SGE objects each time, equal by value
+        for i, data in enumerate((b"one", b"two", b"six")):
+            a.post_send(i, data)
+            fabric.run_until_idle()
+        assert len(calls) == 1
+        a.post_send(3, b"longer")  # another length: another list
+        assert len(calls) == 2
+        fabric.run_until_idle()
+        assert [b.read(i * 64, 3) for i in range(3)] == \
+            [b"one", b"two", b"six"]
+        assert [wc.wr_id for wc in a.cq.poll(8)] == [0, 1, 2, 3]
+
+    def test_a_list_changed_in_place_is_resolved_again(self, pair, fabric):
+        a, b = pair
+        b.post_recv(1, length=8)
+        b.post_recv(2, off=8, length=8)
+        a.buf.data[0:4], a.buf.data[64:68] = b"head", b"tail"
+        wr = SendWorkRequest(1, [a.sge(0, 4)])
+        a.qp.post_send(wr)
+        wr.sg_list[0] = a.sge(64, 4)
+        a.qp.post_send(wr)
+        fabric.run_until_idle()
+        assert (b.read(0, 4), b.read(8, 4)) == (b"head", b"tail")
+
+    def test_a_deregistered_mr_fails_at_its_chain_index(self, registry,
+                                                        fabric):
+        a = Node(registry, fabric)
+        b = Node(registry, fabric)
+        connect_pair(a, b)
+        other = a.pd.reg_mr(a.context.alloc_buffer(64), 64,
+                            AccessFlags.LOCAL_WRITE)
+        sge = ScatterGatherElement(other.base, 64, other.lkey)
+        b.post_recv(1)
+        a.qp.post_send(SendWorkRequest(1, [sge]))  # keeps sge's slots
+        other.dereg()
+        with pytest.raises(BadWorkRequestError) as err:
+            a.qp.post_send(SendWorkRequest(2, [sge]))
+        assert err.value.index == 0
+        assert "unknown lkey" in err.value.reason
+        chain = SendWorkRequest(3, [a.sge(0, 8)],
+                                next=SendWorkRequest(4, [sge]))
+        with pytest.raises(BadWorkRequestError) as err:
+            a.qp.post_send(chain)
+        assert err.value.index == 1
+        assert "unknown lkey" in err.value.reason
+        assert [w.wr_id for w in a.qp.send_queue] == [1, 3]
+
+
 class TestWqeCqeAccounting:
     def test_every_wqe_yields_exactly_one_cqe(self, registry, fabric):
         a = Node(registry, fabric, max_send_wr=16)
@@ -495,3 +566,22 @@ class TestWqeCqeAccounting:
         assert send_ids == [2000 + i for i in range(10)]
         # nothing left over
         assert b.cq.poll(1) == [] and a.cq.poll(1) == []
+
+    def test_every_cqe_is_a_whole_completion_entry(self, pair, fabric):
+        # each path builds its CQE from all four fields
+        a, b = pair
+        b.post_recv(1)
+        b.post_recv(2)
+        a.post_send(3, b"abc")
+        fabric.run_until_idle()
+        fabric.drop_filter = lambda frame: True
+        a.post_send(4, b"lost")  # still in flight when the QP fails
+        for qp in (a.qp, b.qp):
+            qp.modify(ModifyAttributes(state=QpState.ERR), AttrMask.STATE)
+        wcs = a.cq.poll(4) + b.cq.poll(4)
+        assert all(type(wc) is CompletionEntry for wc in wcs)
+        assert [tuple(wc) for wc in wcs] == [
+            (3, WcStatus.SUCCESS, WcOpcode.SEND, 0),
+            (4, WcStatus.WR_FLUSHED, WcOpcode.SEND, 0),
+            (1, WcStatus.SUCCESS, WcOpcode.RECV, 3),
+            (2, WcStatus.WR_FLUSHED, WcOpcode.RECV, 0)]
