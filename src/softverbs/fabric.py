@@ -21,11 +21,12 @@ that no later frame reveals (a lost last frame, NAK, NAK'd resend or
 final ACK) is caught by a tail-loss probe, after RFC 8985: a head
 unacked for one probe timeout (PTO) is resent once, alone, and charged
 to its retry budget. The PTO follows the path's round trip: each QP
-keeps an SRTT and RTTVAR after RFC 6298, sampled from the ACKs of frames
-sent once (Karn's rule), and its PTO is 2 x SRTT plus
-``PROBE_ALLOWANCE_MS`` (``PROBE_MS`` before the first sample), capped
-by the QP's retransmit timeout. That timeout (a go-back-N burst from the
-head) remains the fallback when the probe is lost too.
+keeps an SRTT after RFC 6298, sampled from the ACKs of frames sent once
+(Karn's rule), and its PTO is 2 x SRTT plus ``PROBE_ALLOWANCE_MS``
+(``PROBE_MS`` before the first sample), capped by the QP's retransmit
+timeout. That timeout remains the fallback when the probe is lost too:
+it resends the head, and behind it, as one go-back-N burst, the frames
+as old as the timeout.
 
 An RNR NAK, after IBTA RC's receiver-not-ready rule, pauses the refused
 head for the time its delay code (the receiver's ``min_rnr_timer``)
@@ -67,10 +68,11 @@ loop (as Linux rxe's responder drains a QP's queued packets in one run),
 and then sends the burst's ACKs. Every ACK, NAK and RNR NAK is built by
 one ``_reply``. Both transports share these and one retransmit timer
 (one pending tick per QP, armed with ``schedule_at`` at the head's
-probe, timeout or RNR pause deadline; a tick superseded by an earlier
-deadline is cancelled, and on loopback so is the tick of a window that
-empties, so a lossless run fires none). A transport carries only frames
-and time: it supplies ``now_ms``, ``schedule_at`` and ``_deliver``,
+probe, timeout or RNR pause deadline exactly, ``_due``; a tick
+superseded by an earlier deadline is cancelled, and on loopback so is
+the tick of a window that empties, so a lossless run fires none). Every
+tick that charges a retry resends the head. A transport carries only
+frames and time: it supplies ``now_ms``, ``schedule_at`` and ``_deliver``,
 hands each burst to ``_land``, and moves in ``wait_until``, the
 blocking wait of the verbs objects (sockets), or in ``progress``, which
 a driver whose callers all wait calls (loopback).
@@ -122,7 +124,6 @@ from .wire import (
 )
 
 SERIAL_HALF = 1 << 23
-TICK_EPS_MS = 0.25
 # a receiver holds out-of-order frames this many PSNs past expected_psn
 # at most; frames further ahead are discarded and left to retransmission
 HOLD_PSNS = 1024
@@ -134,10 +135,10 @@ BURST_FRAMES = 64
 # PROBE_MS until the QP's first RTT sample, then 2 x SRTT plus
 # PROBE_ALLOWANCE_MS, as Linux's TLP adds a minimum to RFC 8985's
 # 2 x SRTT; the QP's timeout caps both. On loopback (SRTT 2 ms) the probe
-# falls 3 ms after the ACK it waits for is due, past the 2.5 ms
+# falls 3.25 ms after the ACK it waits for is due, past the 2.5 ms
 # (REORDER_EXTRA_MS) by which a reordered copy or its ACK is late
 PROBE_MS = 10.0
-PROBE_ALLOWANCE_MS = 1.0
+PROBE_ALLOWANCE_MS = 1.25
 # the RNR NAK timer codes (a QP's min_rnr_timer) in ms, by code, after
 # the table in ibv_modify_qp(3); code 0 is the longest
 RNR_TIMER_MS = (655.36, 0.01, 0.02, 0.03, 0.04, 0.06, 0.08, 0.12, 0.16,
@@ -239,17 +240,16 @@ class SenderState:
     code named when it entered RTS (``ack_timeout_ms``); the probe, the
     timeout and the stale-head resume all read it.
 
-    ``srtt`` and ``rttvar`` estimate the round trip after RFC 6298 (0.0
-    before the first sample): ``_retire_through`` takes one sample per
-    ACK that retires frames, from the newest one's send, unless a
-    retired frame was resent (Karn's rule). Every resend starts at the
-    head, so the frames resent are always a prefix of the window, and
-    ``resent`` counts them. ``pto_ms``, the probe timeout ``_due``
-    reads, is PROBE_MS until the first sample, then 2 x ``srtt`` plus
+    ``srtt`` estimates the round trip after RFC 6298 (0.0 before the
+    first sample): ``_retire_through`` takes one sample per ACK that
+    retires frames, from the newest one's send, unless a retired frame
+    was resent (Karn's rule). Every resend starts at the head, so the
+    frames resent are always a prefix of the window, and ``resent``
+    counts them. ``pto_ms``, the probe timeout ``_due`` reads, is
+    PROBE_MS until the first sample, then 2 x ``srtt`` plus
     PROBE_ALLOWANCE_MS (RFC 8985's PTO with a minimum added, as Linux's
-    TLP adds one), and never more than ``timeout_ms``. ``rttvar`` does
-    not set the PTO; it is kept, as RFC 6298 keeps it, to show the
-    path's jitter beside ``srtt``.
+    TLP adds one), and never more than ``timeout_ms``. RFC 6298's RTTVAR
+    is not kept: nothing here reads it.
 
     Only the head is ever resent alone, probed or paused, so its retry
     state lives here, not on each frame: ``retries_used`` and
@@ -264,7 +264,7 @@ class SenderState:
 
     __slots__ = ("next_psn", "timeout_ms", "unacked", "tick",
                  "retries_used", "rnr_retries_used", "probed",
-                 "paused_until", "srtt", "rttvar", "pto_ms", "resent")
+                 "paused_until", "srtt", "pto_ms", "resent")
 
     def __init__(self, next_psn: int, timeout_ms: float):
         self.next_psn = next_psn
@@ -273,18 +273,14 @@ class SenderState:
         self.tick: Optional[tuple] = None
         self.retries_used = self.rnr_retries_used = 0
         self.probed, self.paused_until = False, 0.0
-        self.srtt = self.rttvar = 0.0
+        self.srtt = 0.0
         self.pto_ms = min(PROBE_MS, timeout_ms)
         self.resent = 0
 
     def sample_rtt(self, rtt: float) -> None:
-        """Fold one round trip into ``srtt`` and ``rttvar`` (RFC 6298,
-        2.2-2.3) and set the probe timeout from the new ``srtt``."""
-        if self.srtt:
-            self.rttvar = 0.75 * self.rttvar + 0.25 * abs(self.srtt - rtt)
-            self.srtt = 0.875 * self.srtt + 0.125 * rtt
-        else:
-            self.srtt, self.rttvar = rtt, rtt / 2
+        """Fold one round trip into ``srtt`` (RFC 6298, 2.2-2.3) and set
+        the probe timeout from it."""
+        self.srtt = 0.875 * self.srtt + 0.125 * rtt if self.srtt else rtt
         self.pto_ms = min(2 * self.srtt + PROBE_ALLOWANCE_MS, self.timeout_ms)
 
 
@@ -437,16 +433,14 @@ class Fabric(Progress):
     # -- retransmit timer ----------------------------------------------------
 
     def _arm_tick(self, qp: QueuePair) -> None:
-        """Schedule one timeout tick at the head's deadline, unless one is
-        pending for no later; the tick re-arms itself while frames stay
-        unacked. A paused head's deadline is the end of its pause,
-        exactly. A pending tick that is due later is cancelled."""
+        """Schedule one timeout tick at the head's deadline, ``_due``,
+        exactly, unless one is pending for no later; the tick re-arms
+        itself while frames stay unacked. A pending tick that is due
+        later is cancelled."""
         snd = qp.sender
         if snd is None or not snd.unacked:
             return
         deadline = _due(snd)
-        if not snd.paused_until:
-            deadline += TICK_EPS_MS
         tick = snd.tick
         if (tick[0] if tick else math.inf) <= deadline:
             return
@@ -621,15 +615,20 @@ class Fabric(Progress):
         self._arm_tick(qp)
 
     def _retransmit_burst(self, qp: QueuePair, now: float) -> None:
-        """Go-back-N replay: resend the stale prefix of the window.
+        """Go-back-N replay: resend the head, whose timeout fired (or
+        which an ACK exposed stale), and the frames behind it as old as
+        the QP's timeout.
 
-        Stops at the first frame younger than the QP's timeout and at
-        the burst cap. Retry accounting is the caller's job, not ours.
+        The burst stops at the first frame younger than that and at the
+        burst cap. A frame is as old as the timeout once its send time
+        plus the timeout has come, the sum ``_due`` sets the tick at, so
+        the frames sent with the head go with it. Retry accounting is
+        the caller's job, not ours.
         """
         snd = qp.sender
-        stale = 0
-        for _, sent_at in itertools.islice(snd.unacked, BURST_FRAMES):
-            if now - sent_at < snd.timeout_ms:
+        stale = 1
+        for _, sent_at in itertools.islice(snd.unacked, 1, BURST_FRAMES):
+            if sent_at + snd.timeout_ms > now:
                 break
             stale += 1
         self._resend(qp, stale)
@@ -1092,9 +1091,10 @@ class _ManualProgress:
 
     The poll set stands for the life of the process: a fabric registers
     each socket with ``watch`` when it opens (a listener at attach, a
-    connection at accept, a dialled socket while it has bytes queued)
-    and takes it out with ``unwatch`` before it closes. ``handlers``
-    mirrors the set: by descriptor, what the mover calls on an event.
+    connection at accept, a dialled socket at its dial) and takes it out
+    with ``unwatch`` before it closes. ``handlers`` mirrors the set: by
+    descriptor, what the mover calls on an event, with what, and the
+    events polled for.
     """
 
     def __init__(self):
@@ -1118,7 +1118,9 @@ class _ManualProgress:
                 self.wake_pair = socket.socketpair()
                 wake_r = self.wake_pair[0]
                 self.poller.register(wake_r, select.POLLIN)
-                self.handlers[wake_r.fileno()] = wake_r.recv, 4096  # drain
+                # the mover drains it
+                self.handlers[wake_r.fileno()] = (wake_r.recv, 4096,
+                                                  select.POLLIN)
 
     def discard(self, fabric: "SocketFabric") -> None:
         with self.lock:
@@ -1127,10 +1129,14 @@ class _ManualProgress:
     def watch(self, sock: socket.socket, events: int,
               handler: Callable[[socket.socket], None]) -> None:
         """Poll ``sock`` for ``events`` and call ``handler(sock)`` on one;
-        a running poll is cut short to take it in."""
+        a running poll is cut short to take it in. Watching a socket again
+        as it is watched already changes nothing."""
+        fd, entry = sock.fileno(), (handler, sock, events)
+        if self.handlers.get(fd) == entry:
+            return
         with self.lock:
-            self.handlers[sock.fileno()] = handler, sock
-            self.poller.register(sock, events)
+            self.handlers[fd] = entry
+            self.poller.register(fd, events)
         self.wake()
 
     def unwatch(self, sock: socket.socket) -> None:
@@ -1221,7 +1227,9 @@ class SocketFabric(Fabric):
     without blocking, when that call returns. The whole frames one read
     holds are a burst, handed to ``_land``: the ACKs it ends with leave
     in that same ``send``. What the socket does not take stays queued,
-    and the socket is polled for writing until it is empty; a socket
+    and the socket is polled for writing until it is empty. A dialled
+    socket is polled for reading for its whole life: the peer never
+    writes on it, so readable means closed. End of stream or a socket
     error closes it, and the next frame to its LID redials. A LID with
     no config entry, or whose dial fails, is unrouted. Accepting,
     reading and the timer heap behind ``schedule_at`` (the delayed
@@ -1341,7 +1349,7 @@ class SocketFabric(Fabric):
             except OSError:  # reset, or closed by close()
                 data = b""
             if not data:
-                self._close_conn(conn)
+                self._close(conn, self._conns)
                 return
             lid, held = self._conns[conn]
             if held:
@@ -1357,7 +1365,7 @@ class SocketFabric(Fabric):
                     pos = end
                 self._conns[conn] = lid, data[pos:]
             except FrameDecodeError:
-                self._close_conn(conn)
+                self._close(conn, self._conns)
             ep = self.routing.get(lid)
             try:
                 if ep is not None:
@@ -1365,10 +1373,12 @@ class SocketFabric(Fabric):
             finally:
                 self._send_unsent()
 
-    def _close_conn(self, conn: socket.socket) -> None:
-        self._conns.pop(conn, None)
-        _MANUAL.unwatch(conn)
-        conn.close()
+    def _close(self, sock: socket.socket, held: dict) -> None:
+        """Close ``sock`` and forget what ``held`` (``_conns`` or
+        ``_unsent``) keeps for it."""
+        held.pop(sock, None)
+        _MANUAL.unwatch(sock)
+        sock.close()
 
     # -- wire ----------------------------------------------------------------
 
@@ -1393,6 +1403,7 @@ class SocketFabric(Fabric):
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             sock.setblocking(False)
             self._peers[dlid] = sock
+            _MANUAL.watch(sock, select.POLLIN, self._peer_ready)
         return sock
 
     def transmit_message(self, qp: QueuePair, payload: bytes) -> None:
@@ -1447,11 +1458,24 @@ class SocketFabric(Fabric):
             except BlockingIOError:
                 pass
             except OSError:
-                pending.clear()
-                _MANUAL.unwatch(sock)
-                sock.close()
+                self._close(sock, self._unsent)
+                return
             if not pending:
                 del self._unsent[sock]
-                _MANUAL.unwatch(sock)
-            elif sock.fileno() not in _MANUAL.handlers:
-                _MANUAL.watch(sock, select.POLLOUT, self._flush)
+            _MANUAL.watch(sock, select.POLLIN | (select.POLLOUT if pending
+                                                 else 0), self._peer_ready)
+
+    def _peer_ready(self, sock: socket.socket) -> None:
+        """A dialled socket polled ready. The peer never writes on it, so
+        one that reads anything, end of stream or an error is closed, and
+        the next frame redials; else it polled writable, and takes more
+        of what is queued for it."""
+        with self._lock:
+            try:
+                sock.recv(1)
+            except BlockingIOError:
+                self._flush(sock)
+                return
+            except OSError:
+                pass
+            self._close(sock, self._unsent)

@@ -24,7 +24,6 @@ import threading
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum, IntFlag
-from operator import attrgetter, itemgetter
 from typing import NamedTuple, Optional
 
 from .wire import PSN_MASK, QPN_MASK
@@ -159,8 +158,6 @@ class SendFlags(IntFlag):
 # the signaled bit as a plain int: ``flags & SendFlags.SIGNALED`` goes
 # through Flag.__and__, a Python-level call, on every post
 _SIGNALED = int(SendFlags.SIGNALED)
-# a resolved slot's MR, and whether an MR is still registered
-_SLOT_MR, _PINNED = itemgetter(0), attrgetter("pinned")
 
 
 class CompletionEntry(NamedTuple):
@@ -705,8 +702,6 @@ class QueuePair:
         self.attrs = QpAttributes()
         self.send_queue: deque[PostedSend] = deque()
         self.recv_queue: deque[PostedRecv] = deque()
-        # the scatter list post_send resolved last (a copy) and its slots
-        self._sent: Optional[tuple[list, list]] = None
         # engine-owned reliable-connection state, managed by the fabric
         self.sender = None
         self.receiver = None
@@ -904,11 +899,9 @@ class QueuePair:
     def post_send(self, wr: SendWorkRequest) -> None:
         """Snapshot payloads and hand them to the fabric; RTS only.
 
-        A WR whose scatter list equals by value the one resolved last on
-        this QP reuses its slots once each MR is seen to be still
-        registered: lkeys are never reused, and nothing else the
-        resolution checks can change. A bad element still raises
-        ``BadWorkRequestError`` with its chain index.
+        Validation stops at the first bad element, whose chain index the
+        raised ``BadWorkRequestError`` carries; earlier elements are
+        posted and sent.
         """
         with self.context.lock:
             if self.state is not QpState.RTS:
@@ -925,14 +918,8 @@ class QueuePair:
                         index, f"unsupported opcode {node.opcode!r}")
                 if len(self.send_queue) >= self.caps.max_send_wr:
                     raise BadWorkRequestError(index, "send queue full")
-                sges, sent = node.sg_list, self._sent
-                if sent is not None and sges == sent[0] and \
-                        all(map(_PINNED, map(_SLOT_MR, sent[1]))):
-                    slots = sent[1]
-                else:
-                    slots = self._resolve_sges(
-                        sges, self.caps.max_send_sge, index)
-                    self._sent = (list(sges), slots)
+                slots = self._resolve_sges(
+                    node.sg_list, self.caps.max_send_sge, index)
                 # one SGE's bytes come back from join as they are
                 payload = b"".join([mr.read(addr, length)
                                     for mr, addr, length in slots])

@@ -1,4 +1,5 @@
 import random
+import select
 import socket
 import sys
 import threading
@@ -596,7 +597,9 @@ def test_a_small_send_buffer_delivers_a_window_exactly_once_in_order(
     for i, payload in enumerate(payloads):
         assert b.read(i * size, size) == payload
     assert not fab_a._unsent
-    assert sock.fileno() not in fabric_module._MANUAL.handlers
+    # no longer polled for writing
+    _, _, events = fabric_module._MANUAL.handlers[sock.fileno()]
+    assert events == select.POLLIN
 
 
 class StalledSocket:
@@ -675,6 +678,44 @@ def test_a_send_error_closes_the_socket_and_the_probe_redials(two_fabrics):
     assert b.cq.poll(1) == []
 
 
+def test_a_peer_close_is_seen_before_the_next_message(two_fabrics,
+                                                     monkeypatch):
+    """A dialled socket is polled for reading for its whole life: when
+    the peer closes the connection, the waiting thread closes it too, and
+    the next message redials and crosses once, with no retransmission."""
+    # no probe before the QP's timeout: a message written into the dead
+    # connection would wait out that timeout
+    monkeypatch.setattr(fabric_module, "PROBE_MS", 10_000.0)
+    monkeypatch.setattr(fabric_module, "PROBE_ALLOWANCE_MS", 10_000.0)
+    (reg_a, reg_b), (fab_a, fab_b) = two_fabrics
+    a = Node(reg_a, fab_a)
+    b = Node(reg_b, fab_b)
+    connect_pair(a, b, timeout=17)  # 537 ms
+    b.post_recv(1)
+    a.post_send(2, b"first")
+    assert [wc.status for wc in wait_for(b.cq, 1)] == [WcStatus.SUCCESS]
+    assert [wc.status for wc in wait_for(a.cq, 1)] == [WcStatus.SUCCESS]
+    dialled = fab_a._peers[b.lid]
+    conn, = fab_b._conns
+    with reg_b.lock:
+        fab_b._close(conn, fab_b._conns)
+    deadline = time.monotonic() + 5.0
+    while dialled.fileno() != -1 and time.monotonic() < deadline:
+        a.cq.wait_for_completion(timeout=0.05)
+    assert dialled.fileno() == -1 and not fab_a._unsent
+    b.post_recv(3)
+    start = time.monotonic()
+    a.post_send(4, b"x" * 100)
+    assert [wc.status for wc in wait_for(b.cq, 1)] == [WcStatus.SUCCESS]
+    assert [wc.status for wc in wait_for(a.cq, 1)] == [WcStatus.SUCCESS]
+    assert time.monotonic() - start < 0.5
+    assert b.read(0, 100) == b"x" * 100
+    assert fab_a._peers[b.lid] is not dialled and len(fab_b._conns) == 1
+    data = [e.frame.psn for e in fab_a.trace
+            if e.frame.kind is FrameKind.DATA]
+    assert data == [100, 101]
+
+
 def test_a_bad_record_closes_the_connection_after_the_frames_before_it(
         two_fabrics):
     """Two whole records and then one that does not decode: the two land,
@@ -701,8 +742,8 @@ def test_a_bad_record_closes_the_connection_after_the_frames_before_it(
     assert b.read(0, len(payload)) == payload
     assert [wc.status for wc in wait_for(a.cq, 1)] == [WcStatus.SUCCESS]
     assert not fab_b._conns  # a's connection was the only one
-    # the next message goes into the closed connection and is lost; the
-    # probe's send fails and closes a's socket, and the timeout redials
+    # a's socket reads the end of stream and closes, and the next
+    # message redials
     b.post_recv(3, off=len(payload), length=len(payload))
     a.post_send(4, payload[::-1], off=len(payload))
     recv = wait_for(b.cq, 1)

@@ -13,7 +13,6 @@ from softverbs.verbs import (
     CompletionQueueError,
     ModifyAttributes,
     QpState,
-    QueuePair,
     ReceiveWorkRequest,
     ScatterGatherElement,
     SendFlags,
@@ -485,34 +484,9 @@ class TestSendChain:
 
 
 class TestSendScatterReuse:
-    """post_send reuses the slots it resolved last on the QP for a
-    scatter list equal by value, once each MR is seen still registered."""
-
-    def _count_resolves(self, monkeypatch):
-        calls = []
-        resolve = QueuePair._resolve_sges
-        monkeypatch.setattr(QueuePair, "_resolve_sges",
-                            lambda self, *args: calls.append(args) or
-                            resolve(self, *args))
-        return calls
-
-    def test_an_equal_scatter_list_is_resolved_once(self, pair, fabric,
-                                                    monkeypatch):
-        a, b = pair
-        for i in range(4):
-            b.post_recv(i, off=i * 64, length=64)
-        calls = self._count_resolves(monkeypatch)
-        # new SGE objects each time, equal by value
-        for i, data in enumerate((b"one", b"two", b"six")):
-            a.post_send(i, data)
-            fabric.run_until_idle()
-        assert len(calls) == 1
-        a.post_send(3, b"longer")  # another length: another list
-        assert len(calls) == 2
-        fabric.run_until_idle()
-        assert [b.read(i * 64, 3) for i in range(3)] == \
-            [b"one", b"two", b"six"]
-        assert [wc.wr_id for wc in a.cq.poll(8)] == [0, 1, 2, 3]
+    """post_send resolves each WR's scatter list as it stands when the
+    WR is posted: a list changed in place or an MR deregistered since
+    the last post is seen."""
 
     def test_a_list_changed_in_place_is_resolved_again(self, pair, fabric):
         a, b = pair
