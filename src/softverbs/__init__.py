@@ -2,7 +2,7 @@
 
 Queue pairs, completion queues, memory regions and the rest of the verbs
 resource model run against an in-process reliable-connection fabric
-(or a stream-socket transport between processes), far enough to run a
+(or a UDP socket transport between processes), far enough to run a
 real send/recv pingpong end to end.
 """
 

@@ -64,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fabric", choices=("loopback", "socket"),
                    default="loopback",
                    help="transport: in-process loopback (default) or "
-                        "stream sockets")
+                        "UDP sockets")
     p.add_argument("--fabric-config", metavar="FILE", default=None,
                    help="static fabric file mapping LIDs to addresses "
                         "(socket transport)")

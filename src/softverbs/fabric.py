@@ -5,12 +5,13 @@ destination LID), and HCA transport engine (MTU segmentation, PSN
 ordering, cumulative ACKs, RNR NAKs, timeout retransmission).
 
 The unit of delivery and of acknowledgement is a burst: the frames that
-land on one port at one virtual instant (loopback), or that one socket
-read holds. A receiving QP that accepts in-order frames in a burst owes
-one cumulative ACK, which ``_send_owed_acks`` sends when the burst ends,
-at the instant its last frame landed (IBTA RC lets one ACK cover any run
-of PSNs). NAKs, RNR NAKs, the ACK of a drained gap and the re-ACK of a
-stale duplicate, which names the duplicate's own PSN, leave at once.
+land on one port at one virtual instant (loopback), or that the
+datagrams waiting on a port's socket hold (sockets). A receiving QP
+that accepts in-order frames in a burst owes one cumulative ACK, which
+``_send_owed_acks`` sends when the burst ends, at the instant its last
+frame landed (IBTA RC lets one ACK cover any run of PSNs). NAKs, RNR
+NAKs, the ACK of a drained gap and the re-ACK of a stale duplicate,
+which names the duplicate's own PSN, leave at once.
 
 Loss recovery is NAK-driven, after the IBTA RC PSN sequence error: a
 receiver holds frames that arrive ahead of the expected PSN (up to
@@ -45,12 +46,15 @@ Two interchangeable transports share the engine:
 * LoopbackFabric: an in-process discrete-event queue driven by a virtual
   clock. Fully deterministic for a given seed and schedule. Each burst
   is one event.
-* SocketFabric: one listening stream socket per attached port, LIDs
-  resolved to host/port pairs from a static config file, real time. It
-  starts no thread: the thread that blocks in a verbs wait moves it,
-  over one poll set that stands for the life of the process. Each frame
-  is one record on the stream; the records an engine call emits are
-  written together, in one ``send`` when the call returns.
+* SocketFabric: one UDP socket per attached port, LIDs resolved to
+  host/port pairs from a static config file, real time. As Linux
+  Soft-RoCE carries each IBA packet in a UDP datagram, it keeps no
+  connection: RC reliability lives in the engine, and a datagram lost
+  on the way is recovered like any lost frame. It starts no thread: the
+  thread that blocks in a verbs wait moves it, over one poll set that
+  stands for the life of the process. Each frame is one record; the
+  records an engine call emits to one LID are packed into datagrams,
+  sent when the call returns.
 
 The engine works per burst on both sides. ``transmit_message`` segments
 a message in one pass and hands each frame, as it is built, to the
@@ -163,6 +167,8 @@ _RUN_KEY = attrgetter("dest_qpn", "kind")
 _new = tuple.__new__
 # the most events one drain runs before it calls the run a livelock
 MAX_EVENTS = 5_000_000
+# the largest UDP payload over IPv4: 65 535 less the IP and UDP headers
+MAX_DATAGRAM = 65_507
 
 
 def psn_add(psn: int, n: int) -> int:
@@ -461,20 +467,13 @@ class Fabric(Progress):
         arm a new one, and on sockets wake the polling mover for it, a
         system call per message. LoopbackFabric drops it."""
 
-    def _backlogged(self, dlid: int) -> bool:
-        """Does the transport still hold bytes it has not sent to
-        ``dlid``? A head queued behind them has not left yet, so no
-        go-back resend (the probe, the timeout or the stale-head resume)
-        sends it again behind itself: its clock restarts instead."""
-        return False
-
     # -- send side ---------------------------------------------------------
 
     def transmit_message(self, qp: QueuePair, payload: bytes) -> None:
         """Segment a message into DATA frames with consecutive PSNs, in
-        one pass: each frame enters the unacked window, stamped with its
-        send time, and goes to ``_deliver`` at once. The message is the
-        newest send in ``qp.send_queue``.
+        one pass: each frame enters the unacked window, stamped with the
+        message's send time, and goes to ``_deliver`` at once. The message
+        is the newest send in ``qp.send_queue``.
 
         Delivery failures surface later as completion statuses, never
         here.
@@ -486,8 +485,8 @@ class Fabric(Progress):
             attrs = qp.attrs
             mtu, dest_qpn = attrs.path_mtu, attrs.dest_qp_num
             src, dlid = qp._endpoint, attrs.ah.dlid
-            deliver, enter, clock = (self._deliver, snd.unacked.append,
-                                     self.now_ms)
+            deliver, enter, now = (self._deliver, snd.unacked.append,
+                                   self.now_ms())
             last = max(len(payload) - 1, 0) // mtu  # index of the last frame
             segs = ((_ONLY,) if not last else
                     (SegMark.FIRST, *(SegMark.MIDDLE,) * (last - 1),
@@ -497,9 +496,7 @@ class Fabric(Progress):
                 frame = _new(Frame, (_DATA, dest_qpn, psn, seg,
                                      payload[off:off + mtu], 0))
                 snd.next_psn = psn = (psn + 1) & PSN_MASK
-                # a socket's clock is wall time, and a redial in one
-                # frame's _deliver must not age the frames behind it
-                enter([frame, clock()])
+                enter([frame, now])
                 deliver(src, dlid, frame)
             self._arm_tick(qp)
 
@@ -521,9 +518,8 @@ class Fabric(Progress):
         Progress that exposes a head older than the QP's timeout (frames
         the receiver could not hold while waiting for a retransmission)
         resumes the go-back replay immediately instead of waiting out
-        another timeout, unless the head is still queued. A head that
-        progress exposes was never paused: a pause leaves with the head
-        it was set on.
+        another timeout. A head that progress exposes was never paused: a
+        pause leaves with the head it was set on.
         """
         snd = qp.sender
         if snd is None:
@@ -531,12 +527,8 @@ class Fabric(Progress):
         progressed = self._retire_through(qp, frame.psn)
         if snd.unacked:
             now = self.now_ms()
-            head = snd.unacked[0]
-            if progressed and now - head[1] >= snd.timeout_ms:
-                if self._backlogged(qp.attrs.ah.dlid):
-                    head[1] = now
-                else:
-                    self._retransmit_burst(qp, now)
+            if progressed and now - snd.unacked[0][1] >= snd.timeout_ms:
+                self._retransmit_burst(qp, now)
             self._arm_tick(qp)
 
     def _retire_through(self, qp: QueuePair, psn: int) -> bool:
@@ -650,9 +642,7 @@ class Fabric(Progress):
         gap or draws a stale re-ACK. Once the probed head
         outlives the QP's timeout, a go-back-N burst replays the window
         from it; a QP whose timeout code is 0 has none, and its probed
-        head waits for the receiver. While the transport still holds
-        unsent bytes for the peer, the head has not left yet: neither
-        the probe nor the timeout resends it, and its clock restarts.
+        head waits for the receiver.
 
         The probe and each timeout of the same head charge its retry
         budget, like a NAK'd resend; going past retry_cnt fails the
@@ -666,9 +656,6 @@ class Fabric(Progress):
         if snd.paused_until:
             snd.paused_until = 0.0
             self._resend(qp)
-            return
-        if self._backlogged(qp.attrs.ah.dlid):
-            snd.unacked[0][1] = now
             return
         if snd.retries_used >= qp.attrs.retry_cnt:
             qp.complete_send(WcStatus.RETRY_EXCEEDED)
@@ -803,7 +790,7 @@ class Fabric(Progress):
         past a frame of another kind or QP.
 
         A burst is the frames one loopback event lands, one injected
-        frame, or the frames one socket read holds."""
+        frame, or the frames of every datagram one socket read drains."""
         qpn_map = ep.qpn_map
         for (qpn, kind), run in itertools.groupby(frames, _RUN_KEY):
             qp = qpn_map.get(qpn)
@@ -1081,20 +1068,17 @@ class _ManualProgress:
     and polls their sockets until what it waits for is ready. Every
     other waiter sleeps on its own CQ or channel condition; a CQE wakes
     it, and so does the mover's hand-over when it stops, so that one of
-    them takes over. A thread that arms a timer, gives the mover another
-    socket to watch or flushes a queue cuts its poll short through a
-    socket pair; the mover itself never does, since it reads every heap
-    and the poll set again before it polls. The open fabrics are a
-    tuple, replaced whole under
-    ``lock`` when one opens or closes, so the mover reads it on each
-    pass without the lock.
+    them takes over. A thread that arms a timer or gives the mover
+    another socket to watch cuts its poll short through a socket pair;
+    the mover itself never does, since it reads every heap and the poll
+    set again before it polls. The open fabrics are a tuple, replaced
+    whole under ``lock`` when one opens or closes, so the mover reads it
+    on each pass without the lock.
 
     The poll set stands for the life of the process: a fabric registers
-    each socket with ``watch`` when it opens (a listener at attach, a
-    connection at accept, a dialled socket at its dial) and takes it out
-    with ``unwatch`` before it closes. ``handlers`` mirrors the set: by
-    descriptor, what the mover calls on an event, with what, and the
-    events polled for.
+    each port's socket for reading with ``watch`` at attach, and takes
+    it out with ``unwatch`` before it closes. ``handlers`` mirrors the
+    set: by descriptor, what the mover calls on an event, and with what.
     """
 
     def __init__(self):
@@ -1119,24 +1103,19 @@ class _ManualProgress:
                 wake_r = self.wake_pair[0]
                 self.poller.register(wake_r, select.POLLIN)
                 # the mover drains it
-                self.handlers[wake_r.fileno()] = (wake_r.recv, 4096,
-                                                  select.POLLIN)
+                self.handlers[wake_r.fileno()] = (wake_r.recv, 4096)
 
     def discard(self, fabric: "SocketFabric") -> None:
         with self.lock:
             self.fabrics = tuple(f for f in self.fabrics if f is not fabric)
 
-    def watch(self, sock: socket.socket, events: int,
+    def watch(self, sock: socket.socket,
               handler: Callable[[socket.socket], None]) -> None:
-        """Poll ``sock`` for ``events`` and call ``handler(sock)`` on one;
-        a running poll is cut short to take it in. Watching a socket again
-        as it is watched already changes nothing."""
-        fd, entry = sock.fileno(), (handler, sock, events)
-        if self.handlers.get(fd) == entry:
-            return
+        """Poll ``sock`` for reading and call ``handler(sock)`` when it is
+        readable; a running poll is cut short to take it in."""
         with self.lock:
-            self.handlers[fd] = entry
-            self.poller.register(fd, events)
+            self.handlers[sock.fileno()] = (handler, sock)
+            self.poller.register(sock, select.POLLIN)
         self.wake()
 
     def unwatch(self, sock: socket.socket) -> None:
@@ -1212,45 +1191,44 @@ _MANUAL = _ManualProgress()
 
 
 class SocketFabric(Fabric):
-    """Stream-socket transport: one listener per attached port.
+    """Datagram transport: one UDP socket per attached port.
 
-    LIDs come from the static config; an attach claims the first entry
-    whose address it can bind. Each frame is one record in the codec
-    layout. Faults and the frame trace work as on loopback: a reordered
-    or duplicated copy is written after its extra delay, and every frame
-    the engine emits lands in ``trace``.
+    LIDs come from the static config, whose addresses are resolved once,
+    when the fabric is made; an attach claims the first entry whose
+    address it can bind. Each frame is one record in the codec layout.
+    Faults and the frame trace work as on loopback: a reordered or
+    duplicated copy is written after its extra delay, and every frame
+    the engine emits lands in ``trace``. A LID with no config entry is
+    unrouted; a frame to one whose port nobody binds is sent and lost,
+    and retransmission runs into ``RetryExceeded``.
 
     The fabric starts no thread (manual progress). Records are written
     in batches, once per engine call: the frames that one
     ``transmit_message``, one read's burst or one pass over the due
-    timers emits are queued per socket, and go out in one ``send``,
-    without blocking, when that call returns. The whole frames one read
-    holds are a burst, handed to ``_land``: the ACKs it ends with leave
-    in that same ``send``. What the socket does not take stays queued,
-    and the socket is polled for writing until it is empty. A dialled
-    socket is polled for reading for its whole life: the peer never
-    writes on it, so readable means closed. End of stream or a socket
-    error closes it, and the next frame to its LID redials. A LID with
-    no config entry, or whose dial fails, is unrouted. Accepting,
-    reading and the timer heap behind ``schedule_at`` (the delayed
-    copies and the per-QP retransmit deadlines) run in ``wait_until``,
-    on the thread that blocks in a verbs wait (``wait_for_completion``,
-    ``wait_for_event`` or ``get_event``). That wait moves every open
-    SocketFabric in the process over one standing poll set, and raises
-    what an engine callback raised. ``poll`` never moves the fabric.
+    timers emits to a LID are packed back to back into datagrams of at
+    most ``MAX_DATAGRAM`` bytes, split only between records, and each
+    datagram goes out in one ``sendto``, without blocking, when that
+    call returns. A datagram the kernel refuses is lost, and RC recovers
+    it. A read drains every datagram waiting on the port's socket and
+    hands all their frames to ``_land`` as one burst, whose ACKs leave
+    when it returns; a bad record drops the rest of its datagram, after
+    the frames before it. Reading and the timer heap behind
+    ``schedule_at`` (the delayed copies and the per-QP retransmit
+    deadlines) run in ``wait_until``, on the thread that blocks in a
+    verbs wait (``wait_for_completion``, ``wait_for_event`` or
+    ``get_event``). That wait moves every open SocketFabric in the
+    process over one standing poll set, and raises what an engine
+    callback raised. ``poll`` never moves the fabric.
     """
 
     def __init__(self, config: FabricConfig, faults=None, *, registry):
         super().__init__(faults, registry=registry)
         self.config = config
-        self._entry_by_lid = {e.lid: e for e in config.entries}
-        self._listeners: dict[socket.socket, int] = {}  # to their LID
-        # accepted connections: the LID they deliver to, and the bytes
-        # read that do not make a whole frame yet
-        self._conns: dict[socket.socket, tuple[int, bytes]] = {}
-        self._peers: dict[int, socket.socket] = {}  # dialled, by LID
-        # bytes queued for a dialled socket and not sent yet
-        self._unsent: dict[socket.socket, bytearray] = {}
+        self._addrs = {e.lid: (socket.gethostbyname(e.host), e.port)
+                       for e in config.entries}
+        self._socks: dict[int, socket.socket] = {}  # each port's, by LID
+        # the datagrams an engine call queued, by (socket, address)
+        self._unsent: dict[tuple, list[bytearray]] = {}
         _MANUAL.add(self)
 
     def now_ms(self) -> float:
@@ -1272,37 +1250,29 @@ class SocketFabric(Fabric):
     def _assign_lid(self) -> int:
         last_err = None
         for entry in self.config.entries:
-            lsock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            lsock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
             try:
-                lsock.bind((entry.host, entry.port))
-                lsock.listen(8)
+                sock.bind((entry.host, entry.port))
             except OSError as exc:
-                lsock.close()
+                sock.close()
                 last_err = exc
                 continue
-            lsock.setblocking(False)
-            self._listeners[lsock] = entry.lid
-            _MANUAL.watch(lsock, select.POLLIN, self._accept_conn)
+            sock.setblocking(False)
+            self._socks[entry.lid] = sock
+            _MANUAL.watch(sock, partial(self._read, entry.lid))
             return entry.lid
         raise VerbsError(f"no bindable fabric config entry ({last_err})")
 
     def close(self) -> None:
-        """Write out the queued bytes, for 2 s per socket at most (the peer
-        may still wait on our final acks), then close every socket.
-        Pending timers are dropped, and later frames are unrouted."""
+        """Close every port's socket. Pending timers are dropped, and
+        later frames are unrouted."""
         _MANUAL.discard(self)
         with self._lock:
-            for sock, pending in self._unsent.items():
-                with suppress(OSError):
-                    sock.settimeout(2.0)
-                    sock.sendall(pending)
-            for sock in [*self._listeners, *self._conns,
-                         *self._peers.values()]:
+            for sock in self._socks.values():
                 _MANUAL.unwatch(sock)
                 sock.close()
-            for held in (self._listeners, self._conns, self._peers,
-                         self._unsent, self._entry_by_lid, self._timers):
+            for held in (self._socks, self._unsent, self._addrs,
+                         self._timers):
                 held.clear()
         _MANUAL.wake()
 
@@ -1321,51 +1291,29 @@ class SocketFabric(Fabric):
                     self._send_unsent()
             return timers[0][0] if timers else math.inf
 
-    def _accept_conn(self, lsock: socket.socket) -> None:
-        with self._lock:
-            try:
-                conn, _ = lsock.accept()
-            except OSError:  # closed, or the peer gave up
-                return
-            conn.setblocking(False)
-            self._conns[conn] = (self._listeners[lsock], b"")
-            _MANUAL.watch(conn, select.POLLIN, self._read)
+    def _read(self, lid: int, sock: socket.socket) -> None:
+        """Read every datagram waiting on the port's socket, land all
+        their frames as one burst, then send what the burst wrote. A bad
+        record drops the rest of its datagram, after the frames before
+        it.
 
-    def _read(self, conn: socket.socket) -> None:
-        """Read what the connection has, land its whole frames as one
-        burst, then send what the burst wrote; end of stream, a socket
-        error or a bad frame closes the connection, after the frames
-        before the bad one land.
-
-        The frames are parsed in place, by offset into one ``bytes``
-        snapshot: one ``frame_body_length`` and one ``decode_frame`` of
-        the frame's own bytes each, and the consumed prefix is dropped
-        once."""
+        Each datagram's records are parsed in place, by offset: one
+        ``frame_body_length`` and one ``decode_frame`` of the record's
+        own bytes each."""
         with self._lock:
-            try:
-                data = conn.recv(65536)
-            except BlockingIOError:
-                return
-            except OSError:  # reset, or closed by close()
-                data = b""
-            if not data:
-                self._close(conn, self._conns)
-                return
-            lid, held = self._conns[conn]
-            if held:
-                data = held + data
-            pos, size, frames = 0, len(data), []
-            try:
-                while size - pos >= HEADER_LEN:
-                    end = pos + HEADER_LEN + frame_body_length(
-                        data[pos:pos + HEADER_LEN])
-                    if size < end:
-                        break
-                    frames.append(decode_frame(data[pos:end]))
-                    pos = end
-                self._conns[conn] = lid, data[pos:]
-            except FrameDecodeError:
-                self._close(conn, self._conns)
+            frames = []
+            while True:
+                try:
+                    data = sock.recv(MAX_DATAGRAM)
+                except OSError:  # drained, or closed by close()
+                    break
+                pos, size = 0, len(data)
+                with suppress(FrameDecodeError):
+                    while pos < size:
+                        end = pos + HEADER_LEN + frame_body_length(
+                            data[pos:pos + HEADER_LEN])
+                        frames.append(decode_frame(data[pos:end]))
+                        pos = end
             ep = self.routing.get(lid)
             try:
                 if ep is not None:
@@ -1373,38 +1321,7 @@ class SocketFabric(Fabric):
             finally:
                 self._send_unsent()
 
-    def _close(self, sock: socket.socket, held: dict) -> None:
-        """Close ``sock`` and forget what ``held`` (``_conns`` or
-        ``_unsent``) keeps for it."""
-        held.pop(sock, None)
-        _MANUAL.unwatch(sock)
-        sock.close()
-
     # -- wire ----------------------------------------------------------------
-
-    def bind_qp(self, qp: QueuePair, endpoint: Endpoint) -> None:
-        """Also dial the peer's LID, now that the QP knows it, rather than
-        on the first frame's path."""
-        super().bind_qp(qp, endpoint)
-        self._peer(qp.attrs.ah.dlid)
-
-    def _peer(self, dlid: int) -> Optional[socket.socket]:
-        """The connection to ``dlid``, dialled if there is none yet or it
-        was dropped; None if ``dlid`` has no config entry or the dial
-        fails."""
-        sock = self._peers.get(dlid)
-        entry = self._entry_by_lid.get(dlid)
-        if entry is not None and (sock is None or sock.fileno() == -1):
-            try:
-                sock = socket.create_connection((entry.host, entry.port),
-                                                timeout=2.0)
-            except OSError:
-                return None
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            sock.setblocking(False)
-            self._peers[dlid] = sock
-            _MANUAL.watch(sock, select.POLLIN, self._peer_ready)
-        return sock
 
     def transmit_message(self, qp: QueuePair, payload: bytes) -> None:
         """Segment and queue the message's frames, then send them in one
@@ -1415,67 +1332,39 @@ class SocketFabric(Fabric):
             self._send_unsent()
 
     def _deliver(self, src: Optional[Endpoint], dlid: int, frame: Frame) -> None:
-        sock = self._peer(dlid)
-        copies = self._wire_copies(src, dlid, frame, sock is not None)
-        data = encode_frame(frame) if copies else b""
+        addr = self._addrs.get(dlid)
+        # a QP whose port was detached has no socket to send from
+        copies = self._wire_copies(src, dlid, frame,
+                                   addr is not None and src is not None)
+        if not copies:
+            return
+        to, data = (self._socks[src.lid], addr), encode_frame(frame)
         for extra in copies:
             if extra:
                 self.schedule_at(self.now_ms() + extra,
-                                 lambda: self._write(sock, data))
+                                 partial(self._write, to, data))
             else:
-                self._write(sock, data)
+                self._write(to, data)
 
-    def _backlogged(self, dlid: int) -> bool:
-        sock = self._peers.get(dlid)
-        return sock is not None and sock in self._unsent
-
-    def _write(self, sock: socket.socket, data: bytes) -> None:
-        """Queue ``data`` behind what the socket has not taken yet; the
-        engine call that wrote it sends the queue when it returns."""
-        pending = self._unsent.get(sock)
-        if pending is None:
-            self._unsent[sock] = bytearray(data)
+    def _write(self, to: tuple, data: bytes) -> None:
+        """Add a record to the last datagram queued for ``to``, a
+        ``(socket, address)`` pair, or start a new one if it would grow
+        past ``MAX_DATAGRAM``; the engine call that wrote it sends the
+        queue when it returns."""
+        datagrams = self._unsent.get(to)
+        if datagrams is None:
+            self._unsent[to] = [bytearray(data)]
+        elif len(datagrams[-1]) + len(data) > MAX_DATAGRAM:
+            datagrams.append(bytearray(data))
         else:
-            pending += data
+            datagrams[-1] += data
 
     def _send_unsent(self) -> None:
-        """Send what an engine call queued, one ``send`` per socket."""
+        """Send what an engine call queued, one ``sendto`` per datagram.
+        A datagram the kernel refuses is lost; RC resends its frames."""
         with self._lock:
-            for sock in list(self._unsent):
-                self._flush(sock)
-
-    def _flush(self, sock: socket.socket) -> None:
-        """Send what the socket takes without blocking, and poll it for
-        writing while bytes are left. A socket error closes it, and the
-        next frame redials; retransmission recovers what was lost with
-        it."""
-        with self._lock:
-            pending = self._unsent.get(sock)
-            if pending is None:
-                return
-            try:
-                del pending[:sock.send(pending)]
-            except BlockingIOError:
-                pass
-            except OSError:
-                self._close(sock, self._unsent)
-                return
-            if not pending:
-                del self._unsent[sock]
-            _MANUAL.watch(sock, select.POLLIN | (select.POLLOUT if pending
-                                                 else 0), self._peer_ready)
-
-    def _peer_ready(self, sock: socket.socket) -> None:
-        """A dialled socket polled ready. The peer never writes on it, so
-        one that reads anything, end of stream or an error is closed, and
-        the next frame redials; else it polled writable, and takes more
-        of what is queued for it."""
-        with self._lock:
-            try:
-                sock.recv(1)
-            except BlockingIOError:
-                self._flush(sock)
-                return
-            except OSError:
-                pass
-            self._close(sock, self._unsent)
+            unsent, self._unsent = self._unsent, {}
+            for (sock, addr), datagrams in unsent.items():
+                for datagram in datagrams:
+                    with suppress(OSError):
+                        sock.sendto(datagram, addr)

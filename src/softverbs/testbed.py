@@ -1,6 +1,7 @@
 """Two-node rig: one emulated host side per ``Node``, wired by
 ``connect_pair`` through RESET -> INIT -> RTR -> RTS, and ``free_port``
-for the TCP ports a socket test binds.
+for the ports a socket test binds: TCP for the out-of-band exchange, UDP
+for a socket fabric's port.
 
 Shared by the test suite and the scripts that drive a fabric directly
 (``scripts/fault_sweep.py``); the pingpong program does its own set-up.
@@ -32,7 +33,8 @@ _PORTS = iter(range(20000, 32768))  # below Linux's default ephemeral range
 
 
 def free_port() -> int:
-    """The next port below the ephemeral range that nothing has bound.
+    """The next port below the ephemeral range that nothing has bound,
+    over TCP or over UDP, so that either may take it.
 
     A port the kernel picks for a bind to port 0 lies in the ephemeral
     range, where any connect() can take it as its local port before the
@@ -41,12 +43,14 @@ def free_port() -> int:
     twice in one process.
     """
     for port in _PORTS:
-        with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as s:
-            try:
-                s.bind(("127.0.0.1", port))
-            except OSError:
-                continue
-            return port
+        try:
+            with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as tcp, \
+                    socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as udp:
+                tcp.bind(("127.0.0.1", port))
+                udp.bind(("127.0.0.1", port))
+        except OSError:
+            continue
+        return port
     raise OSError("no free port left below the ephemeral range")
 
 

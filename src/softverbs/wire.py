@@ -17,10 +17,10 @@ Every unit on the wire is one frame, encoded big-endian:
 A NAK is the PSN sequence error: its PSN is the one the receiver still
 waits for while it holds later frames.
 
-On the stream transport each frame is one record, and the header is
+On the socket transport each frame is one record, and the header is
 self-delimiting because it carries the payload length. Records are
-written back to back, a batch of them per ``send``, so a reader splits
-the stream by the length field alone.
+written back to back, a batch of them per UDP datagram, so a reader
+splits a datagram by the length field alone.
 
 The codec packs and unpacks the whole header with one precomputed
 ``struct.Struct``, each 24-bit field as a 16-bit and an 8-bit half.
@@ -153,12 +153,12 @@ def decode_frame(data: bytes) -> Frame:
 
 
 def frame_body_length(header: bytes) -> int:
-    """Payload byte count that follows a 14-byte header on a stream."""
+    """Payload byte count that follows a 14-byte record header."""
     if len(header) != HEADER_LEN:
         raise FrameDecodeError("header must be exactly 14 bytes")
     magic, kind, _, _, _, _, _, length = _HEADER.unpack(header)
     if magic != FRAME_MAGIC:
-        raise FrameDecodeError("bad magic in stream header")
+        raise FrameDecodeError("bad magic in record header")
     if kind != _DATA:
         return 0
     if length > MAX_PAYLOAD:

@@ -62,13 +62,16 @@ def test_criterion_01_loopback_pingpong_defaults(capsys):
 
 
 def _wait_port(port, timeout=15.0):
+    """Wait until the server's fabric holds its UDP port: a bind to it
+    fails."""
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
-        try:
-            socket.create_connection(("127.0.0.1", port), timeout=0.2).close()
-            return True
-        except OSError:
-            time.sleep(0.05)
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as probe:
+            try:
+                probe.bind(("127.0.0.1", port))
+            except OSError:
+                return True
+        time.sleep(0.05)
     return False
 
 

@@ -854,13 +854,6 @@ class TestRetry:
         assert wcs[1].status is WcStatus.WR_FLUSHED
 
 
-class BackloggedFabric(LoopbackFabric):
-    """A transport that still holds unsent bytes for every peer."""
-
-    def _backlogged(self, dlid: int) -> bool:
-        return True
-
-
 class TestGoBack:
     """A timeout, or an ACK that exposes a head older than the QP's
     timeout, replays the window from the head: the head, and the frames
@@ -889,24 +882,21 @@ class TestGoBack:
             [(3, WcStatus.SUCCESS), (4, WcStatus.SUCCESS)]
         assert b.read(2048, 100) == b"y" * 100
 
-    def test_a_stale_head_behind_a_backlog_restarts_its_clock(self,
-                                                              registry):
-        # the transport holds unsent bytes, so the head exposed by an ACK
-        # has not left yet: no burst resends it behind itself
-        fabric = BackloggedFabric(registry=registry)
-        a = Node(registry, fabric)
-        b = Node(registry, fabric)
-        connect_pair(a, b)
+    def test_an_ack_that_exposes_a_stale_head_resumes_the_burst(self, pair,
+                                                                fabric):
+        # every DATA copy is lost; at 70 ms the head (PSN 100) was probed
+        # at 10, and PSN 101, sent at 0, is older than the 67.1 ms timeout
+        a, b = pair
         fabric.drop_filter = lambda f: f.kind is FrameKind.DATA
         a.post_send(1, bytes(2048))  # PSNs 100..101, sent at 0
         snd = a.qp.sender
-        # every tick finds the backlog and restarts the head's clock
-        fabric.advance(snd.timeout_ms + 1)
-        sent = len(fabric.trace)
+        fabric.advance(70)
+        assert fabric.now_ms() - snd.unacked[1][1] >= snd.timeout_ms
         fabric.on_ack(a.qp, Frame(FrameKind.ACK, a.qp.qpn, 100))
-        assert [(f.psn, t) for f, t in snd.unacked] == \
-            [(101, fabric.now_ms())]
-        assert len(fabric.trace) == sent
+        # the exposed head is resent at once, charged to no budget
+        assert [(f.psn, t) for f, t in snd.unacked] == [(101, 70)]
+        last = fabric.trace[-1]
+        assert (last.frame.psn, last.t) == (101, 70)
         assert snd.retries_used == 0
 
 

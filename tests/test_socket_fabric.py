@@ -1,5 +1,5 @@
+import errno
 import random
-import select
 import socket
 import sys
 import threading
@@ -16,7 +16,7 @@ from softverbs.fabric import (
     FaultProfile,
     SocketFabric,
 )
-from softverbs import fabric as fabric_module, pingpong
+from softverbs import fabric as fabric_module, pingpong, testbed
 from softverbs.pingpong import PingpongConfig, cleanup_node, run_node
 from softverbs.verbs import (
     AttrMask,
@@ -98,10 +98,8 @@ def test_message_crosses_real_sockets(two_fabrics):
 
 def test_no_bindable_entry_is_an_error():
     taken = free_port()
-    import socket as socketlib
-    blocker = socketlib.socket()
+    blocker = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
     blocker.bind(("127.0.0.1", taken))
-    blocker.listen(1)
     try:
         config = FabricConfig(entries=[FabricConfigEntry(1, "127.0.0.1",
                                                          taken)])
@@ -114,6 +112,14 @@ def test_no_bindable_entry_is_an_error():
         fabric.close()
     finally:
         blocker.close()
+
+
+def test_free_port_skips_a_port_a_udp_socket_holds(monkeypatch):
+    held, free = free_port(), free_port()
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as holder:
+        holder.bind(("127.0.0.1", held))
+        monkeypatch.setattr(testbed, "_PORTS", iter([held, free]))
+        assert free_port() == free
 
 
 def test_close_stops_every_fabric_thread(two_fabrics):
@@ -237,27 +243,13 @@ def test_close_stops_its_readers_while_the_peer_stays_open(two_fabrics):
     a.post_send(2, b"hello")
     assert len(wait_for(b.cq, 1)) == 1
     assert len(wait_for(a.cq, 1)) == 1
-    # fab_b's listener, the connection it accepted from fab_a and the one
-    # it dialled to fab_a
-    socks = [*fab_b._listeners, *fab_b._conns, *fab_b._peers.values()]
-    assert len(socks) == 3
+    # fab_b's one socket, that of its one port
+    socks = list(fab_b._socks.values())
+    assert len(socks) == 1
     fab_b.close()
-    assert [s.fileno() for s in socks] == [-1] * 3
-    # fab_a stays open: its wait sees fab_b's end of stream, no error
+    assert [s.fileno() for s in socks] == [-1]
+    # fab_a stays open, and its wait raises nothing
     assert a.cq.wait_for_completion(timeout=0.2) is False
-    assert not fab_a._conns
-
-
-def test_writer_to_the_peer_starts_when_the_qp_is_connected(two_fabrics):
-    (reg_a, reg_b), (fab_a, fab_b) = two_fabrics
-    a = Node(reg_a, fab_a)
-    b = Node(reg_b, fab_b)
-    assert not fab_a._peers
-    connect_pair(a, b)
-    assert set(fab_a._peers) == {b.lid}
-    assert set(fab_b._peers) == {a.lid}
-    [listener] = fab_b._listeners
-    assert fab_a._peers[b.lid].getpeername() == listener.getsockname()
 
 
 class EngineFault(Exception):
@@ -354,16 +346,22 @@ def test_a_flush_on_another_thread_ends_a_socket_wait_at_once(two_fabrics):
 
 def test_unreachable_peer_is_traced_unrouted_and_fails_the_send(
         make_fabrics):
+    """A frame to a LID with no config entry is unrouted; one to a LID
+    whose port nobody binds is sent and lost. Either way the send runs
+    out of retries."""
     (reg_a, _), (fab_a, _) = make_fabrics()
-    a = Node(reg_a, fab_a)  # LID 1; nothing listens on LID 2's port
-    to_init(a.qp)
-    to_rtr(a.qp, 2, 0x123, 0)
-    to_rts(a.qp, 100, retry_cnt=1)
-    a.post_send(1, b"nobody home")
-    assert [wc.status for wc in wait_for(a.cq, 1)] == \
-        [WcStatus.RETRY_EXCEEDED]
-    data = [e.status for e in fab_a.trace if e.frame.kind is FrameKind.DATA]
-    assert data == ["unrouted"] * 2  # the first copy and its one retry
+    a = Node(reg_a, fab_a)  # LID 1; nothing binds LID 2's port
+    for dlid, status in ((2, "sent"), (9, "unrouted")):
+        to_init(a.qp)
+        to_rtr(a.qp, dlid, 0x123, 0)
+        to_rts(a.qp, 100, retry_cnt=1)
+        a.post_send(1, b"nobody home")
+        assert [wc.status for wc in wait_for(a.cq, 1)] == \
+            [WcStatus.RETRY_EXCEEDED]
+        data = [e.status for e in fab_a.trace
+                if e.frame.kind is FrameKind.DATA and e.dst_lid == dlid]
+        assert data == [status] * 2  # the first copy and its one retry
+        a.qp.modify(ModifyAttributes(state=QpState.RESET), AttrMask.STATE)
 
 
 def test_socket_fabrics_start_no_thread(make_fabrics, monkeypatch):
@@ -488,16 +486,16 @@ def test_abort_ends_a_waiting_role_within_a_second(make_fabrics, use_event):
 
 
 class CountingSocket:
-    """Stands in for a dialled socket and records the bytes of each
-    ``send`` call; everything else goes to the real socket."""
+    """Stands in for a port's socket and records the bytes of each
+    ``sendto`` call; everything else goes to the real socket."""
 
     def __init__(self, sock):
         self._sock = sock
         self.sends: list[bytes] = []
 
-    def send(self, data):
-        sent = self._sock.send(data)
-        self.sends.append(bytes(data[:sent]))
+    def sendto(self, data, addr):
+        sent = self._sock.sendto(data, addr)
+        self.sends.append(bytes(data))
         return sent
 
     def __getattr__(self, name):
@@ -509,8 +507,7 @@ def test_a_four_frame_message_leaves_in_one_send(two_fabrics, monkeypatch):
     a = Node(reg_a, fab_a)
     b = Node(reg_b, fab_b)
     connect_pair(a, b)
-    counting = CountingSocket(fab_a._peers[b.lid])
-    fab_a._peers[b.lid] = counting
+    counting = fab_a._socks[a.lid] = CountingSocket(fab_a._socks[a.lid])
     decoded = []
 
     def record(data):
@@ -528,13 +525,59 @@ def test_a_four_frame_message_leaves_in_one_send(two_fabrics, monkeypatch):
                     payload[i * 1024:(i + 1) * 1024])
               for i, seg in enumerate((SegMark.FIRST, SegMark.MIDDLE,
                                        SegMark.MIDDLE, SegMark.LAST))]
-    # a round trip slower than PROBE_MS, as on a loaded host, adds the
-    # head's probe: a lone copy of PSN 100, in a send of its own
+    # a round trip slower than the probe timeout, as on a loaded host,
+    # adds the head's probe: a lone copy of PSN 100, in a datagram of its
+    # own
     first, *later = counting.sends
     assert first == b"".join(map(encode_frame, frames))
     assert all(sent == encode_frame(frames[0]) for sent in later)
     data = [f for f in decoded if f.kind is FrameKind.DATA]
     assert data[:4] == frames and all(f == frames[0] for f in data[4:])
+
+
+def test_a_64k_message_at_mtu_4096_leaves_in_two_datagrams(two_fabrics):
+    """Sixteen records of 4110 bytes do not fit one datagram: the first
+    fifteen fill one, split at a record boundary, and the last goes in a
+    second."""
+    (reg_a, reg_b), (fab_a, fab_b) = two_fabrics
+    a = Node(reg_a, fab_a)
+    b = Node(reg_b, fab_b)
+    connect_pair(a, b, mtu=4096)
+    counting = fab_a._socks[a.lid] = CountingSocket(fab_a._socks[a.lid])
+    payload = random.Random(7).randbytes(65536)
+    b.post_recv(1)
+    a.post_send(2, payload)
+    record = HEADER_LEN + 4096
+    assert [len(d) for d in counting.sends] == [15 * record, record]
+    assert [wc.status for wc in wait_for(b.cq, 1)] == [WcStatus.SUCCESS]
+    assert [wc.status for wc in wait_for(a.cq, 1)] == [WcStatus.SUCCESS]
+    assert b.read(0, len(payload)) == payload
+
+
+def test_two_messages_posted_while_no_thread_waits_land_as_one_burst(
+        two_fabrics, monkeypatch):
+    """Each message leaves in a datagram of its own; the read that the
+    next wait makes drains both, and the receiver acks the burst once."""
+    # no probe before the QP's timeout: its duplicate would draw a stale
+    # re-ACK of an older PSN
+    monkeypatch.setattr(fabric_module, "PROBE_MS", 10_000.0)
+    (reg_a, reg_b), (fab_a, fab_b) = two_fabrics
+    a = Node(reg_a, fab_a)
+    b = Node(reg_b, fab_b)
+    connect_pair(a, b, timeout=17)  # 537 ms
+    payload = bytes(range(256)) * 8  # PSNs 100..101, then 102..103
+    b.post_recv(1, length=len(payload))
+    b.post_recv(2, off=len(payload), length=len(payload))
+    a.post_send(3, payload, off=2 * len(payload))
+    a.post_send(4, payload[::-1], off=3 * len(payload))
+    recv = wait_for(b.cq, 2)
+    assert [(wc.wr_id, wc.status) for wc in recv] == \
+        [(1, WcStatus.SUCCESS), (2, WcStatus.SUCCESS)]
+    assert b.read(len(payload), len(payload)) == payload[::-1]
+    assert [wc.wr_id for wc in wait_for(a.cq, 2)] == [3, 4]
+    acks = [e.frame.psn for e in fab_b.trace
+            if e.frame.kind is FrameKind.ACK]
+    assert acks == [103]
 
 
 def test_a_window_of_messages_draws_fewer_acks_than_frames(two_fabrics,
@@ -568,27 +611,24 @@ def test_a_window_of_messages_draws_fewer_acks_than_frames(two_fabrics,
     assert acks == sorted(acks) and acks[-1] == data[-1]
 
 
-def test_a_small_send_buffer_delivers_a_window_exactly_once_in_order(
+def test_a_small_receive_buffer_delivers_a_window_exactly_once_in_order(
         two_fabrics):
-    """A window of 64 KiB sends posted at once overruns the dialled
-    socket's shrunken send buffer: the rest stays queued, the socket is
-    polled for writing, and the waiting thread writes it out."""
+    """A window of 64 KiB sends posted at once overruns the receiver's
+    shrunken socket buffer: the kernel drops what does not fit, and RC
+    resends it until every message has landed once, in order."""
     n_msgs, size = 16, 65536
     (reg_a, reg_b), (fab_a, fab_b) = two_fabrics
     a, b = (Node(reg, fabric, size=n_msgs * size, max_send_wr=n_msgs,
                  max_recv_wr=n_msgs, cq_capacity=n_msgs + 1)
             for reg, fabric in ((reg_a, fab_a), (reg_b, fab_b)))
     connect_pair(a, b)
-    sock = fab_a._peers[b.lid]
-    sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+    fab_b._socks[b.lid].setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
     rng = random.Random(9)
     payloads = [rng.randbytes(size) for _ in range(n_msgs)]
     for i in range(n_msgs):
         b.post_recv(i, off=i * size, length=size)
     for i, payload in enumerate(payloads):
         a.post_send(1000 + i, payload, off=i * size)
-    assert sock in fab_a._unsent
-    assert sock.fileno() in fabric_module._MANUAL.handlers
     recv = wait_for(b.cq, n_msgs, timeout=30.0)
     send = wait_for(a.cq, n_msgs, timeout=30.0)
     assert [wc.wr_id for wc in recv] == list(range(n_msgs))
@@ -596,234 +636,118 @@ def test_a_small_send_buffer_delivers_a_window_exactly_once_in_order(
     assert all(wc.status is WcStatus.SUCCESS for wc in recv + send)
     for i, payload in enumerate(payloads):
         assert b.read(i * size, size) == payload
-    assert not fab_a._unsent
-    # no longer polled for writing
-    _, _, events = fabric_module._MANUAL.handlers[sock.fileno()]
-    assert events == select.POLLIN
+    data = [e for e in fab_a.trace if e.frame.kind is FrameKind.DATA]
+    assert len(data) > n_msgs * size // 1024  # some were lost and resent
 
 
-class StalledSocket:
-    """Stands in for a dialled socket whose send buffer is full while
-    ``stalled`` holds; everything else goes to the real socket."""
+class FailingSocket:
+    """Stands in for a port's socket whose first ``sendto`` fails, as
+    when the kernel has no buffer for it; everything else goes to the
+    real socket."""
 
     def __init__(self, sock):
         self._sock = sock
-        self.stalled = True
+        self.failed = False
 
-    def send(self, data):
-        if self.stalled:
-            raise BlockingIOError
-        return self._sock.send(data)
+    def sendto(self, data, addr):
+        if not self.failed:
+            self.failed = True
+            raise OSError(errno.ENOBUFS, "no buffer space")
+        return self._sock.sendto(data, addr)
 
     def __getattr__(self, name):
         return getattr(self._sock, name)
 
 
-def test_no_probe_while_the_head_is_still_queued(two_fabrics):
-    """A head whose bytes the socket has not taken has not left yet: its
-    probe deadline restarts instead of resending it behind itself."""
+def test_a_send_error_loses_the_datagram_and_the_probe_carries_it(
+        two_fabrics):
     (reg_a, reg_b), (fab_a, fab_b) = two_fabrics
     a = Node(reg_a, fab_a)
     b = Node(reg_b, fab_b)
     connect_pair(a, b)
-    stalled = StalledSocket(fab_a._peers[b.lid])
-    fab_a._peers[b.lid] = stalled
-    b.post_recv(1)
-    a.post_send(2, b"queued" * 100)
-    assert stalled in fab_a._unsent
-    # several probe deadlines pass while the waiting thread moves both
-    # fabrics and fires their ticks
-    assert not a.cq.wait_for_completion(timeout=5 * PROBE_MS / 1e3)
-    data = [e for e in fab_a.trace if e.frame.kind is FrameKind.DATA]
-    assert len(data) == 1
-    snd = a.qp.sender
-    assert len(snd.unacked) == 1
-    assert not snd.probed and snd.retries_used == 0
-    stalled.stalled = False
-    fabric_module._MANUAL.wake()
-    assert [wc.status for wc in wait_for(b.cq, 1)] == [WcStatus.SUCCESS]
-    assert [wc.status for wc in wait_for(a.cq, 1)] == [WcStatus.SUCCESS]
-
-
-class ResetSocket(StalledSocket):
-    """Stands in for a dialled socket whose peer reset the connection:
-    every ``send`` fails."""
-
-    def send(self, data):
-        raise ConnectionResetError
-
-
-def test_a_send_error_closes_the_socket_and_the_probe_redials(two_fabrics):
-    """A socket error loses the frames queued on it; the probe's frame
-    dials a new connection and carries the message across once."""
-    (reg_a, reg_b), (fab_a, fab_b) = two_fabrics
-    a = Node(reg_a, fab_a)
-    b = Node(reg_b, fab_b)
-    connect_pair(a, b)
-    broken = ResetSocket(fab_a._peers[b.lid])
-    fab_a._peers[b.lid] = broken
+    failing = fab_a._socks[a.lid] = FailingSocket(fab_a._socks[a.lid])
     payload = bytes(range(256)) * 4
     b.post_recv(1)
     a.post_send(2, payload)
-    assert broken.fileno() == -1 and broken not in fab_a._unsent
+    assert failing.failed and not fab_a._unsent
     recv = wait_for(b.cq, 1)
     assert [(wc.wr_id, wc.status) for wc in recv] == [(1, WcStatus.SUCCESS)]
     assert [wc.status for wc in wait_for(a.cq, 1)] == [WcStatus.SUCCESS]
     assert b.read(0, len(payload)) == payload
-    redialled = fab_a._peers[b.lid]
-    assert redialled is not broken and redialled.fileno() != -1
     data = [e.frame.psn for e in fab_a.trace
             if e.frame.kind is FrameKind.DATA]
     assert data == [100, 100]  # the lost frame, then its probe
     assert b.cq.poll(1) == []
 
 
-def test_a_peer_close_is_seen_before_the_next_message(two_fabrics,
-                                                     monkeypatch):
-    """A dialled socket is polled for reading for its whole life: when
-    the peer closes the connection, the waiting thread closes it too, and
-    the next message redials and crosses once, with no retransmission."""
-    # no probe before the QP's timeout: a message written into the dead
-    # connection would wait out that timeout
-    monkeypatch.setattr(fabric_module, "PROBE_MS", 10_000.0)
-    monkeypatch.setattr(fabric_module, "PROBE_ALLOWANCE_MS", 10_000.0)
+def dropped_records(fabric):
+    """The records of the frames ``fabric``'s drop filter kept off the
+    wire, in the order they were sent."""
+    return [encode_frame(e.frame) for e in fabric.trace
+            if e.status == "dropped"]
+
+
+def test_a_bad_record_drops_the_rest_of_its_datagram(two_fabrics):
+    """A datagram with a whole record, one that does not decode and a
+    whole record behind it: the first lands and the last is dropped with
+    the bad one; the next datagram lands."""
     (reg_a, reg_b), (fab_a, fab_b) = two_fabrics
     a = Node(reg_a, fab_a)
     b = Node(reg_b, fab_b)
-    connect_pair(a, b, timeout=17)  # 537 ms
-    b.post_recv(1)
-    a.post_send(2, b"first")
-    assert [wc.status for wc in wait_for(b.cq, 1)] == [WcStatus.SUCCESS]
-    assert [wc.status for wc in wait_for(a.cq, 1)] == [WcStatus.SUCCESS]
-    dialled = fab_a._peers[b.lid]
-    conn, = fab_b._conns
-    with reg_b.lock:
-        fab_b._close(conn, fab_b._conns)
-    deadline = time.monotonic() + 5.0
-    while dialled.fileno() != -1 and time.monotonic() < deadline:
-        a.cq.wait_for_completion(timeout=0.05)
-    assert dialled.fileno() == -1 and not fab_a._unsent
-    b.post_recv(3)
-    start = time.monotonic()
-    a.post_send(4, b"x" * 100)
-    assert [wc.status for wc in wait_for(b.cq, 1)] == [WcStatus.SUCCESS]
-    assert [wc.status for wc in wait_for(a.cq, 1)] == [WcStatus.SUCCESS]
-    assert time.monotonic() - start < 0.5
-    assert b.read(0, 100) == b"x" * 100
-    assert fab_a._peers[b.lid] is not dialled and len(fab_b._conns) == 1
-    data = [e.frame.psn for e in fab_a.trace
-            if e.frame.kind is FrameKind.DATA]
-    assert data == [100, 101]
-
-
-def test_a_bad_record_closes_the_connection_after_the_frames_before_it(
-        two_fabrics):
-    """Two whole records and then one that does not decode: the two land,
-    the connection closes, and the peer's next frame dials a new one."""
-    (reg_a, reg_b), (fab_a, fab_b) = two_fabrics
-    a = Node(reg_a, fab_a)
-    b = Node(reg_b, fab_b)
-    # a 537 ms timeout (code 17): a short one could fire for the first
-    # message on a loaded host, and redial before the check below
+    # a 537 ms timeout (code 17): PSN 101 must not run out of retries on
+    # a loaded host before the test sends it
     connect_pair(a, b, timeout=17)
-    dialled = fab_a._peers[b.lid]
-    payload = bytes(range(256)) * 8  # two frames at mtu 1024
-    b.post_recv(1, length=len(payload))
-    # the engine sends nothing: the test writes the message's records
+    b.post_recv(1, length=100)
+    b.post_recv(2, off=100, length=100)
+    # the engine's DATA never reaches the wire: the test sends it
     fab_a.drop_filter = lambda frame: frame.kind is FrameKind.DATA
-    a.post_send(2, payload)
-    fab_a.drop_filter = None
-    records = [encode_frame(e.frame) for e in fab_a.trace
-               if e.status == "dropped"]
-    assert len(records) == 2
-    dialled.sendall(b"".join(records) + b"\xde\xad" + bytes(HEADER_LEN - 2))
-    recv = wait_for(b.cq, 1)
-    assert [(wc.wr_id, wc.status) for wc in recv] == [(1, WcStatus.SUCCESS)]
-    assert b.read(0, len(payload)) == payload
-    assert [wc.status for wc in wait_for(a.cq, 1)] == [WcStatus.SUCCESS]
-    assert not fab_b._conns  # a's connection was the only one
-    # a's socket reads the end of stream and closes, and the next
-    # message redials
-    b.post_recv(3, off=len(payload), length=len(payload))
-    a.post_send(4, payload[::-1], off=len(payload))
-    recv = wait_for(b.cq, 1)
-    assert [(wc.wr_id, wc.status) for wc in recv] == [(3, WcStatus.SUCCESS)]
-    assert b.read(len(payload), len(payload)) == payload[::-1]
-    assert [wc.status for wc in wait_for(a.cq, 1)] == [WcStatus.SUCCESS]
-    assert fab_a._peers[b.lid] is not dialled and len(fab_b._conns) == 1
+    a.post_send(3, b"first")  # PSN 100
+    a.post_send(4, b"second", off=100)  # PSN 101
+    first, second = dropped_records(fab_a)[:2]
+    bad = b"\xde\xad" + bytes(HEADER_LEN - 2)
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as peer:
+        peer.sendto(first + bad + second, fab_b._addrs[b.lid])
+        recv = wait_for(b.cq, 1)
+        assert [(wc.wr_id, wc.status) for wc in recv] == \
+            [(1, WcStatus.SUCCESS)]
+        # the whole datagram went in one read: PSN 101 was dropped
+        assert b.qp.receiver.expected_psn == 101 and b.cq.poll(1) == []
+        peer.sendto(second, fab_b._addrs[b.lid])
+        recv = wait_for(b.cq, 1)
+    assert [(wc.wr_id, wc.status) for wc in recv] == [(2, WcStatus.SUCCESS)]
+    assert (b.read(0, 5), b.read(100, 6)) == (b"first", b"second")
+    assert [wc.wr_id for wc in wait_for(a.cq, 2)] == [3, 4]
 
 
-def test_an_rnr_nak_code_beyond_5_bits_closes_the_connection(two_fabrics):
-    """A peer's RNR NAK for the unacked head whose delay code does not
-    fit 5 bits is a bad record: the wait that reads it closes the
-    connection and raises nothing, and the peer's next frame redials."""
+def test_an_rnr_nak_code_beyond_5_bits_drops_the_rest_of_its_datagram(
+        two_fabrics):
+    """A peer's RNR NAK whose delay code does not fit 5 bits is a bad
+    record: the ACK before it lands, the ACK behind it is dropped with
+    it, and the wait that reads them raises nothing."""
     (reg_a, reg_b), (fab_a, fab_b) = two_fabrics
     a = Node(reg_a, fab_a)
     b = Node(reg_b, fab_b)
-    connect_pair(a, b)
-    dialled = fab_b._peers[a.lid]
-    b.post_recv(1)
-    a.post_send(2, b"refused?")  # PSN 100, unacked until a wait moves it
-    record = encode_frame(Frame(FrameKind.RNR_NAK, a.qp.qpn, 100))
-    dialled.sendall(record[:10] + (32).to_bytes(4, "big"))
-    assert [wc.status for wc in wait_for(b.cq, 1)] == [WcStatus.SUCCESS]
-    assert [wc.status for wc in wait_for(a.cq, 1)] == [WcStatus.SUCCESS]
-    assert a.qp.state is QpState.RTS
-    # the ACK that followed the record was lost with the connection
-    assert fab_b._peers[a.lid] is not dialled and len(fab_a._conns) == 1
-
-
-def test_a_redial_in_the_first_frame_does_not_age_the_rest(two_fabrics,
-                                                          monkeypatch):
-    """Each frame of a message is stamped with the wall time it is sent
-    at: the frames behind one whose send redials slowly are stamped
-    after the redial, so their deadlines do not start early."""
-    (reg_a, reg_b), (fab_a, fab_b) = two_fabrics
-    a = Node(reg_a, fab_a, size=8192)
-    b = Node(reg_b, fab_b, size=8192)
-    connect_pair(a, b)
-    fab_a._peers[b.lid].close()
-    dial = socket.create_connection
-    dialled = []
-
-    def slow_dial(*args, **kwargs):
-        time.sleep(0.05)
-        sock = dial(*args, **kwargs)
-        dialled.append(fab_a.now_ms())
-        return sock
-
-    monkeypatch.setattr(socket, "create_connection", slow_dial)
-    payload = random.Random(5).randbytes(4096)  # four frames at mtu 1024
-    b.post_recv(1, length=len(payload))
-    a.post_send(2, payload, off=len(payload))
-    # no thread has waited yet, so no ACK has retired an entry
-    (_, head_sent_at), *rest = a.qp.sender.unacked
-    dialled_at, = dialled
-    assert head_sent_at < dialled_at
-    assert len(rest) == 3 and all(sent_at >= dialled_at
-                                  for _, sent_at in rest)
-    recv = wait_for(b.cq, 1)
-    assert [(wc.wr_id, wc.status) for wc in recv] == [(1, WcStatus.SUCCESS)]
-    assert [wc.status for wc in wait_for(a.cq, 1)] == [WcStatus.SUCCESS]
-    assert b.read(0, len(payload)) == payload
-
-
-def test_close_writes_out_the_queued_bytes(two_fabrics):
-    (reg_a, reg_b), (fab_a, fab_b) = two_fabrics
-    a = Node(reg_a, fab_a, size=8192)
-    b = Node(reg_b, fab_b, size=8192)
-    connect_pair(a, b)
-    stalled = StalledSocket(fab_a._peers[b.lid])
-    fab_a._peers[b.lid] = stalled
-    payload = random.Random(3).randbytes(4096)  # four frames at mtu 1024
-    b.post_recv(1, length=len(payload))
-    a.post_send(2, payload, off=len(payload))
-    assert len(fab_a._unsent[stalled]) == 4 * (HEADER_LEN + 1024)
-    stalled.stalled = False
-    fab_a.close()
-    recv = wait_for(b.cq, 1)
-    assert [(wc.wr_id, wc.status) for wc in recv] == [(1, WcStatus.SUCCESS)]
-    assert b.read(0, len(payload)) == payload
+    # a 537 ms timeout (code 17): the unacked head must not run out of
+    # retries on a loaded host before the test acks it
+    connect_pair(a, b, timeout=17)
+    fab_a.drop_filter = lambda frame: frame.kind is FrameKind.DATA
+    a.post_send(1, b"acked")  # PSN 100
+    a.post_send(2, b"refused?", off=100)  # PSN 101
+    ack = [encode_frame(Frame(FrameKind.ACK, a.qp.qpn, psn))
+           for psn in (100, 101)]
+    rnr = encode_frame(Frame(FrameKind.RNR_NAK, a.qp.qpn, 101))
+    rnr = rnr[:10] + (32).to_bytes(4, "big")
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as peer:
+        peer.sendto(ack[0] + rnr + ack[1], fab_a._addrs[a.lid])
+        send = wait_for(a.cq, 1)
+        assert [(wc.wr_id, wc.status) for wc in send] == \
+            [(1, WcStatus.SUCCESS)]
+        assert [f.psn for f, _ in a.qp.sender.unacked] == [101]
+        assert a.qp.state is QpState.RTS and a.cq.poll(1) == []
+        peer.sendto(ack[1], fab_a._addrs[a.lid])
+        send = wait_for(a.cq, 1)
+    assert [(wc.wr_id, wc.status) for wc in send] == [(2, WcStatus.SUCCESS)]
+    assert not a.qp.sender.unacked and a.qp.state is QpState.RTS
 
 
 def test_the_server_connects_before_it_replies(make_fabrics, monkeypatch):
