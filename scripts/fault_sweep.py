@@ -4,8 +4,8 @@
 For each drop/duplicate/reorder setting, pushes a batch of messages
 through a single-threaded loopback world and reports how many frames the
 reliability engine needed relative to the lossless minimum, then how
-many ACK frames the receiver sent and how long the batch took in virtual
-time: until its last send completion. A third table shows RNR recovery
+many ACK and NAK frames the receiver sent and how long the batch took in
+virtual time: until its last send completion. A third table shows RNR recovery
 on a lossless wire: batches whose receives are posted 15 virtual ms
 after their sends, with the RNR NAKs they drew. A closing line sums the DATA
 frames, ACKs and virtual time over the rows of the first two tables.
@@ -87,10 +87,11 @@ def main():
               f"{'all' if ok else 'FAILED':>10} {frames:>8} "
               f"{frames / minimum:>13.2f}x")
     print(f"\n{'drop':>6} {'dup':>6} {'reorder':>8} {'acks':>6} "
-          f"{'virtual_ms':>11}")
+          f"{'naks':>6} {'virtual_ms':>11}")
     for drop, dup, reorder, _, kinds, _, virtual_ms in rows:
         print(f"{drop:>6.2f} {dup:>6.2f} {reorder:>8.2f} "
-              f"{kinds[FrameKind.ACK]:>6} {virtual_ms:>11.2f}")
+              f"{kinds[FrameKind.ACK]:>6} {kinds[FrameKind.NAK]:>6} "
+              f"{virtual_ms:>11.2f}")
     failed = not all(row[3] for row in rows)
     late_ms = 15.0
     print(f"\nreceives posted {late_ms:g} virtual ms after the sends, "

@@ -8,24 +8,35 @@ The unit of delivery and of acknowledgement is a burst: the frames that
 land on one port at one virtual instant (loopback), or that the
 datagrams waiting on a port's socket hold (sockets). A receiving QP
 that accepts in-order frames in a burst owes one cumulative ACK, which
-``_send_owed_acks`` sends when the burst ends, at the instant its last
+``_end_burst`` sends when the burst ends, at the instant its last
 frame landed (IBTA RC lets one ACK cover any run of PSNs). NAKs, RNR
 NAKs, the ACK of a drained gap and the re-ACK of a stale duplicate,
-which names the duplicate's own PSN, leave at once.
+which names the duplicate's own PSN, leave at once; so does the NAK
+that asks again for a gap, at the burst's end.
 
-Loss recovery is NAK-driven, after the IBTA RC PSN sequence error: a
-receiver holds frames that arrive ahead of the expected PSN (up to
-``HOLD_PSNS`` ahead) and sends one NAK per gap; the sender resends just
-the NAK'd frame. Once the gap fills, the held frames that now continue
-the sequence are accepted as one run, under one cumulative ACK. A loss
-that no later frame reveals (a lost last frame, NAK, NAK'd resend or
-final ACK) is caught by a tail-loss probe, after RFC 8985: a head
-unacked for one probe timeout (PTO) is resent once, alone, and charged
-to its retry budget. The PTO follows the path's round trip: each QP
-keeps an SRTT after RFC 6298, sampled from the ACKs of frames sent once
-(Karn's rule), and its PTO is 2 x SRTT plus ``PROBE_ALLOWANCE_MS``
-(``PROBE_MS`` before the first sample), capped by the QP's retransmit
-timeout. That timeout remains the fallback when the probe is lost too:
+Loss recovery is NAK-driven, after the IBTA RC PSN sequence error, and
+repairs every gap of a window in one round trip, as IRN's selective
+NACK does for RoCE and TCP's SACK blocks (RFC 2018) do: a receiver
+holds frames that arrive ahead of the expected PSN (up to ``HOLD_PSNS``
+ahead) and reports each gap as it opens, in a NAK for the expected PSN
+whose gap list (an extension of the wire format) names that gap. The
+sender resends every listed frame that is still unacked at once, but
+not one whose last copy left less than SRTT/2 ago (a copy of that NAK
+asked for it already), and charges only a listed head to its retry
+budget. Once a gap fills, the held frames that now continue the
+sequence are accepted as one run, under one cumulative ACK. At the
+burst's end, the next gap is asked for again if it was reported no
+later than the gap just filled: its resend should have landed with
+that one's, so it was lost (``_ask_again``). A loss that no later frame
+reveals (a lost last frame, NAK, NAK'd resend or final ACK) is caught
+by a tail-loss probe, after RFC 8985: a head unacked for one probe
+timeout (PTO) is resent once, alone, and charged to its retry budget.
+The PTO follows the path's round trip: each QP keeps an SRTT after RFC
+6298, sampled from the ACKs of frames sent once (Karn's rule), and its
+PTO is 2 x SRTT plus an allowance (``PROBE_MS`` before the first
+sample), capped by the QP's retransmit timeout. The allowance is
+``PROBE_ALLOWANCE_MS`` on loopback and a thread switch interval on
+sockets. That timeout remains the fallback when the probe is lost too:
 it resends the head, and behind it, as one go-back-N burst, the frames
 as old as the timeout.
 
@@ -63,8 +74,9 @@ takes that one call, and in it the one per-frame fault plan and trace
 point (``_wire_copies``: drop filter, fault draws, frame trace). The
 per-frame paths build each frame and trace event with ``tuple.__new__``
 from all its fields. The send window holds a ``[frame, sent_at]`` pair
-per unacked frame; its head is the only frame ever resent alone, probed
-or paused, so the head's retry state lives on the QP's ``SenderState``.
+per unacked frame; its head is the only frame ever probed, paused or
+charged to a retry budget, so the head's retry state lives on the QP's
+``SenderState``.
 One burst landing, ``_land``, splits the frames, in the order they were
 sent, into runs of one QPN and one kind, and hands each DATA run to a
 single ``on_data`` call, which takes the run's in-order frames in one
@@ -97,6 +109,7 @@ import math
 import random
 import select
 import socket
+import sys
 import threading
 import time
 from collections import deque
@@ -124,6 +137,8 @@ from .wire import (
     decode_frame,
     encode_frame,
     frame_body_length,
+    pack_gaps,
+    unpack_gaps,
     HEADER_LEN,
 )
 
@@ -140,7 +155,8 @@ BURST_FRAMES = 64
 # PROBE_ALLOWANCE_MS, as Linux's TLP adds a minimum to RFC 8985's
 # 2 x SRTT; the QP's timeout caps both. On loopback (SRTT 2 ms) the probe
 # falls 3.25 ms after the ACK it waits for is due, past the 2.5 ms
-# (REORDER_EXTRA_MS) by which a reordered copy or its ACK is late
+# (REORDER_EXTRA_MS) by which a reordered copy or its ACK is late.
+# SocketFabric adds a thread switch interval instead
 PROBE_MS = 10.0
 PROBE_ALLOWANCE_MS = 1.25
 # the RNR NAK timer codes (a QP's min_rnr_timer) in ms, by code, after
@@ -249,15 +265,16 @@ class SenderState:
     ``srtt`` estimates the round trip after RFC 6298 (0.0 before the
     first sample): ``_retire_through`` takes one sample per ACK that
     retires frames, from the newest one's send, unless a retired frame
-    was resent (Karn's rule). Every resend starts at the head, so the
-    frames resent are always a prefix of the window, and ``resent``
-    counts them. ``pto_ms``, the probe timeout ``_due`` reads, is
-    PROBE_MS until the first sample, then 2 x ``srtt`` plus
-    PROBE_ALLOWANCE_MS (RFC 8985's PTO with a minimum added, as Linux's
-    TLP adds one), and never more than ``timeout_ms``. RFC 6298's RTTVAR
-    is not kept: nothing here reads it.
+    was resent (Karn's rule). ``resent`` counts the prefix of the window
+    that holds every frame resent: a resend that starts at the head or
+    a NAK's resend of listed frames grows it to the furthest one.
+    ``pto_ms``, the probe timeout ``_due`` reads, is PROBE_MS until the
+    first sample, then 2 x ``srtt`` plus ``allowance_ms`` (RFC 8985's
+    PTO with a minimum added, as Linux's TLP adds one: the fabric's, by
+    default PROBE_ALLOWANCE_MS), and never more than ``timeout_ms``. RFC
+    6298's RTTVAR is not kept: nothing here reads it.
 
-    Only the head is ever resent alone, probed or paused, so its retry
+    Only the head is ever probed, paused or charged a retry, so its retry
     state lives here, not on each frame: ``retries_used`` and
     ``rnr_retries_used`` count what its two budgets spent, ``probed``
     says the tail-loss probe resent it already, and ``paused_until`` is
@@ -268,13 +285,15 @@ class SenderState:
     ``tick`` is the pending retransmit tick, the ``(time, sequence,
     callback)`` entry ``schedule_at`` queued, or None."""
 
-    __slots__ = ("next_psn", "timeout_ms", "unacked", "tick",
+    __slots__ = ("next_psn", "timeout_ms", "allowance_ms", "unacked", "tick",
                  "retries_used", "rnr_retries_used", "probed",
                  "paused_until", "srtt", "pto_ms", "resent")
 
-    def __init__(self, next_psn: int, timeout_ms: float):
+    def __init__(self, next_psn: int, timeout_ms: float,
+                 allowance_ms: float = PROBE_ALLOWANCE_MS):
         self.next_psn = next_psn
         self.timeout_ms = timeout_ms
+        self.allowance_ms = allowance_ms
         self.unacked: deque[list] = deque()
         self.tick: Optional[tuple] = None
         self.retries_used = self.rnr_retries_used = 0
@@ -287,21 +306,32 @@ class SenderState:
         """Fold one round trip into ``srtt`` (RFC 6298, 2.2-2.3) and set
         the probe timeout from it."""
         self.srtt = 0.875 * self.srtt + 0.125 * rtt if self.srtt else rtt
-        self.pto_ms = min(2 * self.srtt + PROBE_ALLOWANCE_MS, self.timeout_ms)
+        self.pto_ms = min(2 * self.srtt + self.allowance_ms, self.timeout_ms)
 
 
 class ReceiverState:
     """Per-QP inbound sequence: frames held ahead of a gap, by PSN, and
-    the expected PSN the last NAK named (one NAK per gap)."""
+    the gaps reported.
 
-    __slots__ = ("expected_psn", "reassembly", "held", "nak_psn")
+    ``edge`` is the PSN after the highest one held; a frame held beyond
+    it opens a gap, which one NAK reports at once. ``reports`` holds a
+    ``[first PSN, time]`` pair per gap reported, in PSN order: when the
+    gap that starts there was last reported. A pair stands for its gap
+    and the held frames behind it, up to the next pair's PSN, so while
+    frames are held the first pair starts at the expected PSN. A drain
+    takes out the pairs of the gaps it filled (a gap filled in part keeps
+    its time, from the expected PSN on), so ``reports`` holds a pair per
+    gap still open, and empties with ``held``."""
+
+    __slots__ = ("expected_psn", "reassembly", "held", "edge", "reports")
 
     def __init__(self, expected_psn: int):
         self.expected_psn = expected_psn
         # payloads of the message so far; empty between messages
         self.reassembly: list[bytes] = []
         self.held: dict[int, Frame] = {}
-        self.nak_psn: Optional[int] = None
+        self.edge = expected_psn
+        self.reports: deque[list] = deque()
 
 
 @dataclass
@@ -345,6 +375,9 @@ class Fabric(Progress):
         # receive QPs owing a cumulative ACK when the current burst ends,
         # in the order they came to owe it
         self._owed: dict[QueuePair, None] = {}
+        # receive QPs whose drain filled a gap in the current burst, with
+        # the time that gap was reported
+        self._filled: dict[QueuePair, float] = {}
         self._registry = registry
         self._lock = registry.lock
 
@@ -397,9 +430,13 @@ class Fabric(Progress):
         if ep is not None and ep.qpn_map.get(qp.qpn) is qp:
             del ep.qpn_map[qp.qpn]
 
+    # what a QP's PTO adds to 2 x SRTT (SocketFabric adds a thread switch)
+    _probe_allowance_ms = PROBE_ALLOWANCE_MS
+
     def on_qp_rts(self, qp: QueuePair) -> None:
         qp.sender = SenderState(qp.attrs.sq_psn,
-                                ack_timeout_ms(qp.attrs.timeout))
+                                ack_timeout_ms(qp.attrs.timeout),
+                                self._probe_allowance_ms)
 
     # -- clock / scheduling (transport specific) ---------------------------
 
@@ -502,8 +539,8 @@ class Fabric(Progress):
 
     def _resend(self, qp: QueuePair, count: int = 1) -> None:
         """Resend the window's first ``count`` frames, restarting each
-        one's clock. Every resend starts at the head, so the frames ever
-        resent are a prefix of the window, which ``resent`` counts."""
+        one's clock. ``resent`` counts a prefix of the window that holds
+        every frame ever resent (Karn's rule)."""
         snd = qp.sender
         src, dlid = qp._endpoint, qp.attrs.ah.dlid
         for entry in itertools.islice(snd.unacked, count):
@@ -573,16 +610,40 @@ class Fabric(Progress):
 
     def on_nak(self, qp: QueuePair, frame: Frame) -> None:
         """PSN sequence error: the receiver holds later frames and still
-        waits for ``frame.psn``, which is resent at once, alone, and
-        charged to the head's retry budget as a timeout would be."""
+        waits for ``frame.psn``, so everything before it is retired. The
+        frames its gap list names that are still unacked are resent at
+        once, but not one whose last copy left less than SRTT/2 ago: that
+        copy (sent for a duplicate of this NAK, say) is still on the way.
+        A listed head is charged to its retry budget as a timeout would
+        be; the other frames are charged nothing. ``resent`` grows to
+        cover the furthest frame resent. A stale NAK, or one for a paused
+        head, is ignored with its gap list: the receiver has moved on
+        since it listed those gaps (``_nakked_head``)."""
         if not self._nakked_head(qp, frame):
             return
         snd = qp.sender
-        if snd.retries_used >= qp.attrs.retry_cnt:
-            qp.complete_send(WcStatus.RETRY_EXCEEDED)
-            return
-        snd.retries_used += 1
-        self._resend(qp)
+        unacked = snd.unacked
+        now = self.now_ms()
+        recent = now - snd.srtt / 2  # a copy sent after this is on its way
+        spans = [((first - frame.psn) & PSN_MASK, count)
+                 for first, count in unpack_gaps(frame.payload)]
+        if unacked[0][1] <= recent and any(
+                not start and count for start, count in spans):
+            if snd.retries_used >= qp.attrs.retry_cnt:
+                qp.complete_send(WcStatus.RETRY_EXCEEDED)
+                return
+            snd.retries_used += 1
+        src, dlid, deliver = qp._endpoint, qp.attrs.ah.dlid, self._deliver
+        resent, n = snd.resent, len(unacked)
+        for start, count in spans:
+            for i in range(start, min(start + count, n)):
+                entry = unacked[i]
+                if entry[1] <= recent:
+                    entry[1] = now
+                    deliver(src, dlid, entry[0])
+                    if i >= resent:
+                        resent = i + 1
+        snd.resent = resent
         self._arm_tick(qp)
 
     def on_rnr_nak(self, qp: QueuePair, frame: Frame) -> None:
@@ -677,14 +738,15 @@ class Fabric(Progress):
         partway through the run drops the rest of it. Stale PSNs are
         re-acked and discarded so replays from an old connection never
         complete twice. A future PSN less than ``HOLD_PSNS`` ahead is
-        held, and the first one held for a gap draws a NAK for the
-        expected PSN; one further ahead is discarded and left to
+        held; one held past the highest PSN held so far (or the first one
+        held) opens a gap, and draws a NAK for the expected PSN that
+        lists that gap. One further ahead is discarded and left to
         retransmission. An in-order message start with an empty receive
         queue draws an RNR NAK and does not advance the expected PSN. An
         in-order frame that fills a gap releases the held frames behind
         it, in order, under one ACK; while nothing is held, the in-order
         frames of the run go to ``_accept`` together, and are acked when
-        their burst ends, by ``_send_owed_acks``, under one ACK for the
+        their burst ends, by ``_end_burst``, under one ACK for the
         whole burst.
         """
         if qp.state in (QpState.RESET, QpState.INIT, QpState.ERR):
@@ -702,9 +764,16 @@ class Fabric(Progress):
                 if psn_before(frame.psn, expected):
                     self._reply(qp, _ACK, frame.psn)
                 elif (frame.psn - expected) & PSN_MASK < HOLD_PSNS:
-                    rcv.held[frame.psn] = frame
-                    if rcv.nak_psn != expected:
-                        self._send_nak(qp, rcv)
+                    held = rcv.held
+                    if not held:
+                        rcv.edge = expected
+                    held[frame.psn] = frame
+                    gap = (frame.psn - rcv.edge) & PSN_MASK
+                    if gap < HOLD_PSNS:  # at or past the edge
+                        if gap:
+                            rcv.reports.append([rcv.edge, self.now_ms()])
+                            self._send_nak(qp, rcv, rcv.edge, gap)
+                        rcv.edge = (frame.psn + 1) & PSN_MASK
                 continue
             # with frames held, each in-order frame may fill the gap
             i += self._accept(qp, rcv, (frame,) if rcv.held else frames[i:])
@@ -759,8 +828,11 @@ class Fabric(Progress):
 
     def _drain_held(self, qp: QueuePair, rcv: ReceiverState) -> None:
         """Accept the run of held frames that now continues the sequence,
-        in one ``_accept`` call, ack them all at once, and NAK the next
-        gap if frames beyond it are held.
+        in one ``_accept`` call, ack them all at once, and take out the
+        reports of the gaps now filled. If the whole run went in and
+        frames beyond the next gap are held, the QP goes in ``_filled``,
+        with the time the gap just filled was reported: the burst's end
+        may ask for the next gap again (``_ask_again``).
 
         The frames ``_accept`` used leave ``held``, and the ones behind
         where it stopped stay. A held frame refused with an RNR NAK
@@ -776,10 +848,20 @@ class Fabric(Progress):
         for frame in run[:self._accept(qp, rcv, run)]:
             del held[frame.psn]
         self._owed.pop(qp, None)  # this ACK covers the burst so far
-        self._reply(qp, _ACK, psn_add(rcv.expected_psn, -1))
+        expected = rcv.expected_psn
+        self._reply(qp, _ACK, psn_add(expected, -1))
+        reports = rcv.reports
+        if not held:
+            reports.clear()
+            return
+        filled_at = 0.0
+        while reports and psn_before(reports[0][0], expected):
+            filled_at = reports.popleft()[1]
+        if not reports or reports[0][0] != expected:
+            reports.appendleft([expected, filled_at])  # a gap filled in part
         # the whole run went in: nothing was refused or stray
-        if rcv.expected_psn == psn and held and qp.state is not QpState.ERR:
-            self._send_nak(qp, rcv)
+        if expected == psn and qp.state is not QpState.ERR:
+            self._filled[qp] = filled_at
 
     def _land(self, ep: Endpoint, frames) -> None:
         """Take in one burst: dispatch its frames, in the order they were
@@ -803,13 +885,14 @@ class Fabric(Progress):
                       self.on_nak if kind is _NAK else self.on_rnr_nak)
             for frame in run:
                 handle(qp, frame)
-        self._send_owed_acks()
+        self._end_burst()
 
-    def _send_owed_acks(self) -> None:
-        """End a burst: send each QP in ``_owed`` (it accepted in-order
-        frames in the burst that no drain's ACK covered) one cumulative
-        ACK, for the PSN before the one it now expects, at the instant
-        the burst's last frame landed."""
+    def _end_burst(self) -> None:
+        """End a burst, at the instant its last frame landed: send each QP
+        in ``_owed`` (it accepted in-order frames in the burst that no
+        drain's ACK covered) one cumulative ACK, for the PSN before the
+        one it now expects; then ask again for the gaps whose resends
+        were lost (``_ask_again``)."""
         owed = self._owed
         if owed:
             self._owed = {}
@@ -817,18 +900,44 @@ class Fabric(Progress):
                 rcv = qp.receiver
                 if rcv is not None:
                     self._reply(qp, _ACK, psn_add(rcv.expected_psn, -1))
+        if self._filled:
+            self._ask_again()
 
-    def _send_nak(self, qp: QueuePair, rcv: ReceiverState) -> None:
-        rcv.nak_psn = rcv.expected_psn
-        self._reply(qp, _NAK, rcv.expected_psn)
+    def _ask_again(self) -> None:
+        """End a burst for each QP in ``_filled``: a drain filled a gap,
+        and frames are still held beyond the gap now at the expected PSN.
+        If that gap was reported no later than the gap just filled, its
+        resend should have come with that one's, so it was lost: a NAK
+        lists the gap again, and its report takes the time. Otherwise its
+        resend is still on the way, and the drain's ACK was enough."""
+        filled, self._filled = self._filled, {}
+        for qp, filled_at in filled.items():
+            rcv = qp.receiver
+            if rcv is None or not rcv.held or qp.state is QpState.ERR:
+                continue
+            report = rcv.reports[0]
+            if report[1] > filled_at:
+                continue
+            expected, held, count = rcv.expected_psn, rcv.held, 1
+            while (expected + count) & PSN_MASK not in held:
+                count += 1
+            report[1] = self.now_ms()
+            self._send_nak(qp, rcv, expected, count)
+
+    def _send_nak(self, qp: QueuePair, rcv: ReceiverState, first: int,
+                  count: int) -> None:
+        """NAK the expected PSN, listing the gap of ``count`` PSNs from
+        ``first``."""
+        self._reply(qp, _NAK, rcv.expected_psn, 0,
+                    pack_gaps(((first, count),)))
 
     def _reply(self, qp: QueuePair, kind: FrameKind, psn: int,
-               hint: int = 0) -> None:
-        """Send ``qp``'s peer an ACK, NAK or RNR NAK (whose delay code is
-        ``hint``) for ``psn``."""
+               hint: int = 0, gaps: bytes = b"") -> None:
+        """Send ``qp``'s peer an ACK, NAK (whose packed gap list is
+        ``gaps``) or RNR NAK (whose delay code is ``hint``) for ``psn``."""
         self._deliver(qp._endpoint, qp.attrs.ah.dlid,
                       _new(Frame, (kind, qp.attrs.dest_qp_num, psn, _ONLY,
-                                   b"", hint)))
+                                   gaps, hint)))
 
     # -- fault plan and trace -------------------------------------------------
 
@@ -1230,6 +1339,14 @@ class SocketFabric(Fabric):
         # the datagrams an engine call queued, by (socket, address)
         self._unsent: dict[tuple, list[bytearray]] = {}
         _MANUAL.add(self)
+
+    @property
+    def _probe_allowance_ms(self) -> float:
+        """A thread switch: the round trip on 127.0.0.1 is a fraction of
+        the time a thread may hold the GIL before it has to let another
+        one run, so a PTO shorter than that fires on a frame that is only
+        waiting for its reader to be scheduled."""
+        return sys.getswitchinterval() * 1e3
 
     def now_ms(self) -> float:
         return time.monotonic() * 1000.0

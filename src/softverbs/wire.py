@@ -8,14 +8,19 @@ Every unit on the wire is one frame, encoded big-endian:
     3       1     segment marker (ONLY=0, FIRST=1, MIDDLE=2, LAST=3)
     4       3     destination QPN
     7       3     PSN
-    10      4     payload length; for RNR_NAK the receiver's 5-bit RNR
-                  delay code (its min_rnr_timer, 0-31), which sets the
-                  sender's pause, and no payload follows; 0 for ACK
-                  and NAK
-    14      ...   payload (DATA only)
+    10      4     payload length; for NAK the gap list's length in
+                  bytes; for RNR_NAK the receiver's 5-bit RNR delay code
+                  (its min_rnr_timer, 0-31), which sets the sender's
+                  pause, and no payload follows; 0 for ACK
+    14      ...   payload (DATA), or gap list (NAK)
 
 A NAK is the PSN sequence error: its PSN is the one the receiver still
-waits for while it holds later frames.
+waits for while it holds later frames. Its gap list names the PSNs the
+receiver misses, as ``GAP_LEN``-byte records, each a gap's first PSN (3
+bytes) and its length in PSNs (2 bytes), so that the sender can resend
+every reported frame at once, as IRN's selective NACK and TCP's SACK
+blocks (RFC 2018) allow. The gap list is an extension of this emulator:
+an IBTA RC NAK (an AETH syndrome) has no such field and names one PSN.
 
 On the socket transport each frame is one record, and the header is
 self-delimiting because it carries the payload length. Records are
@@ -23,7 +28,8 @@ written back to back, a batch of them per UDP datagram, so a reader
 splits a datagram by the length field alone.
 
 The codec packs and unpacks the whole header with one precomputed
-``struct.Struct``, each 24-bit field as a 16-bit and an 8-bit half.
+``struct.Struct``, each 24-bit field as a 16-bit and an 8-bit half, and
+a gap list with another, one record at a time.
 """
 
 from __future__ import annotations
@@ -42,6 +48,10 @@ QPN_MASK = (1 << 24) - 1
 # the whole header in one call: magic, kind, segment, then each 24-bit
 # field (QPN, PSN) as a 16-bit and an 8-bit half, then the length field
 _HEADER = struct.Struct(">HBBHBHBI")
+# one gap record of a NAK: the first PSN as a 16-bit and an 8-bit half,
+# then the gap's length in PSNs
+_GAP = struct.Struct(">HBH")
+GAP_LEN = _GAP.size
 
 
 class FrameKind(IntEnum):
@@ -63,6 +73,7 @@ _KINDS = tuple(FrameKind)
 _SEGS = tuple(SegMark)
 _DATA = FrameKind.DATA
 _RNR_NAK = FrameKind.RNR_NAK
+_NAK = FrameKind.NAK
 
 
 class FrameError(ValueError):
@@ -88,9 +99,23 @@ class Frame(NamedTuple):
     rnr_delay_hint: int = 0
 
 
+def pack_gaps(gaps) -> bytes:
+    """A NAK's gap list: one record per ``(first PSN, count)`` pair."""
+    pack = _GAP.pack
+    return b"".join([pack(psn >> 8, psn & 0xFF, count)
+                     for psn, count in gaps])
+
+
+def unpack_gaps(payload: bytes) -> list[tuple[int, int]]:
+    """The ``(first PSN, count)`` pairs of a NAK's gap list."""
+    return [(hi << 8 | lo, count)
+            for hi, lo, count in _GAP.iter_unpack(payload)]
+
+
 def encode_frame(frame: Frame) -> bytes:
-    """Serialize a frame; rejects payloads beyond ``MAX_PAYLOAD`` bytes.
-    The engine has segmented a message at its QP's MTU before this."""
+    """Serialize a frame; rejects payloads beyond ``MAX_PAYLOAD`` bytes,
+    and a NAK's gap list that is not a whole number of records. The
+    engine has segmented a message at its QP's MTU before this."""
     kind, qpn, psn, seg, payload, hint = frame
     if kind not in _KINDS:
         raise FrameEncodeError(f"unknown frame kind {kind!r}")
@@ -103,6 +128,11 @@ def encode_frame(frame: Frame) -> bytes:
             raise FrameEncodeError(
                 f"payload of {len(payload)} bytes exceeds mtu {MAX_PAYLOAD}")
         length_field = len(payload)
+    elif kind == _NAK:
+        length_field = len(payload)
+        if length_field % GAP_LEN or length_field > MAX_PAYLOAD:
+            raise FrameEncodeError(
+                f"gap list of {length_field} bytes is not whole records")
     elif payload:
         raise FrameEncodeError(f"{_KINDS[kind].name} frames carry no payload")
     elif kind == _RNR_NAK:
@@ -142,6 +172,15 @@ def decode_frame(data: bytes) -> Frame:
             raise FrameDecodeError(
                 f"trailing garbage: {body_len - length_field} bytes")
         return Frame(kind, dest_qpn, psn, seg, bytes(data[HEADER_LEN:]))
+    if kind is _NAK:
+        if length_field % GAP_LEN or length_field > MAX_PAYLOAD:
+            raise FrameDecodeError(
+                f"gap list of {length_field} bytes is not whole records")
+        if len(data) - HEADER_LEN != length_field:
+            raise FrameDecodeError(
+                f"gap list of {len(data) - HEADER_LEN} bytes, length "
+                f"field {length_field}")
+        return Frame(kind, dest_qpn, psn, seg, bytes(data[HEADER_LEN:]))
     if len(data) != HEADER_LEN:
         raise FrameDecodeError(f"{kind.name} frame with trailing bytes")
     if kind is _RNR_NAK:
@@ -153,13 +192,14 @@ def decode_frame(data: bytes) -> Frame:
 
 
 def frame_body_length(header: bytes) -> int:
-    """Payload byte count that follows a 14-byte record header."""
+    """Byte count that follows a 14-byte record header: a DATA frame's
+    payload or a NAK's gap list."""
     if len(header) != HEADER_LEN:
         raise FrameDecodeError("header must be exactly 14 bytes")
     magic, kind, _, _, _, _, _, length = _HEADER.unpack(header)
     if magic != FRAME_MAGIC:
         raise FrameDecodeError("bad magic in record header")
-    if kind != _DATA:
+    if kind != _DATA and kind != _NAK:
         return 0
     if length > MAX_PAYLOAD:
         raise FrameDecodeError(f"payload length {length} over limit")

@@ -121,4 +121,4 @@ class TestFaultSweepScript:
         assert all(row.split()[1] == "all" for row in rnr_rows)
         # the sweep's frames and virtual times, pinned
         assert lines[-1] == \
-            "summed: 14531 DATA frames, 2378 ACKs, 4438.79 virtual ms"
+            "summed: 14004 DATA frames, 1977 ACKs, 2757.12 virtual ms"

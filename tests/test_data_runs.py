@@ -10,7 +10,8 @@ frame of a run. Receives may be missing (RNR NAKs) or too short for
 their message, which throws the QP into ERR partway through a run or a
 drain. Three twin worlds take the same burst: one run at a time through
 ``on_data``, one frame at a time through ``on_data``, and whole through
-``_land``; each then ends the burst. The first two skip the frame to no
+``_land``; each then ends the burst (``_end_burst``: the owed ACKs and
+the gaps asked for again). The first two skip the frame to no
 QP; ``_land`` must drop it and split the run there. All three must
 leave the same CQEs, received bytes, receiver state, QP state and
 emitted frames, in order.
@@ -147,11 +148,12 @@ class World:
         while batch := self.b.cq.poll(16):
             cqes += batch
         receivers = [(qp.state, qp.receiver.expected_psn,
-                      qp.receiver.held, qp.receiver.nak_psn,
+                      qp.receiver.held, qp.receiver.edge,
+                      list(qp.receiver.reports),
                       qp.receiver.reassembly, len(qp.recv_queue))
                      for qp in self.qps]
         return (cqes, bytes(self.b.buf.data), receivers,
-                self.fabric.trace, self.fabric._owed)
+                self.fabric.trace, self.fabric._owed, self.fabric._filled)
 
 
 def runs(world, items):
@@ -176,11 +178,11 @@ def test_a_run_lands_as_its_frames_would_one_by_one(burst):
     by_run, by_frame, by_land = (World(messages, recvs) for _ in range(3))
     for qp, frames in runs(by_run, items):
         by_run.fabric.on_data(qp, *frames)
-    by_run.fabric._send_owed_acks()
+    by_run.fabric._end_burst()
     for qp, frames in runs(by_frame, items):
         for frame in frames:
             by_frame.fabric.on_data(qp, frame)
-    by_frame.fabric._send_owed_acks()
+    by_frame.fabric._end_burst()
     by_land.fabric._land(by_land.b.qp._endpoint,
                          [by_land.frame(item) for item in items])
     expected = by_frame.outcome()

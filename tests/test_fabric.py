@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import Node, connect_pair, run_until, to_init
 from softverbs.fabric import (
+    DUP_EXTRA_MS,
     HOLD_PSNS,
     PROBE_ALLOWANCE_MS,
     PROBE_MS,
@@ -31,7 +32,7 @@ from softverbs.verbs import (
     VerbsError,
     WcStatus,
 )
-from softverbs.wire import Frame, FrameKind, SegMark
+from softverbs.wire import Frame, FrameKind, SegMark, pack_gaps
 
 PSN_MOD = 1 << 24
 
@@ -59,6 +60,13 @@ def trace_digest(fabric):
                        int(f.seg), f.payload, f.rnr_delay_hint,
                        e.status)).encode())
     return h.hexdigest()
+
+
+def nak(qpn, psn, *gaps):
+    """A NAK for ``psn`` whose gap list holds ``gaps``, ``(first PSN,
+    count)`` pairs; with none, it lists ``psn`` alone."""
+    return Frame(FrameKind.NAK, qpn, psn,
+                 payload=pack_gaps(gaps or ((psn, 1),)))
 
 
 def frames_of(fabric, kind, status="sent"):
@@ -480,8 +488,9 @@ class TestRnr:
         assert [f.psn for f, _ in snd.unacked] == [101]
         assert snd.paused_until == 0.0 and snd.rnr_retries_used == 0
         # the new head is not paused: a NAK for it resends it at once
-        fabric.on_nak(a.qp, Frame(FrameKind.NAK, a.qp.qpn, 101))
-        assert fabric.trace[-1].frame.psn == 101
+        sent = len(fabric.trace)
+        fabric.on_nak(a.qp, nak(a.qp.qpn, 101))
+        assert [e.frame.psn for e in fabric.trace[sent:]] == [101]
         # and its RNR budget is whole: one refusal spends it, no failure
         fabric.on_rnr_nak(a.qp, Frame(FrameKind.RNR_NAK, a.qp.qpn, 101))
         assert snd.rnr_retries_used == 1 and snd.paused_until
@@ -579,7 +588,7 @@ class TestRetryCodes:
         assert a.cq.poll(2) == [] and a.qp.state is QpState.RTS
         # the head still waits for the receiver: a NAK resends it
         fabric.drop_filter = None
-        fabric.on_nak(a.qp, Frame(FrameKind.NAK, a.qp.qpn, 100))
+        fabric.on_nak(a.qp, nak(a.qp.qpn, 100))
         fabric.run_until_idle()
         assert [wc.status for wc in a.cq.poll(2)] == [WcStatus.SUCCESS]
 
@@ -704,7 +713,8 @@ class TestNak:
         fabric.on_ack(a.qp, Frame(FrameKind.ACK, b.qp.qpn, 101))
         sent_before = len(fabric.trace)
         for psn in (100, 101):
-            fabric.on_nak(a.qp, Frame(FrameKind.NAK, a.qp.qpn, psn))
+            # a stale NAK's gap list is ignored too
+            fabric.on_nak(a.qp, nak(a.qp.qpn, psn, (psn, 4)))
         assert len(fabric.trace) == sent_before  # nothing resent
         assert [f.psn for f, _ in a.qp.sender.unacked] == [102, 103]
         assert a.qp.sender.retries_used == 0
@@ -714,7 +724,7 @@ class TestNak:
         a, b = pair
         b.post_recv(1)
         a.post_send(2, bytes(4096))  # PSNs 100..103
-        fabric.on_nak(a.qp, Frame(FrameKind.NAK, a.qp.qpn, 102))
+        fabric.on_nak(a.qp, nak(a.qp.qpn, 102))
         assert [f.psn for f, _ in a.qp.sender.unacked] == [102, 103]
         assert a.qp.sender.retries_used == 1
         assert fabric.trace[-1].frame.psn == 102  # resent at once
@@ -726,7 +736,7 @@ class TestNak:
         connect_pair(a, b, retry_cnt=2)
         a.post_send(2, bytes(4096))  # PSNs 100..103
         snd = a.qp.sender
-        fabric.on_nak(a.qp, Frame(FrameKind.NAK, a.qp.qpn, 100))
+        fabric.on_nak(a.qp, nak(a.qp.qpn, 100))
         fabric.on_timeout_tick(a.qp, PROBE_MS)  # the probe of the head
         assert snd.retries_used == 2 and snd.probed
         fabric.on_ack(a.qp, Frame(FrameKind.ACK, a.qp.qpn, 100))
@@ -735,11 +745,11 @@ class TestNak:
             (0, False, 0.0)
         # the whole budget again: two NAKs are resent, the third fails
         for _ in range(2):
-            fabric.on_nak(a.qp, Frame(FrameKind.NAK, a.qp.qpn, 101))
+            fabric.on_nak(a.qp, nak(a.qp.qpn, 101))
         assert [f.psn for f in frames_of(fabric, FrameKind.DATA)] == \
             [100, 101, 102, 103, 100, 100, 101, 101]
         assert a.cq.poll(1) == []
-        fabric.on_nak(a.qp, Frame(FrameKind.NAK, a.qp.qpn, 101))
+        fabric.on_nak(a.qp, nak(a.qp.qpn, 101))
         wc, = a.cq.poll(2)
         assert wc.status is WcStatus.RETRY_EXCEEDED
 
@@ -755,8 +765,8 @@ class TestNak:
                 Frame(FrameKind.DATA, qpn, 103, SegMark.ONLY, b"o")]
         fabric.on_data(b.qp, *late)
         sent = len(fabric.trace)
-        assert [e.frame for e in fabric.trace] == [Frame(FrameKind.NAK,
-                                                         a.qp.qpn, 100)]
+        # one NAK, for the gap at 100
+        assert [e.frame for e in fabric.trace] == [nak(a.qp.qpn, 100)]
         fabric.on_data(b.qp, Frame(FrameKind.DATA, qpn, 100,
                                    SegMark.ONLY, b"h"))
         assert b.qp.receiver.expected_psn == 101
@@ -765,6 +775,180 @@ class TestNak:
             Frame(FrameKind.RNR_NAK, a.qp.qpn, 101, rnr_delay_hint=12),
             Frame(FrameKind.ACK, a.qp.qpn, 100)]
         assert [wc.wr_id for wc in b.cq.poll(2)] == [1]
+
+
+class TestGapReports:
+    """The receiver reports each gap in a NAK's gap list as it opens, and
+    the sender resends every frame a list names at once."""
+
+    HOP = LoopbackFabric.hop_latency_ms
+
+    def _send(self, pair, fabric, frames, drop):
+        a, b = pair
+        b.post_recv(1)
+        fabric.drop_filter = drop
+        payload = random.Random(frames).randbytes(frames * 1024)
+        a.post_send(2, payload)
+        got = []
+        run_until(fabric, lambda: got.extend(a.cq.poll(2)) or got)
+        assert [wc.status for wc in got] == [WcStatus.SUCCESS]
+        assert [wc.status for wc in b.cq.poll(2)] == [WcStatus.SUCCESS]
+        assert b.read(0, len(payload)) == payload
+        return fabric.now_ms()
+
+    def _resends(self, fabric, psn):
+        return [e.t for e in fabric.trace if e.frame.kind is FrameKind.DATA
+                and e.frame.psn == psn][1:]
+
+    def test_k_gaps_are_repaired_in_one_round_trip(self, pair, fabric):
+        # three losses in one 16-frame message (PSNs 100..115): one NAK
+        # per gap as it opens, all three resent on their arrival. A
+        # lossless send completes at 2 hops; this one one round trip
+        # later, where one NAK round trip per gap took three
+        done = self._send(pair, fabric, 16, drop_first_copy(103, 107, 111))
+        assert done == 2 * self.HOP + 2 * self.HOP
+        a, _ = pair
+        assert frames_of(fabric, FrameKind.NAK) == [
+            nak(a.qp.qpn, 103, (103, 1)), nak(a.qp.qpn, 103, (107, 1)),
+            nak(a.qp.qpn, 103, (111, 1))]
+        for psn in (103, 107, 111):
+            assert self._resends(fabric, psn) == [2 * self.HOP]
+        assert not pair[1].qp.receiver.reports
+
+    def test_a_gap_of_several_frames_is_one_record(self, pair, fabric):
+        done = self._send(pair, fabric, 8, drop_first_copy(102, 103, 104))
+        assert done == 4 * self.HOP
+        a, _ = pair
+        assert frames_of(fabric, FrameKind.NAK) == [
+            nak(a.qp.qpn, 102, (102, 3))]
+        assert a.qp.sender.resent == 0  # all retired
+
+    def test_a_duplicated_gap_report_resends_nothing_twice(self, pair,
+                                                           fabric):
+        a, b = pair
+        # one round trip first, so that the QP has an SRTT (2 hops)
+        assert self._send(pair, fabric, 1, None) == 2 * self.HOP
+        assert a.qp.sender.srtt == 2 * self.HOP
+        # each NAK lands twice, the copy DUP_EXTRA_MS after it, as the
+        # fault plan duplicates a frame
+        lose = drop_first_copy(101, 104)
+
+        def lose_and_duplicate(frame):
+            if frame.kind is FrameKind.NAK:
+                fabric.inject(a.lid, frame, delay_ms=DUP_EXTRA_MS)
+            return lose(frame)
+
+        fabric.drop_filter = lose_and_duplicate
+        reported = fabric.now_ms() + 2 * self.HOP  # PSNs 101..106
+        spent = []
+        fabric.schedule_at(reported + DUP_EXTRA_MS + 0.1,
+                           lambda: spent.append(a.qp.sender.retries_used))
+        b.post_recv(2)
+        a.post_send(3, bytes(6 * 1024))
+        got = []
+        run_until(fabric, lambda: got.extend(a.cq.poll(2)) or got)
+        assert [wc.status for wc in got] == [WcStatus.SUCCESS]
+        assert [e.frame.payload for e in fabric.trace
+                if e.status == "injected"] == [
+            nak(a.qp.qpn, 101, (101, 1)).payload,
+            nak(a.qp.qpn, 101, (104, 1)).payload]
+        # one resend each, on the first copy of the report
+        assert self._resends(fabric, 101) == [reported]
+        assert self._resends(fabric, 104) == [reported]
+        assert spent == [1]  # the head's budget, charged once
+
+    def test_a_gap_whose_resend_was_lost_is_asked_for_again(self, pair,
+                                                            fabric):
+        # 107's resend is lost too. Both gaps were reported at 1 ms, so
+        # when 103's resend fills its gap at 3 ms, 107's should have come
+        # with it: the burst's end asks for it again, well before a probe
+        lose_103 = drop_first_copy(103)
+        lose_107 = drop_first(FrameKind.DATA, 107, copies=2)
+        done = self._send(pair, fabric, 10,
+                          lambda f: lose_103(f) or lose_107(f))
+        a, _ = pair
+        assert frames_of(fabric, FrameKind.NAK) == [
+            nak(a.qp.qpn, 103, (103, 1)), nak(a.qp.qpn, 103, (107, 1)),
+            nak(a.qp.qpn, 107, (107, 1))]
+        assert self._resends(fabric, 107) == [2 * self.HOP, 4 * self.HOP]
+        assert done == 6 * self.HOP
+
+    def test_a_gap_reported_after_the_one_filled_is_not_asked_again(
+            self, registry, fabric):
+        # the second message's first frame (PSN 108) is lost, and its gap
+        # opens half a hop after the first message's (103): when 103's
+        # resend fills at 3 ms, 108's is still on the way, due at 3.5
+        a = Node(registry, fabric)
+        b = Node(registry, fabric)
+        connect_pair(a, b)
+        b.post_recv(1)
+        b.post_recv(2, off=8192)
+        fabric.drop_filter = drop_first_copy(103, 108)
+        a.post_send(3, bytes(8192))  # PSNs 100..107
+        fabric.advance(0.5)
+        a.post_send(4, bytes(4096), off=8192)  # PSNs 108..111
+        got = []
+        run_until(fabric, lambda: got.extend(a.cq.poll(2)) or len(got) == 2)
+        assert frames_of(fabric, FrameKind.NAK) == [
+            nak(a.qp.qpn, 103, (103, 1)), nak(a.qp.qpn, 103, (108, 1))]
+        assert self._resends(fabric, 103) == [2.0]
+        assert self._resends(fabric, 108) == [2.5]
+        assert fabric.now_ms() == 4.5
+
+    def test_a_nak_grows_the_karn_count_to_its_furthest_resend(self, pair,
+                                                               fabric):
+        a, _ = pair
+        snd = a.qp.sender
+        a.post_send(1, bytes(4096))  # PSNs 100..103, no receive posted
+        fabric.on_nak(a.qp, nak(a.qp.qpn, 100, (102, 1)))
+        assert [e.frame.psn for e in fabric.trace[4:]] == [102]
+        assert snd.resent == 3 and snd.retries_used == 0  # head not listed
+        # frames past the window and before the head are not resent
+        fabric.on_nak(a.qp, nak(a.qp.qpn, 100, (99, 1), (104, 9)))
+        assert len(fabric.trace) == 5 and snd.resent == 3
+
+    def test_the_report_state_empties_after_a_long_faulty_run(self):
+        # 20 000 x 4 KiB at mtu 1024, 32 messages in flight, through
+        # drop, duplicate and reorder: at every step the receiver keeps
+        # no more report pairs than held frames, and none once done
+        n_msgs, window, size = 20_000, 32, 4096
+        registry = DeviceRegistry()
+        registry.add_device("hca0")
+        fabric = LoopbackFabric(faults=FaultProfile(0.05, 0.05, 0.05, seed=4),
+                                registry=registry)
+        a, b = (Node(registry, fabric, size=window * size,
+                     max_send_wr=window, max_recv_wr=window,
+                     cq_capacity=window + 1) for _ in range(2))
+        connect_pair(a, b)
+        rcv = b.qp.receiver
+        bodies = [random.Random(i).randbytes(size - 8) for i in range(8)]
+        for i in range(window):
+            b.post_recv(i, off=i * size, length=size)
+        sent = sends_done = recvs_done = most = 0
+        while recvs_done < n_msgs or sends_done < n_msgs:
+            while sent < n_msgs and sent - sends_done < window:
+                a.post_send(sent, sent.to_bytes(8, "big") + bodies[sent % 8],
+                            off=sent % window * size)
+                sent += 1
+            assert fabric.step()
+            assert len(rcv.reports) <= len(rcv.held)
+            most = max(most, len(rcv.reports))
+            for wc in a.cq.poll(window):
+                assert (wc.wr_id, wc.status) == (sends_done, WcStatus.SUCCESS)
+                sends_done += 1
+            for wc in b.cq.poll(window):
+                i = wc.wr_id
+                assert (i, wc.status) == (recvs_done, WcStatus.SUCCESS)
+                assert b.read(i % window * size, size) == \
+                    i.to_bytes(8, "big") + bodies[i % 8]
+                recvs_done += 1
+                if i + window < n_msgs:
+                    b.post_recv(i + window, off=i % window * size,
+                                length=size)
+        fabric.run_until_idle()
+        assert most > 1  # gaps stood side by side
+        assert not rcv.held and not rcv.reports
+        assert not fabric._filled and not fabric._owed
 
 
 class TestRetry:
@@ -797,8 +981,7 @@ class TestRetry:
         a.post_send(2, bytes(3000))  # PSNs 100-102 at mtu 1024
         fabric.advance(5)  # the NAK is back, the probe not yet due
         assert fabric.now_ms() < PROBE_MS
-        assert frames_of(fabric, FrameKind.NAK) == [
-            Frame(FrameKind.NAK, a.qp.qpn, 101)]
+        assert frames_of(fabric, FrameKind.NAK) == [nak(a.qp.qpn, 101)]
         assert list(b.qp.receiver.held) == [102]
         wc, = a.cq.poll(2)
         assert wc.wr_id == 2 and wc.status is WcStatus.RETRY_EXCEEDED
@@ -981,19 +1164,21 @@ class TestTailLossProbe:
     def test_an_ack_and_a_nak_in_one_burst_resend_the_head_once(
             self, pair, fabric):
         # PSN 100 is lost twice (the first copy and the NAK'd resend) and
-        # 102 once. The probe of 100 fills the first gap, and the drain
-        # answers with ACK 101 and NAK 102 in one burst: the ACK exposes
-        # 102, overdue for its probe, and the NAK resends it before the
-        # tick that ACK pulled earlier can fire
+        # 102 once. Each gap is reported as it opens, so 102 is resent on
+        # its report, one round trip in, and is held when the probe of
+        # 100 fills the first gap: the drain answers with one ACK for the
+        # whole message, and neither that ACK nor the tick it would pull
+        # earlier resends 102 again
         lose_100 = drop_first(FrameKind.DATA, 100, copies=2)
         lose_102 = drop_first_copy(102)
         done = self._send(pair, fabric, 4096,
                           lambda f: lose_100(f) or lose_102(f))
         copies = self._copies(fabric, FrameKind.DATA, 102)
         assert [e.status for e in copies] == ["dropped", "sent"]
-        resent = self.HOPS + PROBE_MS + self.HOPS
-        assert copies[1].t == resent
-        assert done == resent + self.HOPS
+        assert copies[1].t == self.HOPS
+        assert [e.frame.psn for e in self._copies(fabric, FrameKind.ACK, 103)
+                ] == [103]
+        assert done == self.HOPS + PROBE_MS + self.HOPS
 
     def test_lossless_pair_sends_no_frame_twice(self, monkeypatch):
         fired, rounds = [], []
@@ -1132,7 +1317,7 @@ class TestRttEstimator:
         a, _ = pair
         snd = a.qp.sender
         a.post_send(1, bytes(4096))  # PSNs 100..103, no receive posted
-        fabric.on_nak(a.qp, Frame(FrameKind.NAK, a.qp.qpn, 100))
+        fabric.on_nak(a.qp, nak(a.qp.qpn, 100))
         assert snd.resent == 1
         fabric.on_ack(a.qp, Frame(FrameKind.ACK, a.qp.qpn, 101))
         assert (snd.resent, snd.srtt) == (0, 0.0)
@@ -1291,7 +1476,7 @@ class TestReliability:
         recv = b.cq.poll(len(payloads) + 1)
         assert [wc.wr_id for wc in recv] == list(range(len(payloads)))
         data = sum(1 for e in fabric.trace if e.frame.kind is FrameKind.DATA)
-        assert data == 976
+        assert data == 969
 
     def test_identical_seed_identical_trace(self):
         def signature(fabric):
@@ -1309,20 +1494,20 @@ class TestReliability:
         profile = FaultProfile(0.05, 0.1, 0.1, seed=1)
         fabric, *_ = self._blast(1, n_msgs=200, size=4096, mtu=1024,
                                  profile=profile)
-        assert len(fabric.trace) == 1167
+        assert len(fabric.trace) == 1147
         assert sum(1 for e in fabric.trace
-                   if e.frame.kind is FrameKind.DATA) == 1055
+                   if e.frame.kind is FrameKind.DATA) == 986
         assert trace_digest(fabric) == (
-            "6dc72eb6d4715d02d8ea7d5369d61b21607158330f33aa0fdf205395844d5741")
+            "fbedfeed977c1a834246e5bf7681e06dbc29f2fc7d5f14fd93b8b279d2076ab3")
 
     def test_seeded_faulty_pair_emits_its_pinned_frames(self):
         _, _, fabric = run_loopback_pair(
             PingpongConfig(iters=50, rx_depth=8, size=2048),
             faults=FaultProfile(0.1, 0.05, 0.05, seed=7), seed=3)
-        assert len(fabric.trace) == 444
-        assert fabric.now_ms() == 508.91915212120153
+        assert len(fabric.trace) == 436
+        assert fabric.now_ms() == 638.1550053906712
         assert trace_digest(fabric) == (
-            "e3872d6497e3a97500ad8bdde412eb8260e2800fd55537f6e97e1f0b3fabf3e1")
+            "b90f8c766ed9ee2e7609506e12c7cdb81da905eddcec4e1d1ca4b1aea51e0070")
 
     def test_different_seed_different_trace(self):
         first, *_ = self._blast(5)

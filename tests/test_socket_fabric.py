@@ -27,6 +27,7 @@ from softverbs.verbs import (
     WcStatus,
 )
 from softverbs.wire import (
+    GAP_LEN,
     HEADER_LEN,
     Frame,
     FrameKind,
@@ -34,6 +35,8 @@ from softverbs.wire import (
     decode_frame,
     encode_frame,
     frame_body_length,
+    pack_gaps,
+    unpack_gaps,
 )
 
 @pytest.fixture
@@ -204,6 +207,11 @@ def test_nak_frame_round_trips_through_the_stream_codec():
     assert len(data) == HEADER_LEN
     assert frame_body_length(data[:HEADER_LEN]) == 0
     assert decode_frame(data) == frame
+    # a gap list follows the header, as a payload does
+    listed = frame._replace(payload=pack_gaps([(0xFFFFFE, 3), (4, 2)]))
+    data = encode_frame(listed)
+    assert frame_body_length(data[:HEADER_LEN]) == 2 * GAP_LEN
+    assert decode_frame(data) == listed
 
 
 def test_lost_frame_recovers_by_nak_before_the_deadline(make_fabrics):
@@ -229,6 +237,7 @@ def test_lost_frame_recovers_by_nak_before_the_deadline(make_fabrics):
     assert b.read(0, len(payload)) == payload
     naks = [e for e in fabrics[1].trace if e.frame.kind is FrameKind.NAK]
     assert [e.frame.psn for e in naks] == [100]
+    assert unpack_gaps(naks[0].frame.payload) == [(100, 1)]
     resend = [e for e in fabrics[0].trace if e.frame.kind is FrameKind.DATA
               and e.frame.psn == 100 and e.status == "sent"][0]
     assert resend.t - posted_at < 250.0
@@ -587,7 +596,7 @@ def test_a_window_of_messages_draws_fewer_acks_than_frames(two_fabrics,
     # no probe before the QP's timeout, with or without an RTT sample:
     # its duplicate would draw a stale re-ACK of an older PSN
     monkeypatch.setattr(fabric_module, "PROBE_MS", 10_000.0)
-    monkeypatch.setattr(fabric_module, "PROBE_ALLOWANCE_MS", 10_000.0)
+    monkeypatch.setattr(SocketFabric, "_probe_allowance_ms", 10_000.0)
     n_msgs, size = 8, 4096  # four frames each at mtu 1024
     (reg_a, reg_b), (fab_a, fab_b) = two_fabrics
     a, b = (Node(reg, fabric, size=n_msgs * size, max_send_wr=n_msgs,

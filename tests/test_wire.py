@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from softverbs.wire import (
+    GAP_LEN,
     Frame,
     FrameDecodeError,
     FrameEncodeError,
@@ -12,6 +13,8 @@ from softverbs.wire import (
     decode_frame,
     encode_frame,
     frame_body_length,
+    pack_gaps,
+    unpack_gaps,
 )
 
 # the worked 14-byte ACK record: magic, kind=1, seg=0, qpn=1, psn=0, len=0
@@ -66,6 +69,40 @@ def test_an_rnr_nak_code_beyond_5_bits_is_rejected_at_decode(length_field):
     assert decode_frame(data).rnr_delay_hint == 31
     with pytest.raises(FrameDecodeError, match="5-bit"):
         decode_frame(data[:10] + length_field.to_bytes(4, "big"))
+
+
+def test_nak_gap_list_layout():
+    # two records: first PSN in 3 bytes, gap length in 2
+    gaps = [(0x123456, 3), (0xFFFFFF, 0xFFFF)]
+    frame = Frame(FrameKind.NAK, 5, 0x123456, payload=pack_gaps(gaps))
+    data = encode_frame(frame)
+    assert GAP_LEN == 5
+    assert data[10:14] == (2 * GAP_LEN).to_bytes(4, "big")
+    assert data[14:] == bytes.fromhex("1234560003" "ffffffffff")
+    assert decode_frame(data) == frame
+    assert unpack_gaps(decode_frame(data).payload) == gaps
+    assert frame_body_length(data[:HEADER_LEN]) == 2 * GAP_LEN
+
+
+@pytest.mark.parametrize("extra", [1, 2, 3, 4, 6])
+def test_a_gap_list_of_part_records_is_rejected(extra):
+    whole = encode_frame(Frame(FrameKind.NAK, 5, 9,
+                               payload=pack_gaps([(9, 1)])))
+    body = whole[HEADER_LEN:] + bytes(extra)
+    data = whole[:10] + len(body).to_bytes(4, "big") + body
+    with pytest.raises(FrameDecodeError, match="whole records"):
+        decode_frame(data)
+    with pytest.raises(FrameEncodeError, match="whole records"):
+        encode_frame(Frame(FrameKind.NAK, 5, 9, payload=body))
+
+
+def test_a_gap_list_shorter_or_longer_than_its_length_is_rejected():
+    data = encode_frame(Frame(FrameKind.NAK, 5, 9,
+                              payload=pack_gaps([(9, 1), (12, 2)])))
+    with pytest.raises(FrameDecodeError):
+        decode_frame(data[:-GAP_LEN])
+    with pytest.raises(FrameDecodeError):
+        decode_frame(data + bytes(GAP_LEN))
 
 
 def test_oversized_payload_rejected_at_encode():
@@ -123,11 +160,19 @@ def test_stream_body_length():
     # RNR delay hint must not be mistaken for a body length
     nak = encode_frame(Frame(FrameKind.RNR_NAK, 1, 2, rnr_delay_hint=20))
     assert frame_body_length(nak) == 0
+    # a NAK's gap list is its body
+    nak = encode_frame(Frame(FrameKind.NAK, 1, 2,
+                             payload=pack_gaps([(2, 1), (5, 3)])))
+    assert frame_body_length(nak[:HEADER_LEN]) == 2 * GAP_LEN
     # a stream reader buffers up to the length, so an overlong one is bad
     big = data[:10] + (MAX_PAYLOAD + 1).to_bytes(4, "big")
     with pytest.raises(FrameDecodeError):
         frame_body_length(big)
 
+
+# a NAK's gap list: (first PSN, count) records
+gap_lists = st.lists(st.tuples(st.integers(0, (1 << 24) - 1),
+                               st.integers(0, (1 << 16) - 1)), max_size=8)
 
 frames = st.one_of(
     st.builds(Frame,
@@ -151,12 +196,25 @@ frames = st.one_of(
               seg=st.sampled_from(list(SegMark)),
               payload=st.just(b""),
               rnr_delay_hint=st.integers(0, 31)),
+    st.builds(Frame,
+              kind=st.just(FrameKind.NAK),
+              dest_qpn=st.integers(0, (1 << 24) - 1),
+              psn=st.integers(0, (1 << 24) - 1),
+              seg=st.sampled_from(list(SegMark)),
+              payload=gap_lists.map(pack_gaps),
+              rnr_delay_hint=st.just(0)),
 )
 
 
 @given(frames)
 def test_roundtrip_property(frame):
     assert decode_frame(encode_frame(frame)) == frame
+
+
+@given(gap_lists)
+def test_gap_list_roundtrip_property(gaps):
+    frame = Frame(FrameKind.NAK, 1, 2, payload=pack_gaps(gaps))
+    assert unpack_gaps(decode_frame(encode_frame(frame)).payload) == gaps
 
 
 # -- oracle: the layout written out field by field ---------------------------
@@ -167,8 +225,8 @@ MAX_24 = (1 << 24) - 1
 def reference_encode(frame: Frame) -> bytes:
     """The frame layout, byte by byte: magic, kind, segment, then QPN, PSN
     and the length field as 3, 3 and 4 big-endian bytes, then the
-    payload."""
-    if frame.kind is FrameKind.DATA:
+    payload (a NAK's gap list: 3-byte PSN and 2-byte count records)."""
+    if frame.kind in (FrameKind.DATA, FrameKind.NAK):
         length_field = len(frame.payload)
     elif frame.kind is FrameKind.RNR_NAK:
         length_field = frame.rnr_delay_hint
@@ -193,6 +251,9 @@ def test_encode_matches_the_reference_on_every_edge():
                                     for n in (0, 1, MAX_PAYLOAD)]
                     elif kind is FrameKind.RNR_NAK:
                         variants = [dict(rnr_delay_hint=h) for h in (0, 31)]
+                    elif kind is FrameKind.NAK:
+                        variants = [dict(payload=pack_gaps(g)) for g in (
+                            [], [(psn, 1)], [(0, 0xFFFF), (MAX_24, 1)])]
                     else:
                         variants = [{}]
                     for extra in variants:
@@ -215,6 +276,11 @@ def any_frame(draw):
         payload = draw(st.binary(min_size=size, max_size=size))
     elif kind is FrameKind.RNR_NAK:
         hint = draw(st.integers(0, 31))
+    elif kind is FrameKind.NAK:
+        gaps = draw(st.lists(st.tuples(edge_24, st.integers(0, 0xFFFF)),
+                             max_size=4))
+        payload = b"".join(g[0].to_bytes(3, "big") + g[1].to_bytes(2, "big")
+                           for g in gaps)
     return Frame(kind, draw(edge_24), draw(edge_24),
                  draw(st.sampled_from(list(SegMark))), payload, hint)
 
