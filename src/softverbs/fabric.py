@@ -7,12 +7,14 @@ ordering, cumulative ACKs, RNR NAKs, timeout retransmission).
 The unit of delivery and of acknowledgement is a burst: the frames that
 land on one port at one virtual instant (loopback), or that the
 datagrams waiting on a port's socket hold (sockets). A receiving QP
-that accepts in-order frames in a burst owes one cumulative ACK, which
-``_end_burst`` sends when the burst ends, at the instant its last
-frame landed (IBTA RC lets one ACK cover any run of PSNs). NAKs, RNR
-NAKs, the ACK of a drained gap and the re-ACK of a stale duplicate,
-which names the duplicate's own PSN, leave at once; so does the NAK
-that asks again for a gap, at the burst's end.
+that accepts in-order frames in a burst, drains held frames or sees a
+stale duplicate owes one cumulative ACK, for the PSN before the one it
+now expects, which ``_end_burst`` sends when the burst ends, at the
+instant its last frame landed (IBTA RC lets one ACK cover any run of
+PSNs). That is the only place a receiver sends an ACK: a stale
+duplicate is answered with the last in-order PSN, not its own, as
+Linux rxe's responder answers a duplicate SEND. NAKs and RNR NAKs
+leave at once; the NAK that asks again for a gap follows its QP's ACK.
 
 Loss recovery is NAK-driven, after the IBTA RC PSN sequence error, and
 repairs every gap of a window in one round trip, as IRN's selective
@@ -24,8 +26,8 @@ sender resends every listed frame that is still unacked at once, but
 not one whose last copy left less than SRTT/2 ago (a copy of that NAK
 asked for it already), and charges only a listed head to its retry
 budget. Once a gap fills, the held frames that now continue the
-sequence are accepted as one run, under one cumulative ACK. At the
-burst's end, the next gap is asked for again if it was reported no
+sequence are accepted as one run, under the burst's ACK. Right after
+that ACK, the next gap is asked for again if it was reported no
 later than the gap just filled: its resend should have landed with
 that one's, so it was lost (``_ask_again``). A loss that no later frame
 reveals (a lost last frame, NAK, NAK'd resend or final ACK) is caught
@@ -373,11 +375,9 @@ class Fabric(Progress):
         self._seq = itertools.count()
         self._rng = random.Random(self.faults.seed)
         # receive QPs owing a cumulative ACK when the current burst ends,
-        # in the order they came to owe it
-        self._owed: dict[QueuePair, None] = {}
-        # receive QPs whose drain filled a gap in the current burst, with
-        # the time that gap was reported
-        self._filled: dict[QueuePair, float] = {}
+        # in the order they came to owe it, each with the time the gap a
+        # drain filled was reported (None if no drain left frames held)
+        self._owed: dict[QueuePair, Optional[float]] = {}
         self._registry = registry
         self._lock = registry.lock
 
@@ -700,10 +700,10 @@ class Fabric(Progress):
         ``PROBE_MS`` before, and never more than the QP's timeout. It
         recovers the losses no later frame can reveal (a lost last frame,
         NAK, NAK'd resend or final ACK): the resend fills the receiver's
-        gap or draws a stale re-ACK. Once the probed head
-        outlives the QP's timeout, a go-back-N burst replays the window
-        from it; a QP whose timeout code is 0 has none, and its probed
-        head waits for the receiver.
+        gap or, as a stale duplicate, draws the cumulative ACK again.
+        Once the probed head outlives the QP's timeout, a go-back-N
+        burst replays the window from it; a QP whose timeout code is 0
+        has none, and its probed head waits for the receiver.
 
         The probe and each timeout of the same head charge its retry
         budget, like a NAK'd resend; going past retry_cnt fails the
@@ -736,18 +736,18 @@ class Fabric(Progress):
 
         RESET/INIT (and ERR) QPs silently drop, and a QP that enters ERR
         partway through the run drops the rest of it. Stale PSNs are
-        re-acked and discarded so replays from an old connection never
-        complete twice. A future PSN less than ``HOLD_PSNS`` ahead is
-        held; one held past the highest PSN held so far (or the first one
-        held) opens a gap, and draws a NAK for the expected PSN that
-        lists that gap. One further ahead is discarded and left to
-        retransmission. An in-order message start with an empty receive
-        queue draws an RNR NAK and does not advance the expected PSN. An
-        in-order frame that fills a gap releases the held frames behind
-        it, in order, under one ACK; while nothing is held, the in-order
-        frames of the run go to ``_accept`` together, and are acked when
-        their burst ends, by ``_end_burst``, under one ACK for the
-        whole burst.
+        discarded, so replays from an old connection never complete twice,
+        and make the QP owe the burst's cumulative ACK. A future PSN less
+        than ``HOLD_PSNS`` ahead is held; one held past the highest PSN
+        held so far (or the first one held) opens a gap, and draws a NAK
+        for the expected PSN that lists that gap. One further ahead is
+        discarded and left to retransmission. An in-order message start
+        with an empty receive queue draws an RNR NAK and does not advance
+        the expected PSN. An in-order frame that fills a gap releases the
+        held frames behind it, in order (``_drain_held``); while nothing
+        is held, the in-order frames of the run go to ``_accept``
+        together. Either way the QP goes in ``_owed``, and ``_end_burst``
+        acks the whole burst under one ACK.
         """
         if qp.state in (QpState.RESET, QpState.INIT, QpState.ERR):
             return
@@ -762,7 +762,7 @@ class Fabric(Progress):
             if frame.psn != expected:
                 i += 1
                 if psn_before(frame.psn, expected):
-                    self._reply(qp, _ACK, frame.psn)
+                    owes = True
                 elif (frame.psn - expected) & PSN_MASK < HOLD_PSNS:
                     held = rcv.held
                     if not held:
@@ -778,15 +778,13 @@ class Fabric(Progress):
             # with frames held, each in-order frame may fill the gap
             i += self._accept(qp, rcv, (frame,) if rcv.held else frames[i:])
             if rcv.expected_psn != expected:
+                owes = True
                 if rcv.held:
-                    self._drain_held(qp, rcv)  # its ACK covers the run so far
-                    owes = False
-                else:
-                    owes = True
+                    self._drain_held(qp, rcv)
             if qp.state is QpState.ERR:
                 break
         if owes:
-            self._owed[qp] = None
+            self._owed.setdefault(qp, None)  # keeps a drain's time
 
     def _accept(self, qp: QueuePair, rcv: ReceiverState, frames) -> int:
         """Take the leading frames of ``frames`` that continue the
@@ -828,11 +826,12 @@ class Fabric(Progress):
 
     def _drain_held(self, qp: QueuePair, rcv: ReceiverState) -> None:
         """Accept the run of held frames that now continues the sequence,
-        in one ``_accept`` call, ack them all at once, and take out the
-        reports of the gaps now filled. If the whole run went in and
-        frames beyond the next gap are held, the QP goes in ``_filled``,
-        with the time the gap just filled was reported: the burst's end
-        may ask for the next gap again (``_ask_again``).
+        in one ``_accept`` call, and take out the reports of the gaps now
+        filled; it sends no frame, since the burst's ACK covers the run.
+        If the whole run went in and frames beyond the next gap are held,
+        the QP's entry in ``_owed`` takes the time the gap just filled
+        was reported: right after that ACK, ``_end_burst`` may ask for
+        the next gap again (``_ask_again``).
 
         The frames ``_accept`` used leave ``held``, and the ones behind
         where it stopped stay. A held frame refused with an RNR NAK
@@ -847,13 +846,11 @@ class Fabric(Progress):
                 psn = (psn + 1) & PSN_MASK
         for frame in run[:self._accept(qp, rcv, run)]:
             del held[frame.psn]
-        self._owed.pop(qp, None)  # this ACK covers the burst so far
-        expected = rcv.expected_psn
-        self._reply(qp, _ACK, psn_add(expected, -1))
         reports = rcv.reports
         if not held:
             reports.clear()
             return
+        expected = rcv.expected_psn
         filled_at = 0.0
         while reports and psn_before(reports[0][0], expected):
             filled_at = reports.popleft()[1]
@@ -861,15 +858,15 @@ class Fabric(Progress):
             reports.appendleft([expected, filled_at])  # a gap filled in part
         # the whole run went in: nothing was refused or stray
         if expected == psn and qp.state is not QpState.ERR:
-            self._filled[qp] = filled_at
+            self._owed[qp] = filled_at
 
     def _land(self, ep: Endpoint, frames) -> None:
         """Take in one burst: dispatch its frames, in the order they were
         sent, as runs of consecutive frames with one key, ``(dest_qpn,
-        kind)``, then send the ACKs they owe. A run whose QPN has no QP
-        drops. A DATA run goes to ``on_data`` in one call; the frames of
-        any other run go to their handler one at a time. No frame moves
-        past a frame of another kind or QP.
+        kind)``, then send the ACKs they owe (``_end_burst``). A run
+        whose QPN has no QP drops. A DATA run goes to ``on_data`` in one
+        call; the frames of any other run go to their handler one at a
+        time. No frame moves past a frame of another kind or QP.
 
         A burst is the frames one loopback event lands, one injected
         frame, or the frames of every datagram one socket read drains."""
@@ -889,40 +886,38 @@ class Fabric(Progress):
 
     def _end_burst(self) -> None:
         """End a burst, at the instant its last frame landed: send each QP
-        in ``_owed`` (it accepted in-order frames in the burst that no
-        drain's ACK covered) one cumulative ACK, for the PSN before the
-        one it now expects; then ask again for the gaps whose resends
-        were lost (``_ask_again``)."""
+        in ``_owed`` one cumulative ACK, for the PSN before the one it now
+        expects, and right after it, if a drain filled a gap, ask again
+        for the next gap if its resend was lost (``_ask_again``). This is
+        the only place a receiver sends an ACK."""
         owed = self._owed
         if owed:
             self._owed = {}
-            for qp in owed:
+            for qp, filled_at in owed.items():
                 rcv = qp.receiver
                 if rcv is not None:
                     self._reply(qp, _ACK, psn_add(rcv.expected_psn, -1))
-        if self._filled:
-            self._ask_again()
+                    if filled_at is not None:
+                        self._ask_again(qp, rcv, filled_at)
 
-    def _ask_again(self) -> None:
-        """End a burst for each QP in ``_filled``: a drain filled a gap,
-        and frames are still held beyond the gap now at the expected PSN.
-        If that gap was reported no later than the gap just filled, its
-        resend should have come with that one's, so it was lost: a NAK
-        lists the gap again, and its report takes the time. Otherwise its
-        resend is still on the way, and the drain's ACK was enough."""
-        filled, self._filled = self._filled, {}
-        for qp, filled_at in filled.items():
-            rcv = qp.receiver
-            if rcv is None or not rcv.held or qp.state is QpState.ERR:
-                continue
-            report = rcv.reports[0]
-            if report[1] > filled_at:
-                continue
-            expected, held, count = rcv.expected_psn, rcv.held, 1
-            while (expected + count) & PSN_MASK not in held:
-                count += 1
-            report[1] = self.now_ms()
-            self._send_nak(qp, rcv, expected, count)
+    def _ask_again(self, qp: QueuePair, rcv: ReceiverState,
+                   filled_at: float) -> None:
+        """A drain in the burst filled the gap reported at ``filled_at``.
+        If frames are still held, beyond the gap now at the expected PSN,
+        and that gap was reported no later than the one filled, its resend
+        should have come with that one's, so it was lost: a NAK lists the
+        gap again, and its report takes the time. Otherwise its resend is
+        still on the way, and the burst's ACK was enough."""
+        if not rcv.held or qp.state is QpState.ERR:
+            return
+        report = rcv.reports[0]
+        if report[1] > filled_at:
+            return
+        expected, held, count = rcv.expected_psn, rcv.held, 1
+        while (expected + count) & PSN_MASK not in held:
+            count += 1
+        report[1] = self.now_ms()
+        self._send_nak(qp, rcv, expected, count)
 
     def _send_nak(self, qp: QueuePair, rcv: ReceiverState, first: int,
                   count: int) -> None:

@@ -10,8 +10,8 @@ frame of a run. Receives may be missing (RNR NAKs) or too short for
 their message, which throws the QP into ERR partway through a run or a
 drain. Three twin worlds take the same burst: one run at a time through
 ``on_data``, one frame at a time through ``on_data``, and whole through
-``_land``; each then ends the burst (``_end_burst``: the owed ACKs and
-the gaps asked for again). The first two skip the frame to no
+``_land``; each then ends the burst (``_end_burst``: each QP's one
+ACK and the gap it asks for again). The first two skip the frame to no
 QP; ``_land`` must drop it and split the run there. All three must
 leave the same CQEs, received bytes, receiver state, QP state and
 emitted frames, in order.
@@ -153,7 +153,7 @@ class World:
                       qp.receiver.reassembly, len(qp.recv_queue))
                      for qp in self.qps]
         return (cqes, bytes(self.b.buf.data), receivers,
-                self.fabric.trace, self.fabric._owed, self.fabric._filled)
+                self.fabric.trace, self.fabric._owed)
 
 
 def runs(world, items):

@@ -11,7 +11,10 @@ CQEs in post order, every receive byte-exact. Whenever the fabric is
 idle, every signaled or failed WQE has its CQE: either every send was
 delivered and acked, or one failed and every later one was flushed, or
 the sender was moved to ERR and every send not finished by then was
-flushed.
+flushed. The receiver sends its ACKs at strictly increasing virtual
+times (one per burst at most), with PSNs that never go back, and keeps a
+gap report exactly while it holds frames, the first one at the expected
+PSN.
 Two lost copies per PSN cannot spend a retry budget of 7, so only RNR
 exhaustion, a receive posted too late, may fail a send. The pair is
 connected with a drawn ``rnr_retry`` below 7: 7 retries without limit,
@@ -30,7 +33,7 @@ from hypothesis.stateful import (
 )
 
 from conftest import Node, connect_pair
-from softverbs.fabric import LoopbackFabric
+from softverbs.fabric import LoopbackFabric, psn_le
 from softverbs.verbs import (
     AttrMask,
     DeviceRegistry,
@@ -176,6 +179,20 @@ class RcModel(RuleBasedStateMachine):
                                      if self.err_at is None
                                      else WcStatus.WR_FLUSHED)
                 failed = True
+
+    @invariant()
+    def the_receiver_acks_once_per_burst_and_never_goes_back(self):
+        acks = [(e.t, e.frame.psn) for e in self.fabric.trace
+                if e.src_lid == self.b.lid and e.frame.kind is FrameKind.ACK]
+        for (t, psn), (later_t, later_psn) in zip(acks, acks[1:]):
+            assert t < later_t and psn_le(psn, later_psn)
+
+    @invariant()
+    def a_gap_report_stands_while_frames_are_held(self):
+        rcv = self.b.qp.receiver
+        assert bool(rcv.reports) == bool(rcv.held)
+        if rcv.held:
+            assert rcv.reports[0][0] == rcv.expected_psn
 
     def _check_idle(self):
         self.fabric.run_until_idle()

@@ -567,8 +567,8 @@ def test_two_messages_posted_while_no_thread_waits_land_as_one_burst(
         two_fabrics, monkeypatch):
     """Each message leaves in a datagram of its own; the read that the
     next wait makes drains both, and the receiver acks the burst once."""
-    # no probe before the QP's timeout: its duplicate would draw a stale
-    # re-ACK of an older PSN
+    # no probe before the QP's timeout: its duplicate would draw an ACK
+    # of its own
     monkeypatch.setattr(fabric_module, "PROBE_MS", 10_000.0)
     (reg_a, reg_b), (fab_a, fab_b) = two_fabrics
     a = Node(reg_a, fab_a)
@@ -594,7 +594,7 @@ def test_a_window_of_messages_draws_fewer_acks_than_frames(two_fabrics,
     """The frames one read holds are one burst, acked once: ACKs never
     go back, and the last names the last DATA frame."""
     # no probe before the QP's timeout, with or without an RTT sample:
-    # its duplicate would draw a stale re-ACK of an older PSN
+    # its duplicate would draw an ACK of its own
     monkeypatch.setattr(fabric_module, "PROBE_MS", 10_000.0)
     monkeypatch.setattr(SocketFabric, "_probe_allowance_ms", 10_000.0)
     n_msgs, size = 8, 4096  # four frames each at mtu 1024

@@ -149,16 +149,36 @@ def test_undefined_mask_bits_rejected(registry, fabric):
         node.qp.modify(ModifyAttributes(), 1 << 20)
 
 
-def test_invalid_field_values_leave_qp_unchanged(registry, fabric):
-    node = qp_in_state(registry, fabric, QpState.INIT)
+# one field out of range per case, on the transition that sets it, and
+# the start of the error it draws
+INVALID = {
+    "path_mtu": (QpState.RTR, dict(path_mtu=999), "invalid path mtu"),
+    "access_flags": (QpState.INIT, dict(qp_access_flags=1 << 5),
+                     "undefined qp access flag"),
+    "dest_qp_num": (QpState.RTR, dict(dest_qp_num=1 << 24), "dest qpn"),
+    "rq_psn": (QpState.RTR, dict(rq_psn=1 << 24), "rq psn"),
+    "retry_cnt": (QpState.RTS, dict(retry_cnt=8), "retry_cnt"),
+    "rnr_retry": (QpState.RTS, dict(rnr_retry=8), "rnr_retry"),
+    "min_rnr_timer": (QpState.RTR, dict(min_rnr_timer=32), "min_rnr_timer"),
+    "timeout": (QpState.RTS, dict(timeout=32), "timeout"),
+    "dgid": (QpState.RTR,
+             dict(ah=AddressHandle(dlid=99, port_num=1, dgid=bytes(15))),
+             "gid must be 16 bytes"),
+}
+BEFORE = {QpState.INIT: QpState.RESET, QpState.RTR: QpState.INIT,
+          QpState.RTS: QpState.RTR}
+
+
+@pytest.mark.parametrize("case", list(INVALID))
+def test_invalid_field_values_leave_qp_unchanged(registry, fabric, case):
+    target, bad, message = INVALID[case]
+    node = qp_in_state(registry, fabric, BEFORE[target])
     before = copy.deepcopy(node.qp.attrs)
-    with pytest.raises(VerbsError):
-        node.qp.modify(
-            ModifyAttributes(state=QpState.RTR, path_mtu=999,
-                             dest_qp_num=1, rq_psn=1, max_dest_rd_atomic=1,
-                             min_rnr_timer=12, ah=AddressHandle(dlid=2)),
-            RTR_MASK)
-    assert node.qp.state is QpState.INIT
+    mask, fields = FULL[target]
+    with pytest.raises(VerbsError, match=f"^{message}"):
+        node.qp.modify(ModifyAttributes(state=target, **{**fields, **bad}),
+                       mask)
+    assert node.qp.state is BEFORE[target]
     assert node.qp.attrs == before
 
 

@@ -132,6 +132,10 @@ def test_trailing_garbage_rejected():
     data = encode_frame(Frame(FrameKind.ACK, 1, 0))
     with pytest.raises(FrameDecodeError):
         decode_frame(data + b"!")
+    # a DATA frame longer than its length field
+    data = encode_frame(Frame(FrameKind.DATA, 1, 0, SegMark.ONLY, b"abc"))
+    with pytest.raises(FrameDecodeError, match="trailing garbage"):
+        decode_frame(data + b"!")
 
 
 def test_unknown_kind_rejected():
@@ -150,6 +154,8 @@ def test_out_of_range_fields_rejected_at_encode():
         encode_frame(Frame(FrameKind.RNR_NAK, 1, 0, rnr_delay_hint=32))
     with pytest.raises(FrameEncodeError):
         encode_frame(Frame(FrameKind.ACK, 1, 0, payload=b"no"))
+    with pytest.raises(FrameEncodeError, match="unknown frame kind"):
+        encode_frame(Frame(4, 1, 0))
 
 
 def test_stream_body_length():
@@ -168,6 +174,13 @@ def test_stream_body_length():
     big = data[:10] + (MAX_PAYLOAD + 1).to_bytes(4, "big")
     with pytest.raises(FrameDecodeError):
         frame_body_length(big)
+    # and so is a whole record that carries one
+    with pytest.raises(FrameDecodeError, match="over limit"):
+        decode_frame(big + bytes(MAX_PAYLOAD + 1))
+    # a record header is exactly 14 bytes
+    for header in (data[:HEADER_LEN - 1], data[:HEADER_LEN + 1]):
+        with pytest.raises(FrameDecodeError, match="exactly 14 bytes"):
+            frame_body_length(header)
 
 
 # a NAK's gap list: (first PSN, count) records
