@@ -10,9 +10,14 @@ on a lossless wire: batches whose receives are posted 15 virtual ms
 after their sends, with the RNR NAKs they drew. A closing line sums the DATA
 frames, ACKs and virtual time over the rows of the first two tables.
 Fully deterministic for a given seed. Exits 1 if any row reads FAILED.
+
+With ``--seeds A-B`` it sweeps each seed from A to B and prints one
+``seed N: summed: ...`` line per seed, then their total; a seed's tables
+are printed, before its line, only if one of its rows reads FAILED.
 """
 
 import argparse
+import io
 import random
 import sys
 from collections import Counter
@@ -64,51 +69,88 @@ def run_batch(drop, dup, reorder, seed, n_msgs, size, mtu, late_ms=0.0):
     return ok, kinds, n_msgs * -(-size // mtu), virtual_ms
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--messages", type=int, default=200)
-    parser.add_argument("--size", type=int, default=4096)
-    parser.add_argument("--mtu", type=int, default=1024)
-    parser.add_argument("--seed", type=int, default=1)
-    args = parser.parse_args()
-
+def sweep(seed, n_msgs, size, mtu):
+    """Run every table for one seed. Returns its printed tables, whether
+    a row failed, and the summed DATA frames, ACKs and virtual ms."""
+    out = io.StringIO()
     rows = [(drop, dup, reorder, *run_batch(
-                drop, dup, reorder, args.seed, args.messages, args.size,
-                args.mtu))
+                drop, dup, reorder, seed, n_msgs, size, mtu))
             for drop in (0.0, 0.05, 0.1, 0.2, 0.3)
             for dup, reorder in ((0.0, 0.0), (0.1, 0.1))]
     # the virtual times get a table of their own: bench/tests reads the
     # first table's rows as six columns
     print(f"{'drop':>6} {'dup':>6} {'reorder':>8} {'delivered':>10} "
-          f"{'frames':>8} {'amplification':>14}")
+          f"{'frames':>8} {'amplification':>14}", file=out)
     for drop, dup, reorder, ok, kinds, minimum, _ in rows:
         frames = kinds[FrameKind.DATA]
         print(f"{drop:>6.2f} {dup:>6.2f} {reorder:>8.2f} "
               f"{'all' if ok else 'FAILED':>10} {frames:>8} "
-              f"{frames / minimum:>13.2f}x")
+              f"{frames / minimum:>13.2f}x", file=out)
     print(f"\n{'drop':>6} {'dup':>6} {'reorder':>8} {'acks':>6} "
-          f"{'naks':>6} {'virtual_ms':>11}")
+          f"{'naks':>6} {'virtual_ms':>11}", file=out)
     for drop, dup, reorder, _, kinds, _, virtual_ms in rows:
         print(f"{drop:>6.2f} {dup:>6.2f} {reorder:>8.2f} "
               f"{kinds[FrameKind.ACK]:>6} {kinds[FrameKind.NAK]:>6} "
-              f"{virtual_ms:>11.2f}")
+              f"{virtual_ms:>11.2f}", file=out)
     failed = not all(row[3] for row in rows)
     late_ms = 15.0
     print(f"\nreceives posted {late_ms:g} virtual ms after the sends, "
           f"no faults\n{'messages':>8} {'delivered':>10} {'frames':>8} "
-          f"{'rnr_naks':>9} {'virtual_ms':>11}")
-    for n_msgs in (8, 100):
+          f"{'rnr_naks':>9} {'virtual_ms':>11}", file=out)
+    for late_msgs in (8, 100):
         ok, kinds, _, virtual_ms = run_batch(
-            0.0, 0.0, 0.0, args.seed, n_msgs, args.size, args.mtu, late_ms)
+            0.0, 0.0, 0.0, seed, late_msgs, size, mtu, late_ms)
         failed = failed or not ok
-        print(f"{n_msgs:>8} {'all' if ok else 'FAILED':>10} "
+        print(f"{late_msgs:>8} {'all' if ok else 'FAILED':>10} "
               f"{kinds[FrameKind.DATA]:>8} {kinds[FrameKind.RNR_NAK]:>9} "
-              f"{virtual_ms:>11.2f}")
-    data = sum(r[4][FrameKind.DATA] for r in rows)
-    acks = sum(r[4][FrameKind.ACK] for r in rows)
-    print(f"\nsummed: {data} DATA frames, {acks} ACKs, "
-          f"{sum(r[6] for r in rows):.2f} virtual ms")
-    return 1 if failed else 0
+              f"{virtual_ms:>11.2f}", file=out)
+    sums = (sum(r[4][FrameKind.DATA] for r in rows),
+            sum(r[4][FrameKind.ACK] for r in rows),
+            sum(r[6] for r in rows))
+    print(f"\nsummed: {sums[0]} DATA frames, {sums[1]} ACKs, "
+          f"{sums[2]:.2f} virtual ms", file=out)
+    return out.getvalue(), failed, sums
+
+
+def seed_range(text):
+    """``A-B``: the seeds from A to B, both included."""
+    first, sep, last = text.partition("-")
+    try:
+        seeds = range(int(first), int(last) + 1)
+    except ValueError:
+        seeds = None
+    if not sep or not seeds:
+        raise argparse.ArgumentTypeError(f"want A-B with A <= B, got {text!r}")
+    return seeds
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--messages", type=int, default=200)
+    parser.add_argument("--size", type=int, default=4096)
+    parser.add_argument("--mtu", type=int, default=1024)
+    seeds = parser.add_mutually_exclusive_group()
+    seeds.add_argument("--seed", type=int, help="the one seed (default 1)")
+    seeds.add_argument("--seeds", type=seed_range, metavar="A-B")
+    args = parser.parse_args()
+
+    if args.seeds is None:
+        tables, failed, _ = sweep(1 if args.seed is None else args.seed,
+                                  args.messages, args.size, args.mtu)
+        print(tables, end="")
+        return 1 if failed else 0
+    any_failed, total = False, [0, 0, 0.0]
+    for seed in args.seeds:
+        tables, failed, sums = sweep(seed, args.messages, args.size,
+                                     args.mtu)
+        if failed:
+            any_failed = True
+            print(f"seed {seed}:\n{tables}")
+        print(f"seed {seed}: {tables.splitlines()[-1]}", flush=True)
+        total = [t + s for t, s in zip(total, sums)]
+    print(f"seeds {args.seeds[0]}-{args.seeds[-1]} summed: {total[0]} DATA "
+          f"frames, {total[1]} ACKs, {total[2]:.2f} virtual ms")
+    return 1 if any_failed else 0
 
 
 if __name__ == "__main__":

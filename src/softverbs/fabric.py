@@ -39,8 +39,12 @@ PTO is 2 x SRTT plus an allowance (``PROBE_MS`` before the first
 sample), capped by the QP's retransmit timeout. The allowance is
 ``PROBE_ALLOWANCE_MS`` on loopback and a thread switch interval on
 sockets. That timeout remains the fallback when the probe is lost too:
-it resends the head, and behind it, as one go-back-N burst, the frames
-as old as the timeout.
+it resends each of the window's first ``BURST_FRAMES`` whose last copy
+is as old as the timeout, the head first, and skips the younger ones.
+Every resend, whatever its cause (probe, end of an RNR pause, NAK,
+timeout or stale-head resume), goes through one loop, ``_resend``: a
+frame is resent because it was named and its last copy is old enough,
+as in IRN's selective resend and RFC 8985.
 
 An RNR NAK, after IBTA RC's receiver-not-ready rule, pauses the refused
 head for the time its delay code (the receiver's ``min_rnr_timer``)
@@ -148,8 +152,8 @@ SERIAL_HALF = 1 << 23
 # a receiver holds out-of-order frames this many PSNs past expected_psn
 # at most; frames further ahead are discarded and left to retransmission
 HOLD_PSNS = 1024
-# a go-back-N burst (timeout or stale-head resume) replays this many
-# frames at most
+# a timeout or a stale-head resume resends, of the window's first this
+# many frames, each whose last copy is as old as the QP's timeout
 BURST_FRAMES = 64
 # a head unacked for one probe timeout (PTO) is resent once, alone (a
 # tail-loss probe), before the retransmit timeout takes over. The PTO is
@@ -268,8 +272,8 @@ class SenderState:
     first sample): ``_retire_through`` takes one sample per ACK that
     retires frames, from the newest one's send, unless a retired frame
     was resent (Karn's rule). ``resent`` counts the prefix of the window
-    that holds every frame resent: a resend that starts at the head or
-    a NAK's resend of listed frames grows it to the furthest one.
+    that holds every frame resent: each ``_resend`` grows it to the
+    furthest frame it resent.
     ``pto_ms``, the probe timeout ``_due`` reads, is PROBE_MS until the
     first sample, then 2 x ``srtt`` plus ``allowance_ms`` (RFC 8985's
     PTO with a minimum added, as Linux's TLP adds one: the fabric's, by
@@ -537,25 +541,41 @@ class Fabric(Progress):
                 deliver(src, dlid, frame)
             self._arm_tick(qp)
 
-    def _resend(self, qp: QueuePair, count: int = 1) -> None:
-        """Resend the window's first ``count`` frames, restarting each
-        one's clock. ``resent`` counts a prefix of the window that holds
-        every frame ever resent (Karn's rule)."""
+    def _resend(self, qp: QueuePair, spans=((0, 1),),
+                age: float = 0.0) -> None:
+        """Resend each window frame named by ``spans``, ``(start, count)``
+        runs of window indices, whose last copy is at least ``age`` old,
+        and restart its clock. A copy is that old once its send time plus
+        ``age`` has come, the sum ``_due`` arms the tick at, so a timeout
+        always resends its head. ``resent``, a prefix of the window that
+        holds every frame ever resent (Karn's rule), grows to the furthest
+        one. Every DATA resend comes here: the probe and the end of an RNR
+        pause take the defaults (the head), a NAK passes its gap list, and
+        the timeout and the stale-head resume the first ``BURST_FRAMES``
+        with the QP's timeout as the age."""
         snd = qp.sender
-        src, dlid = qp._endpoint, qp.attrs.ah.dlid
-        for entry in itertools.islice(snd.unacked, count):
-            entry[1] = self.now_ms()
-            self._deliver(src, dlid, entry[0])
-        if snd.resent < count:
-            snd.resent = count
+        unacked, now = snd.unacked, self.now_ms()
+        src, dlid, deliver = qp._endpoint, qp.attrs.ah.dlid, self._deliver
+        resent, n = snd.resent, len(unacked)
+        for start, count in spans:
+            for i in range(start, min(start + count, n)):
+                entry = unacked[i]
+                if entry[1] + age <= now:
+                    entry[1] = now
+                    deliver(src, dlid, entry[0])
+                    if i >= resent:
+                        resent = i + 1
+        snd.resent = resent
 
     def on_ack(self, qp: QueuePair, frame: Frame) -> None:
         """Cumulative ack: retire every unacked entry with psn <= frame.psn.
 
-        Progress that exposes a head older than the QP's timeout (frames
+        Progress that exposes a head as old as the QP's timeout (frames
         the receiver could not hold while waiting for a retransmission)
-        resumes the go-back replay immediately instead of waiting out
-        another timeout. A head that progress exposes was never paused: a
+        resumes the replay at once instead of waiting out another
+        timeout: the first ``BURST_FRAMES`` of the window that are as old
+        as the timeout are resent, charged to no budget, as a timeout
+        resends them. A head that progress exposes was never paused: a
         pause leaves with the head it was set on.
         """
         snd = qp.sender
@@ -563,9 +583,9 @@ class Fabric(Progress):
             return
         progressed = self._retire_through(qp, frame.psn)
         if snd.unacked:
-            now = self.now_ms()
-            if progressed and now - snd.unacked[0][1] >= snd.timeout_ms:
-                self._retransmit_burst(qp, now)
+            if progressed and (snd.unacked[0][1] + snd.timeout_ms
+                               <= self.now_ms()):
+                self._resend(qp, ((0, BURST_FRAMES),), snd.timeout_ms)
             self._arm_tick(qp)
 
     def _retire_through(self, qp: QueuePair, psn: int) -> bool:
@@ -612,38 +632,26 @@ class Fabric(Progress):
         """PSN sequence error: the receiver holds later frames and still
         waits for ``frame.psn``, so everything before it is retired. The
         frames its gap list names that are still unacked are resent at
-        once, but not one whose last copy left less than SRTT/2 ago: that
-        copy (sent for a duplicate of this NAK, say) is still on the way.
-        A listed head is charged to its retry budget as a timeout would
-        be; the other frames are charged nothing. ``resent`` grows to
-        cover the furthest frame resent. A stale NAK, or one for a paused
-        head, is ignored with its gap list: the receiver has moved on
-        since it listed those gaps (``_nakked_head``)."""
+        once by ``_resend``, but not one whose last copy is younger than
+        SRTT/2: that copy (sent for a duplicate of this NAK, say) is
+        still on the way. A listed head as old as that is charged to its
+        retry budget as a timeout would be; the other frames are charged
+        nothing. A stale NAK, or one for a paused head, is ignored with
+        its gap list: the receiver has moved on since it listed those
+        gaps (``_nakked_head``)."""
         if not self._nakked_head(qp, frame):
             return
         snd = qp.sender
-        unacked = snd.unacked
-        now = self.now_ms()
-        recent = now - snd.srtt / 2  # a copy sent after this is on its way
+        age = snd.srtt / 2
         spans = [((first - frame.psn) & PSN_MASK, count)
                  for first, count in unpack_gaps(frame.payload)]
-        if unacked[0][1] <= recent and any(
+        if snd.unacked[0][1] + age <= self.now_ms() and any(
                 not start and count for start, count in spans):
             if snd.retries_used >= qp.attrs.retry_cnt:
                 qp.complete_send(WcStatus.RETRY_EXCEEDED)
                 return
             snd.retries_used += 1
-        src, dlid, deliver = qp._endpoint, qp.attrs.ah.dlid, self._deliver
-        resent, n = snd.resent, len(unacked)
-        for start, count in spans:
-            for i in range(start, min(start + count, n)):
-                entry = unacked[i]
-                if entry[1] <= recent:
-                    entry[1] = now
-                    deliver(src, dlid, entry[0])
-                    if i >= resent:
-                        resent = i + 1
-        snd.resent = resent
+        self._resend(qp, spans, age)
         self._arm_tick(qp)
 
     def on_rnr_nak(self, qp: QueuePair, frame: Frame) -> None:
@@ -667,25 +675,6 @@ class Fabric(Progress):
         snd.paused_until = self.now_ms() + RNR_TIMER_MS[frame.rnr_delay_hint]
         self._arm_tick(qp)
 
-    def _retransmit_burst(self, qp: QueuePair, now: float) -> None:
-        """Go-back-N replay: resend the head, whose timeout fired (or
-        which an ACK exposed stale), and the frames behind it as old as
-        the QP's timeout.
-
-        The burst stops at the first frame younger than that and at the
-        burst cap. A frame is as old as the timeout once its send time
-        plus the timeout has come, the sum ``_due`` sets the tick at, so
-        the frames sent with the head go with it. Retry accounting is
-        the caller's job, not ours.
-        """
-        snd = qp.sender
-        stale = 1
-        for _, sent_at in itertools.islice(snd.unacked, 1, BURST_FRAMES):
-            if sent_at + snd.timeout_ms > now:
-                break
-            stale += 1
-        self._resend(qp, stale)
-
     def on_timeout_tick(self, qp: QueuePair, now: float) -> None:
         """End an RNR pause, probe a stalled head, or retransmit from it
         on timeout.
@@ -701,9 +690,12 @@ class Fabric(Progress):
         recovers the losses no later frame can reveal (a lost last frame,
         NAK, NAK'd resend or final ACK): the resend fills the receiver's
         gap or, as a stale duplicate, draws the cumulative ACK again.
-        Once the probed head outlives the QP's timeout, a go-back-N
-        burst replays the window from it; a QP whose timeout code is 0
-        has none, and its probed head waits for the receiver.
+        Once the probed head outlives the QP's timeout, the timeout
+        resends every frame among the window's first ``BURST_FRAMES``
+        whose last copy is as old as the timeout, the head first: a frame
+        a NAK resent since is skipped, not an end to the replay. A QP
+        whose timeout code is 0 has none, and its probed head waits for
+        the receiver.
 
         The probe and each timeout of the same head charge its retry
         budget, like a NAK'd resend; going past retry_cnt fails the
@@ -723,7 +715,7 @@ class Fabric(Progress):
             return
         snd.retries_used += 1
         if snd.probed:
-            self._retransmit_burst(qp, now)
+            self._resend(qp, ((0, BURST_FRAMES),), snd.timeout_ms)
         else:
             snd.probed = True
             self._resend(qp)
@@ -752,8 +744,6 @@ class Fabric(Progress):
         if qp.state in (QpState.RESET, QpState.INIT, QpState.ERR):
             return
         rcv = qp.receiver
-        if rcv is None:
-            return
         owes = False
         i, n = 0, len(frames)
         while i < n:
@@ -895,10 +885,9 @@ class Fabric(Progress):
             self._owed = {}
             for qp, filled_at in owed.items():
                 rcv = qp.receiver
-                if rcv is not None:
-                    self._reply(qp, _ACK, psn_add(rcv.expected_psn, -1))
-                    if filled_at is not None:
-                        self._ask_again(qp, rcv, filled_at)
+                self._reply(qp, _ACK, psn_add(rcv.expected_psn, -1))
+                if filled_at is not None:
+                    self._ask_again(qp, rcv, filled_at)
 
     def _ask_again(self, qp: QueuePair, rcv: ReceiverState,
                    filled_at: float) -> None:

@@ -121,4 +121,30 @@ class TestFaultSweepScript:
         assert all(row.split()[1] == "all" for row in rnr_rows)
         # the sweep's frames and virtual times, pinned
         assert lines[-1] == \
-            "summed: 13513 DATA frames, 237 ACKs, 2097.79 virtual ms"
+            "summed: 13524 DATA frames, 243 ACKs, 2109.29 virtual ms"
+
+    def test_a_seed_range_totals_its_seeds(self):
+        script = Path(__file__).resolve().parents[1] / "scripts" / \
+            "fault_sweep.py"
+
+        def sweep(*args):
+            out = subprocess.run([sys.executable, str(script), "--messages",
+                                  "20", *args], capture_output=True,
+                                 text=True, timeout=120)
+            assert out.returncode == 0, out.stderr
+            return out.stdout.splitlines()
+
+        def sums(line):
+            words = line.split("summed: ")[1].split()
+            return int(words[0]), int(words[3]), float(words[5])
+
+        singles = [sweep("--seed", seed)[-1] for seed in ("1", "2")]
+        *per_seed, total = sweep("--seeds", "1-2")
+        assert per_seed == [f"seed {seed}: {line}"
+                            for seed, line in zip((1, 2), singles)]
+        assert total.startswith("seeds 1-2 summed: ")
+        data, acks, ms = sums(total)
+        (data1, acks1, ms1), (data2, acks2, ms2) = map(sums, singles)
+        assert (data, acks) == (data1 + data2, acks1 + acks2)
+        # each line rounds its own sum to 0.01 ms
+        assert ms == pytest.approx(ms1 + ms2, abs=0.011)

@@ -123,6 +123,27 @@ class TestAttach:
         with pytest.raises(VerbsError):
             fabric.attach(ctx, 1)
 
+    @pytest.mark.parametrize("foreign, port, message", [
+        (True, 1, "fabric already serves a different registry"),
+        (False, 2, "no such port 2")])
+    def test_an_attach_the_fabric_cannot_serve_fails(self, registry, fabric,
+                                                     foreign, port, message):
+        if foreign:
+            registry = DeviceRegistry()
+            registry.add_device("hca0")
+        ctx = registry.open_device(registry.get_device_list()[0])
+        with pytest.raises(VerbsError, match=f"^{message}$"):
+            fabric.attach(ctx, port)
+        assert not fabric.routing
+
+    def test_a_detached_port_unbinds_its_qps(self, pair, fabric):
+        a, _ = pair
+        fabric.detach(a.context, a.port)
+        assert a.qp._endpoint is None and a.lid not in fabric.routing
+        with pytest.raises(VerbsError,
+                           match="^QP port is not attached to a fabric$"):
+            a.post_send(1, b"x")
+
 
 class TestClock:
     def test_jump_runs_one_timestamp_and_hands_back(self, fabric):
@@ -183,6 +204,14 @@ class TestSegmentation:
         assert [e.frame.psn for e in data] == [100, 101, 102, 103]
         assert [e.frame.seg for e in data] == [
             SegMark.FIRST, SegMark.MIDDLE, SegMark.MIDDLE, SegMark.LAST]
+
+    def test_transmit_requires_a_qp_in_rts(self, registry, fabric):
+        node = Node(registry, fabric)
+        to_init(node.qp)
+        with pytest.raises(VerbsError,
+                           match="^transmit requires a QP in RTS$"):
+            fabric.transmit_message(node.qp, b"x")
+        assert fabric.trace == []
 
     def test_small_payload_is_one_only_frame(self, registry):
         fabric, a, b = self._one_way(registry, b"x" * 100, 1024)
@@ -1047,12 +1076,13 @@ class TestRetry:
 
 
 class TestGoBack:
-    """A timeout, or an ACK that exposes a head older than the QP's
-    timeout, replays the window from the head: the head, and the frames
-    behind it as old as the timeout."""
+    """A timeout, or an ACK that exposes a head as old as the QP's
+    timeout, resends by age: of the window's first BURST_FRAMES, each
+    frame whose last copy is as old as the timeout, the head first. A
+    younger frame is skipped, not an end to the replay."""
 
-    def test_a_timeout_burst_stops_at_the_first_young_frame(self, pair,
-                                                            fabric):
+    def test_a_timeout_resends_only_the_frames_as_old_as_the_timeout(
+            self, pair, fabric):
         # every DATA copy is lost until the head's timeout, which fires
         # PROBE_MS + timeout in, after the probe: then the first message
         # (sent at 0) is as old as the timeout and the second (at 30) is not
@@ -1073,6 +1103,30 @@ class TestGoBack:
         assert [(wc.wr_id, wc.status) for wc in a.cq.poll(4)] == \
             [(3, WcStatus.SUCCESS), (4, WcStatus.SUCCESS)]
         assert b.read(2048, 100) == b"y" * 100
+
+    def test_a_timeout_skips_a_young_frame_and_resends_those_behind_it(
+            self, pair, fabric):
+        # every DATA copy is lost until the head's timeout. PSNs 100..103
+        # go out at 0, the probe resends 100 at PROBE_MS, and a NAK that
+        # lists 102 alone resends it at 30: when the timeout fires, 102 is
+        # younger than the timeout, and 103, sent at 0, is not
+        a, b = pair
+        fires = PROBE_MS + a.qp.sender.timeout_ms
+        b.post_recv(1)
+        fabric.drop_filter = (lambda f: f.kind is FrameKind.DATA
+                              and fabric.now_ms() < fires)
+        a.post_send(2, bytes(4096))  # PSNs 100..103
+        fabric.advance(30)
+        fabric.on_nak(a.qp, nak(a.qp.qpn, 100, (102, 1)))
+        fabric.advance(fires - 30)
+        assert [e.frame.psn for e in fabric.trace
+                if e.frame.kind is FrameKind.DATA and e.t == fires] == \
+            [100, 101, 103]
+        assert a.qp.sender.resent == 4
+        fabric.run_until_idle()
+        assert [(wc.wr_id, wc.status) for wc in a.cq.poll(2)] == \
+            [(2, WcStatus.SUCCESS)]
+        assert [wc.status for wc in b.cq.poll(2)] == [WcStatus.SUCCESS]
 
     def test_an_ack_that_exposes_a_stale_head_resumes_the_burst(self, pair,
                                                                 fabric):
@@ -1603,6 +1657,8 @@ class TestFaultConfig:
     def test_config_errors(self):
         with pytest.raises(FabricConfigError):
             parse_fabric_config("lid 1 host x\n")
+        with pytest.raises(FabricConfigError, match="non-numeric lid"):
+            parse_fabric_config("lid one host x port 1\n")
         with pytest.raises(FabricConfigError):
             parse_fabric_config("lid 0 host x port 1\n")
         with pytest.raises(FabricConfigError):

@@ -77,6 +77,34 @@ class TestInitContext:
         assert ctx.channel is not None and ctx.cq.channel is ctx.channel
 
 
+@pytest.mark.parametrize("name", ["size", "iters", "rx_depth"])
+def test_a_config_count_below_one_is_refused(name):
+    with pytest.raises(ValueError, match=f"^{name} must be >= 1"):
+        PingpongConfig(**{name: 0})
+
+
+class TestValidateFirstRecv:
+    """The first message a role receives must be the client's fill, at
+    the configured size, on both roles."""
+
+    @pytest.fixture
+    def ctx(self, world):
+        registry, _ = world
+        return init_context(registry, PingpongConfig(server_host="peer"))
+
+    def test_a_short_first_message_is_refused(self, ctx):
+        with pytest.raises(PingpongError,
+                           match="^first message was 4095 bytes, "
+                                 "expected 4096$"):
+            pingpong._validate_first_recv(ctx, ctx.size - 1)
+
+    def test_a_first_message_of_another_fill_is_refused(self, ctx):
+        ctx.buf.data[100] ^= 1
+        with pytest.raises(PingpongError,
+                           match="^first message payload is corrupt$"):
+            pingpong._validate_first_recv(ctx, ctx.size)
+
+
 class TestPostReceives:
     def test_full_depth_on_fresh_qp(self, world):
         registry, fabric = world

@@ -1,21 +1,23 @@
 """Model-based test of the RC engine on one loopback pair.
 
-A hypothesis state machine posts sends and receives in any order (a
-receive posted late draws RNR NAKs), drops a coming copy of a chosen
-frame kind (at most two copies per PSN), moves the virtual clock and
-may move the sender to ERR while sends are in flight, with the
-sender's PSNs starting just below 2^24 so that the data crosses the
-PSN wrap. After every step the completions seen so far must
-agree with a reference model: at most one CQE per WQE, each queue's
+A hypothesis state machine runs the pair through a drawn fault profile
+that duplicates and reorders frames but drops none at random, posts
+sends and receives in any order (a receive posted late draws RNR NAKs),
+drops a coming copy of a chosen frame kind (at most two copies per PSN),
+moves the virtual clock and may move the sender to ERR while sends are
+in flight, with the sender's PSNs starting just below 2^24 so that the
+data crosses the PSN wrap. After every step the completions seen so far
+must agree with a reference model: at most one CQE per WQE, each queue's
 CQEs in post order, every receive byte-exact. Whenever the fabric is
 idle, every signaled or failed WQE has its CQE: either every send was
 delivered and acked, or one failed and every later one was flushed, or
 the sender was moved to ERR and every send not finished by then was
 flushed. The receiver sends its ACKs at strictly increasing virtual
-times (one per burst at most), with PSNs that never go back, and keeps a
-gap report exactly while it holds frames, the first one at the expected
-PSN.
-Two lost copies per PSN cannot spend a retry budget of 7, so only RNR
+times (one per burst at most; a duplicate copy is the wire's, not the
+receiver's), with PSNs that never go back, and keeps a gap report
+exactly while it holds frames, the first one at the expected PSN.
+Duplicates and reordering lose no frame, and two lost copies per PSN
+cannot spend a retry budget of 7, so only RNR
 exhaustion, a receive posted too late, may fail a send. The pair is
 connected with a drawn ``rnr_retry`` below 7: 7 retries without limit,
 so a receive never posted would be refused for ever.
@@ -33,7 +35,7 @@ from hypothesis.stateful import (
 )
 
 from conftest import Node, connect_pair
-from softverbs.fabric import LoopbackFabric, psn_le
+from softverbs.fabric import FaultProfile, LoopbackFabric, psn_le
 from softverbs.verbs import (
     AttrMask,
     DeviceRegistry,
@@ -51,6 +53,8 @@ SLOT = 3 * MTU  # one receive buffer: the largest message
 MAX_WR = 12     # sends and receives posted per run, each at most
 FIRST_PSN = (1 << 24) - 4
 DROPS_PER_PSN = 2
+# the fault profile's duplicate and reorder probabilities, each drawn
+FAULT_RATES = (0.0, 0.1, 0.3)
 
 
 def payload_of(wr_id: int, size: int) -> bytes:
@@ -60,14 +64,6 @@ def payload_of(wr_id: int, size: int) -> bytes:
 class RcModel(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
-        registry = DeviceRegistry()
-        registry.add_device("hca0")
-        self.fabric = LoopbackFabric(registry=registry)
-        self.a = Node(registry, self.fabric, size=SLOT, max_send_wr=MAX_WR,
-                      cq_capacity=2 * MAX_WR)
-        self.b = Node(registry, self.fabric, size=SLOT * MAX_WR,
-                      max_recv_wr=MAX_WR, cq_capacity=2 * MAX_WR)
-        self.fabric.drop_filter = self._drop
         # the model: send i has wr_id i, receive i has wr_id i and slot i
         self.sends: list[tuple[bytes, bool]] = []  # (payload, signaled)
         self.recvs = 0
@@ -92,8 +88,20 @@ class RcModel(RuleBasedStateMachine):
 
     # -- rules ---------------------------------------------------------------
 
-    @initialize(rnr_retry=st.integers(0, 6))
-    def connect(self, rnr_retry):
+    @initialize(rnr_retry=st.integers(0, 6),
+                dup=st.sampled_from(FAULT_RATES),
+                reorder=st.sampled_from(FAULT_RATES),
+                seed=st.integers(0, 2 ** 16))
+    def connect(self, rnr_retry, dup, reorder, seed):
+        registry = DeviceRegistry()
+        registry.add_device("hca0")
+        self.fabric = LoopbackFabric(
+            faults=FaultProfile(0.0, dup, reorder, seed), registry=registry)
+        self.a = Node(registry, self.fabric, size=SLOT, max_send_wr=MAX_WR,
+                      cq_capacity=2 * MAX_WR)
+        self.b = Node(registry, self.fabric, size=SLOT * MAX_WR,
+                      max_recv_wr=MAX_WR, cq_capacity=2 * MAX_WR)
+        self.fabric.drop_filter = self._drop
         connect_pair(self.a, self.b, psn_a=FIRST_PSN, mtu=MTU,
                      rnr_retry=rnr_retry)
 
@@ -183,7 +191,8 @@ class RcModel(RuleBasedStateMachine):
     @invariant()
     def the_receiver_acks_once_per_burst_and_never_goes_back(self):
         acks = [(e.t, e.frame.psn) for e in self.fabric.trace
-                if e.src_lid == self.b.lid and e.frame.kind is FrameKind.ACK]
+                if e.src_lid == self.b.lid and e.frame.kind is FrameKind.ACK
+                and e.status != "dup"]
         for (t, psn), (later_t, later_psn) in zip(acks, acks[1:]):
             assert t < later_t and psn_le(psn, later_psn)
 

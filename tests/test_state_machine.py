@@ -164,6 +164,9 @@ INVALID = {
     "dgid": (QpState.RTR,
              dict(ah=AddressHandle(dlid=99, port_num=1, dgid=bytes(15))),
              "gid must be 16 bytes"),
+    # STATE is masked, but the attributes name no state to enter
+    "state": (QpState.INIT, dict(state=None),
+              "STATE masked but attrs carry no target state"),
 }
 BEFORE = {QpState.INIT: QpState.RESET, QpState.RTR: QpState.INIT,
           QpState.RTS: QpState.RTR}
@@ -176,8 +179,8 @@ def test_invalid_field_values_leave_qp_unchanged(registry, fabric, case):
     before = copy.deepcopy(node.qp.attrs)
     mask, fields = FULL[target]
     with pytest.raises(VerbsError, match=f"^{message}"):
-        node.qp.modify(ModifyAttributes(state=target, **{**fields, **bad}),
-                       mask)
+        node.qp.modify(ModifyAttributes(**{"state": target, **fields,
+                                           **bad}), mask)
     assert node.qp.state is BEFORE[target]
     assert node.qp.attrs == before
 

@@ -1,11 +1,13 @@
 import threading
 import time
+from functools import partial
 
 import pytest
 
 from conftest import Node, connect_pair, to_init
 from softverbs.verbs import (
     AccessFlags,
+    BadWorkRequestError,
     CompletionEntry,
     CompletionQueueError,
     DeviceRegistry,
@@ -14,6 +16,7 @@ from softverbs.verbs import (
     QpState,
     QpType,
     QueueCaps,
+    SendWorkRequest,
     VerbsError,
     WcOpcode,
     WcStatus,
@@ -325,3 +328,86 @@ class TestPoll:
         cq._push(entry)
         with pytest.raises(CompletionQueueError):
             cq.poll(1)
+
+
+def _ctx(registry):
+    return registry.open_device(registry.get_device_list()[0])
+
+
+def _foreign_channel(registry, fabric):
+    channel = _ctx(registry).create_channel()
+    return lambda: _ctx(registry).create_cq(8, channel=channel)
+
+
+def _mr_past_its_buffer(registry, fabric):
+    ctx = _ctx(registry)
+    pd, buf = ctx.alloc_pd(), ctx.alloc_buffer(64)
+    return lambda: pd.reg_mr(buf, 65, AccessFlags.LOCAL_WRITE)
+
+
+def _channel_in_use(registry, fabric):
+    ctx = _ctx(registry)
+    channel = ctx.create_channel()
+    ctx.create_cq(8, channel=channel)
+    return channel.destroy
+
+
+def _empty_sge(registry, fabric):
+    node = Node(registry, fabric)
+    to_init(node.qp)
+    return lambda: node.post_recv(1, length=0)
+
+
+def _connected(registry, fabric, **kwargs):
+    a, b = Node(registry, fabric, **kwargs), Node(registry, fabric)
+    connect_pair(a, b)
+    return a
+
+
+def _send_cq_latched(registry, fabric):
+    a = _connected(registry, fabric, cq_capacity=1)
+    entry = CompletionEntry(1, WcStatus.SUCCESS, WcOpcode.RECV)
+    a.cq._push(entry)
+    a.cq._push(entry)  # over capacity: latched
+    return lambda: a.post_send(1, b"x")
+
+
+def _unsupported_opcode(registry, fabric):
+    a = _connected(registry, fabric)
+    return lambda: a.qp.post_send(
+        SendWorkRequest(1, [a.sge(0, 8)], opcode="RDMA_WRITE"))
+
+
+# each call the verbs refuse: a set-up that returns the refused call, the
+# error it raises and the start of its message
+REFUSED = {
+    "alloc_buffer_0": (
+        lambda registry, fabric: partial(_ctx(registry).alloc_buffer, 0),
+        VerbsError, "buffer size must be positive"),
+    "create_cq_foreign_channel": (
+        _foreign_channel, VerbsError, "channel belongs to a different"),
+    "query_gid_missing_port": (
+        lambda registry, fabric: partial(_ctx(registry).query_gid, 2, 0),
+        VerbsError, "no such port 2"),
+    "reg_mr_past_its_buffer": (
+        _mr_past_its_buffer, VerbsError, "mr length exceeds"),
+    "destroy_channel_in_use": (
+        _channel_in_use, VerbsError, "channel still referenced by a CQ"),
+    "sge_of_length_0": (
+        _empty_sge, BadWorkRequestError,
+        "work request 0: SGE length must be positive"),
+    "post_send_on_latched_cq": (
+        _send_cq_latched, CompletionQueueError,
+        "send CQ is in the error state"),
+    "unsupported_opcode": (
+        _unsupported_opcode, BadWorkRequestError,
+        "work request 0: unsupported opcode"),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSED))
+def test_a_refused_call_raises_its_error(registry, fabric, case):
+    set_up, error, message = REFUSED[case]
+    call = set_up(registry, fabric)
+    with pytest.raises(error, match=f"^{message}"):
+        call()
