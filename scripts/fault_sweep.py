@@ -8,7 +8,7 @@ many ACK and NAK frames the receiver sent and how long the batch took in
 virtual time: until its last send completion. A third table shows RNR recovery
 on a lossless wire: batches whose receives are posted 15 virtual ms
 after their sends, with the RNR NAKs they drew. A closing line sums the DATA
-frames, ACKs and virtual time over the rows of the first two tables.
+frames, ACKs, NAKs and virtual time over the rows of the first two tables.
 Fully deterministic for a given seed. Exits 1 if any row reads FAILED.
 
 With ``--seeds A-B`` it sweeps each seed from A to B and prints one
@@ -71,7 +71,8 @@ def run_batch(drop, dup, reorder, seed, n_msgs, size, mtu, late_ms=0.0):
 
 def sweep(seed, n_msgs, size, mtu):
     """Run every table for one seed. Returns its printed tables, whether
-    a row failed, and the summed DATA frames, ACKs and virtual ms."""
+    a row failed, and the summed DATA frames, ACKs, NAKs and virtual
+    ms."""
     out = io.StringIO()
     rows = [(drop, dup, reorder, *run_batch(
                 drop, dup, reorder, seed, n_msgs, size, mtu))
@@ -104,11 +105,11 @@ def sweep(seed, n_msgs, size, mtu):
         print(f"{late_msgs:>8} {'all' if ok else 'FAILED':>10} "
               f"{kinds[FrameKind.DATA]:>8} {kinds[FrameKind.RNR_NAK]:>9} "
               f"{virtual_ms:>11.2f}", file=out)
-    sums = (sum(r[4][FrameKind.DATA] for r in rows),
-            sum(r[4][FrameKind.ACK] for r in rows),
+    sums = (*(sum(r[4][kind] for r in rows)
+              for kind in (FrameKind.DATA, FrameKind.ACK, FrameKind.NAK)),
             sum(r[6] for r in rows))
     print(f"\nsummed: {sums[0]} DATA frames, {sums[1]} ACKs, "
-          f"{sums[2]:.2f} virtual ms", file=out)
+          f"{sums[2]} NAKs, {sums[3]:.2f} virtual ms", file=out)
     return out.getvalue(), failed, sums
 
 
@@ -139,7 +140,7 @@ def main():
                                   args.messages, args.size, args.mtu)
         print(tables, end="")
         return 1 if failed else 0
-    any_failed, total = False, [0, 0, 0.0]
+    any_failed, total = False, [0, 0, 0, 0.0]
     for seed in args.seeds:
         tables, failed, sums = sweep(seed, args.messages, args.size,
                                      args.mtu)
@@ -149,7 +150,8 @@ def main():
         print(f"seed {seed}: {tables.splitlines()[-1]}", flush=True)
         total = [t + s for t, s in zip(total, sums)]
     print(f"seeds {args.seeds[0]}-{args.seeds[-1]} summed: {total[0]} DATA "
-          f"frames, {total[1]} ACKs, {total[2]:.2f} virtual ms")
+          f"frames, {total[1]} ACKs, {total[2]} NAKs, {total[3]:.2f} "
+          f"virtual ms")
     return 1 if any_failed else 0
 
 

@@ -26,10 +26,11 @@ sender resends every listed frame that is still unacked at once, but
 not one whose last copy left less than SRTT/2 ago (a copy of that NAK
 asked for it already), and charges only a listed head to its retry
 budget. Once a gap fills, the held frames that now continue the
-sequence are accepted as one run, under the burst's ACK. Right after
-that ACK, the next gap is asked for again if it was reported no
-later than the gap just filled: its resend should have landed with
-that one's, so it was lost (``_ask_again``). A loss that no later frame
+sequence are accepted as one run, under the burst's ACK; if frames are
+still held, a NAK right after that ACK asks again for the next gap
+(``_ask_again``). The receiver keeps no time for a gap: whether that
+gap's last copy may still be on the way is the sender's call, by the
+same SRTT/2 age as for any NAK. A loss that no later frame
 reveals (a lost last frame, NAK, NAK'd resend or final ACK) is caught
 by a tail-loss probe, after RFC 8985: a head unacked for one probe
 timeout (PTO) is resent once, alone, and charged to its retry budget.
@@ -316,20 +317,12 @@ class SenderState:
 
 
 class ReceiverState:
-    """Per-QP inbound sequence: frames held ahead of a gap, by PSN, and
-    the gaps reported.
+    """Per-QP inbound sequence: frames held ahead of a gap, by PSN.
 
     ``edge`` is the PSN after the highest one held; a frame held beyond
-    it opens a gap, which one NAK reports at once. ``reports`` holds a
-    ``[first PSN, time]`` pair per gap reported, in PSN order: when the
-    gap that starts there was last reported. A pair stands for its gap
-    and the held frames behind it, up to the next pair's PSN, so while
-    frames are held the first pair starts at the expected PSN. A drain
-    takes out the pairs of the gaps it filled (a gap filled in part keeps
-    its time, from the expected PSN on), so ``reports`` holds a pair per
-    gap still open, and empties with ``held``."""
+    it opens a gap, which one NAK reports at once."""
 
-    __slots__ = ("expected_psn", "reassembly", "held", "edge", "reports")
+    __slots__ = ("expected_psn", "reassembly", "held", "edge")
 
     def __init__(self, expected_psn: int):
         self.expected_psn = expected_psn
@@ -337,7 +330,6 @@ class ReceiverState:
         self.reassembly: list[bytes] = []
         self.held: dict[int, Frame] = {}
         self.edge = expected_psn
-        self.reports: deque[list] = deque()
 
 
 @dataclass
@@ -379,9 +371,9 @@ class Fabric(Progress):
         self._seq = itertools.count()
         self._rng = random.Random(self.faults.seed)
         # receive QPs owing a cumulative ACK when the current burst ends,
-        # in the order they came to owe it, each with the time the gap a
-        # drain filled was reported (None if no drain left frames held)
-        self._owed: dict[QueuePair, Optional[float]] = {}
+        # in the order they came to owe it, each True if a drain left
+        # frames held, so the next gap is asked for again after the ACK
+        self._owed: dict[QueuePair, bool] = {}
         self._registry = registry
         self._lock = registry.lock
 
@@ -761,7 +753,6 @@ class Fabric(Progress):
                     gap = (frame.psn - rcv.edge) & PSN_MASK
                     if gap < HOLD_PSNS:  # at or past the edge
                         if gap:
-                            rcv.reports.append([rcv.edge, self.now_ms()])
                             self._send_nak(qp, rcv, rcv.edge, gap)
                         rcv.edge = (frame.psn + 1) & PSN_MASK
                 continue
@@ -774,7 +765,7 @@ class Fabric(Progress):
             if qp.state is QpState.ERR:
                 break
         if owes:
-            self._owed.setdefault(qp, None)  # keeps a drain's time
+            self._owed.setdefault(qp, False)  # keeps a drain's True
 
     def _accept(self, qp: QueuePair, rcv: ReceiverState, frames) -> int:
         """Take the leading frames of ``frames`` that continue the
@@ -816,12 +807,11 @@ class Fabric(Progress):
 
     def _drain_held(self, qp: QueuePair, rcv: ReceiverState) -> None:
         """Accept the run of held frames that now continues the sequence,
-        in one ``_accept`` call, and take out the reports of the gaps now
-        filled; it sends no frame, since the burst's ACK covers the run.
-        If the whole run went in and frames beyond the next gap are held,
-        the QP's entry in ``_owed`` takes the time the gap just filled
-        was reported: right after that ACK, ``_end_burst`` may ask for
-        the next gap again (``_ask_again``).
+        in one ``_accept`` call; it sends no frame, since the burst's ACK
+        covers the run. If the whole run went in and frames beyond the
+        next gap are held, the QP's entry in ``_owed`` becomes True: right
+        after that ACK, ``_end_burst`` asks for the next gap again
+        (``_ask_again``).
 
         The frames ``_accept`` used leave ``held``, and the ones behind
         where it stopped stay. A held frame refused with an RNR NAK
@@ -836,19 +826,9 @@ class Fabric(Progress):
                 psn = (psn + 1) & PSN_MASK
         for frame in run[:self._accept(qp, rcv, run)]:
             del held[frame.psn]
-        reports = rcv.reports
-        if not held:
-            reports.clear()
-            return
-        expected = rcv.expected_psn
-        filled_at = 0.0
-        while reports and psn_before(reports[0][0], expected):
-            filled_at = reports.popleft()[1]
-        if not reports or reports[0][0] != expected:
-            reports.appendleft([expected, filled_at])  # a gap filled in part
         # the whole run went in: nothing was refused or stray
-        if expected == psn and qp.state is not QpState.ERR:
-            self._owed[qp] = filled_at
+        if held and rcv.expected_psn == psn and qp.state is not QpState.ERR:
+            self._owed[qp] = True
 
     def _land(self, ep: Endpoint, frames) -> None:
         """Take in one burst: dispatch its frames, in the order they were
@@ -877,35 +857,29 @@ class Fabric(Progress):
     def _end_burst(self) -> None:
         """End a burst, at the instant its last frame landed: send each QP
         in ``_owed`` one cumulative ACK, for the PSN before the one it now
-        expects, and right after it, if a drain filled a gap, ask again
-        for the next gap if its resend was lost (``_ask_again``). This is
-        the only place a receiver sends an ACK."""
+        expects, and right after it, if a drain left frames held, ask
+        again for the next gap (``_ask_again``). This is the only place a
+        receiver sends an ACK."""
         owed = self._owed
         if owed:
             self._owed = {}
-            for qp, filled_at in owed.items():
+            for qp, drained in owed.items():
                 rcv = qp.receiver
                 self._reply(qp, _ACK, psn_add(rcv.expected_psn, -1))
-                if filled_at is not None:
-                    self._ask_again(qp, rcv, filled_at)
+                if drained:
+                    self._ask_again(qp, rcv)
 
-    def _ask_again(self, qp: QueuePair, rcv: ReceiverState,
-                   filled_at: float) -> None:
-        """A drain in the burst filled the gap reported at ``filled_at``.
-        If frames are still held, beyond the gap now at the expected PSN,
-        and that gap was reported no later than the one filled, its resend
-        should have come with that one's, so it was lost: a NAK lists the
-        gap again, and its report takes the time. Otherwise its resend is
-        still on the way, and the burst's ACK was enough."""
+    def _ask_again(self, qp: QueuePair, rcv: ReceiverState) -> None:
+        """A drain in the burst left frames held, beyond the gap now at
+        the expected PSN: a NAK lists that gap again. The receiver does
+        not judge whether the gap's resend is lost or still on the way;
+        the sender resends it only if its last copy is at least SRTT/2
+        old, as for any NAK."""
         if not rcv.held or qp.state is QpState.ERR:
-            return
-        report = rcv.reports[0]
-        if report[1] > filled_at:
             return
         expected, held, count = rcv.expected_psn, rcv.held, 1
         while (expected + count) & PSN_MASK not in held:
             count += 1
-        report[1] = self.now_ms()
         self._send_nak(qp, rcv, expected, count)
 
     def _send_nak(self, qp: QueuePair, rcv: ReceiverState, first: int,

@@ -24,11 +24,6 @@ from .verbs import (
     SendWorkRequest,
 )
 
-# each transition's mask: exactly the attributes the verbs layer requires
-INIT_MASK = INIT_REQUIRED
-RTR_MASK = RTR_REQUIRED
-RTS_MASK = RTS_REQUIRED
-
 _PORTS = iter(range(20000, 32768))  # below Linux's default ephemeral range
 
 
@@ -95,7 +90,7 @@ class Node:
 def to_init(qp, port=1):
     qp.modify(ModifyAttributes(state=QpState.INIT, pkey_index=0,
                                port_num=port,
-                               qp_access_flags=AccessFlags(0)), INIT_MASK)
+                               qp_access_flags=AccessFlags(0)), INIT_REQUIRED)
 
 
 def to_rtr(qp, dlid, dest_qpn, rq_psn, *, mtu=1024, min_rnr_timer=12, port=1):
@@ -104,13 +99,13 @@ def to_rtr(qp, dlid, dest_qpn, rq_psn, *, mtu=1024, min_rnr_timer=12, port=1):
                                max_dest_rd_atomic=1,
                                min_rnr_timer=min_rnr_timer,
                                ah=AddressHandle(dlid=dlid, port_num=port)),
-              RTR_MASK)
+              RTR_REQUIRED)
 
 
 def to_rts(qp, sq_psn, *, timeout=14, retry_cnt=7, rnr_retry=7):
     qp.modify(ModifyAttributes(state=QpState.RTS, timeout=timeout,
                                retry_cnt=retry_cnt, rnr_retry=rnr_retry,
-                               sq_psn=sq_psn, max_rd_atomic=1), RTS_MASK)
+                               sq_psn=sq_psn, max_rd_atomic=1), RTS_REQUIRED)
 
 
 def connect_pair(a: Node, b: Node, *, psn_a=100, psn_b=200, mtu=1024,

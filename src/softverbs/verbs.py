@@ -489,8 +489,7 @@ class ProtectionDomain:
                     raise VerbsError("queue caps must all be >= 1")
             qpn = self.context._next_qpn
             self.context._next_qpn = (self.context._next_qpn + 1) & QPN_MASK
-            qp = QueuePair(self, qpn, send_cq, recv_cq,
-                           copy.copy(caps), qp_type)
+            qp = QueuePair(self, qpn, send_cq, recv_cq, copy.copy(caps))
             self._qps.append(qp)
             send_cq._qps.add(qp)
             recv_cq._qps.add(qp)
@@ -690,14 +689,13 @@ class QueuePair:
 
     def __init__(self, pd: ProtectionDomain, qpn: int,
                  send_cq: CompletionQueue, recv_cq: CompletionQueue,
-                 caps: QueueCaps, qp_type: QpType):
+                 caps: QueueCaps):
         self.pd = pd
         self.context = pd.context
         self.qpn = qpn
         self.send_cq = send_cq
         self.recv_cq = recv_cq
         self.caps = caps
-        self.qp_type = qp_type
         self.state = QpState.RESET
         self.attrs = QpAttributes()
         self.send_queue: deque[PostedSend] = deque()

@@ -3,9 +3,6 @@ import pytest
 from softverbs import fabric as fabric_module
 from softverbs.fabric import LoopbackFabric
 from softverbs.testbed import (  # noqa: F401  (re-exported to the tests)
-    INIT_MASK,
-    RTR_MASK,
-    RTS_MASK,
     Node,
     connect_pair,
     free_port,

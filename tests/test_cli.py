@@ -79,6 +79,7 @@ class TestLoopbackCli:
     @pytest.mark.parametrize("argv, message", [
         (["-i", "2"], "Failed to modify QP to INIT"),
         (["-m", "300", "-n", "5"], "Failed to modify QP to RTR"),
+        (["--faults", "drop=1.0"], "Failed status RetryExceeded for wr_id 2"),
     ])
     def test_a_failed_verbs_step_exits_one_with_its_message(
             self, capsys, argv, message):
@@ -121,7 +122,8 @@ class TestFaultSweepScript:
         assert all(row.split()[1] == "all" for row in rnr_rows)
         # the sweep's frames and virtual times, pinned
         assert lines[-1] == \
-            "summed: 13524 DATA frames, 243 ACKs, 2109.29 virtual ms"
+            "summed: 13524 DATA frames, 243 ACKs, 1228 NAKs, " \
+            "2109.29 virtual ms"
 
     def test_a_seed_range_totals_its_seeds(self):
         script = Path(__file__).resolve().parents[1] / "scripts" / \
@@ -136,15 +138,18 @@ class TestFaultSweepScript:
 
         def sums(line):
             words = line.split("summed: ")[1].split()
-            return int(words[0]), int(words[3]), float(words[5])
+            return int(words[0]), int(words[3]), int(words[5]), \
+                float(words[7])
 
         singles = [sweep("--seed", seed)[-1] for seed in ("1", "2")]
         *per_seed, total = sweep("--seeds", "1-2")
         assert per_seed == [f"seed {seed}: {line}"
                             for seed, line in zip((1, 2), singles)]
         assert total.startswith("seeds 1-2 summed: ")
-        data, acks, ms = sums(total)
-        (data1, acks1, ms1), (data2, acks2, ms2) = map(sums, singles)
-        assert (data, acks) == (data1 + data2, acks1 + acks2)
+        data, acks, naks, ms = sums(total)
+        (data1, acks1, naks1, ms1), (data2, acks2, naks2, ms2) = \
+            map(sums, singles)
+        assert (data, acks, naks) == \
+            (data1 + data2, acks1 + acks2, naks1 + naks2)
         # each line rounds its own sum to 0.01 ms
         assert ms == pytest.approx(ms1 + ms2, abs=0.011)

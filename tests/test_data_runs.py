@@ -149,7 +149,6 @@ class World:
             cqes += batch
         receivers = [(qp.state, qp.receiver.expected_psn,
                       qp.receiver.held, qp.receiver.edge,
-                      list(qp.receiver.reports),
                       qp.receiver.reassembly, len(qp.recv_queue))
                      for qp in self.qps]
         return (cqes, bytes(self.b.buf.data), receivers,

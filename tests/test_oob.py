@@ -58,6 +58,8 @@ class TestDestinationCodec:
         with pytest.raises(ValueError):
             Destination(0, 1 << 24, 0)
         with pytest.raises(ValueError):
+            Destination(0, 0, 1 << 24)
+        with pytest.raises(ValueError):
             Destination(0, 0, 0, gid=b"short")
 
     @given(st.integers(0, (1 << 16) - 1), st.integers(0, (1 << 24) - 1),

@@ -333,6 +333,12 @@ class TestLoopbackPair:
             run_loopback_pair(PingpongConfig(iters=3, rx_depth=4, size=64),
                               seed=1)
 
+    def test_a_pair_that_loses_every_frame_fails_with_its_status(self):
+        # the first send's retry budget runs out
+        with pytest.raises(PingpongError, match="^Failed status "
+                           "RetryExceeded for wr_id 2$"):
+            run_loopback_pair(PingpongConfig(), faults=FaultProfile(1.0))
+
 
 class TestFlowControl:
     def test_repost_fires_at_one_and_restores_depth(self):

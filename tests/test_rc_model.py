@@ -196,13 +196,6 @@ class RcModel(RuleBasedStateMachine):
         for (t, psn), (later_t, later_psn) in zip(acks, acks[1:]):
             assert t < later_t and psn_le(psn, later_psn)
 
-    @invariant()
-    def a_gap_report_stands_while_frames_are_held(self):
-        rcv = self.b.qp.receiver
-        assert bool(rcv.reports) == bool(rcv.held)
-        if rcv.held:
-            assert rcv.reports[0][0] == rcv.expected_psn
-
     def _check_idle(self):
         self.fabric.run_until_idle()
         self.completions_agree_with_the_model()

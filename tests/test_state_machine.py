@@ -3,9 +3,12 @@ import copy
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import INIT_MASK, RTR_MASK, RTS_MASK, Node, to_init, to_rtr, to_rts
+from conftest import Node, to_init, to_rtr, to_rts
 from softverbs.verbs import (
+    INIT_REQUIRED,
+    RTR_REQUIRED,
     RTS_MODIFIABLE,
+    RTS_REQUIRED,
     AccessFlags,
     AddressHandle,
     AttrMask,
@@ -21,14 +24,14 @@ LEGAL = {(QpState.RESET, QpState.INIT), (QpState.INIT, QpState.RTR),
         {(s, QpState.RESET) for s in QpState}
 
 FULL = {
-    QpState.INIT: (INIT_MASK,
+    QpState.INIT: (INIT_REQUIRED,
                    dict(pkey_index=0, port_num=1,
                         qp_access_flags=AccessFlags(0))),
-    QpState.RTR: (RTR_MASK,
+    QpState.RTR: (RTR_REQUIRED,
                   dict(path_mtu=1024, dest_qp_num=0x1234, rq_psn=77,
                        max_dest_rd_atomic=1, min_rnr_timer=12,
                        ah=AddressHandle(dlid=99, port_num=1))),
-    QpState.RTS: (RTS_MASK,
+    QpState.RTS: (RTS_REQUIRED,
                   dict(timeout=14, retry_cnt=7, rnr_retry=7, sq_psn=55,
                        max_rd_atomic=1)),
     QpState.ERR: (AttrMask.STATE, {}),
@@ -129,7 +132,7 @@ def test_an_rts_qp_refuses_every_other_attribute(registry, fabric, mask):
 def test_skipping_states_fails(registry, fabric):
     node = qp_in_state(registry, fabric, QpState.RESET)
     with pytest.raises(VerbsError):
-        attempt(node.qp, QpState.RTS, RTS_MASK)
+        attempt(node.qp, QpState.RTS, RTS_REQUIRED)
     assert node.qp.state is QpState.RESET
 
 
@@ -138,7 +141,7 @@ def test_extra_masked_fields_are_applied(registry, fabric):
     node.qp.modify(
         ModifyAttributes(state=QpState.INIT, pkey_index=0, port_num=1,
                          qp_access_flags=AccessFlags(0), min_rnr_timer=20),
-        INIT_MASK | AttrMask.MIN_RNR_TIMER)
+        INIT_REQUIRED | AttrMask.MIN_RNR_TIMER)
     assert node.qp.state is QpState.INIT
     assert node.qp.attrs.min_rnr_timer == 20
 

@@ -242,6 +242,8 @@ class TestResourceTree:
         pd.dealloc()
         ctx.close()
         assert not ctx.open
+        ctx.close()  # a second close is a no-op
+        assert not ctx.open
 
     def test_pd_dealloc_with_live_mr_rejected(self, registry):
         ctx = registry.open_device(registry.get_device_list()[0])
@@ -250,6 +252,8 @@ class TestResourceTree:
         with pytest.raises(VerbsError):
             pd.dealloc()
         mr.dereg()
+        assert not mr.pinned
+        mr.dereg()  # a second dereg is a no-op
         assert not mr.pinned
         pd.dealloc()
 

@@ -433,6 +433,22 @@ class TestCqOverflow:
         with pytest.raises(CompletionQueueError):
             b.cq.poll(1)
 
+    def test_a_completion_after_the_latch_is_dropped(self, registry, fabric):
+        # three signaled sends into a CQ of capacity 1: the first fills
+        # it, the second latches it, and the third is dropped unseen
+        a = Node(registry, fabric, cq_capacity=1)
+        b = Node(registry, fabric)
+        connect_pair(a, b)
+        for i in range(3):
+            b.post_recv(i)
+        for i in range(3):
+            a.post_send(100 + i, bytes([i]) * 64)
+        fabric.run_until_idle()
+        from softverbs.verbs import CqState
+        assert a.cq.state is CqState.ERROR
+        assert [wc.wr_id for wc in a.cq.entries] == [100]
+        assert [wc.wr_id for wc in b.cq.poll(4)] == [0, 1, 2]
+
 
 class TestConcurrentPollers:
     def test_two_pollers_receive_disjoint_entries(self, registry, fabric):
