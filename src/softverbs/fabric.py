@@ -24,28 +24,32 @@ ahead) and reports each gap as it opens, in a NAK for the expected PSN
 whose gap list (an extension of the wire format) names that gap. The
 sender resends every listed frame that is still unacked at once, but
 not one whose last copy left less than SRTT/2 ago (a copy of that NAK
-asked for it already), and charges only a listed head to its retry
-budget. Once a gap fills, the held frames that now continue the
-sequence are accepted as one run, under the burst's ACK; if frames are
-still held, a NAK right after that ACK asks again for the next gap
-(``_ask_again``). The receiver keeps no time for a gap: whether that
-gap's last copy may still be on the way is the sender's call, by the
-same SRTT/2 age as for any NAK. A loss that no later frame
-reveals (a lost last frame, NAK, NAK'd resend or final ACK) is caught
-by a tail-loss probe, after RFC 8985: a head unacked for one probe
-timeout (PTO) is resent once, alone, and charged to its retry budget.
-The PTO follows the path's round trip: each QP keeps an SRTT after RFC
-6298, sampled from the ACKs of frames sent once (Karn's rule), and its
-PTO is 2 x SRTT plus an allowance (``PROBE_MS`` before the first
-sample), capped by the QP's retransmit timeout. The allowance is
-``PROBE_ALLOWANCE_MS`` on loopback and a thread switch interval on
-sockets. That timeout remains the fallback when the probe is lost too:
-it resends each of the window's first ``BURST_FRAMES`` whose last copy
-is as old as the timeout, the head first, and skips the younger ones.
+asked for it already). Once a gap fills, the held frames that now
+continue the sequence are accepted as one run, under the burst's ACK;
+if frames are still held, a NAK right after that ACK asks again for
+the next gap (``_ask_again``). The receiver keeps no time for a gap:
+whether that gap's last copy may still be on the way is the sender's
+call, by the same SRTT/2 age as for any NAK. A loss that no later
+frame reveals (a lost last frame, NAK, NAK'd resend or final ACK) is
+caught by a tail-loss probe, after RFC 8985: a head unacked for one
+probe timeout (PTO) is resent once, alone. The PTO follows the path's
+round trip: each QP keeps an SRTT after RFC 6298, sampled from the
+ACKs of frames sent once (Karn's rule), and its PTO is 2 x SRTT plus
+an allowance (``PROBE_MS`` before the first sample), capped by the
+QP's retransmit timeout. The allowance is ``PROBE_ALLOWANCE_MS`` on
+loopback and a thread switch interval on sockets. That timeout remains
+the fallback when the probe is lost too: it resends each of the
+window's first ``BURST_FRAMES`` whose last copy is as old as the
+timeout, the head first, and skips the younger ones.
 Every resend, whatever its cause (probe, end of an RNR pause, NAK,
 timeout or stale-head resume), goes through one loop, ``_resend``: a
 frame is resent because it was named and its last copy is old enough,
-as in IRN's selective resend and RFC 8985.
+as in IRN's selective resend and RFC 8985. ``_resend`` also decides
+what a resend costs, as Linux rxe's completer spends ``retry_cnt`` in
+one state that a timeout and a NAK both reach: a resend of the head
+(probe, timeout or NAK) charges its retry budget once, and one past
+``retry_cnt`` fails the send and resends nothing; the end of an RNR
+pause and the stale-head resume are charged nothing.
 
 An RNR NAK, after IBTA RC's receiver-not-ready rule, pauses the refused
 head for the time its delay code (the receiver's ``min_rnr_timer``)
@@ -82,8 +86,8 @@ point (``_wire_copies``: drop filter, fault draws, frame trace). The
 per-frame paths build each frame and trace event with ``tuple.__new__``
 from all its fields. The send window holds a ``[frame, sent_at]`` pair
 per unacked frame; its head is the only frame ever probed, paused or
-charged to a retry budget, so the head's retry state lives on the QP's
-``SenderState``.
+charged to a retry budget (by ``_resend`` or ``on_rnr_nak``), so the
+head's retry state lives on the QP's ``SenderState``.
 One burst landing, ``_land``, splits the frames, in the order they were
 sent, into runs of one QPN and one kind, and hands each DATA run to a
 single ``on_data`` call, which takes the run's in-order frames in one
@@ -93,12 +97,13 @@ one ``_reply``. Both transports share these and one retransmit timer
 (one pending tick per QP, armed with ``schedule_at`` at the head's
 probe, timeout or RNR pause deadline exactly, ``_due``; a tick
 superseded by an earlier deadline is cancelled, and on loopback so is
-the tick of a window that empties, so a lossless run fires none). Every
-tick that charges a retry resends the head. A transport carries only
-frames and time: it supplies ``now_ms``, ``schedule_at`` and ``_deliver``,
-hands each burst to ``_land``, and moves in ``wait_until``, the
-blocking wait of the verbs objects (sockets), or in ``progress``, which
-a driver whose callers all wait calls (loopback).
+the tick of a window that empties, so a lossless run fires none). A
+tick's resend goes through ``_resend`` and is charged there. A
+transport carries only frames and time: it supplies ``now_ms``,
+``schedule_at`` and ``_deliver``, hands each burst to ``_land``, and
+moves in ``wait_until``, the blocking wait of the verbs objects
+(sockets), or in ``progress``, which a driver whose callers all wait
+calls (loopback).
 
 Engine callbacks (on_data / on_ack / on_timeout_tick) run serialized
 under the world lock shared with the verbs objects, which the transport
@@ -283,7 +288,8 @@ class SenderState:
 
     Only the head is ever probed, paused or charged a retry, so its retry
     state lives here, not on each frame: ``retries_used`` and
-    ``rnr_retries_used`` count what its two budgets spent, ``probed``
+    ``rnr_retries_used`` count what its two budgets spent (``_resend``
+    and ``on_rnr_nak`` charge them, one each), ``probed``
     says the tail-loss probe resent it already, and ``paused_until`` is
     the end of its RNR pause (0.0 when not paused; the tick that ends
     the pause clears it). ``_retire_through`` resets all four when the
@@ -533,8 +539,8 @@ class Fabric(Progress):
                 deliver(src, dlid, frame)
             self._arm_tick(qp)
 
-    def _resend(self, qp: QueuePair, spans=((0, 1),),
-                age: float = 0.0) -> None:
+    def _resend(self, qp: QueuePair, spans=((0, 1),), age: float = 0.0,
+                charge: bool = True) -> None:
         """Resend each window frame named by ``spans``, ``(start, count)``
         runs of window indices, whose last copy is at least ``age`` old,
         and restart its clock. A copy is that old once its send time plus
@@ -544,9 +550,23 @@ class Fabric(Progress):
         one. Every DATA resend comes here: the probe and the end of an RNR
         pause take the defaults (the head), a NAK passes its gap list, and
         the timeout and the stale-head resume the first ``BURST_FRAMES``
-        with the QP's timeout as the age."""
+        with the QP's timeout as the age.
+
+        It also decides what the resend costs, after IBTA RC's retry
+        count, which a timeout and a NAK spend alike: a call that resends
+        the head (a span starts at index 0 and the head is as old as
+        ``age``) charges one unit of its retry budget first, and one past
+        ``retry_cnt`` fails the send with RetryExceeded and resends
+        nothing. The end of an RNR pause (its RNR NAK was charged) and the
+        stale-head resume pass ``charge=False``."""
         snd = qp.sender
         unacked, now = snd.unacked, self.now_ms()
+        if charge and unacked[0][1] + age <= now and any(
+                not start and count for start, count in spans):
+            if snd.retries_used >= qp.attrs.retry_cnt:
+                qp.complete_send(WcStatus.RETRY_EXCEEDED)
+                return
+            snd.retries_used += 1
         src, dlid, deliver = qp._endpoint, qp.attrs.ah.dlid, self._deliver
         resent, n = snd.resent, len(unacked)
         for start, count in spans:
@@ -566,9 +586,10 @@ class Fabric(Progress):
         the receiver could not hold while waiting for a retransmission)
         resumes the replay at once instead of waiting out another
         timeout: the first ``BURST_FRAMES`` of the window that are as old
-        as the timeout are resent, charged to no budget, as a timeout
-        resends them. A head that progress exposes was never paused: a
-        pause leaves with the head it was set on.
+        as the timeout are resent, as a timeout resends them, but
+        ``_resend`` charges them to no budget (``charge=False``): the new
+        head's budget is for its own losses. A head that progress exposes
+        was never paused: a pause leaves with the head it was set on.
         """
         snd = qp.sender
         if snd is None:
@@ -577,7 +598,8 @@ class Fabric(Progress):
         if snd.unacked:
             if progressed and (snd.unacked[0][1] + snd.timeout_ms
                                <= self.now_ms()):
-                self._resend(qp, ((0, BURST_FRAMES),), snd.timeout_ms)
+                self._resend(qp, ((0, BURST_FRAMES),), snd.timeout_ms,
+                             charge=False)
             self._arm_tick(qp)
 
     def _retire_through(self, qp: QueuePair, psn: int) -> bool:
@@ -626,24 +648,16 @@ class Fabric(Progress):
         frames its gap list names that are still unacked are resent at
         once by ``_resend``, but not one whose last copy is younger than
         SRTT/2: that copy (sent for a duplicate of this NAK, say) is
-        still on the way. A listed head as old as that is charged to its
-        retry budget as a timeout would be; the other frames are charged
+        still on the way. ``_resend`` charges the head's retry budget if
+        it resends the head, as for a timeout, and the other frames
         nothing. A stale NAK, or one for a paused head, is ignored with
         its gap list: the receiver has moved on since it listed those
         gaps (``_nakked_head``)."""
         if not self._nakked_head(qp, frame):
             return
-        snd = qp.sender
-        age = snd.srtt / 2
-        spans = [((first - frame.psn) & PSN_MASK, count)
-                 for first, count in unpack_gaps(frame.payload)]
-        if snd.unacked[0][1] + age <= self.now_ms() and any(
-                not start and count for start, count in spans):
-            if snd.retries_used >= qp.attrs.retry_cnt:
-                qp.complete_send(WcStatus.RETRY_EXCEEDED)
-                return
-            snd.retries_used += 1
-        self._resend(qp, spans, age)
+        self._resend(qp, [((first - frame.psn) & PSN_MASK, count)
+                          for first, count in unpack_gaps(frame.payload)],
+                     qp.sender.srtt / 2)
         self._arm_tick(qp)
 
     def on_rnr_nak(self, qp: QueuePair, frame: Frame) -> None:
@@ -672,8 +686,9 @@ class Fabric(Progress):
         on timeout.
 
         A paused head waits out its pause; then it is resent alone and
-        charged to neither budget again (its RNR NAK was charged), since
-        the receiver holds the frames that followed it.
+        charged to neither budget again (its RNR NAK was charged, so
+        ``_resend`` is told ``charge=False``), since the receiver holds
+        the frames that followed it.
 
         A head unacked for one PTO is resent once, alone: a tail-loss
         probe, after RFC 8985. The PTO follows the path: 2 x the QP's
@@ -689,9 +704,10 @@ class Fabric(Progress):
         whose timeout code is 0 has none, and its probed head waits for
         the receiver.
 
-        The probe and each timeout of the same head charge its retry
-        budget, like a NAK'd resend; going past retry_cnt fails the
-        in-flight send with RetryExceeded and throws the QP into ERR.
+        The tick only picks among these three; ``_resend`` charges the
+        probe and each timeout of the same head to its retry budget, like
+        a NAK'd resend, and going past retry_cnt fails the in-flight send
+        with RetryExceeded and throws the QP into ERR.
         """
         snd = qp.sender
         if snd is None or not snd.unacked or qp.state is not QpState.RTS:
@@ -700,13 +716,8 @@ class Fabric(Progress):
             return
         if snd.paused_until:
             snd.paused_until = 0.0
-            self._resend(qp)
-            return
-        if snd.retries_used >= qp.attrs.retry_cnt:
-            qp.complete_send(WcStatus.RETRY_EXCEEDED)
-            return
-        snd.retries_used += 1
-        if snd.probed:
+            self._resend(qp, charge=False)
+        elif snd.probed:
             self._resend(qp, ((0, BURST_FRAMES),), snd.timeout_ms)
         else:
             snd.probed = True
@@ -753,7 +764,8 @@ class Fabric(Progress):
                     gap = (frame.psn - rcv.edge) & PSN_MASK
                     if gap < HOLD_PSNS:  # at or past the edge
                         if gap:
-                            self._send_nak(qp, rcv, rcv.edge, gap)
+                            self._reply(qp, _NAK, expected, 0,
+                                        pack_gaps(((rcv.edge, gap),)))
                         rcv.edge = (frame.psn + 1) & PSN_MASK
                 continue
             # with frames held, each in-order frame may fill the gap
@@ -880,14 +892,7 @@ class Fabric(Progress):
         expected, held, count = rcv.expected_psn, rcv.held, 1
         while (expected + count) & PSN_MASK not in held:
             count += 1
-        self._send_nak(qp, rcv, expected, count)
-
-    def _send_nak(self, qp: QueuePair, rcv: ReceiverState, first: int,
-                  count: int) -> None:
-        """NAK the expected PSN, listing the gap of ``count`` PSNs from
-        ``first``."""
-        self._reply(qp, _NAK, rcv.expected_psn, 0,
-                    pack_gaps(((first, count),)))
+        self._reply(qp, _NAK, expected, 0, pack_gaps(((expected, count),)))
 
     def _reply(self, qp: QueuePair, kind: FrameKind, psn: int,
                hint: int = 0, gaps: bytes = b"") -> None:

@@ -3,11 +3,13 @@ import re
 import shlex
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
 from conftest import free_port
+from softverbs import pingpong
 from softverbs.cli import build_parser, main
 
 
@@ -86,6 +88,13 @@ class TestLoopbackCli:
         assert main(argv) == 1
         assert capsys.readouterr().err == message + "\n"
 
+    def test_a_server_host_is_ignored_with_a_warning(self, capsys):
+        rc = main(["127.0.0.1", "--iters", "3", "--size", "64"])
+        captured = capsys.readouterr()
+        assert rc == 0
+        assert "ignoring server host" in captured.err
+        assert captured.out.count("3 iters in") == 2
+
     def test_bad_faults_spec_exits_one(self, capsys):
         rc = main(["--faults", "drop=much", "--port", str(free_port())])
         assert rc == 1
@@ -102,6 +111,37 @@ class TestSocketCli:
         rc = main(["--fabric", "socket",
                    "--fabric-config", str(tmp_path / "missing.conf")])
         assert rc == 1
+
+    def test_a_server_and_a_client_run_end_to_end(self, capsys, tmp_path,
+                                                 monkeypatch):
+        config = tmp_path / "fabric.conf"
+        config.write_text(f"lid 1 host 127.0.0.1 port {free_port()}\n"
+                          f"lid 2 host 127.0.0.1 port {free_port()}\n")
+        listening = threading.Event()
+        exchange = pingpong.exchange_as_server
+
+        def exchange_when_listening(port, mine, ready=None, **kwargs):
+            return exchange(port, mine, ready=listening, **kwargs)
+
+        monkeypatch.setattr(pingpong, "exchange_as_server",
+                            exchange_when_listening)
+        common = ["--fabric", "socket", "--fabric-config", str(config),
+                  "--port", str(free_port()), "-n", "20", "-s", "64"]
+        codes = {}
+
+        def serve():
+            codes["server"] = main(common)
+
+        server = threading.Thread(target=serve)
+        server.start()
+        try:
+            assert listening.wait(10), "the server never listened"
+            codes["client"] = main(["127.0.0.1", *common])
+        finally:
+            server.join(30)
+        assert not server.is_alive()
+        assert codes == {"server": 0, "client": 0}
+        assert capsys.readouterr().out.count("20 iters in") == 2
 
 
 class TestFaultSweepScript:

@@ -1071,6 +1071,21 @@ class TestRetry:
             == ["dropped"]
         assert b.cq.poll(1) == []
 
+    def test_retry_exhaustion_at_a_nak_fails_before_any_listed_resend(
+            self, registry, fabric):
+        a = Node(registry, fabric)
+        b = Node(registry, fabric)
+        connect_pair(a, b, retry_cnt=0)
+        a.post_send(2, bytes(3000))  # PSNs 100-102 at mtu 1024
+        sent_before = len(fabric.trace)
+        # the head is listed after a later gap: the budget is checked
+        # before anything is resent, so PSN 102 does not go out either
+        fabric.on_nak(a.qp, nak(a.qp.qpn, 100, (102, 1), (100, 1)))
+        assert len(fabric.trace) == sent_before  # nothing resent
+        wc, = a.cq.poll(2)
+        assert wc.wr_id == 2 and wc.status is WcStatus.RETRY_EXCEEDED
+        assert a.qp.state is QpState.ERR
+
     def test_single_drop_recovers(self, registry, fabric):
         a = Node(registry, fabric)
         b = Node(registry, fabric)
