@@ -96,10 +96,10 @@ and then sends the burst's ACKs. Every ACK, NAK and RNR NAK is built by
 one ``_reply``. Both transports share these and one retransmit timer
 (one pending tick per QP, armed with ``schedule_at`` at the head's
 probe, timeout or RNR pause deadline exactly, ``_due``; a tick
-superseded by an earlier deadline is cancelled, and on loopback so is
-the tick of a window that empties, so a lossless run fires none). A
-tick's resend goes through ``_resend`` and is charged there. A
-transport carries only frames and time: it supplies ``now_ms``,
+superseded by an earlier deadline is cancelled, and so is the tick of
+a window that empties, so a lossless run fires none on either
+transport). A tick's resend goes through ``_resend`` and is charged
+there. A transport carries only frames and time: it supplies ``now_ms``,
 ``schedule_at`` and ``_deliver``, hands each burst to ``_land``, and
 moves in ``wait_until``, the blocking wait of the verbs objects
 (sockets), or in ``progress``, which a driver whose callers all wait
@@ -296,7 +296,8 @@ class SenderState:
     head retires.
 
     ``tick`` is the pending retransmit tick, the ``(time, sequence,
-    callback)`` entry ``schedule_at`` queued, or None."""
+    callback)`` entry ``schedule_at`` queued, or None; an ACK that
+    empties the window drops it."""
 
     __slots__ = ("next_psn", "timeout_ms", "allowance_ms", "unacked", "tick",
                  "retries_used", "rnr_retries_used", "probed",
@@ -341,6 +342,7 @@ class ReceiverState:
 @dataclass
 class Endpoint:
     fabric: "Fabric"
+    context: DeviceContext
     port: int
     lid: int
     qpn_map: dict[int, QueuePair] = field(default_factory=dict)
@@ -395,7 +397,7 @@ class Fabric(Progress):
             if port in context._attachments:
                 raise VerbsError(f"port {port} already attached")
             lid = self._assign_lid()
-            ep = Endpoint(self, port, lid)
+            ep = Endpoint(self, context, port, lid)
             self.routing[lid] = ep
             pa = context.ports[port]
             pa.lid = lid
@@ -451,12 +453,13 @@ class Fabric(Progress):
         raise NotImplementedError
 
     def _cancel(self, timer: tuple) -> None:
-        """Take a pending timer out of the heap, if ``close`` has not
-        dropped it already; the caller holds the world lock."""
-        try:
-            self._timers.remove(timer)
-        except ValueError:
-            return
+        """Take a pending timer out of the heap; the caller holds the world
+        lock. Every tick a ``SenderState`` holds is in the heap: it is
+        cleared before it runs and dropped when an ACK empties its
+        window. A ``close`` that drops the heap leaves one only under a
+        window that is not empty, whose deadline only an engine callback
+        could move earlier, and no callback runs on a closed fabric."""
+        self._timers.remove(timer)
         heapq.heapify(self._timers)
 
     def _deliver(self, src: Optional[Endpoint], dlid: int, frame: Frame) -> None:
@@ -499,12 +502,6 @@ class Fabric(Progress):
         if qp.sender is snd:
             self.on_timeout_tick(qp, self.now_ms())
             self._arm_tick(qp)
-
-    def _idle(self, snd: SenderState) -> None:
-        """The window emptied. Its pending tick stays: it fires once more,
-        finds nothing and stops. Dropping it now would make the next send
-        arm a new one, and on sockets wake the polling mover for it, a
-        system call per message. LoopbackFabric drops it."""
 
     # -- send side ---------------------------------------------------------
 
@@ -607,7 +604,8 @@ class Fabric(Progress):
         sends whose last frame goes; True if any frame went. If none of
         them was resent, the newest one's send time gives an RTT sample
         (Karn's rule). A new head starts with the full retry budgets,
-        unprobed and unpaused."""
+        unprobed and unpaused. A window that empties drops its pending
+        tick: the next send arms a new one."""
         snd = qp.sender
         unacked = snd.unacked
         before = len(unacked)
@@ -618,8 +616,9 @@ class Fabric(Progress):
                 qp.complete_send()
         if entry is None:
             return False
-        if not unacked:
-            self._idle(snd)
+        if not unacked and snd.tick is not None:
+            self._cancel(snd.tick)
+            snd.tick = None
         if snd.resent:
             snd.resent = max(0, snd.resent - (before - len(unacked)))
         else:
@@ -969,13 +968,6 @@ class LoopbackFabric(Fabric):
         timer = (t, next(self._seq), fn)
         heapq.heappush(self._timers, timer)
         return timer
-
-    def _idle(self, snd: SenderState) -> None:
-        """The window emptied: drop its pending tick, which would only
-        fire for nothing and cost a driver round."""
-        if snd.tick is not None:
-            self._cancel(snd.tick)
-            snd.tick = None
 
     def _drain(self, limit: float, max_events: int = MAX_EVENTS) -> int:
         """Run every event due at or before ``limit``, in order; the one
@@ -1344,10 +1336,14 @@ class SocketFabric(Fabric):
         raise VerbsError(f"no bindable fabric config entry ({last_err})")
 
     def close(self) -> None:
-        """Close every port's socket. Pending timers are dropped, and
-        later frames are unrouted."""
+        """Detach every port and close its socket, so that a later
+        ``post_send`` on one of its QPs raises. Pending timers are
+        dropped, and a send still in flight is never completed: it gets
+        no CQE."""
         _MANUAL.discard(self)
         with self._lock:
+            for ep in list(self.routing.values()):
+                self.detach(ep.context, ep.port)
             for sock in self._socks.values():
                 _MANUAL.unwatch(sock)
                 sock.close()

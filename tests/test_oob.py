@@ -174,6 +174,15 @@ class TestExchange:
         t.join(timeout=5)
         assert isinstance(box.get("error"), DestinationFormatError)
 
+    def test_an_accept_failure_is_an_error(self, monkeypatch):
+        # what a listen that waits out its timeout raises, at once
+        def timed_out(sock):
+            raise TimeoutError("timed out")
+
+        monkeypatch.setattr(socket.socket, "accept", timed_out)
+        with pytest.raises(ExchangeError, match="^accept failed: timed out$"):
+            exchange_as_server(free_port(), KNOWN_DEST)
+
     def test_bind_conflict_is_an_error(self):
         port = free_port()
         blocker = socket.socket()

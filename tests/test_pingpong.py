@@ -19,9 +19,21 @@ from softverbs.pingpong import (
     open_node,
     post_receives,
     report,
+    run_loop,
     run_loopback_pair,
 )
-from softverbs.verbs import DeviceRegistry, QpState, QueuePair, VerbsError
+from softverbs.verbs import (
+    AttrMask,
+    CompletionEntry,
+    CompletionQueueError,
+    DeviceRegistry,
+    ModifyAttributes,
+    QpState,
+    QueuePair,
+    VerbsError,
+    WcOpcode,
+    WcStatus,
+)
 from softverbs.wire import FrameKind, SegMark
 
 ADDR_RE = re.compile(
@@ -122,6 +134,13 @@ class TestPostReceives:
         assert post_receives(ctx, 4) == 4
         # 6 slots remain; asking for 10 more posts only those 6
         assert post_receives(ctx, 10) == 6
+
+    def test_a_post_refused_as_a_whole_posts_none(self, world):
+        registry, _ = world
+        ctx = init_context(registry, PingpongConfig())
+        ctx.qp.modify(ModifyAttributes(state=QpState.RESET), AttrMask.STATE)
+        assert post_receives(ctx, 5) == 0
+        assert not ctx.qp.recv_queue
 
 
 class TestReceiveWindowBatching:
@@ -409,3 +428,84 @@ class TestReport:
         text = report(RunStats(128, 0.5, 1), mine, mine)
         for line in text.splitlines()[:2]:
             assert ADDR_RE.match(line), line
+
+
+def refuse_receives_after(monkeypatch, n):
+    """Let the first ``n`` post_recv calls through; refuse every later
+    one as a whole, as a QP out of the receive states does."""
+    calls = []
+    post_recv = QueuePair.post_recv
+
+    def refusing(qp, wr):
+        calls.append(qp)
+        if len(calls) > n:
+            raise VerbsError("cannot post receives")
+        return post_recv(qp, wr)
+
+    monkeypatch.setattr(QueuePair, "post_recv", refusing)
+
+
+class TestFailedSteps:
+    """Each verbs failure inside a run ends it with rc_pingpong's
+    message."""
+
+    @pytest.fixture
+    def server(self, world):
+        registry, fabric = world
+        cfg = PingpongConfig(rx_depth=4, size=64)
+        ctx, _ = open_node(cfg, registry, fabric, random.Random(1))
+        return ctx, cfg, fabric
+
+    def test_a_send_on_an_unconnected_qp_is_a_send_failure(self, world):
+        registry, fabric = world
+        cfg = PingpongConfig(server_host="peer", rx_depth=4, size=64)
+        ctx, _ = open_node(cfg, registry, fabric, random.Random(1))
+        with pytest.raises(PingpongError, match="^Couldn't post send$") as e:
+            run_loop([(ctx, cfg)], fabric)
+        assert isinstance(e.value.__cause__, VerbsError)
+
+    def test_a_latched_cq_fails_the_poll(self, server):
+        ctx, cfg, fabric = server
+        entry = CompletionEntry(pingpong.RECV_WRID, WcStatus.SUCCESS,
+                                WcOpcode.RECV, cfg.size)
+        for _ in range(ctx.cq.capacity + 1):
+            ctx.cq._push(entry)
+        with pytest.raises(PingpongError, match="^poll CQ failed: ") as e:
+            run_loop([(ctx, cfg)], fabric)
+        assert isinstance(e.value.__cause__, CompletionQueueError)
+
+    def test_a_completion_for_an_unknown_wr_id_is_refused(self, server):
+        ctx, cfg, fabric = server
+        ctx.cq._push(CompletionEntry(99, WcStatus.SUCCESS, WcOpcode.RECV))
+        with pytest.raises(PingpongError,
+                           match="^Completion for unknown wr_id 99$"):
+            run_loop([(ctx, cfg)], fabric)
+
+    def test_a_refused_repost_fails_the_run(self, monkeypatch):
+        # both roles post their windows, then the first repost is refused:
+        # one receive is left of two
+        refuse_receives_after(monkeypatch, 2)
+        with pytest.raises(PingpongError,
+                           match=r"^Couldn't post receive \(1\)$"):
+            run_loopback_pair(PingpongConfig(iters=3, rx_depth=2, size=64),
+                              seed=1)
+
+    def test_a_refused_window_fails_open_node(self, world, monkeypatch):
+        registry, fabric = world
+        refuse_receives_after(monkeypatch, 0)
+        with pytest.raises(PingpongError,
+                           match=r"^Couldn't post receive \(0\)$"):
+            open_node(PingpongConfig(), registry, fabric, random.Random(1))
+
+    def test_a_port_left_without_a_lid_fails_open_node(self, world):
+        registry, _ = world
+
+        class NoLidFabric:
+            """Attaches nothing: the port keeps LID 0."""
+
+            def attach(self, context, port):
+                return 0
+
+        with pytest.raises(PingpongError, match="^Couldn't get local LID$"):
+            open_node(PingpongConfig(), registry, NoLidFabric(),
+                      random.Random(1))

@@ -125,6 +125,12 @@ def test_free_port_skips_a_port_a_udp_socket_holds(monkeypatch):
         assert free_port() == free
 
 
+def test_free_port_with_no_port_left_is_an_error(monkeypatch):
+    monkeypatch.setattr(testbed, "_PORTS", iter(()))
+    with pytest.raises(OSError, match="^no free port left"):
+        free_port()
+
+
 def test_close_stops_every_fabric_thread(two_fabrics):
     before = set(threading.enumerate())
     (reg_a, reg_b), fabrics = two_fabrics
@@ -816,3 +822,37 @@ def test_the_server_connects_before_it_replies(make_fabrics, monkeypatch):
     for result in results:
         assert result.ctx.rcnt == result.ctx.scnt == 5
         cleanup_node(result)
+
+
+def test_a_lossless_exchange_leaves_no_timer_pending(two_fabrics):
+    # the window empties when the ACK retires the send, and its tick goes
+    # with it, as on loopback: a lossless run fires no tick
+    (reg_a, reg_b), fabrics = two_fabrics
+    a = Node(reg_a, fabrics[0])
+    b = Node(reg_b, fabrics[1])
+    connect_pair(a, b)
+    b.post_recv(1)
+    a.post_send(2, b"tick")
+    assert len(wait_for(a.cq, 1)) == 1
+    assert len(wait_for(b.cq, 1)) == 1
+    for fabric in fabrics:
+        with fabric._lock:
+            assert fabric._timers == []
+
+
+@pytest.mark.parametrize("connect_first", [True, False],
+                         ids=["connected", "connected-after-close"])
+def test_a_send_posted_after_close_is_refused(two_fabrics, connect_first):
+    (reg_a, reg_b), (fab_a, fab_b) = two_fabrics
+    a = Node(reg_a, fab_a)
+    b = Node(reg_b, fab_b)
+    if connect_first:
+        connect_pair(a, b)
+    fab_a.close()
+    if not connect_first:
+        connect_pair(a, b)
+    b.post_recv(1)
+    with pytest.raises(VerbsError, match="not attached to a fabric"):
+        a.post_send(2, b"late")
+    # close completes nothing, and the refused send left no WQE behind
+    assert a.cq.poll(1) == [] and not a.qp.send_queue
