@@ -105,6 +105,16 @@ moves in ``wait_until``, the blocking wait of the verbs objects
 (sockets), or in ``progress``, which a driver whose callers all wait
 calls (loopback).
 
+A QP's engine state follows its verbs state, and only the fabric sets
+it. A QP has a ``SenderState`` exactly while it is in RTS on an attached
+port (``on_qp_rts`` makes it; ``on_qp_leave`` drops it, window and tick
+together) and a ``ReceiverState`` exactly while it is bound to a port,
+from RTR until RESET, ``destroy`` or the port's detach (``bind_qp``;
+``unbind_qp``, which also stops the sender). Entering ERR stops the
+sender only. So a QP that leaves RTS, whatever the cause, has no tick
+and resends nothing, on either transport, and every frame the engine
+emits comes from a bound QP.
+
 Engine callbacks (on_data / on_ack / on_timeout_tick) run serialized
 under the world lock shared with the verbs objects, which the transport
 holds when it calls them (they do not take it again), on the caller's
@@ -268,7 +278,10 @@ class SenderState:
     """Per-QP outbound window: a ``[frame, sent_at]`` pair per unacked
     DATA frame, in PSN order; unacked PSNs stay contiguous mod 2^24. The
     send a frame belongs to is the oldest one not completed, the QP's
-    ``send_queue[0]``, since RC completes sends in post order.
+    ``send_queue[0]``, since RC completes sends in post order. A QP has
+    one exactly while it is in RTS on an attached port: ``on_qp_rts``
+    makes it, and ``on_qp_leave`` drops it when the QP enters ERR or is
+    unbound (RESET, ``destroy``, its port's detach).
 
     ``timeout_ms`` is the retransmit timeout that the QP's ``timeout``
     code named when it entered RTS (``ack_timeout_ms``); the probe, the
@@ -297,7 +310,7 @@ class SenderState:
 
     ``tick`` is the pending retransmit tick, the ``(time, sequence,
     callback)`` entry ``schedule_at`` queued, or None; an ACK that
-    empties the window drops it."""
+    empties the window cancels it, and so does ``on_qp_leave``."""
 
     __slots__ = ("next_psn", "timeout_ms", "allowance_ms", "unacked", "tick",
                  "retries_used", "rnr_retries_used", "probed",
@@ -406,13 +419,14 @@ class Fabric(Progress):
             return lid
 
     def detach(self, context: DeviceContext, port: int) -> None:
+        """Take a port down: unbind each of its QPs (``unbind_qp``), then
+        stop routing frames to it."""
         with self._lock:
             ep = context._attachments.pop(port, None)
             if ep is None:
                 return
             for qp in list(ep.qpn_map.values()):
-                qp._endpoint = None
-            ep.qpn_map.clear()
+                self.unbind_qp(qp)
             self.routing.pop(ep.lid, None)
             pa = context.ports[port]
             pa.lid = 0
@@ -430,17 +444,33 @@ class Fabric(Progress):
         qp.receiver = ReceiverState(qp.attrs.rq_psn)
 
     def unbind_qp(self, qp: QueuePair) -> None:
+        """Undo ``bind_qp``, on RESET, ``destroy`` or the port's detach:
+        stop the QP's send engine (``on_qp_leave``), stop routing to it,
+        and drop its receive state."""
+        self.on_qp_leave(qp)
         ep = qp._endpoint
-        if ep is not None and ep.qpn_map.get(qp.qpn) is qp:
+        if ep.qpn_map.get(qp.qpn) is qp:
             del ep.qpn_map[qp.qpn]
+        qp._endpoint = qp.receiver = None
 
     # what a QP's PTO adds to 2 x SRTT (SocketFabric adds a thread switch)
     _probe_allowance_ms = PROBE_ALLOWANCE_MS
 
     def on_qp_rts(self, qp: QueuePair) -> None:
+        """Start the QP's send engine, on the transition to RTS."""
         qp.sender = SenderState(qp.attrs.sq_psn,
                                 ack_timeout_ms(qp.attrs.timeout),
                                 self._probe_allowance_ms)
+
+    def on_qp_leave(self, qp: QueuePair) -> None:
+        """Stop the QP's send engine, when it leaves RTS (for ERR) or is
+        unbound: drop its sender, window and all, and cancel its tick, as
+        Linux rxe stops a QP's timers on reset and cleanup. A send still
+        in flight is resent no more; the QP's flush or reset decides
+        whether it gets a CQE."""
+        snd, qp.sender = qp.sender, None
+        if snd is not None and snd.tick is not None:
+            self._cancel(snd.tick)
 
     # -- clock / scheduling (transport specific) ---------------------------
 
@@ -455,14 +485,12 @@ class Fabric(Progress):
     def _cancel(self, timer: tuple) -> None:
         """Take a pending timer out of the heap; the caller holds the world
         lock. Every tick a ``SenderState`` holds is in the heap: it is
-        cleared before it runs and dropped when an ACK empties its
-        window. A ``close`` that drops the heap leaves one only under a
-        window that is not empty, whose deadline only an engine callback
-        could move earlier, and no callback runs on a closed fabric."""
+        cleared before it runs, and dropped when an ACK empties its
+        window or the sender goes (``on_qp_leave``)."""
         self._timers.remove(timer)
         heapq.heapify(self._timers)
 
-    def _deliver(self, src: Optional[Endpoint], dlid: int, frame: Frame) -> None:
+    def _deliver(self, src: Endpoint, dlid: int, frame: Frame) -> None:
         """Send each copy ``_wire_copies`` plans, after its extra delay."""
         raise NotImplementedError
 
@@ -484,9 +512,10 @@ class Fabric(Progress):
         """Schedule one timeout tick at the head's deadline, ``_due``,
         exactly, unless one is pending for no later; the tick re-arms
         itself while frames stay unacked. A pending tick that is due
-        later is cancelled."""
+        later is cancelled. Every caller has frames unacked, unless the
+        send it just failed took the sender with it."""
         snd = qp.sender
-        if snd is None or not snd.unacked:
+        if snd is None:
             return
         deadline = _due(snd)
         tick = snd.tick
@@ -494,14 +523,13 @@ class Fabric(Progress):
             return
         if tick:
             self._cancel(tick)
-        snd.tick = self.schedule_at(deadline,
-                                    partial(self._tick_fired, qp, snd))
+        snd.tick = self.schedule_at(deadline, partial(self._tick_fired, qp))
 
-    def _tick_fired(self, qp: QueuePair, snd: SenderState) -> None:
-        snd.tick = None
-        if qp.sender is snd:
-            self.on_timeout_tick(qp, self.now_ms())
-            self._arm_tick(qp)
+    def _tick_fired(self, qp: QueuePair) -> None:
+        # a tick in the heap belongs to its QP's sender of the moment
+        qp.sender.tick = None
+        self.on_timeout_tick(qp, self.now_ms())
+        self._arm_tick(qp)
 
     # -- send side ---------------------------------------------------------
 
@@ -515,7 +543,7 @@ class Fabric(Progress):
         here.
         """
         with self._lock:
-            if qp.state is not QpState.RTS or qp.sender is None:
+            if qp.sender is None:
                 raise VerbsError("transmit requires a QP in RTS")
             snd = qp.sender
             attrs = qp.attrs
@@ -630,12 +658,12 @@ class Fabric(Progress):
     def _nakked_head(self, qp: QueuePair, frame: Frame) -> bool:
         """Read a NAK or an RNR NAK: everything before its PSN arrived (an
         implicit ACK), so retire it; then say whether it names the head.
-        It does not if the QP is not in RTS, if the NAK is stale (its PSN
-        is no longer at the head) or if the head is paused (a copy of the
-        refused frame or of its NAK, or a NAK the pause's end answers
-        anyway)."""
+        It does not if the QP has no sender (it is not in RTS), if the NAK
+        is stale (its PSN is no longer at the head) or if the head is
+        paused (a copy of the refused frame or of its NAK, or a NAK the
+        pause's end answers anyway)."""
         snd = qp.sender
-        if snd is None or qp.state is not QpState.RTS:
+        if snd is None:
             return False
         self._retire_through(qp, psn_add(frame.psn, -1))
         return (bool(snd.unacked) and not snd.paused_until
@@ -709,7 +737,7 @@ class Fabric(Progress):
         with RetryExceeded and throws the QP into ERR.
         """
         snd = qp.sender
-        if snd is None or not snd.unacked or qp.state is not QpState.RTS:
+        if snd is None or not snd.unacked:
             return
         if now < _due(snd):
             return
@@ -903,7 +931,7 @@ class Fabric(Progress):
 
     # -- fault plan and trace -------------------------------------------------
 
-    def _wire_copies(self, src: Optional[Endpoint], dlid: int, frame: Frame,
+    def _wire_copies(self, src: Endpoint, dlid: int, frame: Frame,
                      routed: bool) -> tuple:
         """Draw one frame's fates, trace it, and return the extra delay of
         each copy the wire carries: none if it is unroutable or dropped,
@@ -931,8 +959,7 @@ class Fabric(Progress):
                 delays = (delay, delay + DUP_EXTRA_MS)
             else:
                 statuses, delays = ("sent",), (delay,)
-        now = self.now_ms()
-        src_lid = src.lid if src is not None else None
+        now, src_lid = self.now_ms(), src.lid
         for status in statuses:
             self.trace.append(_new(TraceEvent,
                                    (now, src_lid, dlid, frame, status)))
@@ -1021,7 +1048,7 @@ class LoopbackFabric(Fabric):
 
     # -- delivery -----------------------------------------------------------
 
-    def _deliver(self, src: Optional[Endpoint], dlid: int, frame: Frame) -> None:
+    def _deliver(self, src: Endpoint, dlid: int, frame: Frame) -> None:
         """Add each copy to the burst landing at its peer at its arrival
         time; the first frame of a burst schedules the burst's event."""
         ep = self.routing.get(dlid)
@@ -1337,9 +1364,10 @@ class SocketFabric(Fabric):
 
     def close(self) -> None:
         """Detach every port and close its socket, so that a later
-        ``post_send`` on one of its QPs raises. Pending timers are
-        dropped, and a send still in flight is never completed: it gets
-        no CQE."""
+        ``post_send`` on one of its QPs raises. The detach stops every
+        QP's sender, tick and all, as on loopback, so a send still in
+        flight is never completed: it gets no CQE. The delayed copies
+        still pending are dropped."""
         _MANUAL.discard(self)
         with self._lock:
             for ep in list(self.routing.values()):
@@ -1407,11 +1435,9 @@ class SocketFabric(Fabric):
         finally:
             self._send_unsent()
 
-    def _deliver(self, src: Optional[Endpoint], dlid: int, frame: Frame) -> None:
+    def _deliver(self, src: Endpoint, dlid: int, frame: Frame) -> None:
         addr = self._addrs.get(dlid)
-        # a QP whose port was detached has no socket to send from
-        copies = self._wire_copies(src, dlid, frame,
-                                   addr is not None and src is not None)
+        copies = self._wire_copies(src, dlid, frame, addr is not None)
         if not copies:
             return
         to, data = (self._socks[src.lid], addr), encode_frame(frame)

@@ -700,7 +700,9 @@ class QueuePair:
         self.attrs = QpAttributes()
         self.send_queue: deque[PostedSend] = deque()
         self.recv_queue: deque[PostedRecv] = deque()
-        # engine-owned reliable-connection state, managed by the fabric
+        # engine-owned reliable-connection state, set and dropped by the
+        # fabric only: a sender while in RTS on an attached port, a
+        # receiver while bound to one (from RTR)
         self.sender = None
         self.receiver = None
         self._endpoint = None
@@ -803,8 +805,6 @@ class QueuePair:
         elif target is QpState.RESET:
             self.send_queue.clear()
             self.recv_queue.clear()
-            self.sender = None
-            self.receiver = None
             self._unbind_from_fabric()
         elif target is QpState.ERR and previous is not QpState.ERR:
             self._flush_queues()
@@ -819,10 +819,10 @@ class QueuePair:
     def _unbind_from_fabric(self) -> None:
         if self._endpoint is not None:
             self._endpoint.fabric.unbind_qp(self)
-            self._endpoint = None
 
     def _flush_queues(self) -> None:
-        """Error out every posted-but-unprocessed WQE."""
+        """Error out every posted-but-unprocessed WQE, and stop the send
+        engine: a QP in ERR resends nothing."""
         # a modify on any thread flushes: a mover polling sockets for a
         # wait on these CQs would not see it
         self.context._progress().wake()
@@ -834,8 +834,8 @@ class QueuePair:
             wqe = self.send_queue.popleft()
             self.send_cq._push(_new(CompletionEntry, (
                 wqe.wr_id, WcStatus.WR_FLUSHED, WcOpcode.SEND, 0)))
-        if self.sender is not None:
-            self.sender.unacked.clear()
+        if self._endpoint is not None:
+            self._endpoint.fabric.on_qp_leave(self)
 
     def enter_error(self) -> None:
         """Fabric-side failure path: drop to ERR and flush."""

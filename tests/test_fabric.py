@@ -7,7 +7,7 @@ from functools import partial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import Node, connect_pair, run_until, to_init, to_rtr
+from conftest import Node, connect_pair, run_until, to_init, to_rtr, to_rts
 from softverbs.fabric import (
     DUP_EXTRA_MS,
     HOLD_PSNS,
@@ -27,7 +27,9 @@ from softverbs.fabric import (
 )
 from softverbs.pingpong import PingpongConfig, run_loopback_pair
 from softverbs.verbs import (
+    AttrMask,
     DeviceRegistry,
+    ModifyAttributes,
     QpState,
     VerbsError,
     WcStatus,
@@ -589,11 +591,12 @@ class TestRetryCodes:
         a = Node(registry, fabric)
         b = Node(registry, fabric)
         connect_pair(a, b, timeout=14)
+        snd = a.qp.sender  # the failure into ERR drops it
         b.post_recv(1)
         fabric.drop_filter = lambda f: f.kind is FrameKind.DATA
         a.post_send(2, b"lost")
         fabric.run_until_idle()
-        assert a.qp.sender.timeout_ms == ack_timeout_ms(14) == 67.108864
+        assert snd.timeout_ms == ack_timeout_ms(14) == 67.108864
         t = self._copies(fabric, 100)
         assert len(t) == 1 + 7  # the first copy, the probe, six timeouts
         assert t[1] == PROBE_MS
@@ -602,6 +605,29 @@ class TestRetryCodes:
             [67.108864] * 6
         assert [wc.status for wc in a.cq.poll(2)] == \
             [WcStatus.RETRY_EXCEEDED]
+
+    @pytest.mark.parametrize("retry_cnt, fails_at", [
+        (7, 482.762), (3, 214.327), (0, 13.0)])
+    def test_a_silent_peer_fails_the_send_when_the_budget_runs_out(
+            self, registry, fabric, retry_cnt, fails_at):
+        # the probe is charged as one retry and takes one timeout's place,
+        # so the budget runs out PROBE_MS + retry_cnt timeouts after the
+        # send: IBTA counts (retry_cnt + 1) timeouts, about 537 ms at 7
+        a = Node(registry, fabric)
+        b = Node(registry, fabric)
+        connect_pair(a, b, timeout=14, retry_cnt=retry_cnt)
+        b.post_recv(1)
+        fabric.drop_filter = lambda f: True
+        fabric.advance(3.0)
+        a.post_send(2, b"lost")
+        while not a.cq.entries:
+            assert fabric.step()
+        assert [wc.status for wc in a.cq.poll(2)] == \
+            [WcStatus.RETRY_EXCEEDED]
+        assert fabric.now_ms() == pytest.approx(
+            3.0 + PROBE_MS + retry_cnt * ack_timeout_ms(14), abs=1e-9)
+        assert round(fabric.now_ms(), 3) == fails_at
+        assert len(self._copies(fabric, 100)) == 1 + retry_cnt
 
     def test_a_timeout_at_its_exact_deadline_resends_the_head(self, pair,
                                                                fabric):
@@ -677,6 +703,68 @@ class TestRetryCodes:
         assert fabric.now_ms() == pytest.approx(102.32)
         for i in range(8):
             assert b.read(i * size, size) == bytes([i]) * size
+
+
+class TestLeavingRts:
+    """A QP that leaves RTS stops its send engine, whatever the cause: ERR,
+    RESET, destroy() or its port's detach. With one send in flight and
+    every frame dropped, nothing is left to run once it leaves: no tick
+    and no frame from its LID, and the peer gets no CQE even when frames
+    pass again. ERR flushes the send; the others complete nothing."""
+
+    LEAVE = {
+        "err": lambda node, fabric: node.qp.modify(
+            ModifyAttributes(state=QpState.ERR), AttrMask.STATE),
+        "reset": lambda node, fabric: node.qp.modify(
+            ModifyAttributes(state=QpState.RESET), AttrMask.STATE),
+        "destroy": lambda node, fabric: node.qp.destroy(),
+        "detach": lambda node, fabric: fabric.detach(node.context, node.port),
+    }
+
+    @pytest.mark.parametrize("leave", list(LEAVE))
+    def test_a_qp_that_leaves_rts_leaves_nothing_running(self, pair, fabric,
+                                                         leave):
+        a, b = pair
+        b.post_recv(1)
+        fabric.drop_filter = lambda f: True
+        a.post_send(2, bytes(100))
+        fabric.advance(3.0)
+        assert len(fabric._timers) == 1  # the send's tick, due at PROBE_MS
+        self.LEAVE[leave](a, fabric)
+        assert a.qp.sender is None and fabric._timers == []
+        fabric.drop_filter = None
+        traced = len(fabric.trace)
+        assert fabric.run_until_idle() == 0
+        assert fabric.now_ms() == 3.0
+        assert [e for e in fabric.trace if e.src_lid == a.lid] == \
+            fabric.trace[:1]  # the dropped first copy, and nothing since
+        assert len(fabric.trace) == traced
+        assert b.cq.poll(2) == []
+        assert [(wc.wr_id, wc.status) for wc in a.cq.poll(2)] == \
+            ([(2, WcStatus.WR_FLUSHED)] if leave == "err" else [])
+
+    def test_a_reset_qp_reconnects_with_a_fresh_engine(self, pair, fabric):
+        # RESET drops the sender and receiver with the binding; the way
+        # back to RTS makes new ones from the PSNs it sets
+        a, b = pair
+        b.post_recv(1)
+        fabric.drop_filter = lambda f: True
+        a.post_send(1, b"lost")
+        TestLeavingRts.LEAVE["reset"](a, fabric)
+        assert (a.qp.sender, a.qp.receiver, a.qp._endpoint) == \
+            (None, None, None)
+        fabric.drop_filter = None
+        to_init(a.qp)
+        to_rtr(a.qp, b.lid, b.qp.qpn, 200)
+        assert a.qp.receiver.expected_psn == 200 and a.qp.sender is None
+        to_rts(a.qp, 100)  # the PSN the peer still expects
+        a.post_send(2, b"again")
+        # the send's frame and its ACK land, and nothing of the old
+        # engine runs
+        assert fabric.run_until_idle() == 2 and fabric.now_ms() == 2.0
+        assert [(wc.wr_id, wc.status) for wc in a.cq.poll(2)] == \
+            [(2, WcStatus.SUCCESS)]
+        assert [wc.byte_len for wc in b.cq.poll(2)] == [5]
 
 
 class TestNak:
@@ -1342,6 +1430,7 @@ class TestTailLossProbe:
         a = Node(registry, fabric)
         b = Node(registry, fabric)
         connect_pair(a, b)
+        snd = a.qp.sender  # the failure into ERR drops it
         b.post_recv(1)
         fabric.drop_filter = (lambda f: f.kind is FrameKind.DATA
                               and f.psn == 101)
@@ -1351,7 +1440,7 @@ class TestTailLossProbe:
         assert len(t) == 1 + 7
         # the probe; the ACK of PSN 100 gave the sample that sets the PTO
         assert self.PTO <= t[1] < self.PTO + 1
-        timeout = a.qp.sender.timeout_ms  # the QP's timeout code, 14
+        timeout = snd.timeout_ms  # the QP's timeout code, 14
         assert timeout <= t[2] - t[1] < timeout + 1  # the first timeout
         wc, = a.cq.poll(2)
         assert wc.status is WcStatus.RETRY_EXCEEDED

@@ -4,21 +4,24 @@ A hypothesis state machine runs the pair through a drawn fault profile
 that duplicates and reorders frames but drops none at random, posts
 sends and receives in any order (a receive posted late draws RNR NAKs),
 drops a coming copy of a chosen frame kind (at most two copies per PSN),
-moves the virtual clock and may move the sender to ERR while sends are
-in flight, with the sender's PSNs starting just below 2^24 so that the
-data crosses the PSN wrap. After every step the completions seen so far
-must agree with a reference model: at most one CQE per WQE, each queue's
-CQEs in post order, every receive byte-exact. Whenever the fabric is
-idle, every signaled or failed WQE has its CQE: either every send was
-delivered and acked, or one failed and every later one was flushed, or
-the sender was moved to ERR and every send not finished by then was
-flushed. The receiver sends its ACKs at strictly increasing virtual
-times (one per burst at most; a duplicate copy is the wire's, not the
-receiver's), with PSNs that never go back, and keeps a gap report
-exactly while it holds frames, the first one at the expected PSN.
-Duplicates and reordering lose no frame, and two lost copies per PSN
-cannot spend a retry budget of 7, so only RNR
-exhaustion, a receive posted too late, may fail a send. The pair is
+moves the virtual clock and may move the sender to ERR or to RESET while
+sends are in flight, with the sender's PSNs starting just below 2^24 so
+that the data crosses the PSN wrap. After every step the completions
+seen so far must agree with a reference model: at most one CQE per WQE,
+each queue's CQEs in post order, every receive byte-exact. A sender
+that has left RTS, whatever the cause, has no send engine left: no
+``sender``, no tick in the fabric's heap, and no DATA frame from its LID
+since it left. Whenever the fabric is idle, every signaled or failed
+WQE has its CQE: either every send was delivered and acked, or one
+failed and every later one was flushed, or the sender was moved to ERR
+and every send not finished by then was flushed, or it was moved to
+RESET and those sends got no CQE. The receiver sends its ACKs at
+strictly increasing virtual times (one per burst at most; a duplicate
+copy is the wire's, not the receiver's), with PSNs that never go back,
+and keeps a gap report exactly while it holds frames, the first one at
+the expected PSN. Duplicates and reordering lose no frame, and two lost
+copies per PSN cannot spend a retry budget of 7, so only RNR exhaustion,
+a receive posted too late, may fail a send. The pair is
 connected with a drawn ``rnr_retry`` below 7: 7 retries without limit,
 so a receive never posted would be refused for ever.
 """
@@ -61,6 +64,13 @@ def payload_of(wr_id: int, size: int) -> bytes:
     return bytes((wr_id * 31 + k) % 251 for k in range(size))
 
 
+def mid_flight(model) -> bool:
+    """The sender is in RTS with a send in flight, after a few sends."""
+    qp = model.a.qp
+    return (qp.state is QpState.RTS and len(model.sends) >= 3
+            and bool(qp.send_queue))
+
+
 class RcModel(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
@@ -72,8 +82,11 @@ class RcModel(RuleBasedStateMachine):
         # by kind: how many more copies of it pass before one is dropped
         self.armed: dict[FrameKind, int] = {}
         self.drops = Counter()  # by PSN
-        # sends finished when the sender was moved to ERR, if it was
-        self.err_at = None
+        # sends finished when the sender was moved to ERR or RESET, if it
+        # was
+        self.err_at = self.reset_at = None
+        # the trace's length when the sender left RTS, if it did
+        self.left_at = None
 
     def _drop(self, frame) -> bool:
         skip = self.armed.get(frame.kind)
@@ -104,6 +117,15 @@ class RcModel(RuleBasedStateMachine):
         self.fabric.drop_filter = self._drop
         connect_pair(self.a, self.b, psn_a=FIRST_PSN, mtu=MTU,
                      rnr_retry=rnr_retry)
+        qp = self.a.qp
+        enter = qp._enter_state
+
+        def enter_state(target):
+            if qp.state is QpState.RTS and self.left_at is None:
+                self.left_at = len(self.fabric.trace)
+            enter(target)
+
+        qp._enter_state = enter_state
 
     @precondition(lambda self: self.recvs < MAX_WR)
     @rule()
@@ -138,12 +160,15 @@ class RcModel(RuleBasedStateMachine):
 
     # only once a few sends are posted, so that most runs still reach
     # the end of their sends
-    @precondition(lambda self: self.a.qp.state is QpState.RTS
-                  and len(self.sends) >= 3 and self.a.qp.send_queue)
-    @rule()
-    def sender_to_err(self):
-        self.err_at = len(self.sends) - len(self.a.qp.send_queue)
-        self.a.qp.modify(ModifyAttributes(state=QpState.ERR), AttrMask.STATE)
+    @precondition(mid_flight)
+    @rule(state=st.sampled_from((QpState.ERR, QpState.RESET)))
+    def sender_leaves_rts(self, state):
+        finished = len(self.sends) - len(self.a.qp.send_queue)
+        if state is QpState.ERR:
+            self.err_at = finished
+        else:
+            self.reset_at = finished
+        self.a.qp.modify(ModifyAttributes(state=state), AttrMask.STATE)
 
     # a send still waiting for its receive would be refused until its
     # RNR budget runs out; teardown lets that happen, settle does not
@@ -189,6 +214,19 @@ class RcModel(RuleBasedStateMachine):
                 failed = True
 
     @invariant()
+    def a_sender_outside_rts_has_no_engine_left(self):
+        qp = self.a.qp
+        if qp.state is QpState.RTS:
+            return
+        assert qp.sender is None
+        assert not [fn for _, _, fn in self.fabric._timers
+                    if fn.func == self.fabric._tick_fired
+                    and fn.args[0] is qp]
+        assert not [e for e in self.fabric.trace[self.left_at:]
+                    if e.src_lid == self.a.lid
+                    and e.frame.kind is FrameKind.DATA]
+
+    @invariant()
     def the_receiver_acks_once_per_burst_and_never_goes_back(self):
         acks = [(e.t, e.frame.psn) for e in self.fabric.trace
                 if e.src_lid == self.b.lid and e.frame.kind is FrameKind.ACK
@@ -202,6 +240,12 @@ class RcModel(RuleBasedStateMachine):
         n = len(self.sends)
         signaled = [i for i, (_, sig) in enumerate(self.sends) if sig]
         got = [(wc.wr_id, wc.status) for wc in self.send_cqes]
+        if self.reset_at is not None:
+            k = self.reset_at
+            # a reset completes nothing: the unfinished sends get no CQE
+            assert got == [(i, WcStatus.SUCCESS) for i in signaled if i < k]
+            assert len(self.recv_cqes) >= k
+            return
         if self.err_at is not None:
             k = self.err_at
             assert got == [(i, WcStatus.SUCCESS) for i in signaled if i < k] \

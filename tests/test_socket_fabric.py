@@ -10,6 +10,7 @@ import pytest
 
 from conftest import Node, connect_pair, free_port, to_init, to_rtr, to_rts
 from softverbs.fabric import (
+    MAX_DATAGRAM,
     PROBE_MS,
     FabricConfig,
     FabricConfigEntry,
@@ -856,3 +857,93 @@ def test_a_send_posted_after_close_is_refused(two_fabrics, connect_first):
         a.post_send(2, b"late")
     # close completes nothing, and the refused send left no WQE behind
     assert a.cq.poll(1) == [] and not a.qp.send_queue
+
+
+LEAVE = {
+    "err": lambda qp: qp.modify(ModifyAttributes(state=QpState.ERR),
+                                AttrMask.STATE),
+    "destroy": lambda qp: qp.destroy(),
+}
+
+
+@pytest.mark.parametrize("leave", list(LEAVE))
+def test_a_qp_that_leaves_rts_leaves_no_tick_and_sends_nothing(two_fabrics,
+                                                               leave):
+    (reg_a, reg_b), (fab_a, fab_b) = two_fabrics
+    a = Node(reg_a, fab_a)
+    b = Node(reg_b, fab_b)
+    connect_pair(a, b)
+    b.post_recv(1)
+    fab_a.drop_filter = lambda frame: True
+    a.post_send(2, b"in flight")
+    with fab_a._lock:
+        assert len(fab_a._timers) == 1  # the send's tick, due at PROBE_MS
+    LEAVE[leave](a.qp)
+    with fab_a._lock:
+        assert a.qp.sender is None and fab_a._timers == []
+        traced = len(fab_a.trace)
+    # three probe timeouts: a tick left behind would have resent by then
+    assert not b.cq.wait_for_completion(timeout=3 * PROBE_MS / 1e3)
+    with fab_a._lock:
+        assert fab_a.trace[traced:] == [] and fab_a._timers == []
+    assert [wc.status for wc in a.cq.poll(2)] == \
+        ([WcStatus.WR_FLUSHED] if leave == "err" else [])
+
+
+@pytest.mark.parametrize("leave", list(LEAVE))
+def test_a_qp_may_leave_rts_after_its_fabric_closed(two_fabrics, leave):
+    # close detaches the port, which stops the sender before the heap is
+    # cleared, so the leave finds no tick to cancel
+    (reg_a, reg_b), (fab_a, fab_b) = two_fabrics
+    a = Node(reg_a, fab_a)
+    b = Node(reg_b, fab_b)
+    connect_pair(a, b)
+    b.post_recv(1)
+    fab_a.drop_filter = lambda frame: True
+    a.post_send(2, b"in flight")
+    fab_a.close()
+    assert a.qp.sender is None
+    LEAVE[leave](a.qp)
+    assert [wc.status for wc in a.cq.poll(2)] == \
+        ([WcStatus.WR_FLUSHED] if leave == "err" else [])
+
+
+def test_a_sleeping_waiter_times_out_while_another_thread_moves(two_fabrics):
+    """A waiter that sleeps on its CQ while another thread moves the
+    fabrics ends its wait when its own timeout runs out, not when the
+    mover hands over."""
+    (reg_a, reg_b), (fab_a, fab_b) = two_fabrics
+    a = Node(reg_a, fab_a)
+    b = Node(reg_b, fab_b)
+    to_init(a.qp)
+    a.post_recv(1)
+    manual = fabric_module._MANUAL
+    moved = []
+    mover = threading.Thread(
+        target=lambda: moved.append(a.cq.wait_for_completion(timeout=3.0)))
+    mover.start()
+    deadline = time.monotonic() + 2.0
+    while manual.moving != mover.ident and time.monotonic() < deadline:
+        time.sleep(0.005)
+    assert manual.moving == mover.ident
+    start = time.monotonic()
+    assert not b.cq.wait_for_completion(timeout=0.2)
+    took = time.monotonic() - start
+    # the flush pushes the mover's CQE and cuts its poll short
+    a.qp.modify(ModifyAttributes(state=QpState.ERR), AttrMask.STATE)
+    mover.join(timeout=5.0)
+    assert not mover.is_alive() and moved == [True]
+    assert 0.2 <= took < 1.5
+
+
+def test_a_record_that_fills_a_datagram_exactly_stays_in_it(two_fabrics):
+    _, (fabric, _) = two_fabrics
+    full, over = ("sock", ("127.0.0.1", 1)), ("sock", ("127.0.0.1", 2))
+    for to, second in ((full, MAX_DATAGRAM - 100), (over, MAX_DATAGRAM - 99)):
+        fabric._write(to, bytes(100))
+        fabric._write(to, bytes(second))
+    assert [len(d) for d in fabric._unsent[full]] == [MAX_DATAGRAM]
+    assert [len(d) for d in fabric._unsent[over]] == [100, MAX_DATAGRAM - 99]
+    fabric._write(full, bytes(1))
+    assert [len(d) for d in fabric._unsent[full]] == [MAX_DATAGRAM, 1]
+    fabric._unsent.clear()  # the keys name no socket
