@@ -106,11 +106,15 @@ moves in ``wait_until``, the blocking wait of the verbs objects
 calls (loopback).
 
 A QP's engine state follows its verbs state, and only the fabric sets
-it. A QP has a ``SenderState`` exactly while it is in RTS on an attached
-port (``on_qp_rts`` makes it; ``on_qp_leave`` drops it, window and tick
+it, in one hook: ``_enter_state`` makes one call for every state
+change, ``on_qp_state``, after the verbs side has checked the
+transition, applied the attributes and dropped (RESET) or flushed (ERR)
+the queues, as Linux rxe's ``rxe_qp_from_attr`` switches on the new
+state. A QP has a ``SenderState`` exactly while it is in RTS on an
+attached port (RTS makes it; ``on_qp_leave`` drops it, window and tick
 together) and a ``ReceiverState`` exactly while it is bound to a port,
-from RTR until RESET, ``destroy`` or the port's detach (``bind_qp``;
-``unbind_qp``, which also stops the sender). Entering ERR stops the
+from RTR until RESET (``destroy`` too) or the port's detach
+(``unbind_qp``, which also stops the sender). Entering ERR stops the
 sender only. So a QP that leaves RTS, whatever the cause, has no tick
 and resends nothing, on either transport, and every frame the engine
 emits comes from a bound QP.
@@ -279,7 +283,7 @@ class SenderState:
     DATA frame, in PSN order; unacked PSNs stay contiguous mod 2^24. The
     send a frame belongs to is the oldest one not completed, the QP's
     ``send_queue[0]``, since RC completes sends in post order. A QP has
-    one exactly while it is in RTS on an attached port: ``on_qp_rts``
+    one exactly while it is in RTS on an attached port: ``on_qp_state``
     makes it, and ``on_qp_leave`` drops it when the QP enters ERR or is
     unbound (RESET, ``destroy``, its port's detach).
 
@@ -437,30 +441,44 @@ class Fabric(Progress):
         self.next_lid += 1
         return lid
 
-    def bind_qp(self, qp: QueuePair, endpoint: Endpoint) -> None:
-        """Route (lid, qpn) to this QP; entered on the transition to RTR."""
-        endpoint.qpn_map[qp.qpn] = qp
-        qp._endpoint = endpoint
-        qp.receiver = ReceiverState(qp.attrs.rq_psn)
+    # what a QP's PTO adds to 2 x SRTT (SocketFabric adds a thread switch)
+    _probe_allowance_ms = PROBE_ALLOWANCE_MS
+
+    def on_qp_state(self, qp: QueuePair, endpoint: Endpoint) -> None:
+        """Follow a QP into the state ``_enter_state`` just gave it; the one
+        place that says what a verbs state means to the engine, as Linux
+        rxe's ``rxe_qp_from_attr`` switches on the new state. ``endpoint``
+        is the QP's bound endpoint or, unbound, its port's attachment.
+        RTR routes (lid, qpn) to the QP and makes its receiver. A QP that
+        is not bound (in INIT, or moved to RTR before its port was
+        attached) has no engine to start or stop; a bound one gets its
+        sender in RTS, stops it in ERR (``on_qp_leave``) and is unbound
+        in RESET (``unbind_qp``)."""
+        state = qp.state
+        if state is QpState.RTR:
+            endpoint.qpn_map[qp.qpn] = qp
+            qp._endpoint = endpoint
+            qp.receiver = ReceiverState(qp.attrs.rq_psn)
+        elif qp._endpoint is None:
+            return
+        elif state is QpState.RTS:
+            qp.sender = SenderState(qp.attrs.sq_psn,
+                                    ack_timeout_ms(qp.attrs.timeout),
+                                    self._probe_allowance_ms)
+        elif state is QpState.ERR:
+            self.on_qp_leave(qp)
+        else:  # RESET: a QP in INIT is never bound
+            self.unbind_qp(qp)
 
     def unbind_qp(self, qp: QueuePair) -> None:
-        """Undo ``bind_qp``, on RESET, ``destroy`` or the port's detach:
-        stop the QP's send engine (``on_qp_leave``), stop routing to it,
-        and drop its receive state."""
+        """Undo RTR's binding, on RESET (``destroy`` too) or the port's
+        detach: stop the QP's send engine (``on_qp_leave``), stop routing
+        to it, and drop its receive state."""
         self.on_qp_leave(qp)
         ep = qp._endpoint
         if ep.qpn_map.get(qp.qpn) is qp:
             del ep.qpn_map[qp.qpn]
         qp._endpoint = qp.receiver = None
-
-    # what a QP's PTO adds to 2 x SRTT (SocketFabric adds a thread switch)
-    _probe_allowance_ms = PROBE_ALLOWANCE_MS
-
-    def on_qp_rts(self, qp: QueuePair) -> None:
-        """Start the QP's send engine, on the transition to RTS."""
-        qp.sender = SenderState(qp.attrs.sq_psn,
-                                ack_timeout_ms(qp.attrs.timeout),
-                                self._probe_allowance_ms)
 
     def on_qp_leave(self, qp: QueuePair) -> None:
         """Stop the QP's send engine, when it leaves RTS (for ERR) or is

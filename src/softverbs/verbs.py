@@ -5,7 +5,13 @@ and channels, and queue pairs with the RESET/INIT/RTR/RTS/ERR state
 machine. Everything lives in ordinary Python objects; "hardware" behavior
 (frame delivery, acks, retries) is provided by a fabric the context's
 port is attached to. The fabric tells a QP when a work request is done
-(``complete_send``, ``complete_recv``); every CQE is built here.
+(``complete_send``, ``complete_recv``); every CQE is built here. The
+other way, this module calls into the fabric for three things only: a
+QP's state change (``on_qp_state``, once ``modify`` has checked the
+transition and applied its attributes; it is the one path from a state
+change to the engine), a send (``transmit_message``), and a context's
+``close``, which detaches its ports; the blocking waits go through the
+fabric's ``Progress``.
 
 All objects under one DeviceRegistry share a single re-entrant lock, so
 resource creation, modify_qp, posting, and polling are atomic with
@@ -337,9 +343,10 @@ class Progress:
 
     def wait_until(self, cond, ready, timeout) -> bool:
         """Block on ``cond`` until ``ready()`` holds or ``timeout`` seconds
-        pass; True if it holds."""
+        pass; True if it holds. A zero timeout only looks: ``wait_for``
+        would wait on ``cond`` once even then."""
         with cond:
-            return cond.wait_for(ready, timeout)
+            return ready() if timeout == 0 else cond.wait_for(ready, timeout)
 
     def wake(self) -> None:
         """CQEs or a channel event come from outside the fabric (a flush
@@ -701,15 +708,11 @@ class QueuePair:
         self.send_queue: deque[PostedSend] = deque()
         self.recv_queue: deque[PostedRecv] = deque()
         # engine-owned reliable-connection state, set and dropped by the
-        # fabric only: a sender while in RTS on an attached port, a
-        # receiver while bound to one (from RTR)
+        # fabric only (``on_qp_state``): a sender while in RTS on an
+        # attached port, a receiver while bound to one (from RTR)
         self.sender = None
         self.receiver = None
         self._endpoint = None
-
-    @property
-    def fabric(self):
-        return self._endpoint.fabric if self._endpoint is not None else None
 
     # -- state machine -------------------------------------------------
 
@@ -796,33 +799,24 @@ class QueuePair:
             self.attrs.ah = copy.copy(attrs.ah)
 
     def _enter_state(self, target: QpState) -> None:
+        """Enter ``target``: RESET drops both queues and the first ERR
+        flushes them; then the fabric of the QP's bound endpoint, or else
+        of its port's attachment, follows the QP into its new state
+        (``on_qp_state``). On a port attached nowhere the QP still
+        transitions; it just has no wire until an attach happens."""
         previous, self.state = self.state, target
-        if target is QpState.RTR:
-            self._bind_to_fabric()
-        elif target is QpState.RTS:
-            if self.fabric is not None:
-                self.fabric.on_qp_rts(self)
-        elif target is QpState.RESET:
+        if target is QpState.RESET:
             self.send_queue.clear()
             self.recv_queue.clear()
-            self._unbind_from_fabric()
         elif target is QpState.ERR and previous is not QpState.ERR:
             self._flush_queues()
-
-    def _bind_to_fabric(self) -> None:
-        # on a port not attached anywhere the QP still transitions; it
-        # just has no wire until an attach happens
-        endpoint = self.context._attachments.get(self.attrs.port_num)
+        endpoint = self._endpoint or \
+            self.context._attachments.get(self.attrs.port_num)
         if endpoint is not None:
-            endpoint.fabric.bind_qp(self, endpoint)
-
-    def _unbind_from_fabric(self) -> None:
-        if self._endpoint is not None:
-            self._endpoint.fabric.unbind_qp(self)
+            endpoint.fabric.on_qp_state(self, endpoint)
 
     def _flush_queues(self) -> None:
-        """Error out every posted-but-unprocessed WQE, and stop the send
-        engine: a QP in ERR resends nothing."""
+        """Error out every posted-but-unprocessed WQE."""
         # a modify on any thread flushes: a mover polling sockets for a
         # wait on these CQs would not see it
         self.context._progress().wake()
@@ -834,8 +828,6 @@ class QueuePair:
             wqe = self.send_queue.popleft()
             self.send_cq._push(_new(CompletionEntry, (
                 wqe.wr_id, WcStatus.WR_FLUSHED, WcOpcode.SEND, 0)))
-        if self._endpoint is not None:
-            self._endpoint.fabric.on_qp_leave(self)
 
     def enter_error(self) -> None:
         """Fabric-side failure path: drop to ERR and flush."""
@@ -923,7 +915,7 @@ class QueuePair:
                                     for mr, addr, length in slots])
                 self.send_queue.append(PostedSend(
                     node.wr_id, (int(node.flags) & _SIGNALED) != 0))
-                self.fabric.transmit_message(self, payload)
+                self._endpoint.fabric.transmit_message(self, payload)
                 node = node.next
                 index += 1
 
@@ -959,8 +951,11 @@ class QueuePair:
             wqe.wr_id, WcStatus.SUCCESS, WcOpcode.RECV, len(message))))
 
     def destroy(self) -> None:
+        """Release the QP in any state, as ``ibv_destroy_qp(3)`` does: it
+        enters RESET, which completes nothing, and its PD and CQs forget
+        it."""
         with self.context.lock:
-            self._unbind_from_fabric()
+            self._enter_state(QpState.RESET)
             self.pd._qps.remove(self)
             self.send_cq._qps.discard(self)
             self.recv_cq._qps.discard(self)

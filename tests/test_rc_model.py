@@ -4,12 +4,14 @@ A hypothesis state machine runs the pair through a drawn fault profile
 that duplicates and reorders frames but drops none at random, posts
 sends and receives in any order (a receive posted late draws RNR NAKs),
 drops a coming copy of a chosen frame kind (at most two copies per PSN),
-moves the virtual clock and may move the sender to ERR or to RESET while
-sends are in flight, with the sender's PSNs starting just below 2^24 so
-that the data crosses the PSN wrap. After every step the completions
-seen so far must agree with a reference model: at most one CQE per WQE,
-each queue's CQEs in post order, every receive byte-exact. A sender
-that has left RTS, whatever the cause, has no send engine left: no
+moves the virtual clock and may move the sender to ERR or to RESET, or
+destroy it (which leaves it in RESET), while sends are in flight, with
+the sender's PSNs starting just below 2^24 so that the data crosses the
+PSN wrap. After every step the completions seen so far must agree with
+a reference model: at most one CQE per WQE, each queue's CQEs in post
+order, every receive byte-exact, and none for the sender once it is
+destroyed. A sender that has left RTS, whatever the cause, has no send
+engine left: no
 ``sender``, no tick in the fabric's heap, and no DATA frame from its LID
 since it left. Whenever the fabric is idle, every signaled or failed
 WQE has its CQE: either every send was delivered and acked, or one
@@ -58,6 +60,10 @@ FIRST_PSN = (1 << 24) - 4
 DROPS_PER_PSN = 2
 # the fault profile's duplicate and reorder probabilities, each drawn
 FAULT_RATES = (0.0, 0.1, 0.3)
+# the ways the sender may leave RTS mid-flight, one drawn. Under
+# ``derandomize`` the share each gets follows the file's source; this
+# order draws all three
+LEAVES = (QpState.ERR, "destroy", QpState.RESET)
 
 
 def payload_of(wr_id: int, size: int) -> bytes:
@@ -82,9 +88,11 @@ class RcModel(RuleBasedStateMachine):
         # by kind: how many more copies of it pass before one is dropped
         self.armed: dict[FrameKind, int] = {}
         self.drops = Counter()  # by PSN
-        # sends finished when the sender was moved to ERR or RESET, if it
-        # was
+        # sends finished when the sender was moved to ERR or RESET (or
+        # destroyed), if it was
         self.err_at = self.reset_at = None
+        # the sender's CQEs seen when it was destroyed, if it was
+        self.destroyed_with = None
         # the trace's length when the sender left RTS, if it did
         self.left_at = None
 
@@ -161,14 +169,19 @@ class RcModel(RuleBasedStateMachine):
     # only once a few sends are posted, so that most runs still reach
     # the end of their sends
     @precondition(mid_flight)
-    @rule(state=st.sampled_from((QpState.ERR, QpState.RESET)))
-    def sender_leaves_rts(self, state):
+    @rule(how=st.sampled_from(LEAVES))
+    def sender_leaves_rts(self, how):
         finished = len(self.sends) - len(self.a.qp.send_queue)
-        if state is QpState.ERR:
+        if how is QpState.ERR:
             self.err_at = finished
         else:
             self.reset_at = finished
-        self.a.qp.modify(ModifyAttributes(state=state), AttrMask.STATE)
+        if how == "destroy":
+            # the invariants polled every CQE of the steps before
+            self.destroyed_with = len(self.send_cqes)
+            self.a.qp.destroy()
+        else:
+            self.a.qp.modify(ModifyAttributes(state=how), AttrMask.STATE)
 
     # a send still waiting for its receive would be refused until its
     # RNR budget runs out; teardown lets that happen, settle does not
@@ -186,6 +199,8 @@ class RcModel(RuleBasedStateMachine):
     def completions_agree_with_the_model(self):
         self.send_cqes += self.a.cq.poll(2 * MAX_WR)
         self.recv_cqes += self.b.cq.poll(2 * MAX_WR)
+        # a destroyed QP gets no CQE
+        assert self.destroyed_with in (None, len(self.send_cqes))
         # receives complete in post order, each with the next message
         assert [wc.wr_id for wc in self.recv_cqes] == \
             list(range(len(self.recv_cqes)))

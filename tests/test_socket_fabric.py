@@ -859,10 +859,14 @@ def test_a_send_posted_after_close_is_refused(two_fabrics, connect_first):
     assert a.cq.poll(1) == [] and not a.qp.send_queue
 
 
+# each way a QP leaves RTS, as ``TestLeavingRts.LEAVE`` has them on loopback
 LEAVE = {
-    "err": lambda qp: qp.modify(ModifyAttributes(state=QpState.ERR),
-                                AttrMask.STATE),
-    "destroy": lambda qp: qp.destroy(),
+    "err": lambda node, fabric: node.qp.modify(
+        ModifyAttributes(state=QpState.ERR), AttrMask.STATE),
+    "reset": lambda node, fabric: node.qp.modify(
+        ModifyAttributes(state=QpState.RESET), AttrMask.STATE),
+    "destroy": lambda node, fabric: node.qp.destroy(),
+    "detach": lambda node, fabric: fabric.detach(node.context, node.port),
 }
 
 
@@ -878,7 +882,7 @@ def test_a_qp_that_leaves_rts_leaves_no_tick_and_sends_nothing(two_fabrics,
     a.post_send(2, b"in flight")
     with fab_a._lock:
         assert len(fab_a._timers) == 1  # the send's tick, due at PROBE_MS
-    LEAVE[leave](a.qp)
+    LEAVE[leave](a, fab_a)
     with fab_a._lock:
         assert a.qp.sender is None and fab_a._timers == []
         traced = len(fab_a.trace)
@@ -903,7 +907,7 @@ def test_a_qp_may_leave_rts_after_its_fabric_closed(two_fabrics, leave):
     a.post_send(2, b"in flight")
     fab_a.close()
     assert a.qp.sender is None
-    LEAVE[leave](a.qp)
+    LEAVE[leave](a, fab_a)
     assert [wc.status for wc in a.cq.poll(2)] == \
         ([WcStatus.WR_FLUSHED] if leave == "err" else [])
 

@@ -359,6 +359,25 @@ class TestCompletionChannel:
         assert node.channel.get_event(timeout=1) is node.cq
         assert node.cq.unacked_events == 2
 
+    def test_a_zero_timeout_wait_only_looks(self, registry, fabric,
+                                            monkeypatch):
+        # the event-mode pingpong asks for an event with a zero timeout
+        # on every pass: Condition.wait_for would wait on the condition
+        # once even then
+        node = Node(registry, fabric, channel=True)
+        waits = []
+        wait = threading.Condition.wait
+        monkeypatch.setattr(threading.Condition, "wait",
+                            lambda cond, timeout=None: waits.append(timeout)
+                            or wait(cond, timeout))
+        assert node.channel.get_event(timeout=0) is None
+        assert node.cq.wait_for_completion(timeout=0) is False
+        node.cq.req_notify()
+        self._push(node)
+        assert node.channel.get_event(timeout=0) is node.cq
+        assert node.cq.wait_for_completion(timeout=0) is True
+        assert waits == []
+
     def test_req_notify_without_channel_fails(self, registry, fabric):
         node = Node(registry, fabric)
         with pytest.raises(VerbsError):
