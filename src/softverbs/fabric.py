@@ -197,11 +197,17 @@ DUP_EXTRA_MS = 0.5
 REORDER_EXTRA_MS = 2.5
 # what ``_wire_copies`` plans for a frame sent once on time
 _SENT_ONCE = ("sent",), (0.0,)
-# the segments that start and end a message
-_STARTS = (SegMark.ONLY, SegMark.FIRST)
-_ENDS = (SegMark.ONLY, SegMark.LAST)
+# the enum members the per-frame paths read, as module constants: a
+# member read off an Enum class costs several times a global read
 _DATA, _ACK, _NAK = FrameKind.DATA, FrameKind.ACK, FrameKind.NAK
 _RNR_NAK, _ONLY = FrameKind.RNR_NAK, SegMark.ONLY
+_FIRST, _MIDDLE, _LAST = SegMark.FIRST, SegMark.MIDDLE, SegMark.LAST
+_RTR, _RTS, _ERR = QpState.RTR, QpState.RTS, QpState.ERR
+# the segments that start and end a message
+_STARTS = (_ONLY, _FIRST)
+_ENDS = (_ONLY, _LAST)
+# the states in which a QP drops what it receives
+_NOT_RECEIVING = (QpState.RESET, QpState.INIT, _ERR)
 # what makes consecutive frames of a burst one run for ``_land``
 _RUN_KEY = attrgetter("dest_qpn", "kind")
 # builds a Frame or TraceEvent from all its fields, without the Python
@@ -455,17 +461,17 @@ class Fabric(Progress):
         sender in RTS, stops it in ERR (``on_qp_leave``) and is unbound
         in RESET (``unbind_qp``)."""
         state = qp.state
-        if state is QpState.RTR:
+        if state is _RTR:
             endpoint.qpn_map[qp.qpn] = qp
             qp._endpoint = endpoint
             qp.receiver = ReceiverState(qp.attrs.rq_psn)
         elif qp._endpoint is None:
             return
-        elif state is QpState.RTS:
+        elif state is _RTS:
             qp.sender = SenderState(qp.attrs.sq_psn,
                                     ack_timeout_ms(qp.attrs.timeout),
                                     self._probe_allowance_ms)
-        elif state is QpState.ERR:
+        elif state is _ERR:
             self.on_qp_leave(qp)
         else:  # RESET: a QP in INIT is never bound
             self.unbind_qp(qp)
@@ -571,8 +577,7 @@ class Fabric(Progress):
                                    self.now_ms())
             last = max(len(payload) - 1, 0) // mtu  # index of the last frame
             segs = ((_ONLY,) if not last else
-                    (SegMark.FIRST, *(SegMark.MIDDLE,) * (last - 1),
-                     SegMark.LAST))
+                    (_FIRST, *(_MIDDLE,) * (last - 1), _LAST))
             psn = snd.next_psn
             for off, seg in zip(range(0, last * mtu + 1, mtu), segs):
                 frame = _new(Frame, (_DATA, dest_qpn, psn, seg,
@@ -789,7 +794,7 @@ class Fabric(Progress):
         together. Either way the QP goes in ``_owed``, and ``_end_burst``
         acks the whole burst under one ACK.
         """
-        if qp.state in (QpState.RESET, QpState.INIT, QpState.ERR):
+        if qp.state in _NOT_RECEIVING:
             return
         rcv = qp.receiver
         owes = False
@@ -819,7 +824,7 @@ class Fabric(Progress):
                 owes = True
                 if rcv.held:
                     self._drain_held(qp, rcv)
-            if qp.state is QpState.ERR:
+            if qp.state is _ERR:
                 break
         if owes:
             self._owed.setdefault(qp, False)  # keeps a drain's True
@@ -857,7 +862,7 @@ class Fabric(Progress):
                 rcv.expected_psn, rcv.reassembly = expected, []
                 qp.complete_recv(b"".join(reassembly))
                 reassembly = []
-                if qp.state is QpState.ERR:
+                if qp.state is _ERR:
                     return used
         rcv.expected_psn, rcv.reassembly = expected, reassembly
         return used
@@ -877,14 +882,14 @@ class Fabric(Progress):
         held = rcv.held
         psn = rcv.expected_psn
         run = []
-        if qp.state is not QpState.ERR:
+        if qp.state is not _ERR:
             while (frame := held.get(psn)) is not None:
                 run.append(frame)
                 psn = (psn + 1) & PSN_MASK
         for frame in run[:self._accept(qp, rcv, run)]:
             del held[frame.psn]
         # the whole run went in: nothing was refused or stray
-        if held and rcv.expected_psn == psn and qp.state is not QpState.ERR:
+        if held and rcv.expected_psn == psn and qp.state is not _ERR:
             self._owed[qp] = True
 
     def _land(self, ep: Endpoint, frames) -> None:
@@ -932,7 +937,7 @@ class Fabric(Progress):
         not judge whether the gap's resend is lost or still on the way;
         the sender resends it only if its last copy is at least SRTT/2
         old, as for any NAK."""
-        if not rcv.held or qp.state is QpState.ERR:
+        if not rcv.held or qp.state is _ERR:
             return
         expected, held, count = rcv.expected_psn, rcv.held, 1
         while (expected + count) & PSN_MASK not in held:

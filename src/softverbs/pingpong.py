@@ -46,6 +46,18 @@ SEND_WRID = 2
 
 CLIENT_FILL = 0x7B  # server buffers start one higher
 
+# the attribute masks of rc_pingpong.c's three modifies, bit by bit as it
+# spells them, made once: each ``|`` of an IntFlag is a Python-level call
+_INIT_MASK = (AttrMask.STATE | AttrMask.PKEY_INDEX | AttrMask.PORT |
+              AttrMask.ACCESS_FLAGS)
+_RTR_MASK = (AttrMask.STATE | AttrMask.AV | AttrMask.PATH_MTU |
+             AttrMask.DEST_QPN | AttrMask.RQ_PSN |
+             AttrMask.MAX_DEST_RD_ATOMIC | AttrMask.MIN_RNR_TIMER)
+_RTS_MASK = (AttrMask.STATE | AttrMask.TIMEOUT | AttrMask.RETRY_CNT |
+             AttrMask.RNR_RETRY | AttrMask.SQ_PSN | AttrMask.MAX_QP_RD_ATOMIC)
+_NO_ACCESS = AccessFlags(0)
+_SUCCESS = WcStatus.SUCCESS
+
 
 class PingpongError(Exception):
     pass
@@ -146,9 +158,8 @@ def init_context(registry: verbs.DeviceRegistry,
     with _or_fail("Failed to modify QP to INIT"):
         qp.modify(ModifyAttributes(state=QpState.INIT, pkey_index=0,
                                    port_num=cfg.ib_port,
-                                   qp_access_flags=AccessFlags(0)),
-                  AttrMask.STATE | AttrMask.PKEY_INDEX | AttrMask.PORT |
-                  AttrMask.ACCESS_FLAGS)
+                                   qp_access_flags=_NO_ACCESS),
+                  _INIT_MASK)
     return PingpongContext(context=context, channel=channel, pd=pd, mr=mr,
                            cq=cq, qp=qp, buf=buf, size=cfg.size,
                            rx_depth=cfg.rx_depth)
@@ -189,15 +200,12 @@ def connect_ctx(ctx: PingpongContext, my_psn: int, dest: Destination,
             ModifyAttributes(state=QpState.RTR, path_mtu=cfg.mtu,
                              dest_qp_num=dest.qpn, rq_psn=dest.psn,
                              max_dest_rd_atomic=1, min_rnr_timer=12, ah=ah),
-            AttrMask.STATE | AttrMask.AV | AttrMask.PATH_MTU |
-            AttrMask.DEST_QPN | AttrMask.RQ_PSN |
-            AttrMask.MAX_DEST_RD_ATOMIC | AttrMask.MIN_RNR_TIMER)
+            _RTR_MASK)
     with _or_fail("Failed to modify QP to RTS"):
         ctx.qp.modify(
             ModifyAttributes(state=QpState.RTS, timeout=14, retry_cnt=7,
                              rnr_retry=7, sq_psn=my_psn, max_rd_atomic=1),
-            AttrMask.STATE | AttrMask.TIMEOUT | AttrMask.RETRY_CNT |
-            AttrMask.RNR_RETRY | AttrMask.SQ_PSN | AttrMask.MAX_QP_RD_ATOMIC)
+            _RTS_MASK)
 
 
 def _post_send(ctx: PingpongContext) -> None:
@@ -257,7 +265,7 @@ def _exchanges(ctx: PingpongContext, cfg: PingpongConfig):
                 break
             yield ctx.cq.wait_for_completion
         for wc in wcs:
-            if wc.status is not WcStatus.SUCCESS:
+            if wc.status is not _SUCCESS:
                 raise PingpongError(
                     f"Failed status {wc.status.value} for wr_id {wc.wr_id}")
             if wc.wr_id == SEND_WRID:

@@ -1312,6 +1312,33 @@ class TestGoBack:
         assert (last.frame.psn, last.t) == (101, 70)
         assert snd.retries_used == 0
 
+    @pytest.mark.parametrize("younger", [False, True])
+    def test_the_stale_head_resume_starts_at_exactly_the_timeout(
+            self, pair, fabric, younger):
+        # every DATA copy is lost; PSNs 100..101 go out at 0.5 and the
+        # probe resends 100 at 10.5. The ACK of 100 lands when 101's copy
+        # is exactly as old as the timeout, at the very sum ``_due`` arms
+        # a tick at: 101 is resent at once. One float step sooner it is
+        # not (its tick, due already, is left in the heap)
+        a, b = pair
+        fabric.drop_filter = lambda f: f.kind is FrameKind.DATA
+        fabric.advance(0.5)
+        a.post_send(1, bytes(2048))
+        snd = a.qp.sender
+        sent = snd.unacked[1][1]
+        at = sent + snd.timeout_ms
+        if younger:
+            at = math.nextafter(at, 0.0)
+        ack = Frame(FrameKind.ACK, a.qp.qpn, 100)
+        fabric.schedule_at(at, partial(fabric._land, a.qp._endpoint, (ack,)))
+        while fabric.now_ms() < at:
+            fabric.step()  # the probe, then the ACK's landing
+        resent = [e.frame.psn for e in fabric.trace
+                  if e.frame.kind is FrameKind.DATA and e.t == at]
+        assert resent == ([] if younger else [101])
+        assert [(f.psn, t) for f, t in snd.unacked] == \
+            [(101, sent if younger else at)]
+
 
 def drop_first(kind, psn, copies=1):
     """A drop filter that loses the first ``copies`` frames of any

@@ -152,6 +152,22 @@ def test_undefined_mask_bits_rejected(registry, fabric):
         node.qp.modify(ModifyAttributes(), 1 << 20)
 
 
+def test_a_mask_may_be_an_int_and_errors_name_its_bits(registry, fabric):
+    # modify works on the mask as an int; an error still prints AttrMask
+    node = qp_in_state(registry, fabric, QpState.RESET)
+    with pytest.raises(VerbsError, match=r"^mask missing <AttrMask\.\S*"
+                                         r"PKEY_INDEX\S*: 14> for -> INIT$"):
+        node.qp.modify(ModifyAttributes(state=QpState.INIT),
+                       int(AttrMask.STATE))
+    node.qp.modify(ModifyAttributes(state=QpState.INIT, port_num=1),
+                   int(INIT_REQUIRED))
+    assert node.qp.state is QpState.INIT
+    node = qp_in_state(registry, fabric, QpState.RTS)
+    with pytest.raises(VerbsError, match=r"^<AttrMask\.TIMEOUT: 1024> "
+                                         r"cannot change while in RTS$"):
+        node.qp.modify(ModifyAttributes(timeout=20), int(AttrMask.TIMEOUT))
+
+
 # one field out of range per case, on the transition that sets it, and
 # the start of the error it draws
 INVALID = {
