@@ -134,7 +134,7 @@ class QpState(Enum):
 
 # the states as module constants, for the paths that run per post, poll
 # and completion: reading a member off an Enum class costs several times
-# a global read (about 130 against 14 ns on CPython 3.11)
+# a global read (113-150 against 8-15 ns on CPython 3.11)
 _RESET, _INIT, _RTR, _RTS, _ERR = (QpState.RESET, QpState.INIT, QpState.RTR,
                                    QpState.RTS, QpState.ERR)
 # the states that take receives

@@ -3,7 +3,7 @@
 An ``IntFlag`` operator (``&``, ``|``, ``~``) or a call of an enum class
 runs Python code in ``enum.py``: about 1 us each on CPython 3.10-3.13.
 Reading a member off an ``Enum`` class runs none, but costs several
-times a module global (about 130 against 14 ns on 3.11), so the paths
+times a module global (113-150 against 8-15 ns on 3.11), so the paths
 that run per post, poll, completion and frame read the members through
 module constants, bound once, and ``QueuePair.modify`` tests its mask
 as an int.
