@@ -147,7 +147,6 @@ from typing import Callable, NamedTuple, Optional
 
 from .verbs import (
     DeviceContext,
-    PortState,
     Progress,
     QpState,
     QueuePair,
@@ -422,9 +421,6 @@ class Fabric(Progress):
             lid = self._assign_lid()
             ep = Endpoint(self, context, port, lid)
             self.routing[lid] = ep
-            pa = context.ports[port]
-            pa.lid = lid
-            pa.state = PortState.ACTIVE
             context._attachments[port] = ep
             return lid
 
@@ -438,9 +434,6 @@ class Fabric(Progress):
             for qp in list(ep.qpn_map.values()):
                 self.unbind_qp(qp)
             self.routing.pop(ep.lid, None)
-            pa = context.ports[port]
-            pa.lid = 0
-            pa.state = PortState.DOWN
 
     def _assign_lid(self) -> int:
         lid = self.next_lid
@@ -1111,6 +1104,13 @@ class FabricConfigEntry:
     host: str
     port: int
 
+    def __post_init__(self):
+        if self.lid < 1:
+            raise FabricConfigError("lid must be >= 1")
+        if not 1 <= self.port <= 65535:
+            raise FabricConfigError(
+                f"port must be within 1-65535, got {self.port}")
+
 
 @dataclass
 class FabricConfig:
@@ -1156,12 +1156,14 @@ def parse_fabric_config(text: str) -> FabricConfig:
             except ValueError:
                 raise FabricConfigError(
                     f"line {lineno}: non-numeric lid/port") from None
-            if lid < 1:
-                raise FabricConfigError(f"line {lineno}: lid must be >= 1")
+            try:
+                entry = FabricConfigEntry(lid, tokens[3], port)
+            except FabricConfigError as exc:
+                raise FabricConfigError(f"line {lineno}: {exc}") from None
             if lid in seen:
                 raise FabricConfigError(f"line {lineno}: duplicate lid {lid}")
             seen.add(lid)
-            config.entries.append(FabricConfigEntry(lid, tokens[3], port))
+            config.entries.append(entry)
         else:
             raise FabricConfigError(f"line {lineno}: unknown directive "
                                     f"{tokens[0]!r}")

@@ -83,6 +83,9 @@ class PingpongConfig:
             raise ValueError("iters must be >= 1")
         if self.rx_depth < 1:
             raise ValueError("rx_depth must be >= 1")
+        if not 1 <= self.oob_port <= 65535:
+            raise ValueError(
+                f"oob_port must be within 1-65535, got {self.oob_port}")
 
     @property
     def is_server(self) -> bool:

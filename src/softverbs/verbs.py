@@ -106,22 +106,37 @@ RTS_MODIFIABLE = AttrMask.ACCESS_FLAGS | AttrMask.MIN_RNR_TIMER
 # the masks above as plain ints, which ``modify`` tests: an ``&`` on an
 # IntFlag is a Python-level call (about 1 us), on ints about 20 ns
 _STATE = int(AttrMask.STATE)
-_PKEY_INDEX = int(AttrMask.PKEY_INDEX)
-_PORT = int(AttrMask.PORT)
-_ACCESS_FLAGS = int(AttrMask.ACCESS_FLAGS)
 _AV = int(AttrMask.AV)
-_PATH_MTU = int(AttrMask.PATH_MTU)
-_DEST_QPN = int(AttrMask.DEST_QPN)
-_RQ_PSN = int(AttrMask.RQ_PSN)
-_MAX_DEST_RD_ATOMIC = int(AttrMask.MAX_DEST_RD_ATOMIC)
-_MIN_RNR_TIMER = int(AttrMask.MIN_RNR_TIMER)
-_TIMEOUT = int(AttrMask.TIMEOUT)
-_RETRY_CNT = int(AttrMask.RETRY_CNT)
-_RNR_RETRY = int(AttrMask.RNR_RETRY)
-_SQ_PSN = int(AttrMask.SQ_PSN)
-_MAX_QP_RD_ATOMIC = int(AttrMask.MAX_QP_RD_ATOMIC)
 _MASK_ALL = int(MASK_ALL)
 _RTS_MODIFIABLE = int(RTS_MODIFIABLE)
+
+# One row per attribute a modify mask carries but STATE (which picks the
+# transition) and AV (a whole AddressHandle, copied, and checked on its
+# GID): its bit as an int, its QpAttributes field, the values
+# ibv_modify_qp(3) allows it, and the error any other value raises. The
+# values are 0..n for an int n (compared: ``in range`` would scan an int
+# subclass element by element), the members of a tuple, the modifying
+# context's ports for _CONTEXT_PORTS, or any for None. ``modify`` checks
+# the rows in this order
+_CONTEXT_PORTS = object()
+_MASKABLE = (
+    (int(AttrMask.PORT), "port_num", _CONTEXT_PORTS, "no such port {}"),
+    (int(AttrMask.PATH_MTU), "path_mtu", VALID_MTUS, "invalid path mtu {}"),
+    (int(AttrMask.ACCESS_FLAGS), "qp_access_flags", int(ACCESS_ALL),
+     "undefined qp access flag bits"),
+    (int(AttrMask.DEST_QPN), "dest_qp_num", QPN_MASK,
+     "dest qpn out of 24-bit range"),
+    (int(AttrMask.RQ_PSN), "rq_psn", PSN_MASK, "rq psn out of 24-bit range"),
+    (int(AttrMask.SQ_PSN), "sq_psn", PSN_MASK, "sq psn out of 24-bit range"),
+    (int(AttrMask.RETRY_CNT), "retry_cnt", 7, "retry_cnt must fit in 3 bits"),
+    (int(AttrMask.RNR_RETRY), "rnr_retry", 7, "rnr_retry must fit in 3 bits"),
+    (int(AttrMask.MIN_RNR_TIMER), "min_rnr_timer", 31,
+     "min_rnr_timer must be a 5-bit code"),
+    (int(AttrMask.TIMEOUT), "timeout", 31, "timeout must be a 5-bit code"),
+    (int(AttrMask.PKEY_INDEX), "pkey_index", None, None),
+    (int(AttrMask.MAX_DEST_RD_ATOMIC), "max_dest_rd_atomic", None, None),
+    (int(AttrMask.MAX_QP_RD_ATOMIC), "max_rd_atomic", None, None),
+)
 
 
 class QpState(Enum):
@@ -400,12 +415,13 @@ class DeviceContext:
         self.lock = registry.lock  # the world lock
         self.device = device
         self.open = True
-        self.ports = {n: PortAttributes() for n in range(1, device.num_ports + 1)}
+        self.ports = range(1, device.num_ports + 1)
         self._pds: list[ProtectionDomain] = []
         self._cqs: list[CompletionQueue] = []
         self._channels: list[CompletionChannel] = []
         self._mr_by_lkey: dict[int, MemoryRegion] = {}
-        self._attachments: dict[int, object] = {}  # port -> fabric endpoint
+        # port -> fabric endpoint: a port's one record of its LID and state
+        self._attachments: dict[int, object] = {}
         self._next_pd_handle = 1
         self._next_lkey = 1
         self._next_qpn = QPN_FIRST
@@ -462,11 +478,16 @@ class DeviceContext:
             return cq
 
     def query_port(self, port: int) -> PortAttributes:
+        """An attached port is ACTIVE, with the LID its attachment holds;
+        any other is DOWN, with LID 0."""
         with self.lock:
             self._check_open()
             if port not in self.ports:
                 raise VerbsError(f"no such port {port}")
-            return copy.copy(self.ports[port])
+            endpoint = self._attachments.get(port)
+            if endpoint is None:
+                return PortAttributes()
+            return PortAttributes(lid=endpoint.lid, state=PortState.ACTIVE)
 
     def query_gid(self, port: int, index: int) -> bytes:
         """GID table lookup; index 0 is the link-local GID from the GUID."""
@@ -768,7 +789,10 @@ class QueuePair:
         with self.context.lock:
             target = None
             if mask & _STATE:
-                target = attrs_state(attrs)
+                target = getattr(attrs, "state", None)
+                if not isinstance(target, QpState):
+                    raise VerbsError(
+                        "STATE masked but attrs carry no target state")
                 sources, required = TRANSITION_TABLE[target]
                 if self.state not in sources:
                     raise VerbsError(
@@ -786,48 +810,19 @@ class QueuePair:
                 self._enter_state(target)
 
     def _validate_masked(self, attrs: QpAttributes, mask: int) -> None:
-        if mask & _PORT and attrs.port_num not in self.context.ports:
-            raise VerbsError(f"no such port {attrs.port_num}")
-        if mask & _PATH_MTU and attrs.path_mtu not in VALID_MTUS:
-            raise VerbsError(f"invalid path mtu {attrs.path_mtu}")
-        if mask & _ACCESS_FLAGS and \
-                int(attrs.qp_access_flags) & ~int(ACCESS_ALL):
-            raise VerbsError("undefined qp access flag bits")
-        if mask & _DEST_QPN and not 0 <= attrs.dest_qp_num <= QPN_MASK:
-            raise VerbsError("dest qpn out of 24-bit range")
-        if mask & _RQ_PSN and not 0 <= attrs.rq_psn <= PSN_MASK:
-            raise VerbsError("rq psn out of 24-bit range")
-        if mask & _SQ_PSN and not 0 <= attrs.sq_psn <= PSN_MASK:
-            raise VerbsError("sq psn out of 24-bit range")
-        if mask & _RETRY_CNT and not 0 <= attrs.retry_cnt <= 7:
-            raise VerbsError("retry_cnt must fit in 3 bits")
-        if mask & _RNR_RETRY and not 0 <= attrs.rnr_retry <= 7:
-            raise VerbsError("rnr_retry must fit in 3 bits")
-        if mask & _MIN_RNR_TIMER and not 0 <= attrs.min_rnr_timer < 32:
-            raise VerbsError("min_rnr_timer must be a 5-bit code")
-        if mask & _TIMEOUT and not 0 <= attrs.timeout < 32:
-            raise VerbsError("timeout must be a 5-bit code")
+        for bit, name, valid, error in _MASKABLE:
+            if mask & bit and valid is not None:
+                value = getattr(attrs, name)
+                if valid is _CONTEXT_PORTS:
+                    valid = self.context.ports
+                if not (0 <= value <= valid if valid.__class__ is int
+                        else value in valid):
+                    raise VerbsError(error.format(value))
         if mask & _AV and len(attrs.ah.dgid) != 16:
             raise VerbsError("gid must be 16 bytes")
 
-    _FIELD_BY_MASK = (
-        (_PKEY_INDEX, "pkey_index"),
-        (_PORT, "port_num"),
-        (_ACCESS_FLAGS, "qp_access_flags"),
-        (_PATH_MTU, "path_mtu"),
-        (_DEST_QPN, "dest_qp_num"),
-        (_RQ_PSN, "rq_psn"),
-        (_SQ_PSN, "sq_psn"),
-        (_MAX_DEST_RD_ATOMIC, "max_dest_rd_atomic"),
-        (_MAX_QP_RD_ATOMIC, "max_rd_atomic"),
-        (_MIN_RNR_TIMER, "min_rnr_timer"),
-        (_TIMEOUT, "timeout"),
-        (_RETRY_CNT, "retry_cnt"),
-        (_RNR_RETRY, "rnr_retry"),
-    )
-
     def _apply_masked(self, attrs: QpAttributes, mask: int) -> None:
-        for bit, name in self._FIELD_BY_MASK:
+        for bit, name, _, _ in _MASKABLE:
             if mask & bit:
                 setattr(self.attrs, name, getattr(attrs, name))
         if mask & _AV:
@@ -993,13 +988,6 @@ class QueuePair:
             self.pd._qps.remove(self)
             self.send_cq._qps.discard(self)
             self.recv_cq._qps.discard(self)
-
-
-def attrs_state(attrs) -> QpState:
-    state = getattr(attrs, "state", None)
-    if not isinstance(state, QpState):
-        raise VerbsError("STATE masked but attrs carry no target state")
-    return state
 
 
 class ModifyAttributes(QpAttributes):

@@ -112,6 +112,22 @@ class TestSocketCli:
                    "--fabric-config", str(tmp_path / "missing.conf")])
         assert rc == 1
 
+    @pytest.mark.parametrize("host, fabric_port, oob_port, message", [
+        ([], 70000, None, "line 1: port must be within 1-65535, got 70000"),
+        ([], None, 70000, "oob_port must be within 1-65535, got 70000"),
+        (["127.0.0.1"], None, 70000,
+         "oob_port must be within 1-65535, got 70000"),
+    ], ids=["fabric file", "server -p", "client -p"])
+    def test_a_port_out_of_range_exits_one_with_one_line(
+            self, capsys, tmp_path, host, fabric_port, oob_port, message):
+        """Not ``OverflowError`` from a bind, and not a refused connect."""
+        config = tmp_path / "fabric.conf"
+        config.write_text(
+            f"lid 1 host 127.0.0.1 port {fabric_port or free_port()}\n")
+        assert main([*host, "--fabric", "socket", "--fabric-config",
+                     str(config), "--port", str(oob_port or free_port())]) == 1
+        assert capsys.readouterr().err == message + "\n"
+
     def test_a_server_and_a_client_run_end_to_end(self, capsys, tmp_path,
                                                  monkeypatch):
         config = tmp_path / "fabric.conf"

@@ -14,6 +14,7 @@ from softverbs.fabric import (
     PROBE_ALLOWANCE_MS,
     PROBE_MS,
     RNR_TIMER_MS,
+    FabricConfigEntry,
     FabricConfigError,
     FaultProfile,
     LoopbackFabric,
@@ -1863,3 +1864,16 @@ class TestFaultConfig:
         # faults are set by --faults or faults=, not by the fabric file
         with pytest.raises(FabricConfigError):
             parse_fabric_config("faults drop=0.1\n")
+
+    @pytest.mark.parametrize("lid, port, message", [
+        (0, 19001, "lid must be >= 1"),
+        (1, 0, "port must be within 1-65535, got 0"),
+        (1, 70000, "port must be within 1-65535, got 70000"),
+    ])
+    def test_an_entry_out_of_range_is_refused_with_its_line(self, lid, port,
+                                                            message):
+        with pytest.raises(FabricConfigError, match=f"^{message}$"):
+            FabricConfigEntry(lid, "127.0.0.1", port)
+        with pytest.raises(FabricConfigError, match=f"^line 2: {message}$"):
+            parse_fabric_config("lid 9 host 127.0.0.1 port 19000\n"
+                                f"lid {lid} host 127.0.0.1 port {port}\n")

@@ -95,6 +95,13 @@ def test_a_config_count_below_one_is_refused(name):
         PingpongConfig(**{name: 0})
 
 
+@pytest.mark.parametrize("port", [0, 65536])
+def test_an_oob_port_out_of_range_is_refused(port):
+    with pytest.raises(ValueError,
+                       match=f"^oob_port must be within 1-65535, got {port}$"):
+        PingpongConfig(oob_port=port)
+
+
 class TestValidateFirstRecv:
     """The first message a role receives must be the client's fill, at
     the configured size, on both roles."""

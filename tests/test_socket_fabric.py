@@ -1,10 +1,12 @@
 import errno
+import math
 import random
 import socket
 import sys
 import threading
 import time
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -16,6 +18,7 @@ from softverbs.fabric import (
     FabricConfigEntry,
     FaultProfile,
     SocketFabric,
+    ack_timeout_ms,
 )
 from softverbs import fabric as fabric_module, pingpong, testbed
 from softverbs.pingpong import PingpongConfig, cleanup_node, run_node
@@ -378,6 +381,31 @@ def test_unreachable_peer_is_traced_unrouted_and_fails_the_send(
                 if e.frame.kind is FrameKind.DATA and e.dst_lid == dlid]
         assert data == [status] * 2  # the first copy and its one retry
         a.qp.modify(ModifyAttributes(state=QpState.RESET), AttrMask.STATE)
+
+
+@pytest.mark.parametrize("retry_cnt", [0, 3])
+def test_a_silent_peer_fails_the_send_when_the_budget_runs_out(two_fabrics,
+                                                               retry_cnt):
+    """As on loopback: the first copy and ``retry_cnt`` resends, then
+    ``RETRY_EXCEEDED``, one PTO (here the timeout, below PROBE_MS) and
+    ``retry_cnt`` timeouts after the send. Sockets run on wall time, which
+    a wait can only overrun, so only that lower bound is checked."""
+    (reg_a, reg_b), (fab_a, fab_b) = two_fabrics
+    a = Node(reg_a, fab_a)
+    b = Node(reg_b, fab_b)
+    connect_pair(a, b, timeout=10, retry_cnt=retry_cnt)
+    b.post_recv(1)
+    fab_a.drop_filter = lambda frame: True
+    posted = time.monotonic()
+    a.post_send(2, b"lost")
+    assert [wc.status for wc in wait_for(a.cq, 1)] == \
+        [WcStatus.RETRY_EXCEEDED]
+    took_ms = (time.monotonic() - posted) * 1e3
+    timeout = ack_timeout_ms(10)  # 4.19 ms
+    assert took_ms >= min(PROBE_MS, timeout) + retry_cnt * timeout
+    with fab_a._lock:
+        data = [e for e in fab_a.trace if e.frame.kind is FrameKind.DATA]
+    assert len(data) == 1 + retry_cnt
 
 
 def test_socket_fabrics_start_no_thread(make_fabrics, monkeypatch):
@@ -938,6 +966,24 @@ def test_a_sleeping_waiter_times_out_while_another_thread_moves(two_fabrics):
     mover.join(timeout=5.0)
     assert not mover.is_alive() and moved == [True]
     assert 0.2 <= took < 1.5
+
+
+def test_a_zero_timeout_wait_never_moves_the_fabrics(two_fabrics,
+                                                     monkeypatch):
+    """On a frozen clock a zero timeout has no time left at all: both
+    waits only look, and neither takes the mover's place or fires a
+    timer."""
+    (reg_a, _), (fab_a, _) = two_fabrics
+    a = Node(reg_a, fab_a, channel=True)
+    a.cq.req_notify()
+    fired = []
+    monkeypatch.setattr(SocketFabric, "_fire_due",
+                        lambda self: fired.append(self) or math.inf)
+    monkeypatch.setattr(fabric_module, "time",
+                        SimpleNamespace(monotonic=lambda: 1000.0))
+    assert a.cq.wait_for_completion(timeout=0) is False
+    assert a.channel.get_event(timeout=0) is None
+    assert fired == [] and fabric_module._MANUAL.moving is None
 
 
 def test_a_record_that_fills_a_datagram_exactly_stays_in_it(two_fabrics):

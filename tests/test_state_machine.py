@@ -211,6 +211,30 @@ def test_psn_fields_must_be_24_bit(registry, fabric):
     assert node.qp.state is QpState.RTR
 
 
+class CountedEq(int):
+    """An int that counts its ``==`` calls: ``v in range(...)`` compares
+    an int subclass with each element in turn, a bound check never."""
+
+    compared = 0
+
+    def __eq__(self, other):
+        CountedEq.compared += 1
+        return int(self) == other
+
+    __hash__ = int.__hash__
+
+
+def test_a_psn_of_an_int_subclass_is_compared_with_its_bound(registry,
+                                                             fabric):
+    node = qp_in_state(registry, fabric, QpState.RTR)
+    CountedEq.compared = 0
+    with pytest.raises(VerbsError, match="^sq psn out of 24-bit range$"):
+        to_rts(node.qp, CountedEq(1 << 24))
+    to_rts(node.qp, CountedEq(55))
+    assert node.qp.state is QpState.RTS
+    assert CountedEq.compared == 0
+
+
 def test_reset_clears_queues(registry, fabric):
     node = qp_in_state(registry, fabric, QpState.INIT)
     node.post_recv(1)

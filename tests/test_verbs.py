@@ -215,6 +215,20 @@ class TestPorts:
         ctx = registry.open_device(registry.get_device_list()[0])
         assert ctx.query_port(1).lid == 0
 
+    def test_a_detached_port_reads_down_and_a_new_attach_up(self, registry,
+                                                          fabric):
+        """The attachment is the port's one record: what ``query_port``
+        reads follows ``attach`` and ``detach``."""
+        ctx = registry.open_device(registry.get_device_list()[0])
+        first = fabric.attach(ctx, 1)
+        fabric.detach(ctx, 1)
+        pa = ctx.query_port(1)
+        assert (pa.lid, pa.state) == (0, PortState.DOWN)
+        second = fabric.attach(ctx, 1)
+        pa = ctx.query_port(1)
+        assert (pa.lid, pa.state) == (second, PortState.ACTIVE)
+        assert second != first
+
     def test_port_zero_rejected(self, registry):
         ctx = registry.open_device(registry.get_device_list()[0])
         with pytest.raises(VerbsError):
