@@ -161,10 +161,9 @@ from .wire import (
     SegMark,
     decode_frame,
     encode_frame,
-    frame_body_length,
     pack_gaps,
+    split_records,
     unpack_gaps,
-    HEADER_LEN,
 )
 
 SERIAL_HALF = 1 << 23
@@ -424,16 +423,19 @@ class Fabric(Progress):
             context._attachments[port] = ep
             return lid
 
-    def detach(self, context: DeviceContext, port: int) -> None:
+    def detach(self, context: DeviceContext, port: int) -> Optional[Endpoint]:
         """Take a port down: unbind each of its QPs (``unbind_qp``), then
-        stop routing frames to it."""
+        stop routing frames to it; return its endpoint. A port that is not
+        attached to this fabric is left as it is, and None returned."""
         with self._lock:
-            ep = context._attachments.pop(port, None)
-            if ep is None:
-                return
+            ep = context._attachments.get(port)
+            if ep is None or ep.fabric is not self:
+                return None
+            del context._attachments[port]
             for qp in list(ep.qpn_map.values()):
                 self.unbind_qp(qp)
             self.routing.pop(ep.lid, None)
+            return ep
 
     def _assign_lid(self) -> int:
         lid = self.next_lid
@@ -1311,7 +1313,9 @@ class SocketFabric(Fabric):
 
     LIDs come from the static config, whose addresses are resolved once,
     when the fabric is made; an attach claims the first entry whose
-    address it can bind. Each frame is one record in the codec layout.
+    address it can bind, and a detach closes the port's socket, which
+    frees the address for the next attach. A closed fabric refuses an
+    attach. Each frame is one record in the codec layout.
     Faults and the frame trace work as on loopback: a reordered or
     duplicated copy is written after its extra delay, and every frame
     the engine emits lands in ``trace``. A LID with no config entry is
@@ -1339,7 +1343,6 @@ class SocketFabric(Fabric):
 
     def __init__(self, config: FabricConfig, faults=None, *, registry):
         super().__init__(faults, registry=registry)
-        self.config = config
         self._addrs = {e.lid: (socket.gethostbyname(e.host), e.port)
                        for e in config.entries}
         self._socks: dict[int, socket.socket] = {}  # each port's, by LID
@@ -1372,36 +1375,46 @@ class SocketFabric(Fabric):
         _MANUAL.wake()
 
     def _assign_lid(self) -> int:
+        if self not in _MANUAL.fabrics:
+            raise VerbsError("fabric is closed")
         last_err = None
-        for entry in self.config.entries:
+        for lid, addr in self._addrs.items():
             sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
             try:
-                sock.bind((entry.host, entry.port))
+                sock.bind(addr)
             except OSError as exc:
                 sock.close()
                 last_err = exc
                 continue
             sock.setblocking(False)
-            self._socks[entry.lid] = sock
-            _MANUAL.watch(sock, partial(self._read, entry.lid))
-            return entry.lid
+            self._socks[lid] = sock
+            _MANUAL.watch(sock, partial(self._read, lid))
+            return lid
         raise VerbsError(f"no bindable fabric config entry ({last_err})")
 
+    def detach(self, context: DeviceContext, port: int) -> Optional[Endpoint]:
+        """Take a port down as ``Fabric.detach`` does, then stop polling
+        its socket and close it, so that its address can be bound again,
+        by this fabric's next attach or by another's."""
+        with self._lock:
+            ep = super().detach(context, port)
+            if ep is not None:
+                sock = self._socks.pop(ep.lid)
+                _MANUAL.unwatch(sock)
+                sock.close()
+            return ep
+
     def close(self) -> None:
-        """Detach every port and close its socket, so that a later
-        ``post_send`` on one of its QPs raises. The detach stops every
-        QP's sender, tick and all, as on loopback, so a send still in
-        flight is never completed: it gets no CQE. The delayed copies
-        still pending are dropped."""
+        """Detach every port, which closes its socket, so that a later
+        ``post_send`` on one of its QPs raises, and refuse any later
+        attach. The detach stops every QP's sender, tick and all, as on
+        loopback, so a send still in flight is never completed: it gets
+        no CQE. The delayed copies still pending are dropped."""
         _MANUAL.discard(self)
         with self._lock:
             for ep in list(self.routing.values()):
                 self.detach(ep.context, ep.port)
-            for sock in self._socks.values():
-                _MANUAL.unwatch(sock)
-                sock.close()
-            for held in (self._socks, self._unsent, self._addrs,
-                         self._timers):
+            for held in (self._unsent, self._addrs, self._timers):
                 held.clear()
         _MANUAL.wake()
 
@@ -1422,27 +1435,20 @@ class SocketFabric(Fabric):
 
     def _read(self, lid: int, sock: socket.socket) -> None:
         """Read every datagram waiting on the port's socket, land all
-        their frames as one burst, then send what the burst wrote. A bad
-        record drops the rest of its datagram, after the frames before
-        it.
-
-        Each datagram's records are parsed in place, by offset: one
-        ``frame_body_length`` and one ``decode_frame`` of the record's
-        own bytes each."""
+        their frames as one burst, then send what the burst wrote. Each
+        datagram's records come from ``split_records``, and each record
+        is decoded on its own; a bad record drops the rest of its
+        datagram, after the frames before it."""
         with self._lock:
             frames = []
             while True:
                 try:
                     data = sock.recv(MAX_DATAGRAM)
-                except OSError:  # drained, or closed by close()
+                except OSError:  # drained, or closed by detach()
                     break
-                pos, size = 0, len(data)
                 with suppress(FrameDecodeError):
-                    while pos < size:
-                        end = pos + HEADER_LEN + frame_body_length(
-                            data[pos:pos + HEADER_LEN])
-                        frames.append(decode_frame(data[pos:end]))
-                        pos = end
+                    for record in split_records(data):
+                        frames.append(decode_frame(record))
             ep = self.routing.get(lid)
             try:
                 if ep is not None:

@@ -151,8 +151,17 @@ class TestAttach:
                            match="^QP port is not attached to a fabric$"):
             a.post_send(1, b"x")
 
-
-class TestClock:
+    def test_a_detach_leaves_a_port_of_another_fabric_attached(
+            self, registry, pair, fabric):
+        a, _ = pair
+        other = LoopbackFabric(registry=registry)
+        ctx = registry.open_device(registry.get_device_list()[0])
+        lid = other.attach(ctx, 1)
+        assert lid == a.lid  # each fabric hands out LID 1 first
+        assert other.detach(a.context, a.port) is None
+        assert a.context._attachments[a.port].fabric is fabric
+        assert a.lid in fabric.routing and a.qp._endpoint is not None
+        assert other.routing[lid].context is ctx
     def test_jump_runs_one_timestamp_and_hands_back(self, fabric):
         ran = []
 

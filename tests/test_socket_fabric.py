@@ -121,6 +121,41 @@ def test_no_bindable_entry_is_an_error():
         blocker.close()
 
 
+def one_entry_fabric():
+    """A SocketFabric whose config has a single entry, LID 1, and the
+    registry it serves."""
+    config = FabricConfig(entries=[FabricConfigEntry(1, "127.0.0.1",
+                                                     free_port())])
+    reg = DeviceRegistry()
+    reg.add_device("hca0")
+    return reg, SocketFabric(config, registry=reg)
+
+
+def test_a_detach_frees_the_ports_address_for_the_next_attach():
+    """The one entry's address is bound again after a detach, and after
+    the close of the context that held it."""
+    reg, fabric = one_entry_fabric()
+    device = reg.get_device_list()[0]
+    try:
+        ctx = reg.open_device(device)
+        assert fabric.attach(ctx, 1) == 1
+        fabric.detach(ctx, 1)
+        assert fabric.attach(ctx, 1) == 1
+        ctx.close()
+        assert fabric.attach(reg.open_device(device), 1) == 1
+    finally:
+        fabric.close()
+
+
+def test_a_closed_fabric_refuses_an_attach():
+    reg, fabric = one_entry_fabric()
+    ctx = reg.open_device(reg.get_device_list()[0])
+    fabric.close()
+    with pytest.raises(VerbsError, match="fabric is closed"):
+        fabric.attach(ctx, 1)
+    assert not fabric._socks and not ctx._attachments
+
+
 def test_free_port_skips_a_port_a_udp_socket_holds(monkeypatch):
     held, free = free_port(), free_port()
     with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as holder:

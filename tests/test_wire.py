@@ -14,6 +14,7 @@ from softverbs.wire import (
     encode_frame,
     frame_body_length,
     pack_gaps,
+    split_records,
     unpack_gaps,
 )
 
@@ -181,6 +182,108 @@ def test_stream_body_length():
     for header in (data[:HEADER_LEN - 1], data[:HEADER_LEN + 1]):
         with pytest.raises(FrameDecodeError, match="exactly 14 bytes"):
             frame_body_length(header)
+
+
+# -- the body rule: what may follow a header, by kind -------------------------
+
+
+def record(kind: int, length_field: int, body: bytes = b"") -> bytes:
+    """A record written field by field: kind code ``kind``, segment ONLY,
+    QPN 5, PSN 9, then ``length_field`` and ``body`` as given."""
+    return (bytes([0x56, 0x42, kind, 0]) + (5).to_bytes(3, "big")
+            + (9).to_bytes(3, "big") + length_field.to_bytes(4, "big") + body)
+
+
+GAP = pack_gaps([(9, 1)])
+MOST_GAPS = MAX_PAYLOAD // GAP_LEN * GAP_LEN
+
+# (kind code, length field, body, accepted, frame): an accepted record
+# decodes to the frame and the frame encodes to it; a refused one is
+# refused by every entry point, and so is the frame, which would have to
+# write that length field
+BODY_RULE = [
+    pytest.param(0, 3, b"xyz", True, Frame(FrameKind.DATA, 5, 9,
+                                             payload=b"xyz"), id="DATA"),
+    pytest.param(0, MAX_PAYLOAD, bytes(MAX_PAYLOAD), True,
+                 Frame(FrameKind.DATA, 5, 9, payload=bytes(MAX_PAYLOAD)),
+                 id="DATA-at-limit"),
+    pytest.param(0, MAX_PAYLOAD + 1, bytes(MAX_PAYLOAD + 1), False,
+                 Frame(FrameKind.DATA, 5, 9, payload=bytes(MAX_PAYLOAD + 1)),
+                 id="DATA-over-limit"),
+    pytest.param(1, 0, b"", True, Frame(FrameKind.ACK, 5, 9), id="ACK"),
+    # the parent codec decoded this one, ignoring the field
+    pytest.param(1, 1, b"", False, Frame(FrameKind.ACK, 5, 9, payload=b"!"),
+                 id="ACK-with-length"),
+    pytest.param(2, 0, b"", True, Frame(FrameKind.RNR_NAK, 5, 9),
+                 id="RNR_NAK-code-0"),
+    pytest.param(2, 31, b"", True,
+                 Frame(FrameKind.RNR_NAK, 5, 9, rnr_delay_hint=31),
+                 id="RNR_NAK-code-31"),
+    pytest.param(2, 32, b"", False,
+                 Frame(FrameKind.RNR_NAK, 5, 9, rnr_delay_hint=32),
+                 id="RNR_NAK-code-32"),
+    pytest.param(3, GAP_LEN, GAP, True, Frame(FrameKind.NAK, 5, 9,
+                                              payload=GAP), id="NAK"),
+    pytest.param(3, MOST_GAPS, bytes(MOST_GAPS), True,
+                 Frame(FrameKind.NAK, 5, 9, payload=bytes(MOST_GAPS)),
+                 id="NAK-most-records"),
+    pytest.param(3, MOST_GAPS + GAP_LEN, bytes(MOST_GAPS + GAP_LEN), False,
+                 Frame(FrameKind.NAK, 5, 9,
+                       payload=bytes(MOST_GAPS + GAP_LEN)),
+                 id="NAK-over-limit"),
+    pytest.param(3, GAP_LEN + 1, GAP + b"!", False,
+                 Frame(FrameKind.NAK, 5, 9, payload=GAP + b"!"),
+                 id="NAK-part-record"),
+    pytest.param(4, 0, b"", False, Frame(4, 5, 9), id="unknown-kind"),
+]
+
+
+@pytest.mark.parametrize("kind, length_field, body, accepted, frame",
+                         BODY_RULE)
+def test_every_entry_point_agrees_on_what_follows_the_header(
+        kind, length_field, body, accepted, frame):
+    data = record(kind, length_field, body)
+    ack = record(1, 0)
+    if accepted:
+        assert frame_body_length(data[:HEADER_LEN]) == len(body)
+        assert list(split_records(data + ack + data)) == [data, ack, data]
+        assert decode_frame(data) == frame
+        assert encode_frame(frame) == data
+        return
+    with pytest.raises(FrameDecodeError):
+        frame_body_length(data[:HEADER_LEN])
+    records = split_records(ack + data + ack)
+    assert next(records) == ack
+    with pytest.raises(FrameDecodeError):
+        next(records)
+    with pytest.raises(FrameDecodeError):
+        decode_frame(data)
+    with pytest.raises(FrameEncodeError):
+        encode_frame(frame)
+
+
+def test_an_rnr_nak_carries_no_payload_and_a_code_of_0_to_31():
+    with pytest.raises(FrameEncodeError, match="carry no payload"):
+        encode_frame(Frame(FrameKind.RNR_NAK, 5, 9, payload=b"!",
+                           rnr_delay_hint=1))
+    with pytest.raises(FrameEncodeError, match="5-bit"):
+        encode_frame(Frame(FrameKind.RNR_NAK, 5, 9, rnr_delay_hint=-1))
+    with pytest.raises(FrameDecodeError, match="trailing garbage"):
+        decode_frame(record(2, 1, b"!"))
+
+
+def test_a_record_the_datagram_cuts_short_is_refused_by_the_splitter():
+    ack, data = record(1, 0), record(0, 3, b"xyz")
+    assert list(split_records(b"")) == []
+    records = split_records(ack + data[:-1])
+    assert next(records) == ack
+    with pytest.raises(FrameDecodeError, match="cut short: 16 of 17"):
+        next(records)
+    # a header the datagram cuts short
+    records = split_records(ack + data[:HEADER_LEN - 1])
+    assert next(records) == ack
+    with pytest.raises(FrameDecodeError, match="exactly 14 bytes"):
+        next(records)
 
 
 # a NAK's gap list: (first PSN, count) records
