@@ -162,6 +162,9 @@ class TestAttach:
         assert a.context._attachments[a.port].fabric is fabric
         assert a.lid in fabric.routing and a.qp._endpoint is not None
         assert other.routing[lid].context is ctx
+
+
+class TestClock:
     def test_jump_runs_one_timestamp_and_hands_back(self, fabric):
         ran = []
 
