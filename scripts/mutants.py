@@ -11,12 +11,13 @@ with one site flipped. It is written into a temporary copy of ``src/``,
 which is removed again, so an interrupted run leaves the checkout as it
 was. Each mutant runs ``pytest -x -q`` with the arguments after ``--``,
 from the repository root, with that copy first on PYTHONPATH, no
-bytecode written and a timeout (``--timeout``, seconds): a mutant the
+bytecode written and a timeout of ``TIMEOUT_S`` seconds: a mutant the
 tests fail is killed, one they pass survived, and one still running at
 the timeout timed out. The unmutated copy runs first and must pass.
 Prints one line per site (its line and column, the flip, the verdict,
-its seconds and the line's text) and the totals. It is a report, not a gate: it exits 0 once
-every mutant ran, and 1 if the unmutated copy fails.
+its seconds and the line's text) and the totals. It is a report, not a
+gate: it exits 0 once every mutant ran, and 1 if the unmutated copy
+fails.
 """
 
 from __future__ import annotations
@@ -40,6 +41,8 @@ SRC = ROOT / "src"
 FLIPS = {"<": "<=", "<=": "<", ">": ">=", ">=": ">", "==": "!=",
          "!=": "==", "is": "is not", "is not": "is", "in": "not in",
          "not in": "in"}
+# seconds a mutant's test run may take before it counts as timed out
+TIMEOUT_S = 120.0
 # the tokens a comparison operator is made of
 _OP_TOKENS = {"<", "<=", ">", ">=", "==", "!=", "is", "not", "in"}
 
@@ -92,7 +95,7 @@ def flip(source: str, site: Site) -> str:
     return "\n".join(lines)
 
 
-def run_tests(src: Path, args: list[str], timeout: float) -> str:
+def run_tests(src: Path, args: list[str]) -> str:
     """Run ``pytest -x -q args`` from the repository root against the
     package under ``src``: "survived" if it passes, "killed" if not, or
     "timed out"."""
@@ -106,7 +109,7 @@ def run_tests(src: Path, args: list[str], timeout: float) -> str:
          *args], cwd=ROOT, env=env, stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL, start_new_session=True)
     try:
-        return "survived" if proc.wait(timeout) == 0 else "killed"
+        return "survived" if proc.wait(TIMEOUT_S) == 0 else "killed"
     except subprocess.TimeoutExpired:
         return "timed out"
     finally:
@@ -118,11 +121,9 @@ def run_tests(src: Path, args: list[str], timeout: float) -> str:
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(
         description=__doc__.split("\n")[0],
-        usage="%(prog)s FILE [--timeout S] -- PYTEST_ARGS")
+        usage="%(prog)s FILE -- PYTEST_ARGS")
     parser.add_argument("file", type=Path,
                         help="a Python file under src/ to mutate")
-    parser.add_argument("--timeout", type=float, default=120.0,
-                        help="seconds a mutant's test run may take")
     # what follows -- is pytest's
     cut = argv.index("--") if "--" in argv else len(argv)
     opts, pytest_args = parser.parse_args(argv[:cut]), argv[cut + 1:]
@@ -136,7 +137,7 @@ def main(argv: list[str]) -> int:
         copy = Path(tmp) / "src"
         shutil.copytree(SRC, copy, ignore=shutil.ignore_patterns(
             "__pycache__"))
-        if run_tests(copy, pytest_args, opts.timeout) != "survived":
+        if run_tests(copy, pytest_args) != "survived":
             print("the unmutated source fails its tests: no report")
             return 1
         target = copy / path.relative_to(SRC)
@@ -144,7 +145,7 @@ def main(argv: list[str]) -> int:
         for site in found:
             target.write_text(flip(source, site), encoding="utf-8")
             started = time.monotonic()
-            verdict = run_tests(copy, pytest_args, opts.timeout)
+            verdict = run_tests(copy, pytest_args)
             counts[verdict] += 1
             print(f"{path.relative_to(ROOT)}:{site.line}:{site.start + 1}: "
                   f"{site.op} -> "

@@ -134,8 +134,8 @@ def _body_length(kind: int, length_field: int, error: type) -> int:
         return length_field
     if kind == _ACK:
         if length_field:
-            raise error(f"an ACK's length field must be 0, not "
-                        f"{length_field}")
+            raise error(f"an ACK carries no body (length field "
+                        f"{length_field})")
         return 0
     if kind == _NAK:
         if length_field % GAP_LEN or length_field > MAX_PAYLOAD:
@@ -157,7 +157,7 @@ def encode_frame(frame: Frame) -> bytes:
     kind, qpn, psn, seg, payload, hint = frame
     length_field = hint if kind == _RNR_NAK else len(payload)
     if _body_length(kind, length_field, FrameEncodeError) != len(payload):
-        raise FrameEncodeError("RNR_NAK frames carry no payload")
+        raise FrameEncodeError(f"{_KINDS[kind].name} frames carry no payload")
     if not 0 <= qpn <= QPN_MASK:
         raise FrameEncodeError(f"qpn {qpn:#x} out of 24-bit range")
     if not 0 <= psn <= PSN_MASK:
