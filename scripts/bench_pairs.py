@@ -19,8 +19,15 @@ wall clock are identical seed for seed, each tree's commit and a hash of
 its ``bench/`` directory (a pair across a benchmark change says so), and
 the machine: CPU model, CPU count and Python version.
 
+Each tree also runs its own ``scripts/fault_sweep.py --seeds 1-20``
+once, and the file records each tree's summed DATA
+frames, ACKs, NAKs and virtual ms, and every row that reads FAILED: the
+frames a change sends under faults, which the benchmark's one lossy
+workload samples only.
+
 A run that is not correct, or that prints no result line, stops the tool
-with exit status 1, and no file is written.
+with exit status 1, and no file is written; so does a sweep that prints
+no summed line. A FAILED sweep row is recorded, not refused.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ import io
 import json
 import os
 import platform
+import re
 import signal
 import statistics
 import subprocess
@@ -48,6 +56,11 @@ SIDES = ("parent", "change")
 # virtual clock, so its two virtual-time metrics read a constant
 DETERMINISTIC = ("amplification", "virtual_ms_per_msg",
                  "msg_virtual_p99_ms", "ok_ratio")
+SWEEP_ARGS = ["scripts/fault_sweep.py", "--seeds", "1-20"]
+# the sweep's last line, and the line that opens a failed seed's tables
+_SWEEP_SUMS = re.compile(r"seeds \S+ summed: (\d+) DATA frames, (\d+) ACKs, "
+                         r"(\d+) NAKs, ([\d.]+) virtual ms")
+_SWEEP_SEED = re.compile(r"seed (\d+):")
 
 
 class IncorrectRun(Exception):
@@ -85,6 +98,25 @@ def parse_result(stdout: str, workload: str) -> dict[str, dict[str, float]]:
         raise IncorrectRun(f"not correct: {', '.join(bad) or 'run'}")
     return {w: {name: m["value"] for name, m in r["metrics"].items()}
             for w, r in parts.items()}
+
+
+def parse_sweep(stdout: str) -> dict:
+    """The sums of ``fault_sweep.py --seeds``'s last line, and each row
+    that reads FAILED, as ``seed N: <row>``; raises ``IncorrectRun`` if
+    there is no summed line."""
+    lines = [line.strip() for line in stdout.splitlines() if line.strip()]
+    sums = _SWEEP_SUMS.fullmatch(lines[-1]) if lines else None
+    if sums is None:
+        raise IncorrectRun("sweep: no summed line")
+    failed, seed = [], None
+    for line in lines:
+        if opened := _SWEEP_SEED.fullmatch(line):
+            seed = opened[1]
+        elif "FAILED" in line:
+            failed.append(f"seed {seed}: {' '.join(line.split())}")
+    data, acks, naks, virtual_ms = sums.groups()
+    return {"data_frames": int(data), "acks": int(acks), "naks": int(naks),
+            "virtual_ms": float(virtual_ms), "failed_rows": failed}
 
 
 def run_pairs(workload: str, seeds: list[int],
@@ -154,7 +186,8 @@ def bench_hash(tree: Path) -> str:
 
 
 def run_bench(tree: Path, args: list[str]) -> subprocess.CompletedProcess:
-    """Run ``tree``'s own ``bench/run.py`` with ``args``, in ``tree``."""
+    """Run ``args``, a script of ``tree`` (its own ``bench/run.py`` or
+    ``scripts/fault_sweep.py``) and its arguments, in ``tree``."""
     return subprocess.run([sys.executable, *args], cwd=tree,
                           capture_output=True, text=True)
 
@@ -221,7 +254,15 @@ def main(argv=None) -> int:
                                    f"{done.stderr.strip()[-500:]}")
             return done.stdout
 
+        def sweep(side: str) -> dict:
+            print(f"bench_pairs: {side} sweep", file=sys.stderr)
+            try:
+                return parse_sweep(run_bench(trees[side], SWEEP_ARGS).stdout)
+            except IncorrectRun as exc:
+                raise IncorrectRun(f"{side}: {exc}") from None
+
         try:
+            sweeps = {side: sweep(side) for side in SIDES}
             runs, order = run_pairs(args.workload, args.seeds, run)
         except IncorrectRun as exc:
             print(f"bench_pairs: {exc}", file=sys.stderr)
@@ -241,6 +282,8 @@ def main(argv=None) -> int:
         "change": {"commit": change_sha, "uncommitted_changes": dirty,
                    "bench_sha256": hashes["change"], "runs": runs["change"]},
         "summary": summarize(runs, args.seeds, better),
+        "sweep": {"command": " ".join(["python3", *SWEEP_ARGS]), **sweeps,
+                  "identical": sweeps["parent"] == sweeps["change"]},
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0

@@ -83,11 +83,16 @@ a message in one pass and hands each frame, as it is built, to the
 transport's ``_deliver``; every emitted frame, a resend, ACK or NAK too,
 takes that one call, and in it the one per-frame fault plan and trace
 point (``_wire_copies``: drop filter, fault draws, frame trace). The
-per-frame paths build each frame and trace event with ``tuple.__new__``
-from all its fields. The send window holds a ``[frame, sent_at]`` pair
-per unacked frame; its head is the only frame ever probed, paused or
-charged to a retry budget (by ``_resend`` or ``on_rnr_nak``), so the
-head's retry state lives on the QP's ``SenderState``.
+drop filter sees each frame whole; the trace (``_trace``) keeps, per
+copy, the frame's header, its status and its payload length, and the
+payload bytes only up to ``SNAP_LEN`` (a NAK's gap list always), as a
+capture with a small snapshot length does, so that a long run does not
+hold every byte it sent. The per-frame paths build each frame and trace
+event with ``tuple.__new__`` from all its fields. The send window holds
+a ``[frame, sent_at]`` pair per unacked frame; its head is the only
+frame ever probed, paused or charged to a retry budget (by ``_resend``
+or ``on_rnr_nak``), so the head's retry state lives on the QP's
+``SenderState``.
 One burst landing, ``_land``, splits the frames, in the order they were
 sent, into runs of one QPN and one kind, and hands each DATA run to a
 single ``on_data`` call, which takes the run's in-order frames in one
@@ -193,6 +198,10 @@ RNR_TIMER_MS = (655.36, 0.01, 0.02, 0.03, 0.04, 0.06, 0.08, 0.12, 0.16,
 # reordered frame
 DUP_EXTRA_MS = 0.5
 REORDER_EXTRA_MS = 2.5
+# the most DATA payload bytes a trace row keeps, as libpcap's snapshot
+# length (``tcpdump -s``) cuts a capture: a longer payload is traced as
+# its header and length alone
+SNAP_LEN = 64
 # what ``_wire_copies`` plans for a frame sent once on time
 _SENT_ONCE = ("sent",), (0.0,)
 # the enum members the per-frame paths read, as module constants: a
@@ -372,13 +381,19 @@ class Endpoint:
 
 
 class TraceEvent(NamedTuple):
-    """One frame the engine emitted; a tuple, so cheap per frame."""
+    """One frame the engine emitted, as a capture with a snapshot length
+    keeps it; a tuple, so cheap per frame. ``frame`` is the frame's
+    header: its payload is kept only if it is at most ``SNAP_LEN`` bytes
+    or a NAK's gap list, and is ``b""`` otherwise. ``length`` is the
+    payload's length on the wire either way. A ``drop_filter`` sees each
+    frame whole."""
 
     t: float
     src_lid: Optional[int]
     dst_lid: int
     frame: Frame
     status: str  # sent | dup | dropped | unrouted | injected
+    length: int
 
 
 class Fabric(Progress):
@@ -977,11 +992,23 @@ class Fabric(Progress):
                 delays = (delay, delay + DUP_EXTRA_MS)
             else:
                 statuses, delays = ("sent",), (delay,)
-        now, src_lid = self.now_ms(), src.lid
-        for status in statuses:
-            self.trace.append(_new(TraceEvent,
-                                   (now, src_lid, dlid, frame, status)))
+        self._trace(src.lid, dlid, frame, statuses)
         return delays
+
+    def _trace(self, src_lid: Optional[int], dlid: int, frame: Frame,
+               statuses) -> None:
+        """Append one trace row per status, with the frame's header and
+        payload length: a DATA payload over ``SNAP_LEN`` bytes is left out
+        (the row's frame carries ``b""``, built without a slice); a
+        shorter one, and a NAK's gap list, are kept whole."""
+        kind, qpn, psn, seg, payload, hint = frame
+        length = len(payload)
+        if length > SNAP_LEN and kind is _DATA:
+            frame = _new(Frame, (kind, qpn, psn, seg, b"", hint))
+        now = self.now_ms()
+        for status in statuses:
+            self.trace.append(_new(TraceEvent, (now, src_lid, dlid, frame,
+                                                status, length)))
 
 
 class LoopbackFabric(Fabric):
@@ -1089,8 +1116,7 @@ class LoopbackFabric(Fabric):
         """Deliver a raw frame, bypassing faults (replay/test harness); it
         is traced as injected and lands alone, as a burst of its own."""
         with self._lock:
-            self.trace.append(TraceEvent(self._now, None, dlid, frame,
-                                         "injected"))
+            self._trace(None, dlid, frame, ("injected",))
             ep = self.routing.get(dlid)
             if ep is not None:
                 self.schedule_at(self._now + (delay_ms + self.hop_latency_ms),

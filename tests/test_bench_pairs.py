@@ -72,6 +72,37 @@ def test_an_incorrect_or_missing_result_is_refused():
             bench_pairs.parse_result(garbage, "pingpong-64")
 
 
+SWEEP_ROW = "  0.30   0.10     0.10     {}     2026          2.53x"
+
+
+def sweep_output(data=267468, failed_seed=None):
+    """``fault_sweep.py --seeds 1-3`` output; a failed seed's tables come
+    before its line."""
+    lines = []
+    for seed in (1, 2, 3):
+        if seed == failed_seed:
+            lines += [f"seed {seed}:", SWEEP_ROW.format("   all"),
+                      SWEEP_ROW.format("FAILED"), ""]
+        lines.append(f"seed {seed}: summed: 13524 DATA frames, 243 ACKs, "
+                     f"1228 NAKs, 2109.29 virtual ms")
+    lines.append(f"seeds 1-3 summed: {data} DATA frames, 5357 ACKs, "
+                 f"25207 NAKs, 46487.67 virtual ms")
+    return "\n".join(lines) + "\n"
+
+
+def test_a_sweep_yields_its_sums_and_its_failed_rows():
+    assert bench_pairs.parse_sweep(sweep_output()) == {
+        "data_frames": 267468, "acks": 5357, "naks": 25207,
+        "virtual_ms": 46487.67, "failed_rows": []}
+    assert bench_pairs.parse_sweep(sweep_output(failed_seed=2))[
+        "failed_rows"] == ["seed 2: 0.30 0.10 0.10 FAILED 2026 2.53x"]
+    for garbage in ("", "Traceback (most recent call last):\n  oops",
+                    sweep_output().rsplit("seeds", 1)[0]):
+        with pytest.raises(bench_pairs.IncorrectRun,
+                           match="sweep: no summed line"):
+            bench_pairs.parse_sweep(garbage)
+
+
 def test_pairs_alternate_which_side_runs_first():
     calls = []
 
@@ -120,10 +151,12 @@ def test_summary_quartiles_wins_ties_and_identity():
     assert rows["identical_seed_for_seed"] == {"amplification": False}
 
 
-def _stub_trees(monkeypatch, tmp_path, outputs):
+def _stub_trees(monkeypatch, tmp_path, outputs,
+                sweeps=lambda side: sweep_output()):
     """Stub git and the parent checkout, and answer each bench run from
-    ``outputs(side, seed)``; the change tree is the real checkout, whose
-    ``bench/`` is hashed as it is."""
+    ``outputs(side, seed)`` and each sweep from ``sweeps(side)``; the
+    change tree is the real checkout, whose ``bench/`` is hashed as it
+    is."""
     parent = tmp_path / "parent"
     (parent / "bench").mkdir(parents=True)
     (parent / "bench" / "run.py").write_text("# the parent's bench\n")
@@ -134,6 +167,8 @@ def _stub_trees(monkeypatch, tmp_path, outputs):
 
     def run_bench(tree, args):
         side = "parent" if tree == parent else "change"
+        if args == bench_pairs.SWEEP_ARGS:
+            return subprocess.CompletedProcess(args, 0, sweeps(side), "")
         out = outputs(side, int(args[args.index("--seed") + 1]))
         if isinstance(out, int):  # an exit status
             return subprocess.CompletedProcess(args, out, "", "Traceback")
@@ -160,6 +195,7 @@ def test_main_writes_the_record(monkeypatch, tmp_path):
     assert set(record["machine"]) == {"cpu", "cpus", "python"}
     assert record["parent"]["bench_sha256"] != record["change"]["bench_sha256"]
     assert record["change"]["uncommitted_changes"] is False
+    assert record["sweep"]["identical"] is True
     assert record["parent"]["runs"]["3"]["pingpong-64"]["usec_per_iter"] == 83
     usec = record["summary"]["pingpong-64"]["usec_per_iter"]
     assert usec["change_better_pairs"] == 4
@@ -188,3 +224,31 @@ def test_main_exits_1_when_a_run_crashes(monkeypatch, tmp_path, capsys):
                              "--out", str(out)]) == 1
     assert not out.exists()
     assert "change, seed 5: exit status 3" in capsys.readouterr().err
+
+
+def test_main_records_each_trees_sweep(monkeypatch, tmp_path):
+    _stub_trees(monkeypatch, tmp_path, lambda side, seed: one_line(80.0),
+                lambda side: sweep_output(
+                    failed_seed=2 if side == "change" else None))
+    out = tmp_path / "BENCH_x.json"
+    assert bench_pairs.main(["--parent", "HEAD~1", "--workload",
+                             "pingpong-64", "--seeds", "1-2", "--seconds",
+                             "2", "--out", str(out)]) == 0
+    sweep = json.loads(out.read_text())["sweep"]
+    assert sweep["command"] == "python3 scripts/fault_sweep.py --seeds 1-20"
+    assert sweep["parent"]["data_frames"] == 267468
+    assert sweep["parent"]["failed_rows"] == []
+    assert sweep["change"]["failed_rows"] == [
+        "seed 2: 0.30 0.10 0.10 FAILED 2026 2.53x"]
+    assert sweep["identical"] is False
+
+
+def test_main_exits_1_on_a_sweep_without_sums(monkeypatch, tmp_path, capsys):
+    _stub_trees(monkeypatch, tmp_path, lambda side, seed: one_line(80.0),
+                lambda side: "" if side == "parent" else sweep_output())
+    out = tmp_path / "BENCH_x.json"
+    assert bench_pairs.main(["--parent", "HEAD~1", "--workload",
+                             "pingpong-64", "--seeds", "1", "--seconds",
+                             "2", "--out", str(out)]) == 1
+    assert not out.exists()
+    assert "parent: sweep: no summed line" in capsys.readouterr().err

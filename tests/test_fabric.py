@@ -53,15 +53,26 @@ def drop_first_copy(*psns):
     return drop
 
 
+def recording(frames):
+    """A drop filter that drops nothing and appends each frame it sees to
+    ``frames``, whole: the trace keeps no DATA payload over SNAP_LEN."""
+
+    def record(frame):
+        frames.append(frame)
+        return False
+
+    return record
+
+
 def trace_digest(fabric):
-    """SHA-256 over every trace row: time, LIDs, every frame field and
-    the status."""
+    """SHA-256 over every trace row: time, LIDs, every frame field, the
+    status and the payload length."""
     h = hashlib.sha256()
     for e in fabric.trace:
         f = e.frame
         h.update(repr((e.t, e.src_lid, e.dst_lid, int(f.kind), f.psn,
                        int(f.seg), f.payload, f.rnr_delay_hint,
-                       e.status)).encode())
+                       e.status, e.length)).encode())
     return h.hexdigest()
 
 
@@ -202,8 +213,9 @@ class TestClock:
 
 
 class TestSegmentation:
-    def _one_way(self, registry, payload, mtu, psn_a=100):
+    def _one_way(self, registry, payload, mtu, psn_a=100, drop_filter=None):
         fabric = LoopbackFabric(registry=registry)
+        fabric.drop_filter = drop_filter
         a = Node(registry, fabric)
         b = Node(registry, fabric)
         connect_pair(a, b, mtu=mtu, psn_a=psn_a)
@@ -213,15 +225,17 @@ class TestSegmentation:
 
     def test_4096_at_mtu_1024_makes_four_frames(self, registry):
         payload = bytes(range(256)) * 16
-        fabric, a, b = self._one_way(registry, payload, 1024)
+        sent = []
+        fabric, a, b = self._one_way(registry, payload, 1024,
+                                     drop_filter=recording(sent))
         fabric.run_until_idle()
-        data = [e for e in fabric.trace if e.frame.kind is FrameKind.DATA]
+        data = [f for f in sent if f.kind is FrameKind.DATA]
         # oracle: independent slicing of the payload
         expected_chunks = [payload[i:i + 1024]
                            for i in range(0, len(payload), 1024)]
-        assert [e.frame.payload for e in data] == expected_chunks
-        assert [e.frame.psn for e in data] == [100, 101, 102, 103]
-        assert [e.frame.seg for e in data] == [
+        assert [f.payload for f in data] == expected_chunks
+        assert [f.psn for f in data] == [100, 101, 102, 103]
+        assert [f.seg for f in data] == [
             SegMark.FIRST, SegMark.MIDDLE, SegMark.MIDDLE, SegMark.LAST]
 
     def test_transmit_requires_a_qp_in_rts(self, registry, fabric):
@@ -1766,7 +1780,7 @@ class TestReliability:
     def test_identical_seed_identical_trace(self):
         def signature(fabric):
             return [(round(e.t, 9), e.src_lid, e.dst_lid, e.frame.kind,
-                     e.frame.psn, e.frame.seg, len(e.frame.payload), e.status)
+                     e.frame.psn, e.frame.seg, e.length, e.status)
                     for e in fabric.trace]
 
         first, *_ = self._blast(99)
@@ -1783,7 +1797,7 @@ class TestReliability:
         assert sum(1 for e in fabric.trace
                    if e.frame.kind is FrameKind.DATA) == 985
         assert trace_digest(fabric) == (
-            "0ec87969d9fca4be06e1bda90621e8bb84279e519f3b18bc56d5320f6f43b051")
+            "8c0e25229595be33aa46ef0bc83eb92153560cdb075251f6f79a568dbc44df98")
 
     def test_seeded_faulty_pair_emits_its_pinned_frames(self):
         _, _, fabric = run_loopback_pair(
@@ -1792,7 +1806,7 @@ class TestReliability:
         assert len(fabric.trace) == 414
         assert fabric.now_ms() == 480.2080644425558
         assert trace_digest(fabric) == (
-            "4dfaa7baf5ee538261c88ac037ca1df5bd2ff7f2e583333b505b9df221276648")
+            "a9ef248453acea46b75bdb741dd23f5d23447401d46cdf5ed7d1e503152dd187")
 
     def test_different_seed_different_trace(self):
         first, *_ = self._blast(5)
@@ -1806,6 +1820,8 @@ class TestStaleReplay:
         a = Node(registry, fabric)
         b = Node(registry, fabric)
         connect_pair(a, b, psn_a=0x100000, psn_b=0x180000)
+        sent = []
+        fabric.drop_filter = recording(sent)
         for i in range(3):
             b.post_recv(i, off=i * 2048, length=2048)
         for i in range(3):
@@ -1813,8 +1829,9 @@ class TestStaleReplay:
         fabric.run_until_idle()
         assert len(b.cq.poll(8)) == 3
         assert len(a.cq.poll(8)) == 3
-        recorded = [(e.dst_lid, e.frame) for e in fabric.trace
-                    if e.status in ("sent", "dup")]
+        # each frame whole, byte for byte, to the LID of its QP
+        lid_of = {a.qp.qpn: a.lid, b.qp.qpn: b.lid}
+        recorded = [(lid_of[f.dest_qpn], f) for f in sent]
 
         # tear the connection down and bring it back with far-away PSNs
         from softverbs.verbs import AttrMask, ModifyAttributes

@@ -18,7 +18,7 @@ import textwrap
 from collections import Counter
 from dataclasses import replace
 
-from softverbs import fabric, pingpong, verbs
+from softverbs import fabric, pingpong, verbs, wire
 from softverbs.fabric import LoopbackFabric
 from softverbs.verbs import DeviceRegistry
 
@@ -95,6 +95,10 @@ FAST_PATHS = (
     fabric.Fabric._land,
     fabric.Fabric._end_burst,
     fabric.Fabric._reply,
+    fabric.Fabric._wire_copies,
+    fabric.Fabric._trace,
+    wire.encode_frame,
+    wire.decode_frame,
     pingpong._exchanges,
 )
 ENUMS = {"QpState", "CqState", "WcStatus", "WcOpcode", "SendOpcode",

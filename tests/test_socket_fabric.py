@@ -759,11 +759,17 @@ def test_a_send_error_loses_the_datagram_and_the_probe_carries_it(
     assert b.cq.poll(1) == []
 
 
-def dropped_records(fabric):
-    """The records of the frames ``fabric``'s drop filter kept off the
-    wire, in the order they were sent."""
-    return [encode_frame(e.frame) for e in fabric.trace
-            if e.status == "dropped"]
+def dropping_data(records):
+    """A drop filter that keeps every DATA frame off the wire and appends
+    its record to ``records``, in the order they were sent."""
+
+    def drop(frame):
+        if frame.kind is FrameKind.DATA:
+            records.append(encode_frame(frame))
+            return True
+        return False
+
+    return drop
 
 
 def test_a_bad_record_drops_the_rest_of_its_datagram(two_fabrics):
@@ -779,10 +785,11 @@ def test_a_bad_record_drops_the_rest_of_its_datagram(two_fabrics):
     b.post_recv(1, length=100)
     b.post_recv(2, off=100, length=100)
     # the engine's DATA never reaches the wire: the test sends it
-    fab_a.drop_filter = lambda frame: frame.kind is FrameKind.DATA
+    records = []
+    fab_a.drop_filter = dropping_data(records)
     a.post_send(3, b"first")  # PSN 100
     a.post_send(4, b"second", off=100)  # PSN 101
-    first, second = dropped_records(fab_a)[:2]
+    first, second = records[:2]
     bad = b"\xde\xad" + bytes(HEADER_LEN - 2)
     with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as peer:
         peer.sendto(first + bad + second, fab_b._addrs[b.lid])
