@@ -26,9 +26,11 @@ from . import verbs
 from .fabric import LoopbackFabric
 from .oob import DEFAULT_PORT, Destination, exchange_as_client, exchange_as_server
 from .verbs import (
+    INIT_REQUIRED,
+    RTR_REQUIRED,
+    RTS_REQUIRED,
     AccessFlags,
     AddressHandle,
-    AttrMask,
     BadWorkRequestError,
     ModifyAttributes,
     QpState,
@@ -46,15 +48,8 @@ SEND_WRID = 2
 
 CLIENT_FILL = 0x7B  # server buffers start one higher
 
-# the attribute masks of rc_pingpong.c's three modifies, bit by bit as it
-# spells them, made once: each ``|`` of an IntFlag is a Python-level call
-_INIT_MASK = (AttrMask.STATE | AttrMask.PKEY_INDEX | AttrMask.PORT |
-              AttrMask.ACCESS_FLAGS)
-_RTR_MASK = (AttrMask.STATE | AttrMask.AV | AttrMask.PATH_MTU |
-             AttrMask.DEST_QPN | AttrMask.RQ_PSN |
-             AttrMask.MAX_DEST_RD_ATOMIC | AttrMask.MIN_RNR_TIMER)
-_RTS_MASK = (AttrMask.STATE | AttrMask.TIMEOUT | AttrMask.RETRY_CNT |
-             AttrMask.RNR_RETRY | AttrMask.SQ_PSN | AttrMask.MAX_QP_RD_ATOMIC)
+# made once, so that set-up makes no call into enum.py: building an
+# IntFlag value is a Python-level call there
 _NO_ACCESS = AccessFlags(0)
 _SUCCESS = WcStatus.SUCCESS
 
@@ -138,6 +133,36 @@ def _or_fail(message: str):
         raise PingpongError(message) from exc
 
 
+def to_init(qp: verbs.QueuePair, port: int = 1) -> None:
+    """RESET -> INIT on ``port``, with no remote access, as rc_pingpong.c
+    modifies it."""
+    qp.modify(ModifyAttributes(state=QpState.INIT, pkey_index=0, port_num=port,
+                               qp_access_flags=_NO_ACCESS), INIT_REQUIRED)
+
+
+def to_rtr(qp: verbs.QueuePair, dlid: int, dest_qpn: int, rq_psn: int, *,
+           mtu: int = 1024, min_rnr_timer: int = 12, port: int = 1,
+           sl: int = 0, dgid: bytes = bytes(16)) -> None:
+    """INIT -> RTR against the peer at ``dlid``/``dest_qpn``. A non-zero
+    ``dgid`` makes the address handle global. rc_pingpong.c's
+    min_rnr_timer 12 is 0.64 ms (ibv_modify_qp(3))."""
+    ah = AddressHandle(dlid=dlid, sl=sl, port_num=port, is_global=any(dgid),
+                       dgid=dgid)
+    qp.modify(ModifyAttributes(
+        state=QpState.RTR, path_mtu=mtu, dest_qp_num=dest_qpn, rq_psn=rq_psn,
+        max_dest_rd_atomic=1, min_rnr_timer=min_rnr_timer, ah=ah),
+        RTR_REQUIRED)
+
+
+def to_rts(qp: verbs.QueuePair, sq_psn: int, *, timeout: int = 14,
+           retry_cnt: int = 7, rnr_retry: int = 7) -> None:
+    """RTR -> RTS. rc_pingpong.c's codes: timeout 14 is 67.1 ms, and
+    rnr_retry 7 retries without limit (ibv_modify_qp(3))."""
+    qp.modify(ModifyAttributes(
+        state=QpState.RTS, timeout=timeout, retry_cnt=retry_cnt,
+        rnr_retry=rnr_retry, sq_psn=sq_psn, max_rd_atomic=1), RTS_REQUIRED)
+
+
 def init_context(registry: verbs.DeviceRegistry,
                  cfg: PingpongConfig) -> PingpongContext:
     """Allocate the whole resource chain and park the QP in INIT."""
@@ -159,10 +184,7 @@ def init_context(registry: verbs.DeviceRegistry,
     with _or_fail("Couldn't create QP"):
         qp = pd.create_qp(cq, cq, QueueCaps(1, cfg.rx_depth, 1, 1), QpType.RC)
     with _or_fail("Failed to modify QP to INIT"):
-        qp.modify(ModifyAttributes(state=QpState.INIT, pkey_index=0,
-                                   port_num=cfg.ib_port,
-                                   qp_access_flags=_NO_ACCESS),
-                  _INIT_MASK)
+        to_init(qp, cfg.ib_port)
     return PingpongContext(context=context, channel=channel, pd=pd, mr=mr,
                            cq=cq, qp=qp, buf=buf, size=cfg.size,
                            rx_depth=cfg.rx_depth)
@@ -193,22 +215,11 @@ def post_receives(ctx: PingpongContext, n: int) -> int:
 def connect_ctx(ctx: PingpongContext, my_psn: int, dest: Destination,
                 cfg: PingpongConfig) -> None:
     """Walk the QP to RTR then RTS against the exchanged destination."""
-    ah = AddressHandle(dlid=dest.lid, sl=cfg.sl, src_path_bits=0,
-                       port_num=cfg.ib_port,
-                       is_global=any(dest.gid), dgid=dest.gid)
-    # rc_pingpong.c's codes: timeout 14 is 67.1 ms, min_rnr_timer 12 is
-    # 0.64 ms, and rnr_retry 7 retries without limit (ibv_modify_qp(3))
     with _or_fail("Failed to modify QP to RTR"):
-        ctx.qp.modify(
-            ModifyAttributes(state=QpState.RTR, path_mtu=cfg.mtu,
-                             dest_qp_num=dest.qpn, rq_psn=dest.psn,
-                             max_dest_rd_atomic=1, min_rnr_timer=12, ah=ah),
-            _RTR_MASK)
+        to_rtr(ctx.qp, dest.lid, dest.qpn, dest.psn, mtu=cfg.mtu,
+               port=cfg.ib_port, sl=cfg.sl, dgid=dest.gid)
     with _or_fail("Failed to modify QP to RTS"):
-        ctx.qp.modify(
-            ModifyAttributes(state=QpState.RTS, timeout=14, retry_cnt=7,
-                             rnr_retry=7, sq_psn=my_psn, max_rd_atomic=1),
-            _RTS_MASK)
+        to_rts(ctx.qp, my_psn)
 
 
 def _post_send(ctx: PingpongContext) -> None:
@@ -378,7 +389,8 @@ def open_node(cfg: PingpongConfig, registry: verbs.DeviceRegistry, fabric,
     if portinfo.link_layer is verbs.LinkLayer.INFINIBAND and not portinfo.lid:
         raise PingpongError("Couldn't get local LID")
     if cfg.gid_index is not None:
-        gid = ctx.context.query_gid(cfg.ib_port, cfg.gid_index)
+        with _or_fail(f"can't read sgid of index {cfg.gid_index}"):
+            gid = ctx.context.query_gid(cfg.ib_port, cfg.gid_index)
     else:
         gid = bytes(16)
     my_psn = rng.getrandbits(32) & 0xFFFFFF

@@ -4,19 +4,16 @@ for the ports a socket test binds: TCP for the out-of-band exchange, UDP
 for a socket fabric's port.
 
 Shared by the test suite and the scripts that drive a fabric directly
-(``scripts/fault_sweep.py``); the pingpong program does its own set-up.
+(``scripts/fault_sweep.py``). ``connect_pair`` walks each QP with the
+pingpong program's own ``to_init``, ``to_rtr`` and ``to_rts``, so a
+test connects its QPs through the code the program runs.
 """
 
 import socket
 
+from .pingpong import to_init, to_rtr, to_rts
 from .verbs import (
-    INIT_REQUIRED,
-    RTR_REQUIRED,
-    RTS_REQUIRED,
     AccessFlags,
-    AddressHandle,
-    ModifyAttributes,
-    QpState,
     QpType,
     QueueCaps,
     ReceiveWorkRequest,
@@ -85,27 +82,6 @@ class Node:
 
     def read(self, off, length):
         return bytes(self.buf.data[off:off + length])
-
-
-def to_init(qp, port=1):
-    qp.modify(ModifyAttributes(state=QpState.INIT, pkey_index=0,
-                               port_num=port,
-                               qp_access_flags=AccessFlags(0)), INIT_REQUIRED)
-
-
-def to_rtr(qp, dlid, dest_qpn, rq_psn, *, mtu=1024, min_rnr_timer=12, port=1):
-    qp.modify(ModifyAttributes(state=QpState.RTR, path_mtu=mtu,
-                               dest_qp_num=dest_qpn, rq_psn=rq_psn,
-                               max_dest_rd_atomic=1,
-                               min_rnr_timer=min_rnr_timer,
-                               ah=AddressHandle(dlid=dlid, port_num=port)),
-              RTR_REQUIRED)
-
-
-def to_rts(qp, sq_psn, *, timeout=14, retry_cnt=7, rnr_retry=7):
-    qp.modify(ModifyAttributes(state=QpState.RTS, timeout=timeout,
-                               retry_cnt=retry_cnt, rnr_retry=rnr_retry,
-                               sq_psn=sq_psn, max_rd_atomic=1), RTS_REQUIRED)
 
 
 def connect_pair(a: Node, b: Node, *, psn_a=100, psn_b=200, mtu=1024,

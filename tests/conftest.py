@@ -2,13 +2,15 @@ import pytest
 
 from softverbs import fabric as fabric_module
 from softverbs.fabric import LoopbackFabric
+from softverbs.pingpong import (  # noqa: F401  (re-exported to the tests)
+    to_init,
+    to_rtr,
+    to_rts,
+)
 from softverbs.testbed import (  # noqa: F401  (re-exported to the tests)
     Node,
     connect_pair,
     free_port,
-    to_init,
-    to_rtr,
-    to_rts,
 )
 from softverbs.verbs import DeviceRegistry
 

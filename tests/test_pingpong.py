@@ -3,6 +3,7 @@ import re
 import socket
 import threading
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -21,10 +22,12 @@ from softverbs.pingpong import (
     report,
     run_loop,
     run_loopback_pair,
+    to_rtr,
 )
 from softverbs.verbs import (
     AttrMask,
     CompletionEntry,
+    CompletionQueue,
     CompletionQueueError,
     DeviceRegistry,
     ModifyAttributes,
@@ -100,6 +103,13 @@ def test_an_oob_port_out_of_range_is_refused(port):
     with pytest.raises(ValueError,
                        match=f"^oob_port must be within 1-65535, got {port}$"):
         PingpongConfig(oob_port=port)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("size", 1), ("iters", 1), ("rx_depth", 1),
+    ("oob_port", 1), ("oob_port", 65535)])
+def test_a_value_at_the_edge_of_its_range_is_accepted(name, value):
+    assert getattr(PingpongConfig(**{name: value}), name) == value
 
 
 class TestValidateFirstRecv:
@@ -222,6 +232,38 @@ class TestConnectCtx:
         connect_ctx(ctx, my_psn, Destination(lid=9, qpn=1, psn=5), cfg)
         assert ctx.qp.attrs.sq_psn == my_psn < (1 << 24)
 
+    def test_the_sl_reaches_both_roles_with_a_local_address(self):
+        server, client, _ = run_loopback_pair(
+            PingpongConfig(iters=2, rx_depth=2, size=64, sl=3), seed=43)
+        for result in (server, client):
+            ah = result.ctx.qp.attrs.ah
+            assert (ah.sl, ah.is_global) == (3, False)
+
+    def test_a_non_zero_gid_makes_the_address_global(self, world):
+        registry, fabric = world
+        ctx = init_context(registry, PingpongConfig())
+        fabric.attach(ctx.context, 1)
+        gid = bytes.fromhex("fe80000000000000000000000000002a")
+        to_rtr(ctx.qp, 7, 0x123456, 0, dgid=gid)
+        ah = ctx.qp.attrs.ah
+        assert (ah.dlid, ah.is_global, ah.dgid) == (7, True, gid)
+
+
+def test_the_readme_library_example_runs():
+    """README's "Using the library" block as written: one QP connected to
+    itself takes its own 64-byte send into the first of two receives."""
+    readme = (Path(__file__).resolve().parents[1] /
+              "README.md").read_text(encoding="utf-8")
+    code = re.search(r"^## Using the library\n\n```python\n(.*?)^```$",
+                     readme, re.M | re.S).group(1)
+    printed = []
+    exec(code, {"print": printed.append})
+    [(recv, send)] = printed
+    assert (recv.wr_id, recv.opcode, recv.status, recv.byte_len) == \
+        (1, WcOpcode.RECV, WcStatus.SUCCESS, 64)
+    assert (send.wr_id, send.opcode, send.status) == \
+        (3, WcOpcode.SEND, WcStatus.SUCCESS)
+
 
 class TestRunLoop:
     def test_minimal_single_iteration(self):
@@ -271,7 +313,15 @@ class TestRunLoop:
         faulty_frames = len(faulty_fabric.trace)
         assert faulty_frames > clean_frames
 
-    def test_event_mode_matches_polling_mode(self):
+    def test_event_mode_matches_polling_mode(self, monkeypatch):
+        acks = []
+        ack_events = CompletionQueue.ack_events
+
+        def recording(cq, n):
+            acks.append(n)
+            return ack_events(cq, n)
+
+        monkeypatch.setattr(CompletionQueue, "ack_events", recording)
         polling = PingpongConfig(iters=25, rx_depth=6, size=256)
         events = PingpongConfig(iters=25, rx_depth=6, size=256, use_event=True)
         ps, pc, pf = run_loopback_pair(polling, seed=21)
@@ -285,9 +335,10 @@ class TestRunLoop:
         count_data = lambda f: len([e for e in f.trace
                                     if e.frame.kind is FrameKind.DATA])
         assert count_data(pf) == count_data(ef) == 2 * 25
-        # all events acknowledged before teardown
+        # all events acknowledged before teardown, rx_depth at a time
         assert es.ctx.cq.unacked_events == 0
         assert ec.ctx.cq.unacked_events == 0
+        assert max(acks) == events.rx_depth
 
 
 class TestLoopbackPair:
@@ -422,6 +473,10 @@ class TestReport:
         # bytes * 8 / (secs * 1e6), two decimals
         assert f"{8192000 * 8 / (0.012683 * 1e6):.2f} Mbit/sec" in text
         assert f"{0.012683 * 1e6 / 1000:.2f} usec/iter" in text
+        # a run too short for the clock reads an infinite rate
+        stats = RunStats(bytes_total=128, elapsed=0.0, iters=1)
+        text = report(stats, Destination(1, 1, 1), Destination(2, 2, 2))
+        assert "128 bytes in 0.00 seconds = inf Mbit/sec" in text
 
     def test_zero_gid_renders_as_double_colon(self):
         assert format_gid(bytes(16)) == "::"
