@@ -21,7 +21,7 @@ from .fabric import (
     load_fabric_config,
     parse_faults_spec,
 )
-from .oob import DEFAULT_PORT, ExchangeError
+from .oob import ExchangeError
 from .pingpong import (
     PingpongConfig,
     PingpongError,
@@ -34,29 +34,32 @@ from .wire import FrameKind
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # rc_pingpong's settings have one home: each default is the config's
+    d = PingpongConfig()
     p = argparse.ArgumentParser(
         prog="softverbs-pingpong",
         description="Emulated RDMA send/recv pingpong benchmark.")
-    p.add_argument("server_host", nargs="?", default=None,
+    p.add_argument("server_host", nargs="?", default=d.server_host,
                    help="connect to this host (client role); "
                         "omit to run as the server")
-    p.add_argument("-p", "--port", type=int, default=DEFAULT_PORT,
-                   help="out-of-band port for --fabric socket (default 18515)")
-    p.add_argument("-i", "--ib-port", type=int, default=1,
-                   help="port of the emulated HCA (default 1)")
-    p.add_argument("-s", "--size", type=int, default=4096,
-                   help="message size in bytes (default 4096)")
-    p.add_argument("-r", "--rx-depth", type=int, default=500,
-                   help="receives to post at a time (default 500)")
-    p.add_argument("-n", "--iters", type=int, default=1000,
-                   help="number of exchanges (default 1000)")
-    p.add_argument("-l", "--sl", type=int, default=0,
-                   help="service level (default 0)")
-    p.add_argument("-m", "--mtu", type=int, default=1024,
-                   help="path MTU (default 1024)")
-    p.add_argument("-e", "--events", action="store_true",
+    p.add_argument("-p", "--port", type=int, default=d.oob_port,
+                   help="out-of-band port for --fabric socket "
+                        "(default %(default)s)")
+    p.add_argument("-i", "--ib-port", type=int, default=d.ib_port,
+                   help="port of the emulated HCA (default %(default)s)")
+    p.add_argument("-s", "--size", type=int, default=d.size,
+                   help="message size in bytes (default %(default)s)")
+    p.add_argument("-r", "--rx-depth", type=int, default=d.rx_depth,
+                   help="receives to post at a time (default %(default)s)")
+    p.add_argument("-n", "--iters", type=int, default=d.iters,
+                   help="number of exchanges (default %(default)s)")
+    p.add_argument("-l", "--sl", type=int, default=d.sl,
+                   help="service level (default %(default)s)")
+    p.add_argument("-m", "--mtu", type=int, default=d.mtu,
+                   help="path MTU (default %(default)s)")
+    p.add_argument("-e", "--events", action="store_true", default=d.use_event,
                    help="sleep on CQ events instead of polling")
-    p.add_argument("-g", "--gid-idx", type=int, default=None,
+    p.add_argument("-g", "--gid-idx", type=int, default=d.gid_index,
                    help="local port GID index")
     p.add_argument("--faults", metavar="SPEC", default=None,
                    help="fault injection: drop=<p> dup=<p> reorder=<p> "

@@ -104,11 +104,12 @@ probe, timeout or RNR pause deadline exactly, ``_due``; a tick
 superseded by an earlier deadline is cancelled, and so is the tick of
 a window that empties, so a lossless run fires none on either
 transport). A tick's resend goes through ``_resend`` and is charged
-there. A transport carries only frames and time: it supplies ``now_ms``,
-``schedule_at`` and ``_deliver``, hands each burst to ``_land``, and
-moves in ``wait_until``, the blocking wait of the verbs objects
-(sockets), or in ``progress``, which a driver whose callers all wait
-calls (loopback).
+there. A transport carries only frames and time: it supplies ``now_ms``
+and ``_deliver``, fires the timers that ``schedule_at`` queues (the
+base's wakes a waiting mover; loopback's only queues), hands each burst
+to ``_land``, and moves in ``wait_until``, the blocking wait of the
+verbs objects (sockets), or in ``progress``, which a driver whose
+callers all wait calls (loopback).
 
 A QP's engine state follows its verbs state, and only the fabric sets
 it, in one hook: ``_enter_state`` makes one call for every state
@@ -513,8 +514,13 @@ class Fabric(Progress):
 
     def schedule_at(self, t: float, fn: Callable[[], None]) -> tuple:
         """Run ``fn`` at ``t`` on the ``now_ms`` clock; return the timer's
-        entry, which ``_cancel`` takes."""
-        raise NotImplementedError
+        entry, which ``_cancel`` takes. The timer is queued under the world
+        lock, then ``wake`` cuts short a wait that would sleep past it."""
+        with self._lock:
+            timer = (t, next(self._seq), fn)
+            heapq.heappush(self._timers, timer)
+        self.wake()
+        return timer
 
     def _cancel(self, timer: tuple) -> None:
         """Take a pending timer out of the heap; the caller holds the world
@@ -1034,9 +1040,10 @@ class LoopbackFabric(Fabric):
         return self._now
 
     def schedule_at(self, t: float, fn: Callable[[], None]) -> tuple:
-        """Queue ``fn`` for virtual time ``t``. The caller holds the world
-        lock, as every engine callback and ``transmit_message`` do; it
-        is not taken again here, once per frame."""
+        """Queue ``fn`` for virtual time ``t``, without the base's lock and
+        wake. The caller holds the world lock, as every engine callback
+        and ``transmit_message`` do, so it is not taken again here, once
+        per frame; and no wait moves the virtual clock."""
         timer = (t, next(self._seq), fn)
         heapq.heappush(self._timers, timer)
         return timer
@@ -1387,13 +1394,6 @@ class SocketFabric(Fabric):
     def now_ms(self) -> float:
         return time.monotonic() * 1000.0
 
-    def schedule_at(self, t: float, fn: Callable[[], None]) -> tuple:
-        with self._lock:
-            timer = (t, next(self._seq), fn)
-            heapq.heappush(self._timers, timer)
-        _MANUAL.wake()
-        return timer
-
     def wait_until(self, cond, ready, timeout) -> bool:
         return _MANUAL.wait(cond, ready, timeout)
 
@@ -1442,7 +1442,7 @@ class SocketFabric(Fabric):
                 self.detach(ep.context, ep.port)
             for held in (self._unsent, self._addrs, self._timers):
                 held.clear()
-        _MANUAL.wake()
+        self.wake()
 
     # -- progress, made by the thread that waits --------------------------
 

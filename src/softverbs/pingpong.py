@@ -141,8 +141,8 @@ def to_init(qp: verbs.QueuePair, port: int = 1) -> None:
 
 
 def to_rtr(qp: verbs.QueuePair, dlid: int, dest_qpn: int, rq_psn: int, *,
-           mtu: int = 1024, min_rnr_timer: int = 12, port: int = 1,
-           sl: int = 0, dgid: bytes = bytes(16)) -> None:
+           mtu: int = PingpongConfig.mtu, min_rnr_timer: int = 12,
+           port: int = 1, sl: int = 0, dgid: bytes = bytes(16)) -> None:
     """INIT -> RTR against the peer at ``dlid``/``dest_qpn``. A non-zero
     ``dgid`` makes the address handle global. rc_pingpong.c's
     min_rnr_timer 12 is 0.64 ms (ibv_modify_qp(3))."""

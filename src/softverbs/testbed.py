@@ -84,15 +84,15 @@ class Node:
         return bytes(self.buf.data[off:off + length])
 
 
-def connect_pair(a: Node, b: Node, *, psn_a=100, psn_b=200, mtu=1024,
-                 timeout=14, retry_cnt=7, rnr_retry=7, min_rnr_timer=12):
+def connect_pair(a: Node, b: Node, *, psn_a=100, psn_b=200, **attrs):
+    """Walk both QPs to RTS against each other. ``mtu`` and
+    ``min_rnr_timer`` in ``attrs`` go to ``to_rtr`` and the rest to
+    ``to_rts``; what is not given keeps the walk's own default, which is
+    rc_pingpong.c's."""
+    rtr = {k: attrs.pop(k) for k in ("mtu", "min_rnr_timer") if k in attrs}
     to_init(a.qp, a.port)
     to_init(b.qp, b.port)
-    to_rtr(a.qp, b.lid, b.qp.qpn, psn_b, mtu=mtu,
-           min_rnr_timer=min_rnr_timer, port=a.port)
-    to_rtr(b.qp, a.lid, a.qp.qpn, psn_a, mtu=mtu,
-           min_rnr_timer=min_rnr_timer, port=b.port)
-    to_rts(a.qp, psn_a, timeout=timeout, retry_cnt=retry_cnt,
-           rnr_retry=rnr_retry)
-    to_rts(b.qp, psn_b, timeout=timeout, retry_cnt=retry_cnt,
-           rnr_retry=rnr_retry)
+    to_rtr(a.qp, b.lid, b.qp.qpn, psn_b, port=a.port, **rtr)
+    to_rtr(b.qp, a.lid, a.qp.qpn, psn_a, port=b.port, **rtr)
+    to_rts(a.qp, psn_a, **attrs)
+    to_rts(b.qp, psn_b, **attrs)

@@ -400,8 +400,9 @@ class Progress:
 
     def wake(self) -> None:
         """CQEs or a channel event come from outside the fabric (a flush
-        or a destroyed channel, on any thread): cut short a wait that
-        would miss them. The fabric's own CQEs need no wake."""
+        or a destroyed channel, on any thread), or a timer was armed
+        (``Fabric.schedule_at``): cut short a wait that would miss them.
+        The fabric's own CQEs need no wake."""
 
 
 _UNATTACHED = Progress()  # for a context with no port attached
@@ -656,19 +657,17 @@ class CompletionQueue:
         self.unacked_events = 0
         self.notify_armed = False
         self._qps: set[QueuePair] = set()
-        self._ack_cond = threading.Condition(context.lock)
-        self._entry_cond = threading.Condition(context.lock)
-        self._waiters = 0  # threads in wait_for_completion
+        # notified on every CQE queued and every ack, as a channel's is
+        self._cond = threading.Condition(context.lock)
         if channel is not None:
             channel._cqs.add(self)
 
     def _push(self, entry: CompletionEntry) -> None:
-        """Insert a CQE; overflowing latches the error state and drops it.
-
-        Waiters are woken only if there are any: a poll loop that never
-        waits pays no notify per CQE. An overflow wakes no one: the CQ
-        is full, so the push that made it non-empty woke every waiter
-        already, and a waiter's wait ends on any entry."""
+        """Insert a CQE and notify the CQ's condition, as a channel does
+        on every delivery; overflowing latches the error state and drops
+        the entry. An overflow wakes no one: the CQ is full, so the push
+        that made it non-empty woke every waiter already, and a waiter's
+        wait ends on any entry."""
         with self.context.lock:
             if self.state is _CQ_ERROR:
                 return
@@ -676,8 +675,7 @@ class CompletionQueue:
                 self.state = _CQ_ERROR
                 return
             self.entries.append(entry)
-            if self._waiters:
-                self._entry_cond.notify_all()
+            self._cond.notify_all()
             if self.notify_armed and self.channel is not None:
                 self.notify_armed = False
                 self.channel._deliver(self)
@@ -702,22 +700,16 @@ class CompletionQueue:
             return out
 
     def wait_for_completion(self, timeout: float | None = None) -> bool:
-        """Park the caller until an entry (or the error latch) appears.
+        """Park the caller until an entry (or the error latch) appears;
+        True if one does before ``timeout`` seconds pass.
 
         Purely a convenience for poll loops; poll() itself never blocks.
-        The caller counts as a waiter, under the world lock, for as long
-        as it waits, so that ``_push`` knows to wake it.
+        It sleeps on the CQ's condition, which ``_push`` notifies on
+        every entry it queues.
         """
-        with self.context.lock:
-            self._waiters += 1
-        try:
-            return self.context._progress().wait_until(
-                self._entry_cond,
-                lambda: bool(self.entries) or self.state is _CQ_ERROR,
-                timeout)
-        finally:
-            with self.context.lock:
-                self._waiters -= 1
+        return self.context._progress().wait_until(
+            self._cond, lambda: bool(self.entries) or self.state is _CQ_ERROR,
+            timeout)
 
     def req_notify(self) -> None:
         """Arm a one-shot event: the next CQE pushes this CQ to its channel."""
@@ -727,20 +719,20 @@ class CompletionQueue:
             self.notify_armed = True
 
     def ack_events(self, n: int) -> None:
-        with self._ack_cond:
+        with self._cond:
             if n < 0 or n > self.unacked_events:
                 raise VerbsError(
                     f"acking {n} events with {self.unacked_events} outstanding")
             self.unacked_events -= n
-            self._ack_cond.notify_all()
+            self._cond.notify_all()
 
     def destroy(self) -> None:
         """Tear down; waits until every delivered event has been acked."""
-        with self._ack_cond:
+        with self._cond:
             if self._qps:
                 raise VerbsError("CQ still attached to a queue pair")
             while self.unacked_events > 0:
-                self._ack_cond.wait()
+                self._cond.wait()
             if self in self.context._cqs:
                 self.context._cqs.remove(self)
             if self.channel is not None:
@@ -820,6 +812,8 @@ class QueuePair:
                     raise VerbsError(error.format(value))
         if mask & _AV and len(attrs.ah.dgid) != 16:
             raise VerbsError("gid must be 16 bytes")
+        if mask & _AV and not 0 <= attrs.ah.sl <= 15:  # the LRH's 4-bit SL
+            raise VerbsError("sl must fit in 4 bits")
 
     def _apply_masked(self, attrs: QpAttributes, mask: int) -> None:
         for bit, name, _, _ in _MASKABLE:

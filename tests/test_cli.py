@@ -83,6 +83,7 @@ class TestLoopbackCli:
         (["-m", "300", "-n", "5"], "Failed to modify QP to RTR"),
         (["--faults", "drop=1.0"], "Failed status RetryExceeded for wr_id 2"),
         (["-g", "1"], "can't read sgid of index 1"),
+        (["-l", "16"], "Failed to modify QP to RTR"),
     ])
     def test_a_failed_verbs_step_exits_one_with_its_message(
             self, capsys, argv, message):

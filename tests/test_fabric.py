@@ -1906,3 +1906,9 @@ class TestFaultConfig:
         with pytest.raises(FabricConfigError, match=f"^line 2: {message}$"):
             parse_fabric_config("lid 9 host 127.0.0.1 port 19000\n"
                                 f"lid {lid} host 127.0.0.1 port {port}\n")
+
+    @pytest.mark.parametrize("port", [1, 65535])
+    def test_an_entry_at_either_end_of_the_port_range_is_accepted(self, port):
+        assert FabricConfigEntry(1, "127.0.0.1", port).port == port
+        config = parse_fabric_config(f"lid 1 host 127.0.0.1 port {port}\n")
+        assert [(e.lid, e.port) for e in config.entries] == [(1, port)]

@@ -183,6 +183,8 @@ INVALID = {
     "dgid": (QpState.RTR,
              dict(ah=AddressHandle(dlid=99, port_num=1, dgid=bytes(15))),
              "gid must be 16 bytes"),
+    "sl": (QpState.RTR, dict(ah=AddressHandle(dlid=99, port_num=1, sl=16)),
+           "sl must fit in 4 bits"),
     # STATE is masked, but the attributes name no state to enter
     "state": (QpState.INIT, dict(state=None),
               "STATE masked but attrs carry no target state"),
@@ -202,6 +204,12 @@ def test_invalid_field_values_leave_qp_unchanged(registry, fabric, case):
                                            **bad}), mask)
     assert node.qp.state is BEFORE[target]
     assert node.qp.attrs == before
+
+
+def test_the_largest_4_bit_sl_is_accepted(registry, fabric):
+    node = qp_in_state(registry, fabric, QpState.INIT)
+    to_rtr(node.qp, 99, 1, 0, sl=15)
+    assert node.qp.state is QpState.RTR and node.qp.attrs.ah.sl == 15
 
 
 def test_psn_fields_must_be_24_bit(registry, fabric):

@@ -279,6 +279,15 @@ class TestPollCq:
         wcs = b.cq.poll(2)
         assert [wc.wr_id for wc in wcs] == [1, 2]
 
+    def test_a_poll_takes_at_most_max_entries(self, pair, fabric):
+        a, b = pair
+        for wr_id in (1, 2, 3):
+            b.post_recv(wr_id)
+            a.post_send(10 + wr_id, b"msg")
+        fabric.run_until_idle()
+        assert [wc.wr_id for wc in b.cq.poll(2)] == [1, 2]
+        assert [wc.wr_id for wc in b.cq.poll(2)] == [3]
+
     def test_zero_max_rejected(self, registry, fabric):
         node = Node(registry, fabric)
         with pytest.raises(VerbsError):
@@ -293,7 +302,7 @@ class TestPollCq:
 
     def test_a_waiter_wakes_when_another_thread_pumps_the_clock(self, pair,
                                                                  fabric):
-        # a CQE wakes only a counted waiter; the count is what _push reads
+        # the waiter sleeps on the CQ's condition, which _push notifies
         a, b = pair
         b.post_recv(1)
         woke = []
@@ -301,9 +310,9 @@ class TestPollCq:
             (b.cq.wait_for_completion(timeout=5.0), time.monotonic())))
         waiter.start()
         deadline = time.monotonic() + 5.0
-        while b.cq._waiters == 0 and time.monotonic() < deadline:
+        while not b.cq._cond._waiters and time.monotonic() < deadline:
             time.sleep(0.001)
-        assert b.cq._waiters == 1
+        assert len(b.cq._cond._waiters) == 1
         a.post_send(2, b"wake up")
         fabric.run_until_idle()
         landed = time.monotonic()
@@ -311,7 +320,7 @@ class TestPollCq:
         assert not waiter.is_alive()
         (ready, at), = woke
         assert ready and at - landed < 1.0
-        assert b.cq._waiters == 0
+        assert not b.cq._cond._waiters
         assert [wc.wr_id for wc in b.cq.poll(2)] == [1]
 
 
@@ -409,6 +418,12 @@ class TestAckEvents:
         node = Node(registry, fabric, channel=True)
         node.cq.unacked_events = 3
         node.cq.ack_events(3)
+        assert node.cq.unacked_events == 0
+
+    def test_acking_no_events_is_allowed(self, registry, fabric):
+        # rc_pingpong acks what it counted, which is 0 in polling mode
+        node = Node(registry, fabric, channel=True)
+        node.cq.ack_events(0)
         assert node.cq.unacked_events == 0
 
     def test_over_ack_is_an_error(self, registry, fabric):
