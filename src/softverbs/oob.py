@@ -27,6 +27,7 @@ from typing import Callable
 DEFAULT_PORT = 18515
 _WIDTHS = (4, 6, 6, 32)
 _MAX_LINE = 256  # bytes a record may hold before its newline
+READ_TIMEOUT_S = 30.0  # how long either side waits on the other's record
 
 
 class ExchangeError(Exception):
@@ -82,10 +83,14 @@ def decode_destination(line: str) -> Destination:
 def _read_line(sock: socket.socket) -> str:
     """Read one record up to its newline, in as few ``recv`` calls as the
     peer's writes allow. The peer sends nothing after its record, so
-    reading ahead loses nothing."""
+    reading ahead loses nothing. A peer that stalls longer than the
+    socket's timeout is an ``ExchangeError``."""
     data = b""
     while True:
-        chunk = sock.recv(_MAX_LINE + 1 - len(data))
+        try:
+            chunk = sock.recv(_MAX_LINE + 1 - len(data))
+        except TimeoutError as exc:
+            raise ExchangeError("peer stalled before a full record") from exc
         if not chunk:
             raise ExchangeError("peer closed before sending a full record")
         data += chunk
@@ -100,7 +105,7 @@ def exchange_as_client(host: str, port: int,
                        mine: Destination) -> Destination:
     """Connect to the listening peer, send ours, read theirs."""
     try:
-        sock = socket.create_connection((host, port), timeout=30.0)
+        sock = socket.create_connection((host, port), timeout=READ_TIMEOUT_S)
     except OSError as exc:
         raise ExchangeError(f"connect to {host}:{port} failed: {exc}") from exc
     with sock:
@@ -131,6 +136,9 @@ def exchange_as_server(port: int, mine: Destination,
         except OSError as exc:
             raise ExchangeError(f"accept failed: {exc}") from exc
         with conn:
+            # accept gives a blocking socket: the listener's timeout is not
+            # inherited
+            conn.settimeout(READ_TIMEOUT_S)
             theirs = decode_destination(_read_line(conn))
             if on_peer is not None:
                 on_peer(theirs)

@@ -382,7 +382,7 @@ class DeviceRegistry:
         with self.lock:
             if device not in self._devices:
                 raise VerbsError(f"unknown device {device!r}")
-            return DeviceContext(self, device)
+            return _record(DeviceContext(self, device))
 
 
 class Progress:
@@ -408,18 +408,55 @@ class Progress:
 _UNATTACHED = Progress()  # for a context with no port attached
 
 
+# One rule for a verbs object's life, after pp_close_ctx in rc_pingpong
+# and the ibv_* man pages: an object others are made on or bound to
+# (context, PD, CQ, channel) keeps the live objects that use it in
+# ``_users``, and refuses its release while that set is non-empty; an
+# object made on a released one is refused; a released object has
+# ``released`` set, and a second release does nothing. Every object is
+# made through ``_record`` and released through ``_release``.
+
+def _record(obj, *owners):
+    """Record ``obj`` in each object it uses, and return it. A released
+    owner refuses it with that owner's ``_GONE`` message; call this
+    before the new object takes a handle, lkey or QPN."""
+    for owner in owners:
+        if owner.released:
+            raise VerbsError(owner._GONE)
+    for owner in owners:
+        owner._users.add(obj)
+    obj._owners = owners
+    return obj
+
+
+def _release(obj, busy: str | None = None) -> bool:
+    """Release ``obj`` and drop it from each object it used; False, and
+    nothing done, if it is released already. Given ``busy``, an object
+    still used by another refuses with that message."""
+    if obj.released:
+        return False
+    if busy is not None and obj._users:
+        raise VerbsError(busy)
+    obj.released = True
+    for owner in obj._owners:
+        owner._users.discard(obj)
+    return True
+
+
 class DeviceContext:
-    """An open handle on a device; parent of PDs, CQs, and channels."""
+    """An open handle on a device, which its PDs, CQs and channels are
+    made on; ``close`` refuses while any is live (``ibv_close_device(3)``
+    leaves that to the caller), and a closed context takes no new one."""
+
+    _GONE = "context is closed"
 
     def __init__(self, registry: DeviceRegistry, device: Device):
         self.registry = registry
         self.lock = registry.lock  # the world lock
         self.device = device
-        self.open = True
+        self.released = False
+        self._users: set = set()
         self.ports = range(1, device.num_ports + 1)
-        self._pds: list[ProtectionDomain] = []
-        self._cqs: list[CompletionQueue] = []
-        self._channels: list[CompletionChannel] = []
         self._mr_by_lkey: dict[int, MemoryRegion] = {}
         # port -> fabric endpoint: a port's one record of its LID and state
         self._attachments: dict[int, object] = {}
@@ -428,9 +465,13 @@ class DeviceContext:
         self._next_qpn = QPN_FIRST
         self._next_addr = 0x100000
 
+    @property
+    def open(self) -> bool:
+        return not self.released
+
     def _check_open(self):
-        if not self.open:
-            raise VerbsError("context is closed")
+        if self.released:
+            raise VerbsError(self._GONE)
 
     def _progress(self) -> "Progress":
         """The fabric a port is attached to, which the waits go through."""
@@ -450,24 +491,18 @@ class DeviceContext:
 
     def alloc_pd(self) -> "ProtectionDomain":
         with self.lock:
-            self._check_open()
-            pd = ProtectionDomain(self, self._next_pd_handle)
+            pd = _record(ProtectionDomain(self, self._next_pd_handle), self)
             self._next_pd_handle += 1
-            self._pds.append(pd)
             return pd
 
     def create_channel(self) -> "CompletionChannel":
         with self.lock:
-            self._check_open()
-            ch = CompletionChannel(self)
-            self._channels.append(ch)
-            return ch
+            return _record(CompletionChannel(self), self)
 
     def create_cq(self, capacity: int, user_context=None,
                   channel: Optional["CompletionChannel"] = None,
                   comp_vector: int = 0) -> "CompletionQueue":
         with self.lock:
-            self._check_open()
             if capacity < 1:
                 raise VerbsError(f"cq capacity must be >= 1, got {capacity}")
             if comp_vector != 0:
@@ -475,8 +510,7 @@ class DeviceContext:
             if channel is not None and channel.context is not self:
                 raise VerbsError("channel belongs to a different context")
             cq = CompletionQueue(self, capacity, user_context, channel)
-            self._cqs.append(cq)
-            return cq
+            return _record(cq, self, *(() if channel is None else (channel,)))
 
     def query_port(self, port: int) -> PortAttributes:
         """An attached port is ACTIVE, with the LID its attachment holds;
@@ -503,26 +537,26 @@ class DeviceContext:
 
     def close(self) -> None:
         with self.lock:
-            if not self.open:
-                return
-            if self._pds or self._cqs or self._channels:
-                raise VerbsError("context still has live child resources")
-            for endpoint in list(self._attachments.values()):
-                endpoint.fabric.detach(self, endpoint.port)
-            self.open = False
+            if _release(self, "context still has live child resources"):
+                for endpoint in list(self._attachments.values()):
+                    endpoint.fabric.detach(self, endpoint.port)
 
 
 class ProtectionDomain:
+    """Made on a context; its MRs and QPs are made on it, and ``dealloc``
+    (``ibv_dealloc_pd``) refuses while any is live."""
+
+    _GONE = "protection domain is deallocated"
+
     def __init__(self, context: DeviceContext, handle: int):
         self.context = context
         self.handle = handle
-        self._mrs: list[MemoryRegion] = []
-        self._qps: list[QueuePair] = []
+        self.released = False
+        self._users: set = set()
 
     def reg_mr(self, buf: Buffer, length: int,
                access: AccessFlags | int) -> "MemoryRegion":
         with self.context.lock:
-            self.context._check_open()
             if length <= 0:
                 raise VerbsError(f"mr length must be positive, got {length}")
             if length > len(buf):
@@ -530,16 +564,14 @@ class ProtectionDomain:
             if int(access) & ~int(ACCESS_ALL):
                 raise VerbsError(f"undefined access bits in {int(access):#x}")
             lkey = self.context._next_lkey
+            mr = _record(MemoryRegion(self, buf, buf.base, length, lkey), self)
             self.context._next_lkey += 1
-            mr = MemoryRegion(self, buf, buf.base, length, lkey)
-            self._mrs.append(mr)
             self.context._mr_by_lkey[lkey] = mr
             return mr
 
     def create_qp(self, send_cq: "CompletionQueue", recv_cq: "CompletionQueue",
                   caps: QueueCaps, qp_type: QpType = QpType.RC) -> "QueuePair":
         with self.context.lock:
-            self.context._check_open()
             if send_cq is None or recv_cq is None:
                 raise VerbsError("queue pair needs both a send and a recv CQ")
             if send_cq.context is not self.context or \
@@ -552,18 +584,14 @@ class ProtectionDomain:
                 if n < 1:
                     raise VerbsError("queue caps must all be >= 1")
             qpn = self.context._next_qpn
-            self.context._next_qpn = (self.context._next_qpn + 1) & QPN_MASK
-            qp = QueuePair(self, qpn, send_cq, recv_cq, copy.copy(caps))
-            self._qps.append(qp)
-            send_cq._qps.add(qp)
-            recv_cq._qps.add(qp)
+            qp = _record(QueuePair(self, qpn, send_cq, recv_cq,
+                                   copy.copy(caps)), self, send_cq, recv_cq)
+            self.context._next_qpn = (qpn + 1) & QPN_MASK
             return qp
 
     def dealloc(self) -> None:
         with self.context.lock:
-            if self._mrs or self._qps:
-                raise VerbsError("protection domain still has live children")
-            self.context._pds.remove(self)
+            _release(self, "protection domain still has live children")
 
 
 class MemoryRegion:
@@ -574,7 +602,11 @@ class MemoryRegion:
         self.base = base
         self.length = length
         self.lkey = lkey
-        self.pinned = True
+        self.released = False
+
+    @property
+    def pinned(self) -> bool:
+        return not self.released
 
     def contains(self, addr: int, length: int) -> bool:
         return self.base <= addr and addr + length <= self.base + self.length
@@ -590,22 +622,23 @@ class MemoryRegion:
 
     def dereg(self) -> None:
         with self.pd.context.lock:
-            if not self.pinned:
-                return
-            self.pinned = False
-            self.pd._mrs.remove(self)
-            del self.pd.context._mr_by_lkey[self.lkey]
+            if _release(self):
+                del self.pd.context._mr_by_lkey[self.lkey]
 
 
 class CompletionChannel:
-    """Event-mode delivery: armed CQs land here when a CQE arrives."""
+    """Event-mode delivery: armed CQs land here when a CQE arrives. Made
+    on a context; CQs are bound to it, and ``destroy``
+    (``ibv_destroy_comp_channel``) refuses while any is live."""
+
+    _GONE = "channel is destroyed"
 
     def __init__(self, context: DeviceContext):
         self.context = context
         self.pending: deque[CompletionQueue] = deque()
-        self.destroyed = False
+        self.released = False
+        self._users: set = set()
         self._cond = threading.Condition(context.lock)
-        self._cqs: set[CompletionQueue] = set()
 
     def _deliver(self, cq: "CompletionQueue") -> None:
         self.pending.append(cq)
@@ -616,7 +649,7 @@ class CompletionChannel:
         destroyed, without taking the notification; True if either holds
         before ``timeout`` seconds pass."""
         return self.context._progress().wait_until(
-            self._cond, lambda: bool(self.pending) or self.destroyed, timeout)
+            self._cond, lambda: bool(self.pending) or self.released, timeout)
 
     def get_event(self, timeout: float | None = None) -> Optional["CompletionQueue"]:
         """Block until a CQ notification is available and return that CQ.
@@ -630,22 +663,23 @@ class CompletionChannel:
                     cq = self.pending.popleft()
                     cq.unacked_events += 1
                     return cq
-                if self.destroyed:
-                    raise VerbsError("completion channel destroyed")
+                if self.released:
+                    raise VerbsError(self._GONE)
         return None
 
     def destroy(self) -> None:
         with self._cond:
-            if self._cqs:
-                raise VerbsError("channel still referenced by a CQ")
-            self.destroyed = True
-            if self in self.context._channels:
-                self.context._channels.remove(self)
+            _release(self, "channel still referenced by a CQ")
             self._cond.notify_all()
             self.context._progress().wake()
 
 
 class CompletionQueue:
+    """Made on a context and bound to its channel, if it has one; QPs are
+    bound to it, and ``destroy`` refuses while any is live."""
+
+    _GONE = "CQ is destroyed"
+
     def __init__(self, context: DeviceContext, capacity: int,
                  user_context, channel: Optional[CompletionChannel]):
         self.context = context
@@ -656,11 +690,10 @@ class CompletionQueue:
         self.state = CqState.OK
         self.unacked_events = 0
         self.notify_armed = False
-        self._qps: set[QueuePair] = set()
+        self.released = False
+        self._users: set = set()
         # notified on every CQE queued and every ack, as a channel's is
         self._cond = threading.Condition(context.lock)
-        if channel is not None:
-            channel._cqs.add(self)
 
     def _push(self, entry: CompletionEntry) -> None:
         """Insert a CQE and notify the CQ's condition, as a channel does
@@ -727,16 +760,15 @@ class CompletionQueue:
             self._cond.notify_all()
 
     def destroy(self) -> None:
-        """Tear down; waits until every delivered event has been acked."""
+        """Release the CQ, as ``ibv_destroy_cq(3)`` does: refused while a
+        QP is bound to it, else it waits until every event taken from its
+        channel has been acked, and then unbinds from its context and
+        channel. A second destroy does nothing."""
         with self._cond:
-            if self._qps:
-                raise VerbsError("CQ still attached to a queue pair")
-            while self.unacked_events > 0:
+            # a CQ a QP is bound to skips the wait, and the release refuses
+            while self.unacked_events > 0 and not self._users:
                 self._cond.wait()
-            if self in self.context._cqs:
-                self.context._cqs.remove(self)
-            if self.channel is not None:
-                self.channel._cqs.discard(self)
+            _release(self, "CQ still attached to a queue pair")
 
 
 class QueuePair:
@@ -761,6 +793,7 @@ class QueuePair:
         self.sender = None
         self.receiver = None
         self._endpoint = None
+        self.released = False
 
     # -- state machine -------------------------------------------------
 
@@ -779,6 +812,9 @@ class QueuePair:
         if mask & ~_MASK_ALL:
             raise VerbsError(f"undefined attr-mask bits in {mask:#x}")
         with self.context.lock:
+            # RESET alone cannot say so: it is where every walk starts
+            if self.released:
+                raise VerbsError("queue pair is destroyed")
             target = None
             if mask & _STATE:
                 target = getattr(attrs, "state", None)
@@ -868,7 +904,7 @@ class QueuePair:
             if sge.length <= 0:
                 raise BadWorkRequestError(index, "SGE length must be positive")
             mr = self.context._mr_by_lkey.get(sge.lkey)
-            if mr is None or not mr.pinned:
+            if mr is None:
                 raise BadWorkRequestError(index, f"unknown lkey {sge.lkey}")
             if mr.pd is not self.pd:
                 raise BadWorkRequestError(
@@ -974,14 +1010,13 @@ class QueuePair:
             wqe.wr_id, _SUCCESS, _WC_RECV, len(message))))
 
     def destroy(self) -> None:
-        """Release the QP in any state, as ``ibv_destroy_qp(3)`` does: it
-        enters RESET, which completes nothing, and its PD and CQs forget
-        it."""
+        """Release the QP in any state, as ``ibv_destroy_qp(3)`` does: its
+        PD and CQs forget it, and it enters RESET, which completes
+        nothing. A destroyed QP takes no modify; a second destroy does
+        nothing."""
         with self.context.lock:
-            self._enter_state(_RESET)
-            self.pd._qps.remove(self)
-            self.send_cq._qps.discard(self)
-            self.recv_cq._qps.discard(self)
+            if _release(self):
+                self._enter_state(_RESET)
 
 
 class ModifyAttributes(QpAttributes):

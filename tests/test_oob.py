@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import free_port
+from softverbs import oob
 from softverbs.oob import (
     Destination,
     DestinationFormatError,
@@ -212,3 +213,29 @@ class TestExchange:
             reply = s.recv(4096)
         assert decode_destination(reply.decode()) == KNOWN_DEST
         t.join(timeout=5)
+
+    def test_a_client_stalling_mid_record_times_the_server_out(
+            self, monkeypatch):
+        monkeypatch.setattr(oob, "READ_TIMEOUT_S", 0.2)
+        port = free_port()
+        box = {}
+        ready = threading.Event()
+        t = threading.Thread(target=_serve,
+                             args=(port, KNOWN_DEST, box, ready), daemon=True)
+        t.start()
+        assert ready.wait(5)
+        with socket.create_connection(("127.0.0.1", port), timeout=5) as s:
+            s.sendall(b"0001:")  # no newline, and the client stays open
+            t.join(timeout=5)
+            assert not t.is_alive()
+        assert isinstance(box.get("error"), ExchangeError)
+
+    def test_a_server_that_never_replies_times_the_client_out(
+            self, monkeypatch):
+        monkeypatch.setattr(oob, "READ_TIMEOUT_S", 0.2)
+        with socket.socket() as lsock:
+            lsock.bind(("127.0.0.1", 0))
+            lsock.listen(1)
+            with pytest.raises(ExchangeError, match="stalled"):
+                exchange_as_client("127.0.0.1", lsock.getsockname()[1],
+                                   KNOWN_DEST)

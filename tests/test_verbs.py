@@ -280,6 +280,19 @@ class TestResourceTree:
         qp.destroy()
         cq.destroy()
 
+    def test_a_second_qp_destroy_and_pd_dealloc_are_no_ops(self, registry):
+        ctx = registry.open_device(registry.get_device_list()[0])
+        pd, cq = ctx.alloc_pd(), ctx.create_cq(8)
+        qp = pd.create_qp(cq, cq, QueueCaps(1, 1))
+        qp.destroy()
+        qp.destroy()
+        assert qp.state is QpState.RESET
+        cq.destroy()
+        pd.dealloc()
+        pd.dealloc()
+        ctx.close()
+        assert not ctx.open
+
 
 class TestCqErrorLatch:
     def test_push_past_capacity_latches_error(self, registry):
@@ -376,6 +389,39 @@ def _empty_sge(registry, fabric):
     return lambda: node.post_recv(1, length=0)
 
 
+def _closed_context(registry, fabric):
+    ctx = _ctx(registry)
+    ctx.close()
+    return partial(ctx.query_port, 1)
+
+
+def _destroyed_qp(registry, fabric):
+    node = Node(registry, fabric)
+    node.qp.destroy()
+    return lambda: to_init(node.qp)
+
+
+def _deallocated_pd(registry, fabric):
+    ctx = _ctx(registry)
+    pd, buf = ctx.alloc_pd(), ctx.alloc_buffer(64)
+    pd.dealloc()
+    return lambda: pd.reg_mr(buf, 64, AccessFlags.LOCAL_WRITE)
+
+
+def _destroyed_cq(registry, fabric):
+    ctx = _ctx(registry)
+    pd, cq = ctx.alloc_pd(), ctx.create_cq(8)
+    cq.destroy()
+    return lambda: pd.create_qp(cq, cq, QueueCaps(1, 1))
+
+
+def _destroyed_channel(registry, fabric):
+    ctx = _ctx(registry)
+    channel = ctx.create_channel()
+    channel.destroy()
+    return lambda: ctx.create_cq(8, channel=channel)
+
+
 def _connected(registry, fabric, **kwargs):
     a, b = Node(registry, fabric, **kwargs), Node(registry, fabric)
     connect_pair(a, b)
@@ -420,6 +466,16 @@ REFUSED = {
     "unsupported_opcode": (
         _unsupported_opcode, BadWorkRequestError,
         "work request 0: unsupported opcode"),
+    "query_port_on_closed_context": (
+        _closed_context, VerbsError, "context is closed"),
+    "modify_destroyed_qp": (
+        _destroyed_qp, VerbsError, "queue pair is destroyed"),
+    "reg_mr_on_deallocated_pd": (
+        _deallocated_pd, VerbsError, "protection domain is deallocated"),
+    "create_qp_on_destroyed_cq": (
+        _destroyed_cq, VerbsError, "CQ is destroyed"),
+    "create_cq_on_destroyed_channel": (
+        _destroyed_channel, VerbsError, "channel is destroyed"),
 }
 
 
